@@ -354,33 +354,56 @@ def _build_parser():
     p.add_argument("--top-n", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stats)
+    parser.set_defaults(_commands=tuple(sub.choices))
     return parser
 
 
-def _apply_manifest(parser, args, argv):
-    """Resolve flag > manifest > default for seed-like options."""
-    if args.manifest is None:
-        if getattr(args, "seed", "absent") is None:
-            args.seed = 0
-        return args
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    stage = manifest.get("stages", {}).get(args.command, {})
-    explicit = {a.split("=")[0] for a in argv if a.startswith("--")}
-    for key, value in stage.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and f"--{key}" not in explicit:
-            setattr(args, attr, value)
+def _manifest_flags(parser, args):
+    """The manifest's global seed and its entries for ``args.command``, as
+    ``--key=value`` flag tokens."""
+    def fault(message):
+        parser.error(f"manifest {args.manifest}: {message}")
+
+    try:
+        with open(args.manifest) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        fault(str(exc))
+    if not isinstance(manifest, dict) or not set(manifest) <= {"seed", "stages"}:
+        fault('expected an object with keys "seed" and "stages"')
+    stages = manifest.get("stages", {})
+    if not (isinstance(stages, dict) and set(stages) <= set(args._commands)
+            and all(isinstance(e, dict) for e in stages.values())):
+        fault(f'"stages" must map subcommands ({", ".join(args._commands)}) to objects')
+    entries = dict(stages.get(args.command, {}))
+    if "seed" in manifest and hasattr(args, "seed"):
+        entries = {"seed": manifest["seed"], **entries}
+    for key, value in entries.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            fault(f"{args.command}: {key!r} must be a string or a number")
+    return [f"--{key}={value}" for key, value in entries.items()]
+
+
+def _parse_args(parser, argv):
+    """Parse ``argv``; the manifest's flags are inserted ahead of the explicit
+    ones, so explicit flags win and manifest values meet the same types and
+    choices. A seed left unset is 0."""
+    args = parser.parse_args(argv)
+    if args.manifest is not None:
+        i = 0   # skip the top-level options: --manifest PATH or --manifest=PATH
+        while argv[i] != args.command:
+            i += 1 if "=" in argv[i] else 2
+        flags = _manifest_flags(parser, args)
+        args = parser.parse_args(argv[: i + 1] + flags + argv[i + 1:])
     if getattr(args, "seed", "absent") is None:
-        args.seed = manifest.get("seed", 0)
+        args.seed = 0
     return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_manifest(parser, args, argv)
+    args = _parse_args(parser, argv)
     for name in getattr(args, "_required", []):
         if getattr(args, name) is None:
             print(f"error: missing required flag --{name}", file=sys.stderr)

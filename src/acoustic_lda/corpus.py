@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -201,7 +201,6 @@ def _load_features_csv(path) -> list[FeatureDocument]:
             return []
         if header[:3] != ["id", "group", "frame_index"]:
             raise CorpusError(f"{path}: unexpected csv header {header[:3]}")
-        width = len(header) - 3
         for lineno, row in enumerate(reader, 2):
             if not row:
                 continue
@@ -218,7 +217,6 @@ def _load_features_csv(path) -> list[FeatureDocument]:
                 group_by_doc[doc_id] = group
                 order.append(doc_id)
             rows_by_doc[doc_id].append((idx, values))
-        del width
     docs = []
     for doc_id in order:
         rows = sorted(rows_by_doc[doc_id])

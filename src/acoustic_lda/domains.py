@@ -4,13 +4,13 @@ two-model cross-agreement filter with histogram pruning."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .corpus import BagOfSounds
-from .lda import LdaConfig, LdaModel, infer_theta
+from .lda import LdaConfig, LdaModel, infer_thetas
 
 __all__ = ["DomainAssignment", "UbicVector", "FilterResult", "assign",
            "ubic_encode", "average_domain_entropy", "cross_agreement_filter",
@@ -79,18 +79,12 @@ def assign(
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    out = []
-    for doc in corpus:
-        theta = infer_theta(model, doc, config)
-        out.append(
-            DomainAssignment(
-                doc_id=doc.id,
-                theta=theta,
-                map_domain=int(np.argmax(theta)),
-                weight=float(doc.total),
-            )
-        )
-    return out
+    thetas = infer_thetas(model, corpus, config)
+    return [
+        DomainAssignment(doc_id=doc.id, theta=theta, map_domain=int(np.argmax(theta)),
+                         weight=float(doc.total))
+        for doc, theta in zip(corpus, thetas)
+    ]
 
 
 def ubic_encode(assignment: DomainAssignment) -> UbicVector:

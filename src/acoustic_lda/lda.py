@@ -1,10 +1,16 @@
 """Latent Dirichlet Allocation over bags-of-sounds, trained by variational EM.
 
-Per-document inference runs the standard coordinate-ascent updates on the
-variational parameters (gamma, phi):
+Inference runs the standard coordinate-ascent updates on the variational
+parameters (gamma, phi) of every document at once:
 
     phi_{wk}  proportional to  beta_{kw} * exp(digamma(gamma_k))
     gamma_k   =  alpha_k + sum_w count_w * phi_{wk}
+
+Documents are padded to a common number of distinct symbols, and each one
+stops updating as soon as its own relative gamma change falls below the
+tolerance. Training, single-document inference and corpus inference all run
+this one E-step and one evidence lower bound; a single document is the
+batch of one.
 
 The M-step re-estimates each topic row from the phi-weighted symbol counts,
 with optional additive smoothing. ``log_beta`` stores K rows of length V
@@ -15,41 +21,25 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, psi
 
 from .corpus import BagOfSounds
 
 __all__ = ["LdaConfig", "LdaModel", "VariationalState", "digamma",
-           "e_step_document", "elbo", "fit", "infer_theta",
+           "e_step_document", "elbo", "fit", "infer_theta", "infer_thetas",
            "save_lda", "load_lda"]
 
 
 def digamma(x):
-    """Digamma via the asymptotic series with a recurrence shift below 10.
-
-    Accurate to about 1e-12 for positive arguments; vectorized over arrays.
-    """
+    """scipy's digamma, restricted to positive arguments."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).copy()
     if np.any(x <= 0):
         raise ValueError("digamma requires positive arguments")
-    out = np.zeros_like(x)
-    small = x < 10.0
-    while np.any(small):
-        out[small] -= 1.0 / x[small]
-        x[small] += 1.0
-        small = x < 10.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli-number series: psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n)
-    series = inv2 * (1 / 12.0 - inv2 * (1 / 120.0 - inv2 * (
-        1 / 252.0 - inv2 * (1 / 240.0 - inv2 * (1 / 132.0)))))
-    out += np.log(x) - 0.5 / x - series
-    return out[0] if scalar else out
+    return psi(x)
 
 
 @dataclass
@@ -107,92 +97,96 @@ class VariationalState:
     counts: np.ndarray     # (U,) occurrence counts of each distinct symbol
 
 
-def _doc_support(doc: BagOfSounds):
-    word_ids = np.flatnonzero(doc.counts)
-    return word_ids, doc.counts[word_ids].astype(float)
+def _pad_supports(docs: Sequence[BagOfSounds], v: int):
+    """Each document's distinct symbols and their counts, padded to a common
+    width U: (M, U) symbol ids and (M, U) float counts.
 
-
-def _coordinate_ascent(log_beta_doc, alpha, counts, gamma_tol, max_iters,
-                       elbo_terms=None):
-    """Iterate the (phi, gamma) updates to a fixed point.
-
-    ``log_beta_doc`` is (U, K): model log-probabilities restricted to the
-    document's distinct symbols. When ``elbo_terms`` is given (a callable
-    computing the bound from (gamma, phi)), appends the bound after every
-    iteration to its list argument.
+    Padded slots repeat the document's first symbol with count 0, so they
+    stay on a symbol with mass and contribute nothing.
     """
-    k = log_beta_doc.shape[1]
-    total = counts.sum()
-    gamma = alpha + total / k
-    phi = np.full(log_beta_doc.shape, 1.0 / k)
+    supports = []
+    for doc in docs:
+        if doc.vocab_size != v:
+            raise ValueError(f"document {doc.id!r} has V={doc.vocab_size}, expected V={v}")
+        ids = np.flatnonzero(doc.counts)
+        if ids.size == 0:
+            raise ValueError(f"document {doc.id!r} is empty")
+        supports.append(ids)
+    word_ids = np.zeros((len(docs), max(ids.size for ids in supports)), dtype=np.int64)
+    counts = np.zeros(word_ids.shape)
+    for i, (doc, ids) in enumerate(zip(docs, supports)):
+        word_ids[i] = ids[0]
+        word_ids[i, : ids.size] = ids
+        counts[i, : ids.size] = doc.counts[ids]
+    return word_ids, counts
+
+
+def _e_step(lb, counts, alpha, gamma_tol, max_iters):
+    """Iterate the (phi, gamma) updates for M documents at once.
+
+    ``lb`` is (M, U, K): model log-probabilities at each document's padded
+    symbols; ``counts`` is (M, U). A document is frozen once its max relative
+    gamma change falls below ``gamma_tol``. Returns gamma (M, K) and phi
+    (M, U, K).
+    """
+    k = lb.shape[2]
+    gamma = alpha + counts.sum(axis=1, keepdims=True) / k
+    phi = np.full(lb.shape, 1.0 / k)
+    live = np.arange(lb.shape[0])
     for _ in range(max_iters):
-        log_phi = log_beta_doc + digamma(gamma)[None, :]
-        log_phi -= logsumexp(log_phi, axis=1, keepdims=True)
-        phi = np.exp(log_phi)
-        new_gamma = alpha + counts @ phi
-        if elbo_terms is not None:
-            elbo_terms[0].append(elbo_terms[1](new_gamma, phi))
-        delta = np.max(np.abs(new_gamma - gamma) / gamma)
-        gamma = new_gamma
-        if delta < gamma_tol:
+        log_phi = lb[live] + psi(gamma[live])[:, None, :]
+        log_phi -= log_phi.max(axis=2, keepdims=True)
+        new_phi = np.exp(log_phi)
+        new_phi /= new_phi.sum(axis=2, keepdims=True)
+        new_gamma = alpha + np.einsum("mu,muk->mk", counts[live], new_phi)
+        delta = np.max(np.abs(new_gamma - gamma[live]) / gamma[live], axis=1)
+        phi[live] = new_phi
+        gamma[live] = new_gamma
+        live = live[delta >= gamma_tol]
+        if live.size == 0:
             break
     return gamma, phi
+
+
+def _elbo(lb, counts, alpha, gamma, phi):
+    """Evidence lower bound of each of M documents, from the E-step's arrays."""
+    dig = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))   # E_q[log theta_k]
+    bound = gammaln(alpha.sum()) - gammaln(alpha).sum() + dig @ (alpha - 1)
+    bound -= gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1)
+    bound -= ((gamma - 1) * dig).sum(axis=1)
+    # E_q[log p(z | theta) + log p(w | z, beta) - log q(z)], per symbol slot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_slot = np.where(phi > 0, phi * (dig[:, None, :] + lb - np.log(phi)), 0.0)
+    return bound + (counts * per_slot.sum(axis=2)).sum(axis=1)
+
+
+def _posterior(model: LdaModel, docs: Sequence[BagOfSounds], config: LdaConfig):
+    """The E-step over non-empty documents under a trained model.
+
+    Returns the padded (word_ids, counts) with gamma (M, K) and phi (M, U, K).
+    """
+    word_ids, counts = _pad_supports(docs, model.vocab_size)
+    lb = model.log_beta.T[word_ids]                      # (M, U, K)
+    dead = np.isinf(lb).all(axis=2).any(axis=1)
+    if dead.any():
+        raise FloatingPointError(f"document {docs[dead.argmax()].id!r}: "
+                                 "observed symbol has zero mass in every topic")
+    gamma, phi = _e_step(lb, counts, model.alpha, config.gamma_tol, config.max_e_iters)
+    bad = ~np.isfinite(gamma).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(f"document {docs[bad.argmax()].id!r}: non-finite gamma")
+    return word_ids, counts, gamma, phi
 
 
 def e_step_document(
     model: LdaModel,
     doc: BagOfSounds,
     config: Optional[LdaConfig] = None,
-    track_elbo: bool = False,
-):
-    """Variational inference for one document.
-
-    Returns a :class:`VariationalState`; with ``track_elbo=True`` returns
-    ``(state, elbo_per_iteration)`` instead, for monotonicity checks.
-    """
-    config = config or LdaConfig()
-    if doc.vocab_size != model.vocab_size:
-        raise ValueError(
-            f"document {doc.id!r} has V={doc.vocab_size}, model has V={model.vocab_size}"
-        )
-    if doc.total < 1:
-        raise ValueError(f"document {doc.id!r} is empty")
-    word_ids, counts = _doc_support(doc)
-    log_beta_doc = model.log_beta[:, word_ids].T     # (U, K)
-    if np.any(np.isinf(log_beta_doc).all(axis=1)):
-        raise FloatingPointError(
-            f"document {doc.id!r}: observed symbol has zero mass in every topic"
-        )
-
-    terms = None
-    if track_elbo:
-        history: list[float] = []
-        terms = (history, lambda g, p: _elbo_arrays(
-            model.alpha, log_beta_doc, counts, g, p))
-    gamma, phi = _coordinate_ascent(
-        log_beta_doc, model.alpha, counts, config.gamma_tol, config.max_e_iters,
-        elbo_terms=terms,
-    )
-    if not np.all(np.isfinite(gamma)):
-        raise FloatingPointError(f"document {doc.id!r}: non-finite gamma")
-    state = VariationalState(gamma=gamma, phi=phi, word_ids=word_ids, counts=counts)
-    if track_elbo:
-        return state, terms[0]
-    return state
-
-
-def _elbo_arrays(alpha, log_beta_doc, counts, gamma, phi):
-    """Evidence lower bound from raw arrays (log_beta_doc is (U, K))."""
-    dig = digamma(gamma) - digamma(gamma.sum())      # E_q[log theta_k]
-    bound = gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1) @ dig
-    bound += counts @ (phi @ dig)                     # E_q[log p(z | theta)]
-    with np.errstate(invalid="ignore"):
-        beta_term = np.where(phi > 0, phi * log_beta_doc, 0.0)
-        ent_term = np.where(phi > 0, phi * np.log(phi), 0.0)
-    bound += counts @ beta_term.sum(axis=1)           # E_q[log p(w | z, beta)]
-    bound -= gammaln(gamma.sum()) - gammaln(gamma).sum() + (gamma - 1) @ dig
-    bound -= counts @ ent_term.sum(axis=1)            # -E_q[log q(z)]
-    return float(bound)
+) -> VariationalState:
+    """Variational inference for one document (the E-step on a batch of one)."""
+    word_ids, counts, gamma, phi = _posterior(model, [doc], config or LdaConfig())
+    return VariationalState(gamma=gamma[0], phi=phi[0], word_ids=word_ids[0],
+                            counts=counts[0])
 
 
 def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
@@ -201,47 +195,9 @@ def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
         raise ValueError("gamma length does not match the model")
     if state.phi.shape != (state.word_ids.shape[0], model.num_domains):
         raise ValueError("phi shape does not match the state's word ids")
-    log_beta_doc = model.log_beta[:, state.word_ids].T
-    return _elbo_arrays(model.alpha, log_beta_doc, state.counts, state.gamma, state.phi)
-
-
-def _e_step_batch(log_beta, alpha, word_ids, counts, gamma_tol, max_iters):
-    """Coordinate ascent over every document at once.
-
-    ``word_ids`` and ``counts`` are (M, U) padded arrays; padded slots have
-    count 0. Same updates and convergence criterion as the per-document
-    E-step, iterated until the worst per-document relative gamma change falls
-    below ``gamma_tol``. Returns (gamma (M, K), phi (M, U, K), corpus ELBO).
-    """
-    m, u = word_ids.shape
-    k = log_beta.shape[0]
-    lb = np.swapaxes(log_beta[:, word_ids], 0, 1).swapaxes(1, 2)   # (M, U, K)
-    totals = counts.sum(axis=1)
-    gamma = alpha[None, :] + (totals / k)[:, None]
-    phi = np.full((m, u, k), 1.0 / k)
-    for _ in range(max_iters):
-        log_phi = lb + digamma(gamma)[:, None, :]
-        log_phi -= logsumexp(log_phi, axis=2, keepdims=True)
-        phi = np.exp(log_phi)
-        new_gamma = alpha[None, :] + np.einsum("mu,muk->mk", counts, phi)
-        delta = np.max(np.abs(new_gamma - gamma) / gamma)
-        gamma = new_gamma
-        if delta < gamma_tol:
-            break
-
-    # batched ELBO, summed over documents
-    dig = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]     # (M, K)
-    bound = m * (gammaln(alpha.sum()) - gammaln(alpha).sum())
-    bound += ((alpha - 1)[None, :] * dig).sum()
-    bound += np.einsum("mu,muk,mk->", counts, phi, dig)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bound += np.einsum("mu,mu->", counts, np.where(
-            phi > 0, phi * lb, 0.0).sum(axis=2))
-        bound -= np.einsum("mu,mu->", counts, np.where(
-            phi > 0, phi * np.log(phi), 0.0).sum(axis=2))
-    bound -= (gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1)).sum()
-    bound -= ((gamma - 1) * dig).sum()
-    return gamma, phi, float(bound)
+    lb = model.log_beta.T[state.word_ids]
+    return float(_elbo(lb[None], state.counts[None], model.alpha,
+                       state.gamma[None], state.phi[None])[0])
 
 
 def _init_log_beta(corpus, k, v, smoothing, rng):
@@ -263,7 +219,7 @@ def fit(
 ) -> LdaModel:
     """Variational EM over a corpus of bags-of-sounds.
 
-    Alternates the per-document E-step with the topic-row M-step until the
+    Alternates the batched E-step with the topic-row M-step until the
     relative change of the corpus ELBO falls below ``config.em_tol``.
     Deterministic for a fixed ``config.seed``.
     """
@@ -273,11 +229,7 @@ def fit(
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
     v = corpus[0].vocab_size
-    for doc in corpus:
-        if doc.vocab_size != v:
-            raise ValueError(f"document {doc.id!r} has a different vocabulary size")
-        if doc.total < 1:
-            raise ValueError(f"document {doc.id!r} is empty")
+    word_ids, counts = _pad_supports(corpus, v)
 
     rng = np.random.default_rng(config.seed)
     alpha_scale = config.alpha if config.alpha is not None else 1.0 / num_domains
@@ -286,24 +238,12 @@ def fit(
     alpha = np.full(num_domains, alpha_scale)
     log_beta = _init_log_beta(corpus, num_domains, v, config.smoothing, rng)
 
-    # pad per-document supports to a common width so the whole E-step runs as
-    # batched array ops; padded slots carry count 0 and contribute nothing
-    supports = [_doc_support(doc) for doc in corpus]
-    m = len(supports)
-    u_max = max(ids.size for ids, _ in supports)
-    word_ids = np.zeros((m, u_max), dtype=np.int64)
-    counts = np.zeros((m, u_max))
-    for i, (ids, cnt) in enumerate(supports):
-        word_ids[i, : ids.size] = ids
-        word_ids[i, ids.size:] = ids[0]   # keep padded slots on a live symbol
-        counts[i, : ids.size] = cnt
-
     history: list[float] = []
     prev = None
     for _ in range(config.max_em_iters):
-        gamma, phi, corpus_elbo = _e_step_batch(
-            log_beta, alpha, word_ids, counts, config.gamma_tol, config.max_e_iters
-        )
+        lb = log_beta.T[word_ids]
+        gamma, phi = _e_step(lb, counts, alpha, config.gamma_tol, config.max_e_iters)
+        corpus_elbo = float(_elbo(lb, counts, alpha, gamma, phi).sum())
         if not np.isfinite(corpus_elbo):
             raise FloatingPointError("variational EM produced a non-finite ELBO")
         history.append(corpus_elbo)
@@ -323,24 +263,41 @@ def fit(
     return LdaModel(alpha=alpha, log_beta=log_beta, elbo_history=history)
 
 
-def infer_theta(
+def infer_thetas(
     model: LdaModel,
-    doc: BagOfSounds,
+    docs: Sequence[BagOfSounds],
     config: Optional[LdaConfig] = None,
 ) -> np.ndarray:
-    """Normalized per-document domain posterior (gamma over its sum).
+    """Normalized domain posterior of each document, (M, K): gamma over its
+    sum, or gamma minus alpha over its sum with ``config.subtract_prior``.
 
     An empty document yields the uniform vector with a warning; training-time
     empty documents are rejected by :func:`fit` instead.
     """
     config = config or LdaConfig()
     k = model.num_domains
-    if doc.total < 1:
-        warnings.warn(f"document {doc.id!r} is empty; returning uniform theta")
-        return np.full(k, 1.0 / k)
-    state = e_step_document(model, doc, config)
-    gamma = state.gamma - model.alpha if config.subtract_prior else state.gamma
-    return gamma / gamma.sum()
+    theta = np.full((len(docs), k), 1.0 / k)
+    live = []
+    for i, doc in enumerate(docs):
+        if doc.total < 1:
+            warnings.warn(f"document {doc.id!r} is empty; returning uniform theta")
+        else:
+            live.append(i)
+    if live:
+        _, _, gamma, _ = _posterior(model, [docs[i] for i in live], config)
+        if config.subtract_prior:
+            gamma = gamma - model.alpha
+        theta[live] = gamma / gamma.sum(axis=1, keepdims=True)
+    return theta
+
+
+def infer_theta(
+    model: LdaModel,
+    doc: BagOfSounds,
+    config: Optional[LdaConfig] = None,
+) -> np.ndarray:
+    """:func:`infer_thetas` for a single document."""
+    return infer_thetas(model, [doc], config)[0]
 
 
 def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:

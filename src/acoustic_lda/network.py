@@ -10,10 +10,11 @@ baseline with W_d = 0 is therefore functionally identical to that baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = ["NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
@@ -97,7 +98,7 @@ class LdatNetwork:
 
     def _activate(self, z):
         if self.activation == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-z))
+            return expit(z)
         return np.maximum(z, 0.0)
 
     def _forward_batch(self, x, code=None, keep=False):
@@ -191,9 +192,7 @@ def init_network(config: NetworkConfig) -> LdatNetwork:
                        config.activation)
 
 
-def init_augmented_from_baseline(
-    baseline: LdatNetwork, num_domains: int, seed: int = 0
-) -> LdatNetwork:
+def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> LdatNetwork:
     """Widen a baseline network's first layer with zero domain columns.
 
     The feature columns and every other parameter are copied, so the
@@ -204,7 +203,6 @@ def init_augmented_from_baseline(
         raise ValueError("baseline network is already domain-augmented")
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
-    del seed  # reserved for non-zero W_d init schemes
     first = np.concatenate(
         [baseline.weights[0],
          np.zeros((baseline.weights[0].shape[0], num_domains))], axis=1

@@ -193,3 +193,40 @@ class TestContracts:
                    "--features", pipeline_inputs, "--components", 4,
                    "--out", out) == 0
         assert json.loads(out.read_text())["V"] == 4
+
+    @pytest.mark.parametrize("manifest", [
+        pytest.param(None, id="missing-file"),
+        pytest.param('{"stages": ', id="malformed-json"),
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param({"stages": {"train-lda": {"k": "two"}}}, id="bad-int"),
+        pytest.param({"stages": {"train-lda": {"k": 2.5}}}, id="float-for-int"),
+        pytest.param({"stages": {"train-lda": {"k": [2]}}}, id="non-scalar"),
+        pytest.param({"stages": {"train-lda": {"kk": 2}}}, id="unknown-flag"),
+        pytest.param({"stages": {"train-lad": {"k": 2}}}, id="unknown-stage"),
+        pytest.param({"stages": [1]}, id="stages-not-an-object"),
+        pytest.param({"seed": "x", "stages": {"train-lda": {"k": 2}}}, id="bad-seed"),
+        pytest.param({"sed": 1}, id="unknown-top-level-key"),
+    ])
+    def test_manifest_fault_exit_2(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        if manifest is not None:
+            path.write_text(manifest if isinstance(manifest, str)
+                            else json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc:
+            main(["--manifest", str(path), "train-lda", "--bags",
+                  str(tmp_path / "bags.jsonl"), "--out", str(tmp_path / "lda.json")])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_manifest_values_read_as_flags(self, tmp_path):
+        bags = tmp_path / "bags.jsonl"
+        corpus.save_bags(bags, [
+            corpus.BagOfSounds(id=f"d{i}", counts=np.array([3, i, 1, 0]))
+            for i in range(4)])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "stages": {"train-lda": {"k": "2", "max-em-iters": 3}}}))
+        out = tmp_path / "lda.json"
+        assert run("--manifest", manifest, "train-lda", "--bags", bags,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["K"] == 2

@@ -12,7 +12,7 @@ from acoustic_lda.domains import (
     ubic_encode,
     write_stats_csv,
 )
-from acoustic_lda.lda import LdaModel, fit
+from acoustic_lda.lda import LdaModel, e_step_document, fit
 from oracles import prefix_filter_oracle
 
 
@@ -64,6 +64,22 @@ class TestAssign:
         bags = [to_bag_counts("d", [3, 4])]
         out = assign(model, bags)
         assert out[0].weight == 7.0
+
+    def test_batched_matches_single_document(self):
+        rng = np.random.default_rng(11)
+        beta = rng.dirichlet(np.ones(6), size=3)
+        model = LdaModel(alpha=np.array([0.2, 0.5, 0.9]), log_beta=np.log(beta))
+        counts = [[4, 0, 0, 0, 0, 0], [2, 1, 0, 3, 0, 5], [0, 0, 0, 0, 0, 0],
+                  [0, 7, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]]
+        bags = [to_bag_counts(f"d{i}", c) for i, c in enumerate(counts)]
+        with pytest.warns(UserWarning, match="'d2'"):
+            out = assign(model, bags)
+        np.testing.assert_array_equal(out[2].theta, np.full(3, 1.0 / 3))
+        for i in (0, 1, 3, 4):
+            gamma = e_step_document(model, bags[i]).gamma
+            np.testing.assert_allclose(out[i].theta, gamma / gamma.sum(),
+                                       atol=1e-12, rtol=0)
+            assert out[i].map_domain == int(np.argmax(gamma))
 
     def test_empty_corpus(self):
         model = LdaModel(alpha=np.array([1.0]),

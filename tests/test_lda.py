@@ -12,6 +12,7 @@ from acoustic_lda.lda import (
     elbo,
     fit,
     infer_theta,
+    infer_thetas,
     load_lda,
     save_lda,
 )
@@ -91,11 +92,13 @@ class TestEStep:
             assert np.all(state.gamma > 0)
 
     def test_inner_elbo_monotone(self):
+        # the bound after i coordinate-ascent sweeps, for i = 1..30
         rng = np.random.default_rng(1)
         for _ in range(20):
             model, symbols, *_ , v = random_instance(rng, max_len=6)
-            _, history = e_step_document(
-                model, bag(np.bincount(symbols, minlength=v)), track_elbo=True)
+            doc = bag(np.bincount(symbols, minlength=v))
+            history = [elbo(model, doc, e_step_document(
+                model, doc, LdaConfig(max_e_iters=i))) for i in range(1, 31)]
             diffs = np.diff(history)
             assert (diffs >= -1e-10).all()
 
@@ -110,6 +113,13 @@ class TestEStep:
         model = LdaModel(alpha=np.array([1.0, 1.0]), log_beta=log_beta)
         with pytest.raises(FloatingPointError):
             e_step_document(model, bag([2, 3]))
+
+    def test_zero_mass_symbol_names_document(self):
+        log_beta = np.array([[0.0, -np.inf, -np.inf], [-np.inf, -np.inf, 0.0]])
+        model = LdaModel(alpha=np.array([1.0, 1.0]), log_beta=log_beta)
+        docs = [bag([2, 0, 1], "a"), bag([1, 4, 0], "b"), bag([0, 0, 3], "c")]
+        with pytest.raises(FloatingPointError, match="'b'"):
+            infer_thetas(model, docs)
 
 
 class TestElbo:

@@ -41,6 +41,12 @@ class TestForward:
         out = net.forward(rng.normal(size=5))
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out > 0)
+        # saturated sigmoid units (|pre-activation| in the thousands) stay
+        # finite and raise no floating-point error
+        with np.errstate(over="raise", invalid="raise"):
+            for scale in (-1e4, 1e4):
+                out = net.forward(np.full(5, scale))
+                assert abs(out.sum() - 1.0) < 1e-9
 
     def test_zero_domain_weights_match_baseline(self):
         rng = np.random.default_rng(1)
