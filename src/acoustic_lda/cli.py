@@ -50,21 +50,45 @@ def _write_jsonl(path, records, seed=None):
     _atomic_write(path, writer)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_assignments(path):
+    """Assignment records {id, theta, map_domain, weight?}; a malformed line
+    raises CorpusError naming ``path:line``."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise corpus.CorpusError(f"{where}: bad json: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise corpus.CorpusError(f"{where}: expected a json object")
             if "_meta" in obj:
                 continue
-            theta = np.asarray(obj["theta"], dtype=float)
-            out.append(domains.DomainAssignment(
-                doc_id=str(obj["id"]), theta=theta,
-                map_domain=int(obj["map_domain"]),
-                weight=float(obj.get("weight", 1.0)),
-            ))
+            theta, map_domain = obj.get("theta"), obj.get("map_domain")
+            weight = obj.get("weight", 1.0)
+            if not isinstance(obj.get("id"), str):
+                raise corpus.CorpusError(f"{where}: 'id' must be a string")
+            if not (isinstance(theta, list) and theta and all(map(_is_number, theta))):
+                raise corpus.CorpusError(f"{where}: 'theta' must be a list of numbers")
+            if not np.isfinite(theta).all():
+                raise corpus.CorpusError(f"{where}: 'theta' must be finite")
+            if not isinstance(map_domain, int) or isinstance(map_domain, bool):
+                raise corpus.CorpusError(f"{where}: 'map_domain' must be an integer")
+            if not (_is_number(weight) and np.isfinite(weight)):
+                raise corpus.CorpusError(f"{where}: 'weight' must be a finite number")
+            try:
+                out.append(domains.DomainAssignment(
+                    doc_id=obj["id"], theta=np.asarray(theta, dtype=float),
+                    map_domain=map_domain, weight=float(weight)))
+            except ValueError as exc:
+                raise corpus.CorpusError(f"{where}: {exc}") from exc
     return out
 
 

@@ -3,6 +3,22 @@
 The quantizer maps each frame to the index of the Gaussian component with the
 highest posterior, turning an utterance into a sequence of discrete symbols.
 All density math is done in the log domain.
+
+The log joint of frame x and component i is computed as two matrix products,
+from the diagonal-covariance expansion
+
+    log w_i - 1/2 (D log 2pi + sum log var_i + sum m_i^2 / var_i)
+            - 1/2 (x^2) . (1 / var_i) + x . (m_i / var_i),
+
+where x and m_i are the frame and the mean shifted by one common centre, the
+mean of the component means, so that a large common offset does not cancel.
+EM statistics and quantization take the frames in fixed-size blocks of
+``_BLOCK_FRAMES``, so memory is O(block * V) whatever the number of frames,
+and no (frames, components, dims) array is built. The expansion rounds
+differently from the direct form sum (x - mu)^2 / var; ``quantize`` bounds
+that error per frame and re-scores, with the direct form, only the frames
+whose best and runner-up components lie within the bound. Its symbols are
+therefore those of the direct form, ties going to the lowest index.
 """
 
 from __future__ import annotations
@@ -12,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import FeatureDocument, SymbolDocument
 
@@ -20,6 +35,8 @@ __all__ = ["GmmConfig", "GmmModel", "train_gmm", "responsibilities", "quantize",
            "save_gmm", "load_gmm"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_EPS = np.finfo(float).eps
+_BLOCK_FRAMES = 4096   # frames per block in EM statistics and in quantize
 
 
 @dataclass
@@ -42,9 +59,26 @@ class GmmModel:
 
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a regular array of numbers") from None
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError(f"weights must have shape (V,), got {self.weights.shape}")
+        v = self.weights.size
+        if self.means.ndim != 2 or self.means.shape[0] != v or self.means.shape[1] == 0:
+            raise ValueError(f"means must have shape (V, D) with V={v}, "
+                             f"got {self.means.shape}")
+        if self.variances.shape != self.means.shape:
+            raise ValueError(f"variances must have shape {self.means.shape}, "
+                             f"got {self.variances.shape}")
+        for name in ("weights", "means", "variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if np.any(self.weights <= 0):
+            raise ValueError("component weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("component weights must sum to 1")
         if np.any(self.variances <= 0):
@@ -59,9 +93,28 @@ class GmmModel:
         return self.means.shape[1]
 
 
+def _blocks(n):
+    """Slices of at most ``_BLOCK_FRAMES`` frames covering ``range(n)``."""
+    for start in range(0, n, _BLOCK_FRAMES):
+        yield slice(start, min(start + _BLOCK_FRAMES, n))
+
+
 def _log_joint(weights, means, variances, frames):
-    """log(w_i * N(x; mu_i, var_i)) for all frames and components, (N, V)."""
-    # (N, V) via broadcasting; quadratic term expanded per dimension
+    """log(w_i * N(x; mu_i, var_i)) for a block of frames, (N, V), as two
+    matrix products on frames and means shifted by the mean of the means."""
+    centre = means.mean(axis=0)
+    x = frames - centre
+    m = means - centre
+    prec = 1.0 / variances
+    const = np.log(weights) - 0.5 * (
+        means.shape[1] * _LOG_2PI + np.log(variances).sum(axis=1)
+        + (m * m * prec).sum(axis=1))
+    return const + (x * x) @ (-0.5 * prec.T) + x @ (m * prec).T
+
+
+def _log_joint_direct(weights, means, variances, frames):
+    """The same log joint from sum (x - mu)^2 / var, through an (N, V, D)
+    temporary: the reference ``quantize`` re-scores near-tie frames with."""
     diff = frames[:, None, :] - means[None, :, :]        # (N, V, D)
     quad = np.sum(diff * diff / variances[None, :, :], axis=2)
     log_det = np.sum(np.log(variances), axis=1)          # (V,)
@@ -70,27 +123,80 @@ def _log_joint(weights, means, variances, frames):
     return np.log(weights)[None, :] + log_pdf
 
 
+def _tie_margin(weights, means, variances, frames):
+    """Per frame, a gap between the best and the runner-up log joint above
+    which ``_log_joint`` and ``_log_joint_direct`` pick the same component.
+
+    Either form of one component's log joint is off by at most about
+    (D + 6) * eps/2 times the magnitudes it sums, which per-dimension maxima
+    over the components bound from above; the margin is four times the worst
+    case for two components under both forms.
+    """
+    d = means.shape[1]
+    centre = means.mean(axis=0)
+    reach = np.abs(means - centre).max(axis=0)
+    size = (np.abs(frames - centre) + reach) ** 2 @ (1.0 / variances).max(axis=0)
+    size += d * _LOG_2PI + np.max(
+        np.abs(np.log(weights)) + np.abs(np.log(variances)).sum(axis=1))
+    return 8.0 * (d + 6) * _EPS * size
+
+
 def responsibilities(model: GmmModel, frame: np.ndarray) -> np.ndarray:
     """Posterior P(G_i | x) over components for a single frame."""
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (model.dim,):
         raise ValueError(f"frame has shape {frame.shape}, model dim is {model.dim}")
     lj = _log_joint(model.weights, model.means, model.variances, frame[None, :])[0]
-    return np.exp(lj - logsumexp(lj))
+    post = np.exp(lj - lj.max())
+    return post / post.sum()
 
 
 def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
     """Map each frame to its maximum-posterior component index.
 
     Ties break toward the lowest component index. The posterior argmax equals
-    the argmax of the log joint, so no normalization is needed.
+    the argmax of the log joint, so no normalization is needed. Frames whose
+    best two components lie within ``_tie_margin`` are re-scored with the
+    direct form, so the symbols are those of sum (x - mu)^2 / var.
     """
     if doc.dim != model.dim:
         raise ValueError(
             f"document {doc.id!r} has dim {doc.dim}, model dim is {model.dim}"
         )
-    lj = _log_joint(model.weights, model.means, model.variances, doc.frames)
-    return SymbolDocument(id=doc.id, symbols=np.argmax(lj, axis=1), group=doc.group)
+    params = (model.weights, model.means, model.variances)
+    symbols = np.empty(doc.num_frames, dtype=np.int64)
+    for rows in _blocks(doc.num_frames):
+        frames = doc.frames[rows]
+        lj = _log_joint(*params, frames)
+        best = lj.argmax(axis=1)
+        at = np.arange(best.size)
+        top = lj[at, best]
+        lj[at, best] = -np.inf
+        near = top - lj.max(axis=1) <= _tie_margin(*params, frames)
+        if near.any():
+            best[near] = _log_joint_direct(*params, frames[near]).argmax(axis=1)
+        symbols[rows] = best
+    return SymbolDocument(id=doc.id, symbols=symbols, group=doc.group)
+
+
+def _em_statistics(weights, means, variances, frames):
+    """One E-step, block by block: the total log-likelihood, and each
+    component's posterior mass, sum r*x and sum r*x^2."""
+    v, d = means.shape
+    ll, mass = 0.0, np.zeros(v)
+    first, second = np.zeros((v, d)), np.zeros((v, d))
+    for rows in _blocks(frames.shape[0]):
+        x = frames[rows]
+        lj = _log_joint(weights, means, variances, x)   # (B, V)
+        top = lj.max(axis=1, keepdims=True)
+        resp = np.exp(lj - top)
+        norm = resp.sum(axis=1, keepdims=True)
+        resp /= norm
+        ll += float(np.sum(top + np.log(norm)))
+        mass += resp.sum(axis=0)
+        first += resp.T @ x
+        second += resp.T @ (x * x)
+    return ll, mass, first, second
 
 
 def _em_iterations(weights, means, variances, frames, floor, n_iters, tol,
@@ -103,14 +209,11 @@ def _em_iterations(weights, means, variances, frames, floor, n_iters, tol,
     n = frames.shape[0]
     prev_ll = None
     for _ in range(n_iters):
-        lj = _log_joint(weights, means, variances, frames)   # (N, V)
-        norm = logsumexp(lj, axis=1)
-        ll = float(norm.sum()) / n
+        total, mass, first, second = _em_statistics(weights, means, variances, frames)
+        ll = total / n
         if not np.isfinite(ll):
             raise FloatingPointError("EM produced a non-finite log-likelihood")
         history.append(ll)
-        resp = np.exp(lj - norm[:, None])                    # (N, V)
-        mass = resp.sum(axis=0)                              # (V,)
 
         empties = np.flatnonzero(mass < empty_threshold)
         if empties.size:
@@ -121,9 +224,8 @@ def _em_iterations(weights, means, variances, frames, floor, n_iters, tol,
             continue
 
         weights = mass / n
-        means = (resp.T @ frames) / mass[:, None]
-        second = (resp.T @ (frames * frames)) / mass[:, None]
-        variances = np.maximum(second - means * means, floor[None, :])
+        means = first / mass[:, None]
+        variances = np.maximum(second / mass[:, None] - means * means, floor[None, :])
 
         if tol is not None and prev_ll is not None:
             if abs(ll - prev_ll) <= tol * max(1.0, abs(prev_ll)):
@@ -244,12 +346,20 @@ def save_gmm(path, model: GmmModel, seed: Optional[int] = None) -> None:
 
 def load_gmm(path) -> GmmModel:
     with open(path) as fh:
-        obj = json.load(fh)
-    model = GmmModel(
-        weights=np.asarray(obj["weights"], dtype=float),
-        means=np.asarray(obj["means"], dtype=float),
-        variances=np.asarray(obj["variances"], dtype=float),
-    )
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a json object, got {type(obj).__name__}")
+    missing = [k for k in ("D", "V", "weights", "means", "variances") if k not in obj]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    try:
+        model = GmmModel(weights=obj["weights"], means=obj["means"],
+                         variances=obj["variances"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if model.num_components != obj["V"] or model.dim != obj["D"]:
         raise ValueError(f"{path}: inconsistent model dimensions")
     return model

@@ -195,6 +195,11 @@ def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
         raise ValueError("gamma length does not match the model")
     if state.phi.shape != (state.word_ids.shape[0], model.num_domains):
         raise ValueError("phi shape does not match the state's word ids")
+    ids = np.flatnonzero(doc.counts)
+    if not (np.array_equal(ids, state.word_ids)
+            and np.array_equal(doc.counts[ids], state.counts)):
+        raise ValueError(f"document {doc.id!r} does not match the state's "
+                         "symbols and counts")
     lb = model.log_beta.T[state.word_ids]
     return float(_elbo(lb[None], state.counts[None], model.alpha,
                        state.gamma[None], state.phi[None])[0])

@@ -22,6 +22,17 @@ def gaussian_responsibilities(weights, means, variances, frame):
     return dens / dens.sum()
 
 
+def gaussian_log_joint(weights, means, variances, frames):
+    """Direct log-domain log(w_i N(x; mu_i, var_i)) for each row of
+    ``frames`` and each component, (N, V), one component at a time."""
+    frames = np.atleast_2d(np.asarray(frames, dtype=float))
+    out = np.empty((frames.shape[0], len(weights)))
+    for i, (w, mu, var) in enumerate(zip(weights, means, variances)):
+        out[:, i] = np.log(w) - 0.5 * (
+            np.log(2 * np.pi * var).sum() + ((frames - mu) ** 2 / var).sum(axis=1))
+    return out
+
+
 def brute_log_evidence(alpha, beta, symbols):
     """Exact log p(w | alpha, beta) for tiny instances.
 

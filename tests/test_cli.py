@@ -23,6 +23,14 @@ def pipeline_inputs(tmp_path):
     return path
 
 
+def gmm_json(**changes):
+    """A valid V=2, D=3 GMM artifact as json text; a change to None drops
+    the key."""
+    obj = {"D": 3, "V": 2, "weights": [0.5, 0.5], "means": [[0.0] * 3, [1.0] * 3],
+           "variances": [[1.0] * 3, [2.0] * 3], **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -217,6 +225,66 @@ class TestContracts:
                   str(tmp_path / "bags.jsonl"), "--out", str(tmp_path / "lda.json")])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param(gmm_json(variances=[[1.0], [1.0]]), "variances must have shape",
+                     id="variances-v-by-1"),
+        pytest.param(gmm_json(means=[[0.0, float("nan"), 0.0], [1.0] * 3]),
+                     "means must be finite", id="nan-mean"),
+        pytest.param(gmm_json(weights=[1.5, -0.5]), "weights must be positive",
+                     id="negative-weight"),
+        pytest.param(gmm_json(means=[[0.0] * 3, [1.0] * 2]),
+                     "means must be a regular array", id="ragged-means"),
+        pytest.param("[1, 2]\n", "expected a json object", id="json-list"),
+        pytest.param(gmm_json(variances=None), "missing key(s) variances",
+                     id="missing-key"),
+        pytest.param('{"D": 3,\n', "bad json", id="malformed-json"),
+    ])
+    def test_bad_gmm_artifact_exit_1(self, tmp_path, capsys, pipeline_inputs,
+                                     text, message):
+        path = tmp_path / "gmm.json"
+        args = ("quantize", "--gmm", path, "--features", pipeline_inputs,
+                "--out", tmp_path / "symbols.jsonl")
+        path.write_text(gmm_json())
+        assert run(*args) == 0
+        capsys.readouterr()
+        path.write_text(text)
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{path}:" in err and message in err
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("[1, 2]", "expected a json object", id="json-list"),
+        pytest.param('{"id": "d0", "theta": [', "bad json", id="malformed-json"),
+        pytest.param('{"theta": [1.0], "map_domain": 0}', "'id'", id="missing-id"),
+        pytest.param('{"id": 3, "theta": [1.0], "map_domain": 0}', "'id'", id="int-id"),
+        pytest.param('{"id": "d0", "map_domain": 0}', "'theta'", id="missing-theta"),
+        pytest.param('{"id": "d0", "theta": "1", "map_domain": 0}', "'theta'",
+                     id="string-theta"),
+        pytest.param('{"id": "d0", "theta": [], "map_domain": 0}', "'theta'",
+                     id="empty-theta"),
+        pytest.param('{"id": "d0", "theta": [0.5, NaN], "map_domain": 0}', "finite",
+                     id="nan-theta"),
+        pytest.param('{"id": "d0", "theta": [1.0]}', "'map_domain'", id="missing-map"),
+        pytest.param('{"id": "d0", "theta": [1.0], "map_domain": "0"}', "'map_domain'",
+                     id="string-map"),
+        pytest.param('{"id": "d0", "theta": [0.3, 0.7], "map_domain": 0}', "argmax",
+                     id="map-not-argmax"),
+        pytest.param('{"id": "d0", "theta": [1.0], "map_domain": 0, "weight": "1"}',
+                     "'weight'", id="string-weight"),
+    ])
+    def test_bad_assignment_record_exit_1(self, tmp_path, capsys, line, message):
+        good = json.dumps({"id": "d1", "theta": [0.25, 0.75], "map_domain": 1})
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(good + "\n" + line + "\n")
+        b.write_text(good + "\n")
+        code = run("filter", "--assign-a", a, "--assign-b", b, "--target-frac", 0.5,
+                   "--out", tmp_path / "filter.jsonl")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{a}:2:" in err and message in err
 
     def test_manifest_values_read_as_flags(self, tmp_path):
         bags = tmp_path / "bags.jsonl"

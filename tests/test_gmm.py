@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acoustic_lda import gmm
 from acoustic_lda.corpus import FeatureDocument
 from acoustic_lda.gmm import (
     GmmConfig,
@@ -11,7 +12,7 @@ from acoustic_lda.gmm import (
     save_gmm,
     train_gmm,
 )
-from oracles import gaussian_responsibilities
+from oracles import gaussian_log_joint, gaussian_responsibilities
 
 
 def random_model(rng, v, d):
@@ -97,6 +98,82 @@ class TestQuantize:
         inverse = np.argsort(perm)
         np.testing.assert_array_equal(quantize(permuted, doc).symbols,
                                       inverse[base])
+
+
+class TestDensityPath:
+    """The two-matrix-product log joint, its frame blocks and its near-tie
+    re-score, against the direct log-domain oracle."""
+
+    def test_near_tie_far_from_centre_matches_oracle(self):
+        rng = np.random.default_rng(21)
+        v, d = 10, 4
+        means = rng.normal(scale=5.0, size=(v, d))
+        variances = 10.0 ** rng.uniform(-6, 1, size=(v, d))
+        # components 3 and 7: a near-tie pair 1e4 away from the others
+        means[7] = 1e4 + rng.normal(size=d)
+        means[3] = means[7] + rng.normal(scale=1e-2, size=d)
+        variances[3] = variances[7] = rng.uniform(0.5, 2.0, size=d)
+        model = GmmModel(weights=np.full(v, 1.0 / v), means=means,
+                         variances=variances)
+        midpoint = (means[3] + means[7]) / 2
+        frames = np.concatenate([
+            midpoint + rng.normal(scale=1e-4, size=(400, d)),
+            rng.normal(scale=5.0, size=(400, d)),
+        ])
+        oracle = gaussian_log_joint(model.weights, means, variances, frames)
+        top2 = np.sort(oracle, axis=1)[:, -2:]
+        assert (top2[:, 1] - top2[:, 0] > 1e-9).all()   # the oracle is decisive
+        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        np.testing.assert_array_equal(symbols, oracle.argmax(axis=1))
+        assert {3, 7} <= set(symbols[:400].tolist())
+
+    @pytest.mark.parametrize("offset", [1e4, -1e4])
+    def test_identical_components_far_away_tie_to_lowest_index(self, offset):
+        rng = np.random.default_rng(22)
+        d = 3
+        far = offset + rng.normal(size=d)
+        means = np.vstack([rng.normal(size=(2, d)), far, rng.normal(size=(1, d)),
+                           far, far])
+        variances = rng.uniform(0.5, 2.0, size=(6, d))
+        variances[[4, 5]] = variances[2]
+        model = GmmModel(weights=np.full(6, 1.0 / 6), means=means,
+                         variances=variances)
+        frames = far + rng.normal(scale=0.5, size=(300, d))
+        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        assert (symbols == 2).all()
+
+    def test_common_offset_needs_no_rescore(self, monkeypatch):
+        # centring on the mean of the means keeps the rounding bound small
+        rng = np.random.default_rng(24)
+        model = random_model(rng, 6, 3)
+        model = GmmModel(weights=model.weights, means=model.means + 1e7,
+                         variances=model.variances)
+        frames = 1e7 + rng.normal(scale=1.5, size=(2000, 3))
+        direct, rescored = gmm._log_joint_direct, []
+        monkeypatch.setattr(gmm, "_log_joint_direct",
+                            lambda *a: rescored.append(len(a[-1])) or direct(*a))
+        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        oracle = gaussian_log_joint(model.weights, model.means, model.variances,
+                                    frames)
+        np.testing.assert_array_equal(symbols, oracle.argmax(axis=1))
+        assert sum(rescored) == 0
+
+    def test_small_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        frames = np.concatenate([rng.normal(c, 1.0, size=(200, 3))
+                                 for c in (-6.0, 0.0, 6.0)])
+        doc = FeatureDocument(id="d", frames=frames)
+        assert frames.shape[0] <= gmm._BLOCK_FRAMES
+        one_block = train_gmm(frames, 5)
+        symbols = quantize(one_block, doc).symbols
+
+        monkeypatch.setattr(gmm, "_BLOCK_FRAMES", 7)
+        blocked = train_gmm(frames, 5)
+        np.testing.assert_array_equal(quantize(one_block, doc).symbols, symbols)
+        np.testing.assert_array_equal(quantize(blocked, doc).symbols, symbols)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(blocked, name),
+                                       getattr(one_block, name), rtol=0, atol=1e-10)
 
 
 class TestTrainGmm:

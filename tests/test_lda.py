@@ -168,6 +168,17 @@ class TestElbo:
         assert abs(elbo(model_p, doc_p, state_p) - base) < 1e-10
 
 
+    def test_rejects_state_of_another_document(self):
+        model = make_model([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], 0.5)
+        a, b = bag([2, 1, 0], "a"), bag([0, 1, 2], "b")
+        state = e_step_document(model, a)
+        assert np.isfinite(elbo(model, a, state))
+        with pytest.raises(ValueError, match="'b'"):
+            elbo(model, b, state)                  # other symbols
+        with pytest.raises(ValueError, match="'c'"):
+            elbo(model, bag([1, 2, 0], "c"), state)   # same symbols, other counts
+
+
 class TestFit:
     def test_recovers_generating_topics(self):
         rng = np.random.default_rng(42)
