@@ -54,10 +54,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _load_assignments(path):
-    """Assignment records {id, theta, map_domain, weight?}; a malformed line
+def _records(path):
+    """(``path:line``, object) for each jsonl line other than blank and
+    ``_meta`` lines; a line that is not a json object with a string ``id``
     raises CorpusError naming ``path:line``."""
-    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -71,61 +71,94 @@ def _load_assignments(path):
                 raise corpus.CorpusError(f"{where}: expected a json object")
             if "_meta" in obj:
                 continue
-            theta, map_domain = obj.get("theta"), obj.get("map_domain")
-            weight = obj.get("weight", 1.0)
             if not isinstance(obj.get("id"), str):
                 raise corpus.CorpusError(f"{where}: 'id' must be a string")
-            if not (isinstance(theta, list) and theta and all(map(_is_number, theta))):
-                raise corpus.CorpusError(f"{where}: 'theta' must be a list of numbers")
-            if not np.isfinite(theta).all():
-                raise corpus.CorpusError(f"{where}: 'theta' must be finite")
-            if not isinstance(map_domain, int) or isinstance(map_domain, bool):
-                raise corpus.CorpusError(f"{where}: 'map_domain' must be an integer")
-            if not (_is_number(weight) and np.isfinite(weight)):
-                raise corpus.CorpusError(f"{where}: 'weight' must be a finite number")
-            try:
-                out.append(domains.DomainAssignment(
-                    doc_id=obj["id"], theta=np.asarray(theta, dtype=float),
-                    map_domain=map_domain, weight=float(weight)))
-            except ValueError as exc:
-                raise corpus.CorpusError(f"{where}: {exc}") from exc
+            yield where, obj
+
+
+def _load_assignments(path):
+    """Assignment records {id, theta, map_domain, weight?}; a malformed line
+    raises CorpusError naming ``path:line``."""
+    out = []
+    for where, obj in _records(path):
+        theta, map_domain = obj.get("theta"), obj.get("map_domain")
+        weight = obj.get("weight", 1.0)
+        if not (isinstance(theta, list) and theta and all(map(_is_number, theta))):
+            raise corpus.CorpusError(f"{where}: 'theta' must be a list of numbers")
+        if not np.isfinite(theta).all():
+            raise corpus.CorpusError(f"{where}: 'theta' must be finite")
+        if not isinstance(map_domain, int) or isinstance(map_domain, bool):
+            raise corpus.CorpusError(f"{where}: 'map_domain' must be an integer")
+        if not (_is_number(weight) and np.isfinite(weight)):
+            raise corpus.CorpusError(f"{where}: 'weight' must be a finite number")
+        try:
+            out.append(domains.DomainAssignment(
+                doc_id=obj["id"], theta=np.asarray(theta, dtype=float),
+                map_domain=map_domain, weight=float(weight)))
+        except ValueError as exc:
+            raise corpus.CorpusError(f"{where}: {exc}") from exc
     return out
 
 
+def _numeric_array(value, kinds):
+    """``value`` as an array whose dtype kind is one of ``kinds``; None for
+    a ragged or non-numeric value. An empty list qualifies."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        return None
+    return arr if arr.size == 0 or arr.dtype.kind in kinds else None
+
+
 def _load_labeled_frames(path):
-    """Frame-classification data: jsonl rows {id, group, frames, labels}."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            frames = np.asarray(obj["frames"], dtype=float)
-            labels = np.asarray(obj["labels"], dtype=np.int64)
-            if frames.shape[0] != labels.shape[0]:
+    """Frame-classification data: jsonl rows {id, frames, labels} as
+    (id, frames (T, D), labels (T,)) triples, with one D for the whole file;
+    a malformed line raises CorpusError naming ``path:line``. A document
+    with no frames loads with shape (0, D)."""
+    rows, width = [], 0
+    for where, obj in _records(path):
+        frames = _numeric_array(obj.get("frames"), "iuf")
+        labels = _numeric_array(obj.get("labels"), "iu")
+        if frames is None or not (frames.shape == (0,) or
+                                  frames.ndim == 2 and frames.shape[1] > 0):
+            raise corpus.CorpusError(
+                f"{where}: 'frames' must be a list of equal-length lists of numbers")
+        if not np.isfinite(frames).all():
+            raise corpus.CorpusError(f"{where}: 'frames' must be finite")
+        if labels is None or labels.ndim != 1:
+            raise corpus.CorpusError(f"{where}: 'labels' must be a list of integers")
+        labels = labels.astype(np.int64)
+        if np.any(labels < 0):
+            raise corpus.CorpusError(f"{where}: 'labels' must be >= 0")
+        if frames.shape[0] != labels.shape[0]:
+            raise corpus.CorpusError(f"{where}: frames/labels length mismatch")
+        if frames.size:
+            if width and frames.shape[1] != width:
                 raise corpus.CorpusError(
-                    f"{path}:{lineno}: frames/labels length mismatch")
-            rows.append((str(obj["id"]), frames, labels))
-    return rows
+                    f"{where}: frames have width {frames.shape[1]}, "
+                    f"earlier lines {width}")
+            width = frames.shape[1]
+        rows.append((obj["id"], frames.astype(float, copy=False), labels))
+    return [(doc_id, frames.reshape(len(labels), width), labels)
+            for doc_id, frames, labels in rows]
 
 
 def _frame_dataset(rows, assignments):
-    """Expand per-document rows into per-frame (features, code, label)."""
-    code_of = None
+    """The frames of ``rows`` in order as one FrameData; with
+    ``assignments``, every frame carries its document's UBIC code."""
+    lengths = [len(labels) for _, _, labels in rows]
+    if not sum(lengths):
+        raise corpus.CorpusError("no labelled frames")
+    codes = None
     if assignments is not None:
         code_of = {a.doc_id: domains.ubic_encode(a).code for a in assignments}
-    dataset = []
-    for doc_id, frames, labels in rows:
-        code = None
-        if code_of is not None:
+        for doc_id, _, _ in rows:
             if doc_id not in code_of:
                 raise KeyError(f"no domain assignment for document {doc_id!r}")
-            code = code_of[doc_id]
-        for t in range(frames.shape[0]):
-            dataset.append((frames[t], code, int(labels[t])))
-    return dataset
+        codes = np.repeat([code_of[doc_id] for doc_id, _, _ in rows], lengths, axis=0)
+    return network.FrameData(
+        features=np.concatenate([frames for _, frames, _ in rows]),
+        labels=np.concatenate([labels for _, _, labels in rows]), codes=codes)
 
 
 def _cmd_train_gmm(args):
@@ -222,16 +255,12 @@ def _cmd_augment_train(args):
     rows = _load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
     if args.keep_ids:
-        with open(args.keep_ids) as fh:
-            kept = {json.loads(line)["id"] for line in fh
-                    if line.strip() and "_meta" not in json.loads(line)}
+        kept = {obj["id"] for _, obj in _records(args.keep_ids)}
         rows = [r for r in rows if r[0] in kept]
     dataset = _frame_dataset(rows, assignments)
-    if not dataset:
-        raise corpus.CorpusError("no training frames")
 
-    input_dim = dataset[0][0].shape[0]
-    output_dim = max(label for _, _, label in dataset) + 1
+    input_dim = dataset.features.shape[1]
+    output_dim = int(dataset.labels.max()) + 1
     if args.classes is not None:
         output_dim = args.classes
     domain_dim = assignments[0].num_domains if assignments else 0

@@ -5,6 +5,14 @@ concatenated [features | code] vector, so the pre-activation is
 W_v @ features + W_d @ code + b: selecting a domain adds a per-domain bias
 (the column of W_d) on top of the shared bias. A network built from a
 baseline with W_d = 0 is therefore functionally identical to that baseline.
+
+Training and evaluation take a ``FrameData``: frame features (N, D), class
+labels (N,) and, for a domain-aware network, the one-hot codes (N, K). It is
+validated once when built; ``train`` and ``evaluate_accuracy`` check it once
+against the network, form the input matrix [features | codes] once and take
+minibatches and the held-out slice as row indexes into it. The per-frame
+entry points (``forward``, ``first_layer_preactivation``, ``gradient_check``)
+check their single frame and code themselves.
 """
 
 from __future__ import annotations
@@ -16,10 +24,50 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-__all__ = ["NetworkConfig", "TrainConfig", "LdatNetwork",
+__all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
            "train", "gradient_check", "evaluate_accuracy",
            "save_network", "load_network"]
+
+
+@dataclass(frozen=True)
+class FrameData:
+    """Classifier frames as arrays: ``features`` (N, D) finite, ``labels``
+    (N,) non-negative integers and ``codes`` (N, K) exactly one-hot, or None
+    for a baseline network. ``len()`` is the frame count N."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    codes: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        features = np.asarray(self.features, dtype=float)
+        labels = np.asarray(self.labels)
+        if features.ndim != 2:
+            raise ValueError(f"features must have shape (N, D), got {features.shape}")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        if labels.shape != (features.shape[0],):
+            raise ValueError(f"labels must have shape ({features.shape[0]},), "
+                             f"got {labels.shape}")
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError("labels must be integers")
+        if labels.size and labels.min() < 0:
+            raise ValueError("labels must be >= 0")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        if self.codes is None:
+            return
+        codes = np.asarray(self.codes, dtype=float)
+        if codes.ndim != 2 or codes.shape[0] != features.shape[0] or codes.shape[1] == 0:
+            raise ValueError(f"codes must have shape ({features.shape[0]}, K), "
+                             f"got {codes.shape}")
+        if not (np.all((codes == 0.0) | (codes == 1.0)) and np.all(codes.sum(axis=1) == 1.0)):
+            raise ValueError("domain codes must be exactly one-hot")
+        object.__setattr__(self, "codes", codes)
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
 
 
 @dataclass
@@ -101,11 +149,10 @@ class LdatNetwork:
             return expit(z)
         return np.maximum(z, 0.0)
 
-    def _forward_batch(self, x, code=None, keep=False):
-        """Returns output probabilities; with ``keep`` also the per-layer
-        (pre-activation, activation) pairs needed for backprop."""
-        h = self._check_inputs(np.asarray(x, dtype=float),
-                               None if code is None else np.asarray(code, dtype=float))
+    def _forward_batch(self, inputs, keep=False):
+        """Output probabilities for rows of [features | code]; with ``keep``
+        also the per-layer (pre-activation, activation) pairs for backprop."""
+        h = inputs
         cache = [(None, h)]
         n_layers = len(self.weights)
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -127,8 +174,9 @@ class LdatNetwork:
         features = np.asarray(features, dtype=float)
         if features.ndim != 1:
             raise ValueError("forward takes a single feature vector")
-        return self._forward_batch(features[None, :],
-                                   None if code is None else np.asarray(code)[None, :])[0]
+        return self._forward_batch(self._check_inputs(
+            features[None, :],
+            None if code is None else np.asarray(code, dtype=float)[None, :]))[0]
 
     def first_layer_preactivation(self, features, code=None) -> np.ndarray:
         """W_v @ features + W_d @ code + b, computed in decomposed form.
@@ -151,9 +199,10 @@ class LdatNetwork:
             self.input_dim, self.domain_dim, self.activation,
         )
 
-    def _backprop(self, x, code, labels):
-        """Mean cross-entropy loss and parameter gradients for one batch."""
-        probs, cache = self._forward_batch(x, code, keep=True)
+    def _backprop(self, inputs, labels):
+        """Mean cross-entropy loss and parameter gradients for one batch of
+        [features | code] rows."""
+        probs, cache = self._forward_batch(inputs, keep=True)
         n = probs.shape[0]
         eps = 1e-12
         loss = -float(np.log(probs[np.arange(n), labels] + eps).mean())
@@ -213,33 +262,41 @@ def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> Lda
                        baseline.activation)
 
 
-def _as_arrays(dataset, net):
-    xs = np.asarray([row[0] for row in dataset], dtype=float)
-    codes = [row[1] for row in dataset]
-    labels = np.asarray([row[2] for row in dataset], dtype=np.int64)
-    if net.domain_dim > 0:
-        if any(c is None for c in codes):
-            raise ValueError("domain-aware network needs a code for every example")
-        codes = np.asarray(codes, dtype=float)
-    else:
-        if any(c is not None for c in codes):
-            raise ValueError("baseline network got domain codes")
-        codes = None
-    if labels.size and labels.max() >= net.output_dim:
+def _inputs(net: LdatNetwork, dataset: FrameData) -> np.ndarray:
+    """The input matrix [features | codes] of ``dataset``, checked against
+    ``net``'s input, domain and output sizes."""
+    if not isinstance(dataset, FrameData):
+        raise TypeError(f"dataset must be a FrameData, got {type(dataset).__name__}")
+    if dataset.features.shape[1] != net.input_dim:
+        raise ValueError(f"feature dim {dataset.features.shape[1]} != "
+                         f"network input dim {net.input_dim}")
+    if len(dataset) and dataset.labels.max() >= net.output_dim:
         raise ValueError("label out of range for the output layer")
-    return xs, codes, labels
+    if net.domain_dim == 0:
+        if dataset.codes is not None:
+            raise ValueError("baseline network got domain codes")
+        return dataset.features
+    if dataset.codes is None:
+        raise ValueError("domain-aware network needs a code for every frame")
+    if dataset.codes.shape[1] != net.domain_dim:
+        raise ValueError(f"code dim {dataset.codes.shape[1]} != "
+                         f"network domain dim {net.domain_dim}")
+    return np.concatenate([dataset.features, dataset.codes], axis=1)
 
 
-def train(net: LdatNetwork, dataset, config: Optional[TrainConfig] = None):
+@np.errstate(over="raise", invalid="raise")
+def train(net: LdatNetwork, dataset: FrameData,
+          config: Optional[TrainConfig] = None):
     """Minibatch SGD on cross-entropy; mutates ``net`` in place.
 
-    ``dataset`` rows are (features, code-or-None, label). Returns a list of
-    per-epoch metric dicts {epoch, train_loss, cv_accuracy}; cv_accuracy is
-    None when cv_fraction is 0. Deterministic for a fixed config seed.
+    Returns a list of per-epoch metric dicts {epoch, train_loss,
+    cv_accuracy}; cv_accuracy is None when cv_fraction is 0. Deterministic
+    for a fixed config seed. Overflow or a non-finite loss raises
+    FloatingPointError.
     """
     config = config or TrainConfig()
-    xs, codes, labels = _as_arrays(dataset, net)
-    n = xs.shape[0]
+    inputs, labels = _inputs(net, dataset), dataset.labels
+    n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
 
@@ -250,9 +307,6 @@ def train(net: LdatNetwork, dataset, config: Optional[TrainConfig] = None):
     if tr_idx.size == 0:
         raise ValueError("cv_fraction leaves no training data")
 
-    def take(idx):
-        return xs[idx], None if codes is None else codes[idx], labels[idx]
-
     lr = config.learning_rate
     prev_cv_loss = None
     metrics = []
@@ -261,8 +315,7 @@ def train(net: LdatNetwork, dataset, config: Optional[TrainConfig] = None):
         epoch_loss = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start:start + config.batch_size]
-            bx, bc, by = take(batch)
-            loss, gw, gb = net._backprop(bx, bc, by)
+            loss, gw, gb = net._backprop(inputs[batch], labels[batch])
             if not np.isfinite(loss):
                 raise FloatingPointError("training loss became non-finite")
             epoch_loss += loss * batch.size
@@ -274,8 +327,8 @@ def train(net: LdatNetwork, dataset, config: Optional[TrainConfig] = None):
 
         cv_accuracy = None
         if n_cv:
-            cx, cc, cy = take(cv_idx)
-            probs = net._forward_batch(cx, cc)
+            cy = labels[cv_idx]
+            probs = net._forward_batch(inputs[cv_idx])
             cv_loss = -float(
                 np.log(probs[np.arange(n_cv), cy] + 1e-12).mean())
             cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
@@ -288,11 +341,15 @@ def train(net: LdatNetwork, dataset, config: Optional[TrainConfig] = None):
     return metrics
 
 
-def evaluate_accuracy(net: LdatNetwork, dataset) -> float:
-    """Frame classification accuracy over a dataset of (features, code, label)."""
-    xs, codes, labels = _as_arrays(dataset, net)
-    probs = net._forward_batch(xs, codes)
-    return float((probs.argmax(axis=1) == labels).mean())
+@np.errstate(over="raise", invalid="raise")
+def evaluate_accuracy(net: LdatNetwork, dataset: FrameData) -> float:
+    """Frame classification accuracy over ``dataset``; overflow raises
+    FloatingPointError."""
+    inputs = _inputs(net, dataset)
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    probs = net._forward_batch(inputs)
+    return float((probs.argmax(axis=1) == dataset.labels).mean())
 
 
 def gradient_check(net: LdatNetwork, sample, epsilon: float = 1e-5) -> float:
@@ -301,14 +358,14 @@ def gradient_check(net: LdatNetwork, sample, epsilon: float = 1e-5) -> float:
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
     features, code, label = sample
-    x = np.asarray(features, dtype=float)[None, :]
-    c = None if code is None else np.asarray(code, dtype=float)[None, :]
+    x = net._check_inputs(np.asarray(features, dtype=float)[None, :],
+                          None if code is None else np.asarray(code, dtype=float)[None, :])
     y = np.asarray([label], dtype=np.int64)
 
-    _, gw, gb = net._backprop(x, c, y)
+    _, gw, gb = net._backprop(x, y)
 
     def loss_at():
-        probs = net._forward_batch(x, c)
+        probs = net._forward_batch(x)
         return -float(np.log(probs[0, label] + 1e-12))
 
     max_err = 0.0
@@ -346,14 +403,59 @@ def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_network(path) -> LdatNetwork:
+    """Read a ``save_network`` file; a malformed one raises ValueError
+    naming ``path``."""
+    def fault(message):
+        return ValueError(f"{path}: {message}")
+
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise fault(f"bad json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise fault(f"expected a json object, got {type(obj).__name__}")
+    missing = [k for k in ("input_dim", "domain_dim", "activation", "layers")
+               if k not in obj]
+    if missing:
+        raise fault(f"missing key(s) {', '.join(missing)}")
+    input_dim, domain_dim, layers = obj["input_dim"], obj["domain_dim"], obj["layers"]
+    if not (_is_int(input_dim) and input_dim >= 1 and _is_int(domain_dim)
+            and domain_dim >= 0):
+        raise fault("input_dim must be an integer >= 1 and domain_dim >= 0")
+    if obj["activation"] not in ("sigmoid", "relu"):
+        raise fault(f"unknown activation {obj['activation']!r}")
+    if not (isinstance(layers, list) and layers):
+        raise fault("layers must be a non-empty list")
     weights, biases = [], []
-    for layer in obj["layers"]:
-        w = np.asarray(layer["weights"], dtype=float).reshape(
-            layer["rows"], layer["cols"])
-        weights.append(w)
-        biases.append(np.asarray(layer["bias"], dtype=float))
-    return LdatNetwork(weights, biases, obj["input_dim"], obj["domain_dim"],
-                       obj["activation"])
+    width = input_dim + domain_dim
+    for i, layer in enumerate(layers):
+        if not (isinstance(layer, dict) and {"rows", "cols", "weights", "bias"} <= set(layer)):
+            raise fault(f"layer {i}: expected an object with rows, cols, weights and bias")
+        rows, cols = layer["rows"], layer["cols"]
+        if not (_is_int(rows) and rows >= 1 and _is_int(cols)):
+            raise fault(f"layer {i}: rows and cols must be integers >= 1")
+        if cols != width:
+            raise fault(f"layer {i}: cols {cols} != " + (
+                f"input_dim + domain_dim = {width}" if i == 0
+                else f"rows of layer {i - 1} = {width}"))
+        try:
+            w = np.asarray(layer["weights"], dtype=float)
+            b = np.asarray(layer["bias"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise fault(f"layer {i}: weights and bias must be lists of numbers") from None
+        if w.shape != (rows * cols,):
+            raise fault(f"layer {i}: weights must be rows*cols = {rows * cols} numbers")
+        if b.shape != (rows,):
+            raise fault(f"layer {i}: bias must be rows = {rows} numbers")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise fault(f"layer {i}: weights and bias must be finite")
+        weights.append(w.reshape(rows, cols))
+        biases.append(b)
+        width = rows
+    return LdatNetwork(weights, biases, input_dim, domain_dim, obj["activation"])

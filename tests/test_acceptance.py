@@ -209,18 +209,14 @@ def test_07_ldat_benefit():
 
         base = network.init_network(network.NetworkConfig(
             input_dim=6, output_dim=8, hidden_dims=(64, 64), seed=seed))
-        network.train(base, [(xtr[i], None, int(ytr[i]))
-                             for i in range(len(ytr))], cfg)
-        acc_base = network.evaluate_accuracy(
-            base, [(xte[i], None, int(yte[i])) for i in range(len(yte))])
+        network.train(base, network.FrameData(xtr, ytr), cfg)
+        acc_base = network.evaluate_accuracy(base, network.FrameData(xte, yte))
 
         aug = network.init_network(network.NetworkConfig(
             input_dim=6, domain_dim=4, output_dim=8, hidden_dims=(64, 64),
             seed=seed))
-        network.train(aug, [(xtr[i], ctr[i], int(ytr[i]))
-                            for i in range(len(ytr))], cfg)
-        acc_aug = network.evaluate_accuracy(
-            aug, [(xte[i], cte[i], int(yte[i])) for i in range(len(yte))])
+        network.train(aug, network.FrameData(xtr, ytr, ctr), cfg)
+        acc_aug = network.evaluate_accuracy(aug, network.FrameData(xte, yte, cte))
         gaps.append(acc_aug - acc_base)
     mean_gap = float(np.mean(gaps))
     elapsed = time.time() - start

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acoustic_lda import corpus
-from acoustic_lda.cli import main
+from acoustic_lda.cli import _frame_dataset, _load_labeled_frames, main
+from acoustic_lda.domains import DomainAssignment
+from acoustic_lda.network import NetworkConfig, init_network, save_network
 
 
 @pytest.fixture
@@ -29,6 +32,23 @@ def gmm_json(**changes):
     obj = {"D": 3, "V": 2, "weights": [0.5, 0.5], "means": [[0.0] * 3, [1.0] * 3],
            "variances": [[1.0] * 3, [2.0] * 3], **changes}
     return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
+
+
+def net_json(layer_changes=(), **changes):
+    """A valid 2-input, 2-hidden, 3-class baseline network as json text;
+    ``layer_changes`` holds (index, changes) pairs for single layers, and a
+    change to None drops the key."""
+    obj = {"input_dim": 2, "domain_dim": 0, "activation": "sigmoid", "layers": [
+        {"rows": 2, "cols": 2, "weights": [0.1, -0.2, 0.3, 0.4], "bias": [0.0, 0.1]},
+        {"rows": 3, "cols": 2, "weights": [0.5, 0.6, -0.7, 0.8, 0.9, -1.0],
+         "bias": [0.0, 0.0, 0.1]}]}
+    for i, change in layer_changes:
+        obj["layers"][i].update(change)
+    obj.update(changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
+
+
+GOOD_FRAMES = '{"id": "d0", "frames": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1]}'
 
 
 def run(*argv):
@@ -154,6 +174,42 @@ class TestTrainEval:
         from acoustic_lda.network import load_network
         net = load_network(net_path)
         assert net.domain_dim == 2
+
+
+class TestFrameDataset:
+    def test_documents_expand_to_frames_in_order(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"id": "empty", "frames": [], "labels": []},
+            {"id": "b", "frames": [[1, 2], [3, 4]], "labels": [1, 0]},
+            {"id": "c", "frames": [[5, 6], [7, 8], [9, 10]], "labels": [2, 2, 1]},
+        ]))
+        rows = _load_labeled_frames(data)
+        assert [r[0] for r in rows] == ["empty", "b", "c"]
+        assert rows[0][1].shape == (0, 2)
+        assignments = [
+            DomainAssignment(doc_id="c", theta=[0.6, 0.3, 0.1], map_domain=0),
+            DomainAssignment(doc_id="b", theta=[0.1, 0.2, 0.7], map_domain=2),
+            DomainAssignment(doc_id="empty", theta=[0.2, 0.7, 0.1], map_domain=1),
+        ]
+        augmented = _frame_dataset(rows, assignments)
+        baseline = _frame_dataset(rows, None)
+        features = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+        for dataset in (augmented, baseline):
+            assert len(dataset) == 5
+            np.testing.assert_array_equal(dataset.features, features)
+            np.testing.assert_array_equal(dataset.labels, [1, 0, 2, 2, 1])
+        np.testing.assert_array_equal(augmented.codes, [
+            [0, 0, 1], [0, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])
+        assert baseline.codes is None
+
+    def test_missing_assignment_exit_1(self, tmp_path, capsys):
+        data, assign = tmp_path / "data.jsonl", tmp_path / "assign.jsonl"
+        data.write_text(GOOD_FRAMES + "\n")
+        assign.write_text(json.dumps({"id": "other", "theta": [1.0], "map_domain": 0}) + "\n")
+        assert run("augment-train", "--data", data, "--assignments", assign,
+                   "--out", tmp_path / "net.json") == 1
+        assert "no domain assignment for document 'd0'" in capsys.readouterr().err
 
 
 class TestContracts:
@@ -286,6 +342,109 @@ class TestContracts:
         assert err.startswith("error:") and "\n" not in err.strip()
         assert f"{a}:2:" in err and message in err
 
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("[1, 2]", "expected a json object", id="json-list"),
+        pytest.param('{"id": "d1", "frames": [', "bad json", id="malformed-json"),
+        pytest.param('{"frames": [[1, 2]], "labels": [0]}', "'id'", id="missing-id"),
+        pytest.param('{"id": 1, "frames": [[1, 2]], "labels": [0]}', "'id'", id="int-id"),
+        pytest.param('{"id": "d1", "labels": [0]}', "'frames'", id="missing-frames"),
+        pytest.param('{"id": "d1", "frames": [[1, 2], [3]], "labels": [0, 1]}',
+                     "'frames'", id="ragged-frames"),
+        pytest.param('{"id": "d1", "frames": [1, 2], "labels": [0, 1]}', "'frames'",
+                     id="one-d-frames"),
+        pytest.param('{"id": "d1", "frames": [["1", "2"]], "labels": [0]}', "'frames'",
+                     id="string-frames"),
+        pytest.param('{"id": "d1", "frames": [[]], "labels": [0]}', "'frames'",
+                     id="zero-width-frames"),
+        pytest.param('{"id": "d1", "frames": [[NaN, 1]], "labels": [0]}', "finite",
+                     id="nan-frames"),
+        pytest.param('{"id": "d1", "frames": [[1, 2, 3]], "labels": [0]}',
+                     "width 3, earlier lines 2", id="width-mismatch"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]]}', "'labels'", id="missing-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [0.5]}', "'labels'",
+                     id="float-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [true]}', "'labels'",
+                     id="bool-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [[0]]}', "'labels'",
+                     id="two-d-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [-1]}', ">= 0",
+                     id="negative-label"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [0, 1]}',
+                     "length mismatch", id="length-mismatch"),
+    ])
+    def test_bad_labeled_frames_exit_1(self, tmp_path, capsys, line, message):
+        data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
+        net.write_text(net_json())
+        data.write_text(GOOD_FRAMES + "\n" + line + "\n")
+        for argv in (("augment-train", "--data", data, "--out", tmp_path / "out.json"),
+                     ("eval", "--net", net, "--data", data)):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "\n" not in err.strip()
+            assert f"{data}:2:" in err and message in err
+
+    def test_overflowing_frames_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        # finite frames whose first-layer sums exceed the float range
+        data.write_text(json.dumps({"id": "d0", "frames": [[1.7e308] * 20],
+                                    "labels": [0]}) + "\n")
+        assert run("augment-train", "--data", data, "--hidden", 8, "--epochs", 1,
+                   "--out", tmp_path / "net.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("[1, 2]", "expected a json object", id="json-list"),
+        pytest.param('"d0"', "expected a json object", id="json-string"),
+        pytest.param('{"id": "d0"', "bad json", id="malformed-json"),
+        pytest.param('{"name": "d0"}', "'id'", id="missing-id"),
+        pytest.param('{"id": 0}', "'id'", id="int-id"),
+    ])
+    def test_bad_keep_ids_exit_1(self, tmp_path, capsys, line, message):
+        data, keep = tmp_path / "data.jsonl", tmp_path / "keep.jsonl"
+        data.write_text(GOOD_FRAMES + "\n")
+        keep.write_text('{"_meta": {"seed": 0}}\n' + line + "\n")
+        assert run("augment-train", "--data", data, "--keep-ids", keep,
+                   "--out", tmp_path / "net.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{keep}:2:" in err and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[1, 2]\n", "expected a json object", id="json-list"),
+        pytest.param('{"input_dim": 2,\n', "bad json", id="malformed-json"),
+        pytest.param(net_json(layers=None), "missing key(s) layers", id="missing-key"),
+        pytest.param(net_json(input_dim="2"), "input_dim", id="string-input-dim"),
+        pytest.param(net_json(activation="tanh"), "unknown activation 'tanh'",
+                     id="bad-activation"),
+        pytest.param(net_json(layers=[]), "non-empty list", id="no-layers"),
+        pytest.param(net_json(layers=[1]), "layer 0: expected an object",
+                     id="layer-not-an-object"),
+        pytest.param(net_json(layer_changes=[(0, {"weights": [0.1, 0.2, 0.3]})]),
+                     "layer 0: weights must be rows*cols = 4", id="weight-count"),
+        pytest.param(net_json(layer_changes=[(1, {"bias": [0.0, 0.0]})]),
+                     "layer 1: bias must be rows = 3", id="bias-length"),
+        pytest.param(net_json(domain_dim=1), "cols 2 != input_dim + domain_dim = 3",
+                     id="first-cols"),
+        pytest.param(net_json(layer_changes=[(1, {"cols": 3, "weights": [0.0] * 9})]),
+                     "layer 1: cols 3 != rows of layer 0 = 2", id="layers-do-not-chain"),
+        pytest.param(net_json(layer_changes=[(0, {"weights": ["a", 0.2, 0.3, 0.4]})]),
+                     "lists of numbers", id="string-weight"),
+        pytest.param(net_json(layer_changes=[(1, {"bias": [0.0, float("inf"), 0.0]})]),
+                     "finite", id="infinite-bias"),
+    ])
+    def test_bad_network_artifact_exit_1(self, tmp_path, capsys, text, message):
+        data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
+        data.write_text(GOOD_FRAMES + "\n")
+        net.write_text(net_json())
+        assert run("eval", "--net", net, "--data", data) == 0
+        capsys.readouterr()
+        net.write_text(text)
+        assert run("eval", "--net", net, "--data", data) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{net}:" in err and message in err
+
     def test_manifest_values_read_as_flags(self, tmp_path):
         bags = tmp_path / "bags.jsonl"
         corpus.save_bags(bags, [
@@ -298,3 +457,39 @@ class TestContracts:
         assert run("--manifest", manifest, "train-lda", "--bags", bags,
                    "--out", out) == 0
         assert json.loads(out.read_text())["K"] == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+doc_ids = st.sampled_from(["a", "b"]) | json_values
+labelled_frames = st.lists(st.tuples(st.lists(st.floats(), min_size=1, max_size=2),
+                                     st.integers(-1, 3)), max_size=3)
+frame_records = (
+    json_values
+    | st.builds(lambda doc_id, pairs: {"id": doc_id, "frames": [f for f, _ in pairs],
+                                       "labels": [y for _, y in pairs]},
+                st.sampled_from(["a", "b"]), labelled_frames)
+    | st.fixed_dictionaries({"id": doc_ids, "frames": json_values,
+                             "labels": json_values}))
+keep_records = json_values | st.fixed_dictionaries({"id": doc_ids})
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data_lines=st.lists(frame_records, min_size=1, max_size=3),
+           keep_lines=st.lists(keep_records, max_size=3))
+    def test_fuzzed_data_and_keep_ids_exit_0_or_1(self, tmp_path_factory,
+                                                  data_lines, keep_lines):
+        d = tmp_path_factory.mktemp("fuzz")
+        data, keep, net = d / "data.jsonl", d / "keep.jsonl", d / "net.json"
+        data.write_text("".join(json.dumps(v) + "\n" for v in data_lines))
+        keep.write_text("".join(json.dumps(v) + "\n" for v in keep_lines))
+        save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=4,
+                                                     hidden_dims=(2,))))
+        common = ("--hidden", "2", "--epochs", "1", "--out", d / "out.json")
+        assert run("augment-train", "--data", data, *common) in (0, 1)
+        assert run("augment-train", "--data", data, "--keep-ids", keep, *common) in (0, 1)
+        assert run("eval", "--net", net, "--data", data) in (0, 1)

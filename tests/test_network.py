@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from acoustic_lda.network import (
+    FrameData,
     LdatNetwork,
     NetworkConfig,
     TrainConfig,
@@ -26,6 +27,13 @@ def small_net(rng, input_dim=5, hidden=(6,), output_dim=4, domain_dim=0,
     for b in net.biases:
         b += rng.normal(scale=0.1, size=b.shape)
     return net
+
+
+def random_frames(rng, n, dim, classes):
+    """``n`` frames with uniform random labels, drawn (features, label) in
+    turn."""
+    draws = [(rng.normal(size=dim), int(rng.integers(0, classes))) for _ in range(n)]
+    return FrameData(np.array([x for x, _ in draws]), np.array([y for _, y in draws]))
 
 
 def one_hot(k, j):
@@ -141,7 +149,7 @@ class TestGradientCheck:
                         domain_dim=4)
         x = np.asarray(rng.normal(size=4))[None, :]
         code = one_hot(4, 2)[None, :]
-        _, gw, _ = net._backprop(x, code, np.array([1]))
+        _, gw, _ = net._backprop(np.concatenate([x, code], axis=1), np.array([1]))
         wd_grad = gw[0][:, 4:]
         assert np.all(wd_grad[:, [0, 1, 3]] == 0.0)
         assert np.any(wd_grad[:, 2] != 0.0)
@@ -169,8 +177,7 @@ class TestTrain:
         rng = np.random.default_rng(13)
         net = small_net(rng)
         before = [w.copy() for w in net.weights]
-        data = [(rng.normal(size=5), None, int(rng.integers(0, 4)))
-                for _ in range(64)]
+        data = random_frames(rng, 64, 5, 4)
         metrics = train(net, data, TrainConfig(epochs=3, learning_rate=0.0,
                                                cv_fraction=0.0))
         for w0, w1 in zip(before, net.weights):
@@ -185,7 +192,7 @@ class TestTrain:
         x = rng.normal(size=(n, 2)) + np.where(labels[:, None] == 1, 3.0, -3.0)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2,
                                          hidden_dims=(), seed=0))
-        data = [(x[i], None, int(labels[i])) for i in range(n)]
+        data = FrameData(x, labels)
         train(net, data, TrainConfig(epochs=50, learning_rate=0.5,
                                      cv_fraction=0.2, seed=1))
         acc = evaluate_accuracy(net, data)
@@ -193,8 +200,7 @@ class TestTrain:
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
-        data = [(rng.normal(size=3), None, int(rng.integers(0, 2)))
-                for _ in range(100)]
+        data = random_frames(rng, 100, 3, 2)
         nets = []
         for _ in range(2):
             net = init_network(NetworkConfig(input_dim=3, output_dim=2,
@@ -206,8 +212,7 @@ class TestTrain:
 
     def test_metrics_reported_per_epoch(self):
         rng = np.random.default_rng(16)
-        data = [(rng.normal(size=3), None, int(rng.integers(0, 2)))
-                for _ in range(50)]
+        data = random_frames(rng, 50, 3, 2)
         net = init_network(NetworkConfig(input_dim=3, output_dim=2, seed=0))
         metrics = train(net, data, TrainConfig(epochs=4, cv_fraction=0.2))
         assert [m["epoch"] for m in metrics] == [0, 1, 2, 3]
@@ -215,8 +220,7 @@ class TestTrain:
 
     def test_lr_halving_on_cv_regression(self):
         rng = np.random.default_rng(19)
-        data = [(rng.normal(size=3), None, int(rng.integers(0, 3)))
-                for _ in range(80)]   # unlearnable labels: cv loss wobbles
+        data = random_frames(rng, 80, 3, 3)   # unlearnable labels: cv loss wobbles
         net = init_network(NetworkConfig(input_dim=3, output_dim=3,
                                          hidden_dims=(4,), seed=2))
         metrics = train(net, data, TrainConfig(
@@ -229,7 +233,59 @@ class TestTrain:
         rng = np.random.default_rng(17)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2, seed=0))
         with pytest.raises(ValueError):
-            train(net, [(rng.normal(size=2), None, 5)], TrainConfig())
+            train(net, FrameData(rng.normal(size=(1, 2)), [5]), TrainConfig())
+
+
+class TestFrameData:
+    def test_len_is_frame_count(self):
+        data = FrameData(np.zeros((3, 2)), [0, 1, 0], np.eye(2)[[1, 0, 1]])
+        assert len(data) == 3
+        assert data.labels.dtype == np.int64
+
+    def test_rejects_code_row_not_one_hot(self):
+        codes = np.eye(3)
+        codes[1] = [0.5, 0.5, 0.0]
+        with pytest.raises(ValueError, match="one-hot"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], codes)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="labels must have shape"):
+            FrameData(np.zeros((3, 2)), [0, 1])
+        with pytest.raises(ValueError, match="codes must have shape"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], np.eye(2))
+
+    def test_rejects_negative_label(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            FrameData(np.zeros((2, 2)), [0, -1])
+
+    def test_rejects_non_finite_features(self):
+        with pytest.raises(ValueError, match="finite"):
+            FrameData(np.array([[0.0, np.nan]]), [0])
+
+    def test_codes_passed_to_baseline_net(self):
+        rng = np.random.default_rng(20)
+        net = small_net(rng)
+        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3], np.eye(4))
+        with pytest.raises(ValueError, match="baseline network got domain codes"):
+            train(net, data, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="baseline network got domain codes"):
+            evaluate_accuracy(net, data)
+
+    def test_no_codes_passed_to_augmented_net(self):
+        rng = np.random.default_rng(21)
+        net = small_net(rng, domain_dim=2)
+        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="needs a code"):
+            train(net, data, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="needs a code"):
+            evaluate_accuracy(net, data)
+
+    def test_code_width_checked_against_net(self):
+        rng = np.random.default_rng(22)
+        net = small_net(rng, domain_dim=2)
+        data = FrameData(rng.normal(size=(3, 5)), [0, 1, 2], np.eye(3))
+        with pytest.raises(ValueError, match="code dim 3"):
+            evaluate_accuracy(net, data)
 
 
 class TestSerialization:
