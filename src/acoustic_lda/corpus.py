@@ -164,8 +164,10 @@ def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
     return docs
 
 
-def _load_features_jsonl(path) -> list[FeatureDocument]:
-    docs = []
+def _jsonl_objects(path):
+    """(line number, object) for each jsonl line other than blank and
+    ``_meta`` lines; bad json or a line that is not a json object raises
+    CorpusError naming ``path:line``."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -174,18 +176,26 @@ def _load_features_jsonl(path) -> list[FeatureDocument]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: bad json: {exc}") from exc
-            if "_meta" in obj:
-                continue
-            try:
-                frames = np.asarray(obj["frames"], dtype=float)
-                doc_id = str(obj["id"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if frames.ndim != 2:
-                raise CorpusError(
-                    f"{path}:{lineno}: document {doc_id!r} has ragged or empty frames"
-                )
-            docs.append(FeatureDocument(id=doc_id, frames=frames, group=obj.get("group")))
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{path}:{lineno}: expected a json object, "
+                                  f"got {type(obj).__name__}")
+            if "_meta" not in obj:
+                yield lineno, obj
+
+
+def _load_features_jsonl(path) -> list[FeatureDocument]:
+    docs = []
+    for lineno, obj in _jsonl_objects(path):
+        try:
+            frames = np.asarray(obj["frames"], dtype=float)
+            doc_id = str(obj["id"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if frames.ndim != 2:
+            raise CorpusError(
+                f"{path}:{lineno}: document {doc_id!r} has ragged or empty frames"
+            )
+        docs.append(FeatureDocument(id=doc_id, frames=frames, group=obj.get("group")))
     return docs
 
 
@@ -255,23 +265,17 @@ def save_features(path, docs: Iterable[FeatureDocument], format: str = "jsonl") 
 
 def load_symbols(path) -> list[SymbolDocument]:
     docs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            try:
-                docs.append(
-                    SymbolDocument(
-                        id=str(obj["id"]),
-                        symbols=np.asarray(obj["symbols"], dtype=np.int64),
-                        group=obj.get("group"),
-                    )
+    for lineno, obj in _jsonl_objects(path):
+        try:
+            docs.append(
+                SymbolDocument(
+                    id=str(obj["id"]),
+                    symbols=np.asarray(obj["symbols"], dtype=np.int64),
+                    group=obj.get("group"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
     _check_unique_ids(docs)
     return docs
 
@@ -289,23 +293,17 @@ def save_symbols(path, docs: Iterable[SymbolDocument]) -> None:
 
 def load_bags(path) -> list[BagOfSounds]:
     docs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "_meta" in obj:
-                continue
-            try:
-                docs.append(
-                    BagOfSounds(
-                        id=str(obj["id"]),
-                        counts=np.asarray(obj["counts"], dtype=np.int64),
-                        group=obj.get("group"),
-                    )
+    for lineno, obj in _jsonl_objects(path):
+        try:
+            docs.append(
+                BagOfSounds(
+                    id=str(obj["id"]),
+                    counts=np.asarray(obj["counts"], dtype=np.int64),
+                    group=obj.get("group"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
     _check_unique_ids(docs)
     return docs
 

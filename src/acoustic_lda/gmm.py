@@ -61,7 +61,7 @@ class GmmModel:
         for name in ("weights", "means", "variances"):
             try:
                 arr = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be a regular array of numbers") from None
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -6,15 +6,31 @@ parameters (gamma, phi) of every document at once:
     phi_{wk}  proportional to  beta_{kw} * exp(digamma(gamma_k))
     gamma_k   =  alpha_k + sum_w count_w * phi_{wk}
 
-Documents are padded to a common number of distinct symbols, and each one
-stops updating as soon as its own relative gamma change falls below the
-tolerance. Training, single-document inference and corpus inference all run
-this one E-step and one evidence lower bound; a single document is the
-batch of one.
+phi is never formed (the batch form of Hoffman, Blei & Bach 2010, "Online
+learning for LDA"). Let C be the dense (M, V) counts of the documents, eb
+the matrix exp(log_beta) with each symbol's column scaled so that its
+largest entry is 1, and el the matrix exp(digamma(gamma)) with each
+document's row scaled likewise. phi is unchanged by either scaling, so one
+sweep is two matrix products:
 
-The M-step re-estimates each topic row from the phi-weighted symbol counts,
-with optional additive smoothing. ``log_beta`` stores K rows of length V
-(log-probability of each symbol given the latent domain).
+    norm   =  el @ eb                                  (M, V)
+    gamma  =  alpha + el * ((C / norm) @ eb.T)
+
+Each document stops updating as soon as its own relative gamma change falls
+below the tolerance. Working memory is O(M * V + M * K), the size of the
+counts. A document whose norm falls below ``_NORM_FLOOR`` at a symbol it
+contains (the mixture underflows) is re-run alone with the log-domain sweep,
+through its phi.
+
+The evidence lower bound needs no phi either: it is the Dirichlet terms plus
+sum_k (gamma_k - alpha_k)(E_q[log theta_k] - digamma(gamma_prev)_k) plus
+sum_w C_w log(norm_w), with the two scalings added back, where gamma_prev
+and norm are those of the document's last sweep. The M-step re-estimates
+the topic rows from the expected counts eb * (el.T @ (C / norm)), with
+optional additive smoothing. Training, single-document inference and corpus
+inference all run this one E-step; a single document is the batch of one.
+``log_beta`` stores K rows of length V (log-probability of each symbol given
+the latent domain).
 """
 
 from __future__ import annotations
@@ -32,6 +48,11 @@ from .corpus import BagOfSounds
 __all__ = ["LdaConfig", "LdaModel", "VariationalState", "digamma",
            "e_step_document", "elbo", "fit", "infer_theta", "infer_thetas",
            "save_lda", "load_lda"]
+
+
+# Below this a scaled norm loses precision and C / norm may overflow; a
+# document with such a norm at a symbol it contains goes to the log domain.
+_NORM_FLOOR = 1e-250
 
 
 def digamma(x):
@@ -65,6 +86,9 @@ class LdaModel:
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         log_beta = np.asarray(self.log_beta, dtype=float)
+        if log_beta.ndim != 2 or 0 in log_beta.shape:
+            raise ValueError(f"log_beta must have shape (K, V) with K, V >= 1, "
+                             f"got {log_beta.shape}")
         if alpha.shape != (log_beta.shape[0],):
             raise ValueError("alpha length must equal the number of rows of log_beta")
         if np.any(alpha <= 0):
@@ -97,85 +121,176 @@ class VariationalState:
     counts: np.ndarray     # (U,) occurrence counts of each distinct symbol
 
 
-def _pad_supports(docs: Sequence[BagOfSounds], v: int):
-    """Each document's distinct symbols and their counts, padded to a common
-    width U: (M, U) symbol ids and (M, U) float counts.
-
-    Padded slots repeat the document's first symbol with count 0, so they
-    stay on a symbol with mass and contribute nothing.
-    """
-    supports = []
+def _stack_counts(docs: Sequence[BagOfSounds], v: int) -> np.ndarray:
+    """The documents' counts as one dense (M, V) float matrix. Rejects a
+    document of another vocabulary size and an empty document."""
     for doc in docs:
         if doc.vocab_size != v:
             raise ValueError(f"document {doc.id!r} has V={doc.vocab_size}, expected V={v}")
-        ids = np.flatnonzero(doc.counts)
-        if ids.size == 0:
-            raise ValueError(f"document {doc.id!r} is empty")
-        supports.append(ids)
-    word_ids = np.zeros((len(docs), max(ids.size for ids in supports)), dtype=np.int64)
-    counts = np.zeros(word_ids.shape)
-    for i, (doc, ids) in enumerate(zip(docs, supports)):
-        word_ids[i] = ids[0]
-        word_ids[i, : ids.size] = ids
-        counts[i, : ids.size] = doc.counts[ids]
-    return word_ids, counts
+    c = np.array([doc.counts for doc in docs], dtype=float)
+    empty = ~c.any(axis=1)
+    if empty.any():
+        raise ValueError(f"document {docs[empty.argmax()].id!r} is empty")
+    return c
 
 
-def _e_step(lb, counts, alpha, gamma_tol, max_iters):
-    """Iterate the (phi, gamma) updates for M documents at once.
+def _scaled_beta(log_beta):
+    """exp(log_beta) with each symbol's column divided by its largest entry,
+    and the log of that divisor (0 for a symbol with no mass in any topic)."""
+    top = log_beta.max(axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.exp(log_beta - top), top
 
-    ``lb`` is (M, U, K): model log-probabilities at each document's padded
-    symbols; ``counts`` is (M, U). A document is frozen once its max relative
-    gamma change falls below ``gamma_tol``. Returns gamma (M, K) and phi
-    (M, U, K).
+
+def _scaled_norm(dig, eb, c):
+    """One sweep's el = exp(dig - row max) and norm = el @ eb, and which
+    documents have a norm below ``_NORM_FLOOR`` at a symbol they contain.
+
+    Entries below the floor where the count is 0 take no part in the updates
+    and are set to 1, so that c / norm and log(norm) stay finite.
     """
-    k = lb.shape[2]
-    gamma = alpha + counts.sum(axis=1, keepdims=True) / k
-    phi = np.full(lb.shape, 1.0 / k)
-    live = np.arange(lb.shape[0])
+    el = np.exp(dig - dig.max(axis=1, keepdims=True))
+    norm = el @ eb
+    under = np.zeros(c.shape[0], dtype=bool)
+    if norm.min() < _NORM_FLOOR:
+        small = norm < _NORM_FLOOR
+        under = (small & (c > 0)).any(axis=1)
+        norm[small] = 1.0
+    return el, norm, under
+
+
+def _log_domain_e_step(lb, counts, alpha, gamma_tol, max_iters):
+    """The same updates for one document in the log domain, through phi.
+
+    ``lb`` is (U, K): the model's log-probabilities at the document's
+    distinct symbols; ``counts`` is (U,). Exact where the scaled norm
+    underflows. Returns gamma (K,) and the phi (U, K) of the last sweep.
+    """
+    gamma = alpha + counts.sum() / lb.shape[1]
     for _ in range(max_iters):
-        log_phi = lb[live] + psi(gamma[live])[:, None, :]
-        log_phi -= log_phi.max(axis=2, keepdims=True)
-        new_phi = np.exp(log_phi)
-        new_phi /= new_phi.sum(axis=2, keepdims=True)
-        new_gamma = alpha + np.einsum("mu,muk->mk", counts[live], new_phi)
-        delta = np.max(np.abs(new_gamma - gamma[live]) / gamma[live], axis=1)
-        phi[live] = new_phi
-        gamma[live] = new_gamma
-        live = live[delta >= gamma_tol]
-        if live.size == 0:
+        log_phi = lb + psi(gamma)
+        log_phi -= log_phi.max(axis=1, keepdims=True)
+        phi = np.exp(log_phi)
+        phi /= phi.sum(axis=1, keepdims=True)
+        new_gamma = alpha + counts @ phi
+        delta = np.max(np.abs(new_gamma - gamma) / gamma)
+        gamma = new_gamma
+        if delta < gamma_tol:
             break
     return gamma, phi
 
 
-def _elbo(lb, counts, alpha, gamma, phi):
-    """Evidence lower bound of each of M documents, from the E-step's arrays."""
-    dig = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))   # E_q[log theta_k]
-    bound = gammaln(alpha.sum()) - gammaln(alpha).sum() + dig @ (alpha - 1)
-    bound -= gammaln(gamma.sum(axis=1)) - gammaln(gamma).sum(axis=1)
-    bound -= ((gamma - 1) * dig).sum(axis=1)
-    # E_q[log p(z | theta) + log p(w | z, beta) - log q(z)], per symbol slot
+def _e_step(log_beta, eb, alpha, c, gamma_tol, max_iters):
+    """Iterate the phi-free updates for the M documents of ``c`` (M, V) at once.
+
+    ``eb`` is the scaled beta of :func:`_scaled_beta`. A document is frozen
+    once its max relative gamma change falls below ``gamma_tol``. A document
+    whose norm falls below ``_NORM_FLOOR`` at a symbol it contains is re-run
+    from the start by :func:`_log_domain_e_step`. Returns gamma (M, K); for
+    each document, digamma(gamma) at the start of its last sweep (M, K); and
+    the phi of each re-run document, by row.
+    """
+    if max_iters < 1:
+        raise ValueError("max_e_iters must be >= 1")
+    gamma = alpha + c.sum(axis=1, keepdims=True) / eb.shape[0]
+    dig = np.empty_like(gamma)
+    under = np.zeros(c.shape[0], dtype=bool)
+    live, c_live = np.arange(c.shape[0]), c
+    for _ in range(max_iters):
+        old = gamma[live]
+        d = psi(old)
+        el, norm, low = _scaled_norm(d, eb, c_live)
+        new_gamma = alpha + el * ((c_live / norm) @ eb.T)
+        gamma[live] = new_gamma
+        dig[live] = d
+        under[live[low]] = True
+        keep = (np.max(np.abs(new_gamma - old) / old, axis=1) >= gamma_tol) & ~low
+        live, c_live = live[keep], c_live[keep]
+        if live.size == 0:
+            break
+    fallback = {}
+    for i in np.flatnonzero(under):
+        ids = np.flatnonzero(c[i])
+        gamma[i], fallback[i] = _log_domain_e_step(
+            log_beta.T[ids], c[i, ids], alpha, gamma_tol, max_iters)
+    return gamma, dig, fallback
+
+
+def _elog_theta(gamma):
+    """E_q[log theta_k] of each row of gamma."""
+    return psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+
+
+def _dirichlet_terms(alpha, gamma, dig):
+    """E_q[log p(theta | alpha)] - E_q[log q(theta | gamma)] of each row of
+    gamma, where dig = E_q[log theta]."""
+    return (gammaln(alpha.sum()) - gammaln(alpha).sum() + dig @ (alpha - 1)
+            - gammaln(gamma.sum(axis=1)) + gammaln(gamma).sum(axis=1)
+            - ((gamma - 1) * dig).sum(axis=1))
+
+
+def _phi_bound(alpha, lb, counts, gamma, phi):
+    """Evidence lower bound of one document from its phi (U, K), with ``lb``
+    (U, K) the model's log-probabilities at its distinct symbols."""
+    dig = _elog_theta(gamma[None])
+    # E_q[log p(z | theta) + log p(w | z, beta) - log q(z)], per symbol
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_slot = np.where(phi > 0, phi * (dig[:, None, :] + lb - np.log(phi)), 0.0)
-    return bound + (counts * per_slot.sum(axis=2)).sum(axis=1)
+        per_symbol = np.where(phi > 0, phi * (dig + lb - np.log(phi)), 0.0)
+    return float(_dirichlet_terms(alpha, gamma[None], dig)[0]
+                 + counts @ per_symbol.sum(axis=1))
+
+
+def _bound(alpha, top, c, gamma, dig_prev, norm):
+    """Evidence lower bound of each document from its last sweep, without phi.
+
+    With phi_wk = exp(log_beta_kw + dig_prev_k) / Z_w, the phi terms reduce
+    to sum_k (gamma_k - alpha_k)(E_q[log theta_k] - dig_prev_k) plus
+    sum_w c_w log Z_w, and log Z_w is log norm_w plus the row shift of
+    dig_prev and the column shift ``top`` of :func:`_scaled_beta`.
+    """
+    dig = _elog_theta(gamma)
+    return (_dirichlet_terms(alpha, gamma, dig)
+            + ((gamma - alpha) * (dig - dig_prev)).sum(axis=1)
+            + (c * np.log(norm)).sum(axis=1)
+            + c.sum(axis=1) * dig_prev.max(axis=1) + c @ top)
+
+
+def _em_terms(log_beta, alpha, c, config: LdaConfig):
+    """The E-step of variational EM on the counts ``c`` (M, V): each
+    document's evidence lower bound (M,) and the expected counts (K, V)
+    the M-step normalises, eb * (el.T @ (c / norm)) from the last sweeps."""
+    eb, top = _scaled_beta(log_beta)
+    gamma, dig, fallback = _e_step(log_beta, eb, alpha, c, config.gamma_tol,
+                                   config.max_e_iters)
+    el, norm, _ = _scaled_norm(dig, eb, c)
+    bounds = _bound(alpha, top, c, gamma, dig, norm)
+    el[list(fallback)] = 0.0      # a re-run document's counts go through its phi
+    stats = eb * (el.T @ (c / norm))
+    for i, phi in fallback.items():
+        ids = np.flatnonzero(c[i])
+        bounds[i] = _phi_bound(alpha, log_beta.T[ids], c[i, ids], gamma[i], phi)
+        stats[:, ids] += (c[i, ids, None] * phi).T
+    return bounds, stats
 
 
 def _posterior(model: LdaModel, docs: Sequence[BagOfSounds], config: LdaConfig):
     """The E-step over non-empty documents under a trained model.
 
-    Returns the padded (word_ids, counts) with gamma (M, K) and phi (M, U, K).
+    Returns the counts (M, V), the scaled beta, and the outputs of
+    :func:`_e_step`: gamma, the last sweeps' digamma and the re-run phis.
     """
-    word_ids, counts = _pad_supports(docs, model.vocab_size)
-    lb = model.log_beta.T[word_ids]                      # (M, U, K)
-    dead = np.isinf(lb).all(axis=2).any(axis=1)
+    c = _stack_counts(docs, model.vocab_size)
+    dead = (c[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
     if dead.any():
         raise FloatingPointError(f"document {docs[dead.argmax()].id!r}: "
                                  "observed symbol has zero mass in every topic")
-    gamma, phi = _e_step(lb, counts, model.alpha, config.gamma_tol, config.max_e_iters)
+    eb, _ = _scaled_beta(model.log_beta)
+    gamma, dig, fallback = _e_step(model.log_beta, eb, model.alpha, c,
+                                   config.gamma_tol, config.max_e_iters)
     bad = ~np.isfinite(gamma).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"document {docs[bad.argmax()].id!r}: non-finite gamma")
-    return word_ids, counts, gamma, phi
+    return c, eb, gamma, dig, fallback
 
 
 def e_step_document(
@@ -183,10 +298,18 @@ def e_step_document(
     doc: BagOfSounds,
     config: Optional[LdaConfig] = None,
 ) -> VariationalState:
-    """Variational inference for one document (the E-step on a batch of one)."""
-    word_ids, counts, gamma, phi = _posterior(model, [doc], config or LdaConfig())
-    return VariationalState(gamma=gamma[0], phi=phi[0], word_ids=word_ids[0],
-                            counts=counts[0])
+    """Variational inference for one document (the E-step on a batch of one).
+
+    phi is that of the last sweep, the one that gave gamma.
+    """
+    c, eb, gamma, dig, fallback = _posterior(model, [doc], config or LdaConfig())
+    ids = np.flatnonzero(c[0])
+    if fallback:
+        phi = fallback[0]
+    else:
+        el, norm, _ = _scaled_norm(dig, eb, c)
+        phi = el[0] * eb[:, ids].T / norm[0, ids, None]
+    return VariationalState(gamma=gamma[0], phi=phi, word_ids=ids, counts=c[0, ids])
 
 
 def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
@@ -200,19 +323,16 @@ def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
             and np.array_equal(doc.counts[ids], state.counts)):
         raise ValueError(f"document {doc.id!r} does not match the state's "
                          "symbols and counts")
-    lb = model.log_beta.T[state.word_ids]
-    return float(_elbo(lb[None], state.counts[None], model.alpha,
-                       state.gamma[None], state.phi[None])[0])
+    return _phi_bound(model.alpha, model.log_beta.T[ids], state.counts,
+                      state.gamma, state.phi)
 
 
-def _init_log_beta(corpus, k, v, smoothing, rng):
-    """Empirical symbol distribution times seeded multiplicative noise."""
-    totals = np.zeros(v)
-    for doc in corpus:
-        totals += doc.counts
-    emp = totals + max(smoothing, 1e-3)
+def _init_log_beta(c, k, smoothing, rng):
+    """Empirical symbol distribution of the counts ``c`` (M, V) times seeded
+    multiplicative noise."""
+    emp = c.sum(axis=0) + max(smoothing, 1e-3)
     emp /= emp.sum()
-    beta = emp[None, :] * rng.uniform(0.5, 1.5, size=(k, v))
+    beta = emp[None, :] * rng.uniform(0.5, 1.5, size=(k, c.shape[1]))
     beta /= beta.sum(axis=1, keepdims=True)
     return np.log(beta)
 
@@ -233,29 +353,23 @@ def fit(
         raise ValueError("corpus is empty")
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
-    v = corpus[0].vocab_size
-    word_ids, counts = _pad_supports(corpus, v)
+    c = _stack_counts(corpus, corpus[0].vocab_size)
 
     rng = np.random.default_rng(config.seed)
     alpha_scale = config.alpha if config.alpha is not None else 1.0 / num_domains
     if alpha_scale <= 0:
         raise ValueError("alpha must be positive")
     alpha = np.full(num_domains, alpha_scale)
-    log_beta = _init_log_beta(corpus, num_domains, v, config.smoothing, rng)
+    log_beta = _init_log_beta(c, num_domains, config.smoothing, rng)
 
     history: list[float] = []
     prev = None
     for _ in range(config.max_em_iters):
-        lb = log_beta.T[word_ids]
-        gamma, phi = _e_step(lb, counts, alpha, config.gamma_tol, config.max_e_iters)
-        corpus_elbo = float(_elbo(lb, counts, alpha, gamma, phi).sum())
+        bounds, stats = _em_terms(log_beta, alpha, c, config)
+        corpus_elbo = float(bounds.sum())
         if not np.isfinite(corpus_elbo):
             raise FloatingPointError("variational EM produced a non-finite ELBO")
         history.append(corpus_elbo)
-        stats = np.zeros((num_domains, v))
-        weighted = phi * counts[:, :, None]          # (M, U, K)
-        np.add.at(stats.T, word_ids.ravel(),
-                  weighted.reshape(-1, num_domains))
 
         stats += config.smoothing
         with np.errstate(divide="ignore"):
@@ -289,7 +403,7 @@ def infer_thetas(
         else:
             live.append(i)
     if live:
-        _, _, gamma, _ = _posterior(model, [docs[i] for i in live], config)
+        _, _, gamma, _, _ = _posterior(model, [docs[i] for i in live], config)
         if config.subtract_prior:
             gamma = gamma - model.alpha
         theta[live] = gamma / gamma.sum(axis=1, keepdims=True)
@@ -320,12 +434,36 @@ def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:
 
 
 def load_lda(path) -> LdaModel:
+    """Read a model written by :func:`save_lda`; a malformed file raises
+    ValueError naming the path. ``-inf`` in ``log_beta`` (a symbol a topic
+    never emits, written under ``smoothing=0``) is legal."""
     with open(path) as fh:
-        obj = json.load(fh)
-    model = LdaModel(
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        log_beta=np.asarray(obj["log_beta"], dtype=float),
-    )
-    if model.num_domains != obj["K"] or model.vocab_size != obj["V"]:
-        raise ValueError(f"{path}: inconsistent model dimensions")
-    return model
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a json object, got {type(obj).__name__}")
+    missing = [k for k in ("K", "V", "alpha", "log_beta") if k not in obj]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    for key in ("K", "V"):
+        if type(obj[key]) is not int or obj[key] < 1:
+            raise ValueError(f"{path}: {key} must be a positive integer, got {obj[key]!r}")
+    arrays = {}
+    for key, shape in (("alpha", (obj["K"],)), ("log_beta", (obj["K"], obj["V"]))):
+        try:
+            arrays[key] = np.asarray(obj[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{path}: {key} must be a regular array of numbers") from None
+        if arrays[key].shape != shape:
+            raise ValueError(f"{path}: {key} must have shape {shape} from K and V, "
+                             f"got {arrays[key].shape}")
+    if not np.isfinite(arrays["alpha"]).all():
+        raise ValueError(f"{path}: alpha must be finite")
+    if np.isnan(arrays["log_beta"]).any() or np.isposinf(arrays["log_beta"]).any():
+        raise ValueError(f"{path}: log_beta must be finite or -inf")
+    try:
+        return LdaModel(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

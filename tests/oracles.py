@@ -7,7 +7,7 @@ formulas, exhaustive enumeration and grid quadrature only.
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, logsumexp
 
 
 def gaussian_responsibilities(weights, means, variances, frame):
@@ -52,6 +52,27 @@ def brute_log_evidence(alpha, beta, symbols):
         lp += (gammaln(alpha + nk) - gammaln(alpha)).sum()
         total = np.logaddexp(total, lp)
     return float(total)
+
+
+def lda_e_step_gamma(alpha, log_beta, counts, gamma_tol, max_iters):
+    """gamma of one document by the (phi, gamma) coordinate ascent in the log
+    domain: from gamma = alpha + N/K, phi_w = softmax_k(log_beta_kw +
+    digamma(gamma_k)) and gamma = alpha + sum_w n_w phi_w, until the largest
+    relative change of gamma falls below ``gamma_tol``."""
+    alpha = np.asarray(alpha, dtype=float)
+    log_beta = np.asarray(log_beta, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    ids = np.flatnonzero(counts)
+    gamma = alpha + counts.sum() / log_beta.shape[0]
+    for _ in range(max_iters):
+        log_phi = log_beta[:, ids].T + digamma(gamma)
+        phi = np.exp(log_phi - logsumexp(log_phi, axis=1, keepdims=True))
+        new = alpha + counts[ids] @ phi
+        done = np.max(np.abs(new - gamma) / gamma) < gamma_tol
+        gamma = new
+        if done:
+            break
+    return gamma
 
 
 def grid_posterior_mean_theta0(alpha, beta, symbols, grid_points=10_000):

@@ -34,6 +34,16 @@ def gmm_json(**changes):
     return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
 
 
+def lda_json(**changes):
+    """A valid K=2, V=3 LDA artifact as json text, with a symbol that topic 0
+    never emits (-inf, as ``smoothing=0`` writes); a change to None drops the
+    key."""
+    obj = {"K": 2, "V": 3, "alpha": [0.5, 0.5],
+           "log_beta": [[np.log(0.5), np.log(0.5), -np.inf],
+                        [np.log(0.2), np.log(0.3), np.log(0.5)]], **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
+
+
 def net_json(layer_changes=(), **changes):
     """A valid 2-input, 2-hidden, 3-class baseline network as json text;
     ``layer_changes`` holds (index, changes) pairs for single layers, and a
@@ -295,6 +305,8 @@ class TestContracts:
         pytest.param(gmm_json(variances=None), "missing key(s) variances",
                      id="missing-key"),
         pytest.param('{"D": 3,\n', "bad json", id="malformed-json"),
+        pytest.param(gmm_json(means=[[10**400, 0.0, 0.0], [1.0] * 3]),
+                     "means must be a regular array", id="int-overflows-float"),
     ])
     def test_bad_gmm_artifact_exit_1(self, tmp_path, capsys, pipeline_inputs,
                                      text, message):
@@ -309,6 +321,75 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
         assert f"{path}:" in err and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"K": 2,\n', "bad json", id="malformed-json"),
+        pytest.param("[1, 2]\n", "expected a json object, got list", id="json-list"),
+        pytest.param("5\n", "expected a json object, got int", id="json-number"),
+        pytest.param(lda_json(K=None), "missing key(s) K", id="missing-K"),
+        pytest.param(lda_json(V=None), "missing key(s) V", id="missing-V"),
+        pytest.param(lda_json(alpha=None), "missing key(s) alpha", id="missing-alpha"),
+        pytest.param(lda_json(log_beta=None), "missing key(s) log_beta",
+                     id="missing-log-beta"),
+        pytest.param(lda_json(K="2"), "K must be a positive integer", id="string-K"),
+        pytest.param(lda_json(V=3.0), "V must be a positive integer", id="float-V"),
+        pytest.param(lda_json(K=True), "K must be a positive integer", id="bool-K"),
+        pytest.param(lda_json(K=0), "K must be a positive integer", id="zero-K"),
+        pytest.param(lda_json(alpha=["a", 0.5]), "alpha must be a regular array",
+                     id="string-alpha"),
+        pytest.param(lda_json(log_beta=[[0.0, 0.0, 0.0], [0.0]]),
+                     "log_beta must be a regular array", id="ragged-log-beta"),
+        pytest.param(lda_json(alpha=[10**400, 0.5]), "alpha must be a regular array",
+                     id="int-overflows-float"),
+        pytest.param(lda_json(alpha=[float("nan"), 0.5]), "alpha must be finite",
+                     id="nan-alpha"),
+        pytest.param(lda_json(alpha=[float("inf"), 0.5]), "alpha must be finite",
+                     id="inf-alpha"),
+        pytest.param(lda_json(log_beta=[[float("nan"), 0.0, -np.inf], [0.0] * 3]),
+                     "log_beta must be finite or -inf", id="nan-log-beta"),
+        pytest.param(lda_json(log_beta=[[np.inf, 0.0, -np.inf], [0.0] * 3]),
+                     "log_beta must be finite or -inf", id="inf-log-beta"),
+        pytest.param(lda_json(alpha=[0.5, 0.5, 0.5]), "alpha must have shape (2,)",
+                     id="alpha-length"),
+        pytest.param(lda_json(V=4), "log_beta must have shape (2, 4)", id="V-mismatch"),
+        pytest.param(lda_json(K=3), "alpha must have shape (3,)", id="K-mismatch"),
+        pytest.param(lda_json(alpha=[0.5, -0.5]), "alpha entries must be positive",
+                     id="negative-alpha"),
+        pytest.param(lda_json(log_beta=[[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]]),
+                     "must sum to 1", id="rows-not-normalized"),
+    ])
+    def test_bad_lda_artifact_exit_1(self, tmp_path, capsys, text, message):
+        model, bags = tmp_path / "lda.json", tmp_path / "bags.jsonl"
+        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([2, 1, 0])),
+                                corpus.BagOfSounds(id="d1", counts=np.array([0, 1, 3]))])
+        commands = (("assign", "--model", model, "--bags", bags,
+                     "--out", tmp_path / "assign.jsonl"),
+                    ("entropy", "--model", model, "--bags", bags))
+        model.write_text(lda_json())
+        for argv in commands:
+            assert run(*argv) == 0
+        capsys.readouterr()
+        model.write_text(text)
+        for argv in commands:
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "\n" not in err.strip()
+            assert f"{model}:" in err and message in err
+
+    @pytest.mark.parametrize("line, kind", [
+        pytest.param("5", "int", id="json-number"),
+        pytest.param('"d1"', "str", id="json-string"),
+        pytest.param("[1, 2]", "list", id="json-list"),
+    ])
+    def test_non_object_features_line_exit_1(self, tmp_path, capsys, line, kind):
+        features = tmp_path / "features.jsonl"
+        features.write_text('{"id": "d0", "frames": [[0.0, 1.0], [1.0, 0.0]]}\n'
+                            + line + "\n")
+        assert run("train-gmm", "--features", features, "--components", 1,
+                   "--out", tmp_path / "gmm.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{features}:2: expected a json object, got {kind}" in err
 
     @pytest.mark.parametrize("line, message", [
         pytest.param("[1, 2]", "expected a json object", id="json-list"),

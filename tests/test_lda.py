@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
 
+from acoustic_lda import lda
 from acoustic_lda.corpus import BagOfSounds, generate_synthetic_lda_corpus, to_bag
 from acoustic_lda.lda import (
     LdaConfig,
@@ -16,7 +19,12 @@ from acoustic_lda.lda import (
     load_lda,
     save_lda,
 )
-from oracles import brute_log_evidence, greedy_row_match, grid_posterior_mean_theta0
+from oracles import (
+    brute_log_evidence,
+    greedy_row_match,
+    grid_posterior_mean_theta0,
+    lda_e_step_gamma,
+)
 
 
 def bag(counts, doc_id="d"):
@@ -120,6 +128,126 @@ class TestEStep:
         docs = [bag([2, 0, 1], "a"), bag([1, 4, 0], "b"), bag([0, 0, 3], "c")]
         with pytest.raises(FloatingPointError, match="'b'"):
             infer_thetas(model, docs)
+
+
+class TestPhiFreeEStep:
+    """The batched E-step works on the dense counts without phi; these check
+    it against the log-domain oracle, one document at a time."""
+
+    @staticmethod
+    def mixed_corpus(rng, v, m):
+        """m documents whose supports range from one symbol to all of V."""
+        docs = []
+        for i in range(m):
+            ids = rng.choice(v, size=int(rng.integers(1, v + 1)), replace=False)
+            counts = np.zeros(v, dtype=np.int64)
+            counts[ids] = rng.integers(1, 30, size=ids.size)
+            docs.append(bag(counts, f"d{i}"))
+        return docs
+
+    def test_gamma_matches_log_domain_oracle(self):
+        rng = np.random.default_rng(30)
+        config = LdaConfig()
+        for _ in range(10):
+            k, v = int(rng.integers(1, 9)), int(rng.integers(2, 41))
+            model = make_model(rng.dirichlet(np.full(v, 0.5), size=k),
+                               rng.uniform(0.05, 2.0, size=k))
+            docs = self.mixed_corpus(rng, v, 25)
+            _, _, gamma, _, fallback = lda._posterior(model, docs, config)
+            assert not fallback
+            for doc, g in zip(docs, gamma):
+                want = lda_e_step_gamma(model.alpha, model.log_beta, doc.counts,
+                                        config.gamma_tol, config.max_e_iters)
+                np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+
+    def test_underflowing_norm_reruns_in_log_domain(self, monkeypatch):
+        # Symbol 1 has mass only in topic 1. With K=1000 and alpha_1 = 1e-6,
+        # a one-token document starts from gamma_1 = 0.001001, whose el is
+        # exp(digamma(0.001001) - digamma(1.001)) = exp(-999) = 0: its norm
+        # underflows at symbol 1.
+        k = 1000
+        log_beta = np.full((k, 2), [0.0, -np.inf])
+        log_beta[1] = [-np.inf, 0.0]
+        alpha = np.full(k, 1e-6)
+        alpha[0] = 1.0
+        model = LdaModel(alpha=alpha, log_beta=log_beta)
+        docs = [bag([2, 0], "a"), bag([0, 1], "b"), bag([1, 0], "c")]
+        reruns = []
+        rerun = lda._log_domain_e_step
+
+        def counted(lb, counts, *args):
+            reruns.append(counts.tolist())
+            return rerun(lb, counts, *args)
+
+        monkeypatch.setattr(lda, "_log_domain_e_step", counted)
+        config = LdaConfig()
+        _, _, gamma, _, fallback = lda._posterior(model, docs, config)
+        assert reruns == [[1.0]] and list(fallback) == [1]
+        for doc, g in zip(docs, gamma):
+            want = lda_e_step_gamma(alpha, log_beta, doc.counts,
+                                    config.gamma_tol, config.max_e_iters)
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+        state = e_step_document(model, docs[1])
+        np.testing.assert_allclose(state.phi[0], np.eye(k)[1], atol=1e-12)
+
+    def test_every_document_rerun_gives_the_same_fit(self, monkeypatch):
+        # an infinite floor sends every document through the log-domain
+        # sweep, whose bound and expected counts come from phi
+        rng = np.random.default_rng(31)
+        beta = rng.dirichlet(np.ones(12), size=3)
+        docs = generate_synthetic_lda_corpus(0.3, beta, 30, 25, seed=4)
+        bags = [to_bag(d, 12) for d in docs]
+        config = LdaConfig(seed=2)
+        base = fit(bags, 3, config)
+        monkeypatch.setattr(lda, "_NORM_FLOOR", np.inf)
+        rerun = fit(bags, 3, config)
+        assert len(rerun.elbo_history) == len(base.elbo_history)
+        np.testing.assert_allclose(rerun.elbo_history, base.elbo_history,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(rerun.log_beta, base.log_beta, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("sweeps", [1, 3, 50])
+    def test_phi_free_terms_match_phi_form(self, sweeps):
+        rng = np.random.default_rng(32)
+        config = LdaConfig(max_e_iters=sweeps, gamma_tol=0.0)
+        for _ in range(10):
+            k, v = int(rng.integers(1, 7)), int(rng.integers(2, 31))
+            model = make_model(rng.dirichlet(np.ones(v), size=k),
+                               rng.uniform(0.1, 2.0, size=k))
+            docs = self.mixed_corpus(rng, v, 20)
+            c = np.array([doc.counts for doc in docs], dtype=float)
+            bounds, stats = lda._em_terms(model.log_beta, model.alpha, c, config)
+            want_stats = np.zeros((k, v))
+            for doc, bound in zip(docs, bounds):
+                state = e_step_document(model, doc, config)
+                want = elbo(model, doc, state)
+                assert abs(bound - want) <= 1e-10 * abs(want)
+                want_stats[:, state.word_ids] += (state.counts[:, None] * state.phi).T
+            np.testing.assert_allclose(stats, want_stats, rtol=1e-12, atol=1e-12)
+
+    def test_memory_does_not_grow_with_the_widest_document(self):
+        # 400 five-symbol documents, with and without one that holds all
+        # 256 symbols: padding every document to the widest one would
+        # multiply the peak by about 40
+        rng = np.random.default_rng(33)
+        v, k = 256, 16
+        model = make_model(rng.dirichlet(np.ones(v), size=k), 1.0 / k)
+        narrow = []
+        for i in range(400):
+            counts = np.zeros(v, dtype=np.int64)
+            counts[rng.choice(v, size=5, replace=False)] = rng.integers(1, 20, size=5)
+            narrow.append(bag(counts, f"n{i}"))
+        wide = bag(rng.integers(1, 5, size=v), "wide")
+
+        def peak(docs):
+            tracemalloc.start()
+            try:
+                infer_thetas(model, docs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(narrow + [wide]) <= 2 * peak(narrow)
 
 
 class TestElbo:
