@@ -100,14 +100,14 @@ def _load_assignments(path):
     return out
 
 
-def _numeric_array(value, kinds):
-    """``value`` as an array whose dtype kind is one of ``kinds``; None for
-    a ragged or non-numeric value. An empty list qualifies."""
+def _numeric_array(value):
+    """``value`` as an integer or float array; None for a ragged or
+    non-numeric value. An empty list qualifies."""
     try:
         arr = np.asarray(value)
     except ValueError:
         return None
-    return arr if arr.size == 0 or arr.dtype.kind in kinds else None
+    return arr if arr.size == 0 or arr.dtype.kind in "iuf" else None
 
 
 def _load_labeled_frames(path):
@@ -117,17 +117,17 @@ def _load_labeled_frames(path):
     with no frames loads with shape (0, D)."""
     rows, width = [], 0
     for where, obj in _records(path):
-        frames = _numeric_array(obj.get("frames"), "iuf")
-        labels = _numeric_array(obj.get("labels"), "iu")
+        frames = _numeric_array(obj.get("frames"))
         if frames is None or not (frames.shape == (0,) or
                                   frames.ndim == 2 and frames.shape[1] > 0):
             raise corpus.CorpusError(
                 f"{where}: 'frames' must be a list of equal-length lists of numbers")
         if not np.isfinite(frames).all():
             raise corpus.CorpusError(f"{where}: 'frames' must be finite")
-        if labels is None or labels.ndim != 1:
-            raise corpus.CorpusError(f"{where}: 'labels' must be a list of integers")
-        labels = labels.astype(np.int64)
+        try:
+            labels = corpus.json_ints(obj.get("labels"), "labels")
+        except ValueError as exc:
+            raise corpus.CorpusError(f"{where}: {exc}") from exc
         if np.any(labels < 0):
             raise corpus.CorpusError(f"{where}: 'labels' must be >= 0")
         if frames.shape[0] != labels.shape[0]:

@@ -164,6 +164,18 @@ def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
     return docs
 
 
+def json_ints(value, name: str) -> np.ndarray:
+    """A json list of integers as an int64 array. Floats, booleans, nesting
+    and integers beyond int64 raise ValueError naming the field ``name``,
+    instead of being truncated or cast."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise ValueError(f"{name!r} must be a list of integers")
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name!r} must be a list of integers") from None
+
+
 def _jsonl_objects(path):
     """(line number, object) for each jsonl line other than blank and
     ``_meta`` lines; bad json or a line that is not a json object raises
@@ -270,7 +282,7 @@ def load_symbols(path) -> list[SymbolDocument]:
             docs.append(
                 SymbolDocument(
                     id=str(obj["id"]),
-                    symbols=np.asarray(obj["symbols"], dtype=np.int64),
+                    symbols=json_ints(obj["symbols"], "symbols"),
                     group=obj.get("group"),
                 )
             )
@@ -298,7 +310,7 @@ def load_bags(path) -> list[BagOfSounds]:
             docs.append(
                 BagOfSounds(
                     id=str(obj["id"]),
-                    counts=np.asarray(obj["counts"], dtype=np.int64),
+                    counts=json_ints(obj["counts"], "counts"),
                     group=obj.get("group"),
                 )
             )

@@ -10,15 +10,27 @@ from the diagonal-covariance expansion
     log w_i - 1/2 (D log 2pi + sum log var_i + sum m_i^2 / var_i)
             - 1/2 (x^2) . (1 / var_i) + x . (m_i / var_i),
 
-where x and m_i are the frame and the mean shifted by one common centre, the
-mean of the component means, so that a large common offset does not cancel.
-EM statistics and quantization take the frames in fixed-size blocks of
-``_BLOCK_FRAMES``, so memory is O(block * V) whatever the number of frames,
-and no (frames, components, dims) array is built. The expansion rounds
-differently from the direct form sum (x - mu)^2 / var; ``quantize`` bounds
-that error per frame and re-scores, with the direct form, only the frames
-whose best and runner-up components lie within the bound. Its symbols are
-therefore those of the direct form, ties going to the lowest index.
+where x and m_i are the frame and the mean shifted by one common centre, so
+that a large common offset does not cancel.
+
+``quantize`` and ``responsibilities`` centre on the mean of the component
+means and take the frames in fixed-size blocks of ``_BLOCK_FRAMES``. The
+expansion rounds differently from the direct form sum (x - mu)^2 / var;
+``quantize`` bounds that error per frame and re-scores, with the direct form,
+only the frames whose best and runner-up components lie within the bound.
+Its symbols are therefore those of the direct form, ties going to the lowest
+index.
+
+EM centres on the mean g of the training frames, which is a safe centre
+because every EM mean is a weighted average of frames. ``train_gmm`` builds
+the design matrix Z = [x^2 | x]^T, (2D, N) with x = frames - g, once per fit.
+Each EM pass then takes Z in blocks of ``_BLOCK_FRAMES`` columns and does two
+matrix products per block: the (V, B) log joint W @ Z_b + const, with
+W = [-prec / 2 | (means - g) * prec], and, after normalising it along the
+components into responsibilities r, the statistics r @ Z_b^T, which hold the
+centred sums [sum r x^2 | sum r x]. The M-step reads the variances off the
+centred second moment. Z costs 2 N D floats for the fit; every other
+temporary is O(block * V), and no (frames, components, dims) array is built.
 """
 
 from __future__ import annotations
@@ -99,6 +111,14 @@ def _blocks(n):
         yield slice(start, min(start + _BLOCK_FRAMES, n))
 
 
+def _log_const(weights, variances, m, prec):
+    """The frame-free terms of the log joint, (V,), for means ``m`` shifted
+    by the centre and precisions ``prec``."""
+    return np.log(weights) - 0.5 * (
+        m.shape[1] * _LOG_2PI + np.log(variances).sum(axis=1)
+        + (m * m * prec).sum(axis=1))
+
+
 def _log_joint(weights, means, variances, frames):
     """log(w_i * N(x; mu_i, var_i)) for a block of frames, (N, V), as two
     matrix products on frames and means shifted by the mean of the means."""
@@ -106,9 +126,7 @@ def _log_joint(weights, means, variances, frames):
     x = frames - centre
     m = means - centre
     prec = 1.0 / variances
-    const = np.log(weights) - 0.5 * (
-        means.shape[1] * _LOG_2PI + np.log(variances).sum(axis=1)
-        + (m * m * prec).sum(axis=1))
+    const = _log_const(weights, variances, m, prec)
     return const + (x * x) @ (-0.5 * prec.T) + x @ (m * prec).T
 
 
@@ -179,44 +197,65 @@ def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
     return SymbolDocument(id=doc.id, symbols=symbols, group=doc.group)
 
 
-def _em_statistics(weights, means, variances, frames):
-    """One E-step, block by block: the total log-likelihood, and each
-    component's posterior mass, sum r*x and sum r*x^2."""
+def _design_matrix(frames):
+    """The frames' mean g and the contiguous (2D, N) design matrix
+    [x^2 | x]^T with x = frames - g, built once per fit."""
+    n, d = frames.shape
+    g = frames.mean(axis=0)
+    z = np.empty((2 * d, n))
+    np.subtract(frames.T, g[:, None], out=z[d:])
+    np.multiply(z[d:], z[d:], out=z[:d])
+    return g, z
+
+
+def _em_statistics(weights, means, variances, g, z):
+    """One E-step on the design matrix ``z`` of frames centred on ``g``,
+    block by block: the total log-likelihood, each component's posterior
+    mass and the centred sums [sum r*x^2 | sum r*x], (V, 2D)."""
     v, d = means.shape
-    ll, mass = 0.0, np.zeros(v)
-    first, second = np.zeros((v, d)), np.zeros((v, d))
-    for rows in _blocks(frames.shape[0]):
-        x = frames[rows]
-        lj = _log_joint(weights, means, variances, x)   # (B, V)
-        top = lj.max(axis=1, keepdims=True)
-        resp = np.exp(lj - top)
-        norm = resp.sum(axis=1, keepdims=True)
+    prec = 1.0 / variances
+    m = means - g
+    w = np.hstack([-0.5 * prec, m * prec])                  # (V, 2D)
+    const = _log_const(weights, variances, m, prec)[:, None]
+    ll, mass, acc = 0.0, np.zeros(v), np.zeros((v, 2 * d))
+    for cols in _blocks(z.shape[1]):
+        zb = z[:, cols]
+        lj = w @ zb
+        lj += const                                         # (V, B)
+        top = lj.max(axis=0)
+        resp = np.exp(np.subtract(lj, top, out=lj), out=lj)
+        norm = resp.sum(axis=0)
         resp /= norm
         ll += float(np.sum(top + np.log(norm)))
-        mass += resp.sum(axis=0)
-        first += resp.T @ x
-        second += resp.T @ (x * x)
-    return ll, mass, first, second
+        mass += resp.sum(axis=1)
+        acc += resp @ zb.T
+    return ll, mass, acc
 
 
-def _em_iterations(weights, means, variances, frames, floor, n_iters, tol,
+def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol,
                    empty_threshold, perturbation, history):
-    """Run EM at a fixed component count; returns updated parameters.
+    """Run EM at a fixed component count on the design matrix ``z`` of frames
+    centred on ``g``; returns updated parameters.
 
     Appends per-iteration average log-likelihood to ``history``. Stops early
-    when ``tol`` is set and the relative change falls below it.
+    when ``tol`` is set and the relative change falls below it. A re-seed on
+    the last pass earns one extra pass, so that the re-seeded parameters are
+    re-fitted before they are returned.
     """
-    n = frames.shape[0]
-    prev_ll = None
-    for _ in range(n_iters):
-        total, mass, first, second = _em_statistics(weights, means, variances, frames)
+    n, d = z.shape[1], means.shape[1]
+    prev_ll, reseeded = None, False
+    for it in range(n_iters + 1):
+        if it == n_iters and not reseeded:
+            break
+        total, mass, acc = _em_statistics(weights, means, variances, g, z)
         ll = total / n
         if not np.isfinite(ll):
             raise FloatingPointError("EM produced a non-finite log-likelihood")
         history.append(ll)
 
         empties = np.flatnonzero(mass < empty_threshold)
-        if empties.size:
+        reseeded = bool(empties.size)
+        if reseeded:
             weights, means, variances = _reseed_empties(
                 weights.copy(), means.copy(), variances.copy(), empties, perturbation
             )
@@ -224,8 +263,10 @@ def _em_iterations(weights, means, variances, frames, floor, n_iters, tol,
             continue
 
         weights = mass / n
-        means = first / mass[:, None]
-        variances = np.maximum(second / mass[:, None] - means * means, floor[None, :])
+        centred = acc[:, d:] / mass[:, None]
+        means = centred + g
+        variances = np.maximum(acc[:, :d] / mass[:, None] - centred * centred,
+                               floor[None, :])
 
         if tol is not None and prev_ll is not None:
             if abs(ll - prev_ll) <= tol * max(1.0, abs(prev_ll)):
@@ -295,10 +336,11 @@ def train_gmm(
 
     global_var = frames.var(axis=0)
     floor = np.maximum(config.variance_floor_factor * global_var, 1e-12)
+    g, z = _design_matrix(frames)
 
     weights = np.array([1.0])
-    means = frames.mean(axis=0)[None, :]
-    variances = np.maximum(frames.var(axis=0), floor)[None, :]
+    means = g[None, :]
+    variances = np.maximum(global_var, floor)[None, :]
 
     stages = []
     while weights.shape[0] < target_components:
@@ -308,7 +350,7 @@ def train_gmm(
         )
         stage_ll: list[float] = []
         weights, means, variances = _em_iterations(
-            weights, means, variances, frames, floor,
+            weights, means, variances, g, z, floor,
             config.split_em_iters, None,
             config.empty_mass_threshold, config.mean_perturbation, stage_ll,
         )
@@ -316,7 +358,7 @@ def train_gmm(
 
     final_ll: list[float] = []
     weights, means, variances = _em_iterations(
-        weights, means, variances, frames, floor,
+        weights, means, variances, g, z, floor,
         config.max_final_iters, config.final_tol,
         config.empty_mass_threshold, config.mean_perturbation, final_ll,
     )

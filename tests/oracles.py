@@ -33,6 +33,17 @@ def gaussian_log_joint(weights, means, variances, frames):
     return out
 
 
+def gmm_em_statistics(weights, means, variances, frames, centre):
+    """One direct log-domain EM E-step from ``gaussian_log_joint``: the total
+    log-likelihood, and per component the posterior mass, sum r * (x - centre)
+    and sum r * (x - centre)^2."""
+    log_joint = gaussian_log_joint(weights, means, variances, frames)
+    log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+    resp = np.exp(log_joint - log_norm)
+    x = np.asarray(frames, dtype=float) - centre
+    return float(log_norm.sum()), resp.sum(axis=0), resp.T @ x, resp.T @ (x * x)
+
+
 def brute_log_evidence(alpha, beta, symbols):
     """Exact log p(w | alpha, beta) for tiny instances.
 

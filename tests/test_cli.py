@@ -376,6 +376,34 @@ class TestContracts:
             assert err.startswith("error:") and "\n" not in err.strip()
             assert f"{model}:" in err and message in err
 
+    @pytest.mark.parametrize("counts", [
+        pytest.param([1.5, 2, 0], id="float-count"),
+        pytest.param([2.0, 1, 0], id="integral-float-count"),
+        pytest.param([True, 2, 1], id="bool-count"),
+        pytest.param(["1", 2, 0], id="string-count"),
+        pytest.param([[1], 2, 0], id="nested-count"),
+        pytest.param([10**30, 1, 0], id="count-beyond-int64"),
+        pytest.param("210", id="string-counts"),
+    ])
+    def test_non_integer_bag_counts_exit_1(self, tmp_path, capsys, counts):
+        model, bags = tmp_path / "lda.json", tmp_path / "bags.jsonl"
+        model.write_text(lda_json())
+        good = json.dumps({"id": "d0", "counts": [2, 1, 0]}) + "\n"
+        commands = (("train-lda", "--bags", bags, "--k", 2,
+                     "--out", tmp_path / "trained.json"),
+                    ("assign", "--model", model, "--bags", bags,
+                     "--out", tmp_path / "assign.jsonl"))
+        bags.write_text(good + json.dumps({"id": "d1", "counts": [0, 1, 3]}) + "\n")
+        for argv in commands:
+            assert run(*argv) == 0
+        capsys.readouterr()
+        bags.write_text(good + json.dumps({"id": "d1", "counts": counts}) + "\n")
+        for argv in commands:
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "\n" not in err.strip()
+            assert f"{bags}:2:" in err and "'counts' must be a list of integers" in err
+
     @pytest.mark.parametrize("line, kind", [
         pytest.param("5", "int", id="json-number"),
         pytest.param('"d1"', "str", id="json-string"),
@@ -446,6 +474,10 @@ class TestContracts:
                      id="float-labels"),
         pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [true]}', "'labels'",
                      id="bool-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2], [3, 4]], "labels": [true, 2]}',
+                     "'labels'", id="bool-among-int-labels"),
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [1.0]}', "'labels'",
+                     id="integral-float-labels"),
         pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [[0]]}', "'labels'",
                      id="two-d-labels"),
         pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [-1]}', ">= 0",

@@ -117,6 +117,27 @@ class TestRoundTrips:
         assert back[0].group == "g"
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("values", [
+        pytest.param([1.7, 2, 0], id="float"),
+        pytest.param([2.0, 1, 0], id="integral-float"),
+        pytest.param([True, 2, 1], id="bool"),
+        pytest.param([[1], 2], id="nested"),
+        pytest.param([10**30, 1], id="beyond-int64"),
+        pytest.param("120", id="string"),
+    ])
+    @pytest.mark.parametrize("loader, field", [
+        (corpus.load_symbols, "symbols"),
+        (corpus.load_bags, "counts"),
+    ])
+    def test_non_integer_values_rejected(self, tmp_path, loader, field, values):
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(path, [{"id": "a", field: [0, 1]}, {"id": "b", field: values}])
+        with pytest.raises(CorpusError,
+                           match=f"{path}:2: .*'{field}' must be a list of integers"):
+            loader(path)
+
+
 class TestToBag:
     def test_basic_counts(self):
         bag = to_bag(SymbolDocument(id="d", symbols=np.array([0, 0, 2])), 3)

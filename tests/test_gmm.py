@@ -12,7 +12,7 @@ from acoustic_lda.gmm import (
     save_gmm,
     train_gmm,
 )
-from oracles import gaussian_log_joint, gaussian_responsibilities
+from oracles import gaussian_log_joint, gaussian_responsibilities, gmm_em_statistics
 
 
 def random_model(rng, v, d):
@@ -174,6 +174,69 @@ class TestDensityPath:
         for name in ("weights", "means", "variances"):
             np.testing.assert_allclose(getattr(blocked, name),
                                        getattr(one_block, name), rtol=0, atol=1e-10)
+
+
+class TestEmPath:
+    """EM on the per-fit design matrix, against the direct log-domain
+    E-step of the oracle."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_statistics_match_oracle(self, monkeypatch, offset, block):
+        rng = np.random.default_rng(25)
+        v, d = 6, 3
+        frames = offset + np.concatenate([rng.normal(c, 1.0, size=(100, d))
+                                          for c in (-3.0, 0.0, 3.0)])
+        model = random_model(rng, v, d)
+        means = offset + 2.0 * model.means
+        if block is not None:
+            monkeypatch.setattr(gmm, "_BLOCK_FRAMES", block)
+        g, z = gmm._design_matrix(frames)
+        ll, mass, acc = gmm._em_statistics(model.weights, means, model.variances,
+                                           g, z)
+        want_ll, want_mass, want_first, want_second = gmm_em_statistics(
+            model.weights, means, model.variances, frames, g)
+        np.testing.assert_allclose(ll, want_ll, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(mass, want_mass, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(acc[:, d:], want_first, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(acc[:, :d], want_second, rtol=1e-9, atol=0)
+
+    def test_common_offset_shifts_the_fit(self):
+        rng = np.random.default_rng(26)
+        frames = np.concatenate([rng.normal(c, 1.0, size=(300, 2))
+                                 for c in ([-4.0, 0.0], [0.0, 3.0], [4.0, 0.0])])
+        base, base_history = train_gmm(frames, 6, return_history=True)
+        far, far_history = train_gmm(frames + 1e4, 6, return_history=True)
+        assert ([len(lls) for _, lls in far_history]
+                == [len(lls) for _, lls in base_history])
+        np.testing.assert_array_equal(
+            quantize(far, FeatureDocument(id="d", frames=frames + 1e4)).symbols,
+            quantize(base, FeatureDocument(id="d", frames=frames)).symbols)
+        np.testing.assert_allclose(far.means, base.means + 1e4, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(far.variances, base.variances, rtol=1e-9)
+        np.testing.assert_allclose(far.weights, base.weights, rtol=1e-9)
+
+    def test_reseed_on_a_stages_last_pass_is_refitted(self, monkeypatch):
+        # 14 frames at 2 and 10 at 1: at V=5 the last pass after the last
+        # split finds a component with no mass
+        frames = np.repeat([[2.0], [1.0]], [14, 10], axis=0)
+        reseeded, reseed = [], gmm._reseed_empties
+        monkeypatch.setattr(gmm, "_reseed_empties",
+                            lambda *a: reseeded.append(reseed(*a)) or reseeded[-1])
+        config = GmmConfig(max_final_iters=0)
+        model, history = train_gmm(frames, 5, config, return_history=True)
+        assert [len(lls) for _, lls in history] == [4, 4, 4, 5, 0]
+        assert len(reseeded) == 1
+
+        weights, means, variances = reseeded[0]
+        _, mass, first, second = gmm_em_statistics(weights, means, variances,
+                                                   frames, 0.0)
+        want_means = first / mass[:, None]
+        floor = np.maximum(1e-4 * frames.var(axis=0), 1e-12)
+        want_variances = np.maximum(second / mass[:, None] - want_means ** 2, floor)
+        np.testing.assert_allclose(model.weights, mass / mass.sum(), rtol=1e-9)
+        np.testing.assert_allclose(model.means, want_means, rtol=1e-9)
+        np.testing.assert_allclose(model.variances, want_variances, rtol=1e-9)
 
 
 class TestTrainGmm:
