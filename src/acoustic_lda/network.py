@@ -12,12 +12,33 @@ validated once when built; ``train`` and ``evaluate_accuracy`` check it once
 against the network, form the input matrix [features | codes] once and take
 minibatches and the held-out slice as row indexes into it. The per-frame
 entry points (``forward``, ``first_layer_preactivation``, ``gradient_check``)
-check their single frame and code themselves.
+check their single frame and code themselves, by the same exact one-hot rule.
+
+The parameters live in one contiguous float64 vector, ``LdatNetwork.params``:
+every layer's weights, then every layer's biases. ``weights[i]`` and
+``biases[i]`` are reshaped views of it, so an array taken from
+``net.weights[i]`` follows training, and an SGD update is one in-place
+``grad *= lr; params -= grad`` on a gradient vector of the same layout.
+
+One step routine (``_Step``) runs a batch's forward and backward pass in
+place, in scratch arrays of O(batch * width) allocated once per ``train``
+call, and writes the gradients into views of the gradient vector;
+``gradient_check`` runs it too. Each step stores the probability every row
+gave its label in a per-epoch buffer of one float per training frame. The
+epoch's loss is taken from that buffer at the end of the epoch: each batch's
+mean cross-entropy, weighted by its size and added in batch order. Every
+floating-point operation and its order are those of the per-array,
+per-batch form kept in ``tests/oracles.py``, so the trained weights and the
+metrics are bitwise the same.
+
+Inference (``evaluate_accuracy``, the per-epoch held-out pass, ``forward``)
+computes one layer at a time in place and keeps only the current layer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +49,23 @@ __all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
            "train", "gradient_check", "evaluate_accuracy",
            "save_network", "load_network"]
+
+
+def _check_one_hot(codes: np.ndarray) -> None:
+    """Raise ValueError unless every code (along the last axis) is exactly
+    one-hot: each entry 0.0 or 1.0 and exactly one 1.0."""
+    if not (np.all((codes == 0.0) | (codes == 1.0)) and np.all(codes.sum(axis=-1) == 1.0)):
+        raise ValueError("domain codes must be exactly one-hot")
+
+
+def _views(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of the vector ``flat`` with the given shapes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
 
 
 @dataclass(frozen=True)
@@ -62,8 +100,7 @@ class FrameData:
         if codes.ndim != 2 or codes.shape[0] != features.shape[0] or codes.shape[1] == 0:
             raise ValueError(f"codes must have shape ({features.shape[0]}, K), "
                              f"got {codes.shape}")
-        if not (np.all((codes == 0.0) | (codes == 1.0)) and np.all(codes.sum(axis=1) == 1.0)):
-            raise ValueError("domain codes must be exactly one-hot")
+        _check_one_hot(codes)
         object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
@@ -97,13 +134,23 @@ class TrainConfig:
     cv_fraction: float = 0.1      # held-out slice for per-epoch frame accuracy
     halve_lr_on_worse: bool = False  # new-bob style: halve lr when CV loss rises
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
 
 class LdatNetwork:
-    """Plain numpy MLP; softmax output, cross-entropy training target."""
+    """Plain numpy MLP; softmax output, cross-entropy training target.
+
+    ``params`` holds every layer's weights, then every layer's biases, in
+    one float64 vector; ``weights`` and ``biases`` are tuples of views of
+    it. The constructor copies the arrays it is given."""
 
     def __init__(self, weights, biases, input_dim, domain_dim, activation):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        views = _views(self.params, [a.shape for a in arrays])
+        self.weights, self.biases = tuple(views[:len(weights)]), tuple(views[len(weights):])
         self.input_dim = input_dim
         self.domain_dim = domain_dim
         self.activation = activation
@@ -139,33 +186,31 @@ class LdatNetwork:
             raise ValueError(
                 f"code dim {code.shape[-1]} != network domain dim {self.domain_dim}"
             )
-        one = np.isclose(code, 1.0)
-        if not (np.all(one.sum(axis=-1) == 1) and np.all((code == 0) | one)):
-            raise ValueError("domain code must be exactly one-hot")
+        _check_one_hot(code)
         return np.concatenate([x, code], axis=-1)
 
-    def _activate(self, z):
-        if self.activation == "sigmoid":
-            return expit(z)
-        return np.maximum(z, 0.0)
+    def _layer(self, i, h, out=None):
+        """Layer ``i``'s output for the rows ``h``, written to ``out`` when
+        given: its activation, or for the last layer the softmax of each row.
+        Everything after the matrix product works in place."""
+        z = np.matmul(h, self.weights[i].T, out=out)
+        z += self.biases[i]
+        if i == len(self.weights) - 1:
+            z -= np.maximum.reduce(z, axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= np.add.reduce(z, axis=1, keepdims=True)
+        elif self.activation == "sigmoid":
+            expit(z, out=z)
+        else:
+            np.maximum(z, 0.0, out=z)
+        return z
 
-    def _forward_batch(self, inputs, keep=False):
-        """Output probabilities for rows of [features | code]; with ``keep``
-        also the per-layer (pre-activation, activation) pairs for backprop."""
+    def _forward(self, inputs):
+        """Output probabilities for rows of [features | code]; only the
+        current layer's array is kept."""
         h = inputs
-        cache = [(None, h)]
-        n_layers = len(self.weights)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            if i < n_layers - 1:
-                h = self._activate(z)
-            else:
-                z = z - z.max(axis=-1, keepdims=True)
-                e = np.exp(z)
-                h = e / e.sum(axis=-1, keepdims=True)
-            cache.append((z, h))
-        if keep:
-            return h, cache
+        for i in range(len(self.weights)):
+            h = self._layer(i, h)
         return h
 
     def forward(self, features, code=None) -> np.ndarray:
@@ -174,7 +219,7 @@ class LdatNetwork:
         features = np.asarray(features, dtype=float)
         if features.ndim != 1:
             raise ValueError("forward takes a single feature vector")
-        return self._forward_batch(self._check_inputs(
+        return self._forward(self._check_inputs(
             features[None, :],
             None if code is None else np.asarray(code, dtype=float)[None, :]))[0]
 
@@ -193,36 +238,56 @@ class LdatNetwork:
         return pre
 
     def copy(self) -> "LdatNetwork":
-        return LdatNetwork(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.input_dim, self.domain_dim, self.activation,
-        )
+        return LdatNetwork(self.weights, self.biases, self.input_dim,
+                           self.domain_dim, self.activation)
 
-    def _backprop(self, inputs, labels):
-        """Mean cross-entropy loss and parameter gradients for one batch of
-        [features | code] rows."""
-        probs, cache = self._forward_batch(inputs, keep=True)
-        n = probs.shape[0]
-        eps = 1e-12
-        loss = -float(np.log(probs[np.arange(n), labels] + eps).mean())
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
-        grads_w, grads_b = [], []
-        for i in range(len(self.weights) - 1, -1, -1):
-            h_prev = cache[i][1]
-            grads_w.append(delta.T @ h_prev)
-            grads_b.append(delta.sum(axis=0))
-            if i > 0:
-                z_prev = cache[i][0]
-                back = delta @ self.weights[i]
-                if self.activation == "sigmoid":
-                    a_prev = cache[i][1]
-                    delta = back * a_prev * (1.0 - a_prev)
+
+class _Step:
+    """Forward and backward pass of one SGD step on batches of ``m`` rows.
+
+    Works in place in scratch arrays of O(m * width) allocated once, keeping
+    each layer's activation for backprop, and writes the gradients of the
+    batch's mean cross-entropy into ``grad_w`` and ``grad_b``: views of
+    ``grad``, which is laid out like ``net.params``.
+    """
+
+    def __init__(self, net: LdatNetwork, m: int, grad: np.ndarray):
+        self.net = net
+        self.rows = np.arange(m)
+        self.acts = [np.empty((m, w.shape[0])) for w in net.weights]
+        self.backs = [np.empty((m, w.shape[1])) for w in net.weights[1:]]
+        # 1 - a for sigmoid, the a > 0 mask for relu
+        dtype = float if net.activation == "sigmoid" else bool
+        self.slopes = [np.empty((m, w.shape[1]), dtype=dtype) for w in net.weights[1:]]
+        views = _views(grad, [a.shape for a in (*net.weights, *net.biases)])
+        self.grad_w, self.grad_b = views[:len(net.weights)], views[len(net.weights):]
+
+    def __call__(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Gradients for the rows ``x`` of [features | code] with ``labels``;
+        returns the probability each row gave its label."""
+        net, acts = self.net, self.acts
+        h = x
+        for i, out in enumerate(acts):
+            h = net._layer(i, h, out)
+        picked = h[self.rows, labels]
+        h[self.rows, labels] = picked - 1.0
+        h /= self.rows.size
+        delta = h
+        for i in range(len(acts) - 1, -1, -1):
+            prev = acts[i - 1] if i else x
+            np.matmul(delta.T, prev, out=self.grad_w[i])
+            np.add.reduce(delta, axis=0, out=self.grad_b[i])
+            if i:
+                back = np.matmul(delta, net.weights[i], out=self.backs[i - 1])
+                slope = self.slopes[i - 1]
+                if net.activation == "sigmoid":
+                    back *= prev
+                    back *= np.subtract(1.0, prev, out=slope)
                 else:
-                    delta = back * (z_prev > 0)
-        return loss, grads_w[::-1], grads_b[::-1]
+                    # a > 0 exactly where the pre-activation is > 0
+                    back *= np.greater(prev, 0.0, out=slope)
+                delta = back
+        return picked
 
 
 def _glorot(rng, fan_out, fan_in):
@@ -256,10 +321,8 @@ def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> Lda
         [baseline.weights[0],
          np.zeros((baseline.weights[0].shape[0], num_domains))], axis=1
     )
-    weights = [first] + [w.copy() for w in baseline.weights[1:]]
-    biases = [b.copy() for b in baseline.biases]
-    return LdatNetwork(weights, biases, baseline.input_dim, num_domains,
-                       baseline.activation)
+    return LdatNetwork([first, *baseline.weights[1:]], baseline.biases,
+                       baseline.input_dim, num_domains, baseline.activation)
 
 
 def _inputs(net: LdatNetwork, dataset: FrameData) -> np.ndarray:
@@ -291,8 +354,8 @@ def train(net: LdatNetwork, dataset: FrameData,
 
     Returns a list of per-epoch metric dicts {epoch, train_loss,
     cv_accuracy}; cv_accuracy is None when cv_fraction is 0. Deterministic
-    for a fixed config seed. Overflow or a non-finite loss raises
-    FloatingPointError.
+    for a fixed config seed. Overflow, or a non-finite loss at the end of an
+    epoch, raises FloatingPointError.
     """
     config = config or TrainConfig()
     inputs, labels = _inputs(net, dataset), dataset.labels
@@ -308,27 +371,34 @@ def train(net: LdatNetwork, dataset: FrameData,
         raise ValueError("cv_fraction leaves no training data")
 
     lr = config.learning_rate
+    grad = np.empty_like(net.params)
+    steps = {}                       # one _Step per batch size: full and last
+    picked = np.empty(tr_idx.size)   # each training frame's label probability
     prev_cv_loss = None
     metrics = []
     for epoch in range(config.epochs):
         order = tr_idx[rng.permutation(tr_idx.size)]
-        epoch_loss = 0.0
         for start in range(0, order.size, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, gw, gb = net._backprop(inputs[batch], labels[batch])
-            if not np.isfinite(loss):
-                raise FloatingPointError("training loss became non-finite")
-            epoch_loss += loss * batch.size
-            for w, g in zip(net.weights, gw):
-                w -= lr * g
-            for b, g in zip(net.biases, gb):
-                b -= lr * g
+            step = steps.get(batch.size) or steps.setdefault(
+                batch.size, _Step(net, batch.size, grad))
+            picked[start:start + batch.size] = step(inputs[batch], labels[batch])
+            grad *= lr
+            net.params -= grad
+        picked += 1e-12
+        np.log(picked, out=picked)
+        epoch_loss = 0.0
+        for start in range(0, order.size, config.batch_size):
+            log_p = picked[start:start + config.batch_size]
+            epoch_loss += -float(np.add.reduce(log_p) / log_p.size) * log_p.size
+        if not math.isfinite(epoch_loss):
+            raise FloatingPointError("training loss became non-finite")
         train_loss = epoch_loss / order.size
 
         cv_accuracy = None
         if n_cv:
             cy = labels[cv_idx]
-            probs = net._forward_batch(inputs[cv_idx])
+            probs = net._forward(inputs[cv_idx])
             cv_loss = -float(
                 np.log(probs[np.arange(n_cv), cy] + 1e-12).mean())
             cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
@@ -348,7 +418,7 @@ def evaluate_accuracy(net: LdatNetwork, dataset: FrameData) -> float:
     inputs = _inputs(net, dataset)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    probs = net._forward_batch(inputs)
+    probs = net._forward(inputs)
     return float((probs.argmax(axis=1) == dataset.labels).mean())
 
 
@@ -362,26 +432,25 @@ def gradient_check(net: LdatNetwork, sample, epsilon: float = 1e-5) -> float:
                           None if code is None else np.asarray(code, dtype=float)[None, :])
     y = np.asarray([label], dtype=np.int64)
 
-    _, gw, gb = net._backprop(x, y)
+    grad = np.empty_like(net.params)
+    _Step(net, 1, grad)(x, y)
 
     def loss_at():
-        probs = net._forward_batch(x)
+        probs = net._forward(x)
         return -float(np.log(probs[0, label] + 1e-12))
 
     max_err = 0.0
-    for params, grads in ((net.weights, gw), (net.biases, gb)):
-        for arr, grad in zip(params, grads):
-            flat, gflat = arr.ravel(), grad.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
-                hi = loss_at()
-                flat[i] = orig - epsilon
-                lo = loss_at()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * epsilon)
-                denom = max(abs(numeric) + abs(gflat[i]), 1e-8)
-                max_err = max(max_err, abs(numeric - gflat[i]) / denom)
+    flat = net.params
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        hi = loss_at()
+        flat[i] = orig - epsilon
+        lo = loss_at()
+        flat[i] = orig
+        numeric = (hi - lo) / (2.0 * epsilon)
+        denom = max(abs(numeric) + abs(grad[i]), 1e-8)
+        max_err = max(max_err, abs(numeric - grad[i]) / denom)
     return max_err
 
 

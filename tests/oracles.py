@@ -1,13 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: direct density
-formulas, exhaustive enumeration and grid quadrature only.
+formulas, exhaustive enumeration, grid quadrature, and the plain
+per-array loops that the library's in-place forms must match bit for bit.
 """
 
 from itertools import product
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, expit, gammaln, logsumexp
 
 
 def gaussian_responsibilities(weights, means, variances, frame):
@@ -136,3 +137,88 @@ def prefix_filter_oracle(pairs_with_weights, k_b, target):
         if acc >= target:
             break
     return kept
+
+
+def network_forward(net, inputs):
+    """Output probabilities of ``net`` for rows ``inputs``, with every
+    layer's (pre-activation, activation) pair kept, as new arrays per layer."""
+    h = inputs
+    cache = [(None, h)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w.T + b
+        if i < len(net.weights) - 1:
+            h = expit(z) if net.activation == "sigmoid" else np.maximum(z, 0.0)
+        else:
+            z = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            h = e / e.sum(axis=-1, keepdims=True)
+        cache.append((z, h))
+    return h, cache
+
+
+def network_backprop(net, inputs, labels):
+    """Mean cross-entropy loss and per-layer weight and bias gradients for
+    one batch, each gradient a new array."""
+    probs, cache = network_forward(net, inputs)
+    n = probs.shape[0]
+    loss = -float(np.log(probs[np.arange(n), labels] + 1e-12).mean())
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads_w, grads_b = [], []
+    for i in range(len(net.weights) - 1, -1, -1):
+        h_prev = cache[i][1]
+        grads_w.append(delta.T @ h_prev)
+        grads_b.append(delta.sum(axis=0))
+        if i > 0:
+            back = delta @ net.weights[i]
+            if net.activation == "sigmoid":
+                delta = back * h_prev * (1.0 - h_prev)
+            else:
+                delta = back * (cache[i][0] > 0)
+    return loss, grads_w[::-1], grads_b[::-1]
+
+
+@np.errstate(over="raise", invalid="raise")
+def network_train(net, dataset, config):
+    """Minibatch SGD on cross-entropy, one batch at a time: per-batch row
+    gathers, ``network_backprop``, a per-array ``w -= lr * g`` on
+    ``net.weights`` and ``net.biases``, and the per-batch mean loss added to
+    the epoch's total. Same seeded draws and metric dicts as
+    ``network.train``."""
+    if dataset.codes is None:
+        inputs = dataset.features
+    else:
+        inputs = np.concatenate([dataset.features, dataset.codes], axis=1)
+    labels, n = dataset.labels, len(dataset)
+    rng = np.random.default_rng(config.seed)
+    perm = rng.permutation(n)
+    n_cv = int(round(config.cv_fraction * n))
+    cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
+    lr = config.learning_rate
+    prev_cv_loss = None
+    metrics = []
+    for epoch in range(config.epochs):
+        order = tr_idx[rng.permutation(tr_idx.size)]
+        epoch_loss = 0.0
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, gw, gb = network_backprop(net, inputs[batch], labels[batch])
+            epoch_loss += loss * batch.size
+            for w, g in zip(net.weights, gw):
+                w -= lr * g
+            for b, g in zip(net.biases, gb):
+                b -= lr * g
+        cv_accuracy = None
+        if n_cv:
+            cy = labels[cv_idx]
+            probs, _ = network_forward(net, inputs[cv_idx])
+            cv_loss = -float(np.log(probs[np.arange(n_cv), cy] + 1e-12).mean())
+            cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
+            if config.halve_lr_on_worse and prev_cv_loss is not None \
+                    and cv_loss > prev_cv_loss:
+                lr *= 0.5
+            prev_cv_loss = cv_loss
+        metrics.append({"epoch": epoch, "train_loss": epoch_loss / order.size,
+                        "cv_accuracy": cv_accuracy})
+    return metrics

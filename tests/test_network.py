@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import network_train
 
 from acoustic_lda.network import (
     FrameData,
     LdatNetwork,
     NetworkConfig,
     TrainConfig,
+    _Step,
     evaluate_accuracy,
     gradient_check,
     init_augmented_from_baseline,
@@ -34,6 +38,16 @@ def random_frames(rng, n, dim, classes):
     turn."""
     draws = [(rng.normal(size=dim), int(rng.integers(0, classes))) for _ in range(n)]
     return FrameData(np.array([x for x, _ in draws]), np.array([y for _, y in draws]))
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def one_hot(k, j):
@@ -98,6 +112,11 @@ class TestForward:
             net.forward(x)                       # missing code
         with pytest.raises(ValueError):
             net.forward(x, np.array([0.5, 0.5]))  # not one-hot
+        # within np.isclose of one-hot, but not exactly one-hot
+        with pytest.raises(ValueError, match="exactly one-hot"):
+            net.forward(x, np.array([1 - 1e-9, 0.0]))
+        with pytest.raises(ValueError, match="exactly one-hot"):
+            net.first_layer_preactivation(x, np.array([1 - 1e-9, 0.0]))
         baseline = small_net(rng)
         with pytest.raises(ValueError):
             baseline.forward(x, one_hot(2, 0))   # unexpected code
@@ -149,8 +168,9 @@ class TestGradientCheck:
                         domain_dim=4)
         x = np.asarray(rng.normal(size=4))[None, :]
         code = one_hot(4, 2)[None, :]
-        _, gw, _ = net._backprop(np.concatenate([x, code], axis=1), np.array([1]))
-        wd_grad = gw[0][:, 4:]
+        step = _Step(net, 1, np.empty_like(net.params))
+        step(np.concatenate([x, code], axis=1), np.array([1]))
+        wd_grad = step.grad_w[0][:, 4:]
         assert np.all(wd_grad[:, [0, 1, 3]] == 0.0)
         assert np.any(wd_grad[:, 2] != 0.0)
 
@@ -229,11 +249,79 @@ class TestTrain:
         assert len(metrics) == 10
         assert all(np.isfinite(m["train_loss"]) for m in metrics)
 
+    def test_held_weight_array_follows_training(self):
+        rng = np.random.default_rng(23)
+        net = small_net(rng, domain_dim=2)
+        held = net.weights[0]
+        before = held.copy()
+        train(net, FrameData(rng.normal(size=(40, 5)), rng.integers(0, 4, size=40),
+                             np.eye(2)[rng.integers(0, 2, size=40)]),
+              TrainConfig(epochs=2, cv_fraction=0.0))
+        assert not np.array_equal(held, before)
+        np.testing.assert_array_equal(held, net.weights[0])
+
+    def test_train_memory_independent_of_input_copies(self):
+        # a per-epoch copy of the inputs alone would take 4 times the bound
+        rng = np.random.default_rng(24)
+        data = FrameData(rng.normal(size=(20_000, 39)), rng.integers(0, 8, size=20_000))
+        net = init_network(NetworkConfig(input_dim=39, output_dim=8, seed=0))
+        config = TrainConfig(epochs=2, cv_fraction=0.0)
+        assert peak_bytes(train, net, data, config) < data.features.nbytes / 4
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
     def test_label_out_of_range(self):
         rng = np.random.default_rng(17)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2, seed=0))
         with pytest.raises(ValueError):
             train(net, FrameData(rng.normal(size=(1, 2)), [5]), TrainConfig())
+
+
+class TestTrainMatchesOracle:
+    """``train`` gives bitwise the weights, biases and metric dicts of the
+    per-array, per-batch reference loop."""
+
+    @pytest.mark.parametrize("cv_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("domain_dim", [0, 3])
+    @pytest.mark.parametrize("hidden", [(), (7,), (6, 5)])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    def test_bitwise_equal(self, activation, hidden, domain_dim, cv_fraction):
+        rng = np.random.default_rng(25)
+        n = 83                    # 67 or 83 training frames: a ragged last batch
+        codes = np.eye(domain_dim)[rng.integers(0, domain_dim, size=n)] if domain_dim else None
+        data = FrameData(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n), codes)
+        net = small_net(rng, hidden=hidden, domain_dim=domain_dim,
+                        activation=activation)
+        reference = net.copy()
+        config = TrainConfig(epochs=6, learning_rate=0.8, batch_size=7, seed=3,
+                             cv_fraction=cv_fraction, halve_lr_on_worse=True)
+        metrics = train(net, data, config)
+        assert metrics == network_train(reference, data, config)
+        for got, want in zip((*net.weights, *net.biases),
+                             (*reference.weights, *reference.biases)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_short_batch(self):
+        rng = np.random.default_rng(26)
+        data = random_frames(rng, 5, 5, 4)
+        net = small_net(rng, hidden=(6, 5))
+        reference = net.copy()
+        config = TrainConfig(epochs=3, batch_size=32, cv_fraction=0.0)
+        assert train(net, data, config) == network_train(reference, data, config)
+        np.testing.assert_array_equal(net.params, reference.params)
+
+
+class TestEvaluate:
+    def test_memory_holds_at_most_two_hidden_layers(self):
+        rng = np.random.default_rng(27)
+        n = 20_000
+        data = FrameData(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
+        net = init_network(NetworkConfig(input_dim=39, output_dim=8,
+                                         hidden_dims=(64, 64), seed=0))
+        assert peak_bytes(evaluate_accuracy, net, data) < 2.5 * n * 64 * 8
 
 
 class TestFrameData:
