@@ -1,9 +1,23 @@
-"""Stage-wise pipeline driver.
+"""Stage-wise pipeline driver: one subcommand per stage of the pipeline.
 
-Each subcommand reads its inputs from files, writes outputs atomically
-(temp file + rename) and is idempotent given identical inputs and seed.
-Exit codes: 0 success, 1 data error, 2 bad flags. Logs go to stderr; data
-only ever goes to files (or stdout for the scalar ``entropy`` output).
+Each subcommand reads its inputs from files and writes its outputs through
+:mod:`.formats`, so every write is atomic and every input meets the shared
+jsonl and json rules. A rerun with identical inputs and seed writes
+identical bytes. The artifact formats belong to the modules that build them
+(features, symbols and bags to ``corpus``, the GMM, LDA and network files
+to ``gmm``, ``lda`` and ``network``, the stats csv to ``domains``); this
+module adds the fields of the files only the CLI reads or writes:
+
+  assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
+                  "map_domain", "weight"}
+  filter output   jsonl, a ``_meta`` line with the filter's cutoff and
+                  histogram, then {"id"} per kept document (``--keep-ids``)
+  labelled frames jsonl {"id", "frames", "labels"} (``--data``)
+  metrics         csv ``epoch,train_loss,cv_accuracy``
+
+Exit codes: 0 success, 1 data error, 2 bad flags or manifest. Logs go to
+stderr; data goes to files, or to stdout for the scalars of ``entropy`` and
+``eval``.
 
 A manifest file (``--manifest``) may supply per-stage flag defaults and a
 global seed; explicit flags win over the manifest, which wins over the
@@ -13,132 +27,59 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import corpus, domains, gmm, lda, network
+from . import corpus, domains, formats, gmm, lda, network
 
 __all__ = ["main"]
 
 
-def _atomic_write(path, writer):
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        os.close(fd)
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_jsonl(path, records, seed=None):
-    def writer(tmp):
-        with open(tmp, "w") as fh:
-            if seed is not None:
-                fh.write(json.dumps({"_meta": {"seed": seed}}) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    _atomic_write(path, writer)
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _records(path):
-    """(``path:line``, object) for each jsonl line other than blank and
-    ``_meta`` lines; a line that is not a json object with a string ``id``
-    raises CorpusError naming ``path:line``."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise corpus.CorpusError(f"{where}: bad json: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise corpus.CorpusError(f"{where}: expected a json object")
-            if "_meta" in obj:
-                continue
-            if not isinstance(obj.get("id"), str):
-                raise corpus.CorpusError(f"{where}: 'id' must be a string")
-            yield where, obj
-
-
 def _load_assignments(path):
-    """Assignment records {id, theta, map_domain, weight?}; a malformed line
-    raises CorpusError naming ``path:line``."""
-    out = []
-    for where, obj in _records(path):
-        theta, map_domain = obj.get("theta"), obj.get("map_domain")
-        weight = obj.get("weight", 1.0)
-        if not (isinstance(theta, list) and theta and all(map(_is_number, theta))):
-            raise corpus.CorpusError(f"{where}: 'theta' must be a list of numbers")
-        if not np.isfinite(theta).all():
-            raise corpus.CorpusError(f"{where}: 'theta' must be finite")
-        if not isinstance(map_domain, int) or isinstance(map_domain, bool):
-            raise corpus.CorpusError(f"{where}: 'map_domain' must be an integer")
-        if not (_is_number(weight) and np.isfinite(weight)):
-            raise corpus.CorpusError(f"{where}: 'weight' must be a finite number")
-        try:
-            out.append(domains.DomainAssignment(
-                doc_id=obj["id"], theta=np.asarray(theta, dtype=float),
-                map_domain=map_domain, weight=float(weight)))
-        except ValueError as exc:
-            raise corpus.CorpusError(f"{where}: {exc}") from exc
-    return out
-
-
-def _numeric_array(value):
-    """``value`` as an integer or float array; None for a ragged or
-    non-numeric value. An empty list qualifies."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        return None
-    return arr if arr.size == 0 or arr.dtype.kind in "iuf" else None
+    """Assignment records {id, theta, map_domain, weight?} as
+    DomainAssignments."""
+    def build(obj):
+        theta = formats.numbers(obj.get("theta"), "'theta'", (None,))
+        map_domain, weight = obj.get("map_domain"), obj.get("weight", 1.0)
+        if not theta.size:
+            raise ValueError("'theta' must not be empty")
+        if type(map_domain) is not int:
+            raise ValueError("'map_domain' must be an integer")
+        # a finite number; the bound also keeps an integer within float range
+        if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
+            raise ValueError("'weight' must be a finite number")
+        return domains.DomainAssignment(doc_id=obj["id"], theta=theta,
+                                        map_domain=map_domain, weight=float(weight))
+    return formats.read_jsonl(path, build)
 
 
 def _load_labeled_frames(path):
     """Frame-classification data: jsonl rows {id, frames, labels} as
-    (id, frames (T, D), labels (T,)) triples, with one D for the whole file;
-    a malformed line raises CorpusError naming ``path:line``. A document
-    with no frames loads with shape (0, D)."""
-    rows, width = [], 0
-    for where, obj in _records(path):
-        frames = _numeric_array(obj.get("frames"))
-        if frames is None or not (frames.shape == (0,) or
-                                  frames.ndim == 2 and frames.shape[1] > 0):
-            raise corpus.CorpusError(
-                f"{where}: 'frames' must be a list of equal-length lists of numbers")
-        if not np.isfinite(frames).all():
-            raise corpus.CorpusError(f"{where}: 'frames' must be finite")
-        try:
-            labels = corpus.json_ints(obj.get("labels"), "labels")
-        except ValueError as exc:
-            raise corpus.CorpusError(f"{where}: {exc}") from exc
-        if np.any(labels < 0):
-            raise corpus.CorpusError(f"{where}: 'labels' must be >= 0")
-        if frames.shape[0] != labels.shape[0]:
-            raise corpus.CorpusError(f"{where}: frames/labels length mismatch")
-        if frames.size:
+    (id, frames (T, D), labels (T,)) triples, with one D for the whole file.
+    A document with no frames loads with shape (0, D)."""
+    width = 0
+
+    def build(obj):
+        nonlocal width
+        if obj.get("frames") == []:
+            frames = np.empty((0, 0))
+        else:
+            frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
+            if not frames.shape[1]:
+                raise ValueError("'frames' must have width >= 1")
             if width and frames.shape[1] != width:
-                raise corpus.CorpusError(
-                    f"{where}: frames have width {frames.shape[1]}, "
-                    f"earlier lines {width}")
+                raise ValueError(f"frames have width {frames.shape[1]}, "
+                                 f"earlier lines {width}")
             width = frames.shape[1]
-        rows.append((obj["id"], frames.astype(float, copy=False), labels))
+        labels = formats.json_ints(obj.get("labels"), "labels")
+        if np.any(labels < 0):
+            raise ValueError("'labels' must be >= 0")
+        if frames.shape[0] != labels.shape[0]:
+            raise ValueError("frames/labels length mismatch")
+        return obj["id"], frames, labels
+
+    rows = formats.read_jsonl(path, build)
     return [(doc_id, frames.reshape(len(labels), width), labels)
             for doc_id, frames, labels in rows]
 
@@ -167,7 +108,7 @@ def _cmd_train_gmm(args):
         raise corpus.CorpusError("no feature documents to train on")
     frames = np.concatenate([d.frames for d in docs], axis=0)
     model = gmm.train_gmm(frames, args.components, gmm.GmmConfig())
-    _atomic_write(args.out, lambda tmp: gmm.save_gmm(tmp, model, seed=args.seed))
+    gmm.save_gmm(args.out, model, seed=args.seed)
     print(f"trained GMM: V={model.num_components} D={model.dim}", file=sys.stderr)
 
 
@@ -175,10 +116,10 @@ def _cmd_quantize(args):
     model = gmm.load_gmm(args.gmm)
     docs = corpus.load_features(args.features, format=args.format)
     symbol_docs = [gmm.quantize(model, d) for d in docs]
-    _atomic_write(args.out, lambda tmp: corpus.save_symbols(tmp, symbol_docs))
+    corpus.save_symbols(args.out, symbol_docs)
     if args.bags_out:
         bags = [corpus.to_bag(d, model.num_components) for d in symbol_docs]
-        _atomic_write(args.bags_out, lambda tmp: corpus.save_bags(tmp, bags))
+        corpus.save_bags(args.bags_out, bags)
     print(f"quantized {len(docs)} documents", file=sys.stderr)
 
 
@@ -190,7 +131,7 @@ def _cmd_train_lda(args):
     if args.max_em_iters is not None:
         config.max_em_iters = args.max_em_iters
     model = lda.fit(bags, args.k, config)
-    _atomic_write(args.out, lambda tmp: lda.save_lda(tmp, model, seed=args.seed))
+    lda.save_lda(args.out, model, seed=args.seed)
     print(f"trained LDA: K={args.k} on {len(bags)} documents", file=sys.stderr)
 
 
@@ -203,7 +144,7 @@ def _cmd_assign(args):
          "map_domain": a.map_domain, "weight": a.weight}
         for a in assignments
     ]
-    _write_jsonl(args.out, records, seed=args.seed)
+    formats.write_jsonl(args.out, records, meta={"seed": args.seed})
     print(f"assigned {len(records)} documents", file=sys.stderr)
 
 
@@ -236,14 +177,7 @@ def _cmd_filter(args):
         "histogram": sorted(
             [[a, b, w] for (a, b), w in result.tuple_histogram.items()]),
     }
-    records = [{"id": doc_id} for doc_id in result.kept_ids]
-
-    def writer(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps({"_meta": meta}) + "\n")
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-    _atomic_write(args.out, writer)
+    formats.write_jsonl(args.out, [{"id": doc_id} for doc_id in result.kept_ids], meta)
     print(
         f"kept {len(result.kept_ids)} documents "
         f"({result.kept_weight:.1f}/{result.total_weight:.1f} weight)",
@@ -255,7 +189,7 @@ def _cmd_augment_train(args):
     rows = _load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
     if args.keep_ids:
-        kept = {obj["id"] for _, obj in _records(args.keep_ids)}
+        kept = set(formats.read_jsonl(args.keep_ids, lambda obj: obj["id"]))
         rows = [r for r in rows if r[0] in kept]
     dataset = _frame_dataset(rows, assignments)
 
@@ -282,16 +216,12 @@ def _cmd_augment_train(args):
         seed=args.seed, cv_fraction=args.cv_fraction,
     )
     metrics = network.train(net, dataset, config)
-    _atomic_write(args.out, lambda tmp: network.save_network(tmp, net, seed=args.seed))
+    network.save_network(args.out, net, seed=args.seed)
     if args.metrics:
-        def writer(tmp):
-            with open(tmp, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["epoch", "train_loss", "cv_accuracy"])
-                for m in metrics:
-                    cv = "" if m["cv_accuracy"] is None else repr(m["cv_accuracy"])
-                    w.writerow([m["epoch"], repr(m["train_loss"]), cv])
-        _atomic_write(args.metrics, writer)
+        formats.write_csv(args.metrics, ["epoch", "train_loss", "cv_accuracy"], (
+            [m["epoch"], repr(m["train_loss"]),
+             "" if m["cv_accuracy"] is None else repr(m["cv_accuracy"])]
+            for m in metrics))
     last = metrics[-1]
     print(f"epoch {last['epoch']}: loss {last['train_loss']:.4f} "
           f"cv_acc {last['cv_accuracy']}", file=sys.stderr)
@@ -311,7 +241,7 @@ def _cmd_stats(args):
     bags = corpus.load_bags(args.bags)
     group_of = {b.id: (b.group or "unknown") for b in bags}
     rows = domains.distribution_stats(assignments, group_of, args.top_n)
-    _atomic_write(args.out, lambda tmp: domains.write_stats_csv(tmp, rows))
+    domains.write_stats_csv(args.out, rows)
     print(f"wrote {len(rows)} stat rows", file=sys.stderr)
 
 
@@ -414,27 +344,27 @@ def _build_parser():
 def _manifest_flags(parser, args):
     """The manifest's global seed and its entries for ``args.command``, as
     ``--key=value`` flag tokens."""
-    def fault(message):
-        parser.error(f"manifest {args.manifest}: {message}")
+    def entries(manifest):
+        if not set(manifest) <= {"seed", "stages"}:
+            raise ValueError('expected an object with keys "seed" and "stages"')
+        stages = manifest.get("stages", {})
+        if not (isinstance(stages, dict) and set(stages) <= set(args._commands)
+                and all(isinstance(e, dict) for e in stages.values())):
+            raise ValueError(
+                f'"stages" must map subcommands ({", ".join(args._commands)}) to objects')
+        found = dict(stages.get(args.command, {}))
+        if "seed" in manifest and hasattr(args, "seed"):
+            found = {"seed": manifest["seed"], **found}
+        for key, value in found.items():
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"{args.command}: {key!r} must be a string or a number")
+        return found
 
     try:
-        with open(args.manifest) as fh:
-            manifest = json.load(fh)
+        found = formats.read_json(args.manifest, (), entries)
     except (OSError, ValueError) as exc:
-        fault(str(exc))
-    if not isinstance(manifest, dict) or not set(manifest) <= {"seed", "stages"}:
-        fault('expected an object with keys "seed" and "stages"')
-    stages = manifest.get("stages", {})
-    if not (isinstance(stages, dict) and set(stages) <= set(args._commands)
-            and all(isinstance(e, dict) for e in stages.values())):
-        fault(f'"stages" must map subcommands ({", ".join(args._commands)}) to objects')
-    entries = dict(stages.get(args.command, {}))
-    if "seed" in manifest and hasattr(args, "seed"):
-        entries = {"seed": manifest["seed"], **entries}
-    for key, value in entries.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            fault(f"{args.command}: {key!r} must be a string or a number")
-    return [f"--{key}={value}" for key, value in entries.items()]
+        parser.error(f"manifest: {exc}")
+    return [f"--{key}={value}" for key, value in found.items()]
 
 
 def _parse_args(parser, argv):
@@ -463,8 +393,7 @@ def main(argv=None) -> int:
             return 2
     try:
         args.func(args)
-    except (corpus.CorpusError, ValueError, KeyError, OSError,
-            FloatingPointError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1

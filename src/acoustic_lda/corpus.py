@@ -1,24 +1,27 @@
-"""Corpus types and I/O: feature documents, symbol sequences, bags of sounds.
+"""Corpus documents: feature frames, symbol sequences and bags of sounds.
 
-File formats:
-  features  jsonl: one object per line {"id", "group", "frames": [[...], ...]}
-  features  csv:   header ``id,group,frame_index,f0..fD-1``, one row per frame
-  symbols   jsonl: {"id", "group", "symbols": [...]}
-  bags      jsonl: {"id", "group", "counts": [...]}
+Each document type is immutable and checks its own array when built. The
+files that hold them follow the shared jsonl rules of :mod:`.formats`; this
+module adds their fields:
 
-All document types are immutable after construction. The synthetic corpus
-generator uses numpy's PCG64 generator, so a fixed seed reproduces the exact
-symbol sequences on any platform running this package.
+  features  jsonl: {"id", "group", "frames"}, frames T x D numbers;
+            or csv: header ``id,group,frame_index,f0..fD-1``, a row per frame
+  symbols   jsonl: {"id", "group", "symbols"}, a list of json integers
+  bags      jsonl: {"id", "group", "counts"}, a list of json integers
+
+Ids are unique within a file. The synthetic corpus generator uses numpy's
+PCG64 generator, so a fixed seed reproduces the exact symbol sequences on
+any platform running this package.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from . import formats
 
 __all__ = [
     "CorpusError",
@@ -36,8 +39,9 @@ __all__ = [
 ]
 
 
-class CorpusError(ValueError):
-    """Raised for malformed corpus files or invalid document contents."""
+# malformed corpus files and invalid document contents raise the one fault
+# class of the file formats, under its corpus name
+CorpusError = formats.FormatError
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,10 @@ def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
     values finite. An empty file yields an empty list.
     """
     if format == "jsonl":
-        docs = _load_features_jsonl(path)
+        docs = formats.read_jsonl(path, lambda obj: FeatureDocument(
+            id=obj["id"], group=obj.get("group"),
+            frames=formats.numbers(obj.get("frames"), "'frames'", (None, None),
+                                   finite=False)))
     elif format == "csv":
         docs = _load_features_csv(path)
     else:
@@ -164,171 +171,74 @@ def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
     return docs
 
 
-def json_ints(value, name: str) -> np.ndarray:
-    """A json list of integers as an int64 array. Floats, booleans, nesting
-    and integers beyond int64 raise ValueError naming the field ``name``,
-    instead of being truncated or cast."""
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise ValueError(f"{name!r} must be a list of integers")
-    try:
-        return np.asarray(value, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{name!r} must be a list of integers") from None
-
-
-def _jsonl_objects(path):
-    """(line number, object) for each jsonl line other than blank and
-    ``_meta`` lines; bad json or a line that is not a json object raises
-    CorpusError naming ``path:line``."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad json: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: expected a json object, "
-                                  f"got {type(obj).__name__}")
-            if "_meta" not in obj:
-                yield lineno, obj
-
-
-def _load_features_jsonl(path) -> list[FeatureDocument]:
-    docs = []
-    for lineno, obj in _jsonl_objects(path):
-        try:
-            frames = np.asarray(obj["frames"], dtype=float)
-            doc_id = str(obj["id"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if frames.ndim != 2:
-            raise CorpusError(
-                f"{path}:{lineno}: document {doc_id!r} has ragged or empty frames"
-            )
-        docs.append(FeatureDocument(id=doc_id, frames=frames, group=obj.get("group")))
-    return docs
-
-
 def _load_features_csv(path) -> list[FeatureDocument]:
+    rows = formats.read_csv(path)
+    if not rows:
+        return []
+    where, header = rows[0]
+    if header[:3] != ["id", "group", "frame_index"]:
+        raise CorpusError(f"{where}: unexpected csv header {header[:3]}")
     rows_by_doc: dict[str, list] = {}
     group_by_doc: dict[str, Optional[str]] = {}
-    order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for where, row in rows[1:]:
+        if len(row) != len(header):
+            raise CorpusError(f"{where}: expected {len(header)} fields")
+        doc_id, group = row[0], row[1] or None
         try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if header[:3] != ["id", "group", "frame_index"]:
-            raise CorpusError(f"{path}: unexpected csv header {header[:3]}")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusError(f"{path}:{lineno}: expected {len(header)} fields")
-            doc_id, group = row[0], row[1] or None
-            try:
-                idx = int(row[2])
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad value: {exc}") from exc
-            if doc_id not in rows_by_doc:
-                rows_by_doc[doc_id] = []
-                group_by_doc[doc_id] = group
-                order.append(doc_id)
-            rows_by_doc[doc_id].append((idx, values))
-    docs = []
-    for doc_id in order:
-        rows = sorted(rows_by_doc[doc_id])
-        frames = np.asarray([v for _, v in rows], dtype=float)
-        docs.append(
-            FeatureDocument(id=doc_id, frames=frames, group=group_by_doc[doc_id])
-        )
-    return docs
+            idx = int(row[2])
+            values = [float(v) for v in row[3:]]
+        except ValueError as exc:
+            raise CorpusError(f"{where}: bad value: {exc}") from exc
+        group_by_doc.setdefault(doc_id, group)
+        rows_by_doc.setdefault(doc_id, []).append((idx, values))
+    return [FeatureDocument(id=doc_id, group=group_by_doc[doc_id],
+                            frames=[v for _, v in sorted(indexed)])
+            for doc_id, indexed in rows_by_doc.items()]
 
 
 def save_features(path, docs: Iterable[FeatureDocument], format: str = "jsonl") -> None:
     docs = list(docs)
     if format == "jsonl":
-        with open(path, "w") as fh:
-            for doc in docs:
-                fh.write(
-                    json.dumps(
-                        {"id": doc.id, "group": doc.group,
-                         "frames": doc.frames.tolist()}
-                    )
-                    + "\n"
-                )
+        formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
+                                    "frames": doc.frames.tolist()} for doc in docs))
     elif format == "csv":
         dim = docs[0].dim if docs else 0
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "group", "frame_index"] + [f"f{i}" for i in range(dim)])
-            for doc in docs:
-                for t, frame in enumerate(doc.frames):
-                    writer.writerow(
-                        [doc.id, doc.group or "", t] + [repr(float(v)) for v in frame]
-                    )
+        formats.write_csv(
+            path, ["id", "group", "frame_index"] + [f"f{i}" for i in range(dim)],
+            ([doc.id, doc.group or "", t] + [repr(float(v)) for v in frame]
+             for doc in docs for t, frame in enumerate(doc.frames)))
     else:
         raise ValueError(f"unknown feature format {format!r}")
 
 
-def load_symbols(path) -> list[SymbolDocument]:
-    docs = []
-    for lineno, obj in _jsonl_objects(path):
-        try:
-            docs.append(
-                SymbolDocument(
-                    id=str(obj["id"]),
-                    symbols=json_ints(obj["symbols"], "symbols"),
-                    group=obj.get("group"),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+def _load_docs(path, cls, field):
+    """Symbol or bag documents: ``field`` is a list of json integers."""
+    docs = formats.read_jsonl(path, lambda obj: cls(
+        id=obj["id"], group=obj.get("group"),
+        **{field: formats.json_ints(obj.get(field), field)}))
     _check_unique_ids(docs)
     return docs
+
+
+def _save_docs(path, docs, field):
+    formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
+                                field: getattr(doc, field).tolist()} for doc in docs))
+
+
+def load_symbols(path) -> list[SymbolDocument]:
+    return _load_docs(path, SymbolDocument, "symbols")
 
 
 def save_symbols(path, docs: Iterable[SymbolDocument]) -> None:
-    with open(path, "w") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "group": doc.group, "symbols": doc.symbols.tolist()}
-                )
-                + "\n"
-            )
+    _save_docs(path, docs, "symbols")
 
 
 def load_bags(path) -> list[BagOfSounds]:
-    docs = []
-    for lineno, obj in _jsonl_objects(path):
-        try:
-            docs.append(
-                BagOfSounds(
-                    id=str(obj["id"]),
-                    counts=json_ints(obj["counts"], "counts"),
-                    group=obj.get("group"),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    _check_unique_ids(docs)
-    return docs
+    return _load_docs(path, BagOfSounds, "counts")
 
 
 def save_bags(path, docs: Iterable[BagOfSounds]) -> None:
-    with open(path, "w") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "group": doc.group, "counts": doc.counts.tolist()}
-                )
-                + "\n"
-            )
+    _save_docs(path, docs, "counts")
 
 
 def generate_synthetic_lda_corpus(

@@ -3,12 +3,12 @@ two-model cross-agreement filter with histogram pruning."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import formats
 from .corpus import BagOfSounds
 from .lda import LdaConfig, LdaModel, infer_thetas
 
@@ -218,8 +218,6 @@ def distribution_stats(
 
 
 def write_stats_csv(path, rows: Sequence[tuple[str, str, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "domain", "weight"])
-        for group, domain, weight in rows:
-            writer.writerow([group, domain, repr(float(weight))])
+    formats.write_csv(path, ["group", "domain", "weight"],
+                      ([group, domain, repr(float(weight))]
+                       for group, domain, weight in rows))

@@ -1,0 +1,180 @@
+"""The package's file formats: every artifact is read and written here.
+
+Shared rules, which each format's loader adds its own fields to:
+
+- jsonl: each non-blank line is one json object. A line holding ``_meta``
+  (the writer's seed and settings) is skipped on read. Every other line has
+  a json string ``id`` and a ``group`` that is absent, null or a string.
+- json: one json object holding the format's required keys.
+- numbers: a numeric field is nested lists of json integers and floats, one
+  length per axis; strings and booleans are rejected, not cast. Integer
+  fields (symbols, counts, labels) take json integers only.
+- faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
+  and csv and the file for json.
+- writes are atomic: a temp file in the target's directory, then a rename,
+  so a reader never sees half a file.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import tempfile
+
+import numpy as np
+
+__all__ = ["FormatError", "read_jsonl", "read_json", "read_csv", "numbers",
+           "json_ints", "write_jsonl", "write_json", "write_csv"]
+
+
+class FormatError(ValueError):
+    """A malformed file, record or field."""
+
+
+def _build(where, build, obj):
+    """``build(obj)``, with a ValueError it raises re-raised naming ``where``."""
+    try:
+        return build(obj)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def read_jsonl(path, build) -> list:
+    """``build(record)`` for each record line of the jsonl file ``path``.
+
+    Blank and ``_meta`` lines are skipped. Bad json, a line that is not a
+    json object, an ``id`` that is not a string, a ``group`` that is not a
+    string or null, and a ValueError from ``build`` raise FormatError naming
+    ``path:line``.
+    """
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{where}: bad json: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a json object, "
+                                  f"got {type(obj).__name__}")
+            if "_meta" in obj:
+                continue
+            if not isinstance(obj.get("id"), str):
+                raise FormatError(f"{where}: 'id' must be a string")
+            group = obj.get("group")
+            if group is not None and not isinstance(group, str):
+                raise FormatError(f"{where}: 'group' must be a string or null")
+            out.append(_build(where, build, obj))
+    return out
+
+
+def read_json(path, keys, build):
+    """``build(obj)`` for the json object in ``path``, which must hold every
+    key in ``keys``. Bad json, another json value, a missing key and a
+    ValueError from ``build`` raise FormatError naming ``path``."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: bad json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected a json object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
+    return _build(path, build, obj)
+
+
+def read_csv(path) -> list:
+    """(``path:line``, row) for each non-empty row of the csv file ``path``,
+    the header included."""
+    with open(path, newline="") as fh:
+        return [(f"{path}:{lineno}", row)
+                for lineno, row in enumerate(csv.reader(fh), 1) if row]
+
+
+def numbers(value, name, shape, finite=True) -> np.ndarray:
+    """The json field ``value`` as a float array of ``shape``, a tuple of one
+    or two axis lengths where None takes any length.
+
+    ``value`` must be nested lists of json integers and floats; np.asarray
+    alone would read ``"1.5"`` and ``true`` as numbers. ``finite`` is True,
+    False (the caller checks) or ``"or -inf"`` (finite or -inf: the log of a
+    zero probability). Faults raise FormatError starting with ``name`` as
+    given, so a jsonl field passes its key quoted.
+    """
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or not (
+            {type(v) for v in value} if arr.ndim == 1
+            else {type(v) for row in value for v in row}) <= {int, float}:
+        raise FormatError(f"{name} must be a regular array of numbers: {len(shape)}-d "
+                          f"nested lists of numbers, no strings or booleans")
+    if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
+    if finite is True and not np.isfinite(arr).all():
+        raise FormatError(f"{name} must be finite")
+    if finite == "or -inf" and (np.isnan(arr).any() or np.isposinf(arr).any()):
+        raise FormatError(f"{name} must be finite or -inf")
+    return arr
+
+
+def json_ints(value, name) -> np.ndarray:
+    """A json list of integers as an int64 array. Floats, booleans, nesting
+    and integers beyond int64 raise FormatError naming the field ``name``,
+    instead of being truncated or cast."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
+        raise FormatError(f"{name!r} must be a list of integers")
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        raise FormatError(f"{name!r} must be a list of integers") from None
+
+
+def _replace(path, write, newline=None) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
+    ``path``; on any failure the temp file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with open(fd, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_jsonl(path, records, meta=None) -> None:
+    """One json object per line, after a ``{"_meta": meta}`` line when
+    ``meta`` is given."""
+    def write(fh):
+        if meta is not None:
+            fh.write(json.dumps({"_meta": meta}) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+    _replace(path, write)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as one line of json, streamed: a model's json text is never
+    held whole in memory."""
+    def write(fh):
+        json.dump(obj, fh)
+        fh.write("\n")
+    _replace(path, write)
+
+
+def write_csv(path, header, rows) -> None:
+    """A ``header`` row, then ``rows``, as csv."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _replace(path, write, newline="")

@@ -35,12 +35,12 @@ temporary is O(block * V), and no (frames, components, dims) array is built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import formats
 from .corpus import FeatureDocument, SymbolDocument
 
 __all__ = ["GmmConfig", "GmmModel", "train_gmm", "responsibilities", "quantize",
@@ -169,13 +169,15 @@ def responsibilities(model: GmmModel, frame: np.ndarray) -> np.ndarray:
     return post / post.sum()
 
 
+@np.errstate(over="raise", invalid="raise")
 def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
     """Map each frame to its maximum-posterior component index.
 
     Ties break toward the lowest component index. The posterior argmax equals
     the argmax of the log joint, so no normalization is needed. Frames whose
     best two components lie within ``_tie_margin`` are re-scored with the
-    direct form, so the symbols are those of sum (x - mu)^2 / var.
+    direct form, so the symbols are those of sum (x - mu)^2 / var. Frames so
+    large that their squares overflow raise FloatingPointError.
     """
     if doc.dim != model.dim:
         raise ValueError(
@@ -303,6 +305,7 @@ def _reseed_empties(weights, means, variances, empties, perturbation):
     return weights, means, variances
 
 
+@np.errstate(over="raise", invalid="raise")
 def train_gmm(
     frames: np.ndarray,
     target_components: int,
@@ -318,7 +321,8 @@ def train_gmm(
 
     With ``return_history=True`` returns ``(model, history)`` where history is
     a list of ``(component_count, [avg log-likelihood per EM iteration])``
-    stages, for monotonicity checks.
+    stages, for monotonicity checks. Overflow, as from frames whose squares
+    exceed the float range, raises FloatingPointError.
     """
     config = config or GmmConfig()
     frames = np.asarray(frames, dtype=float)
@@ -381,27 +385,18 @@ def save_gmm(path, model: GmmModel, seed: Optional[int] = None) -> None:
     }
     if seed is not None:
         obj["seed"] = seed
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    formats.write_json(path, obj)
 
 
 def load_gmm(path) -> GmmModel:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: bad json: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a json object, got {type(obj).__name__}")
-    missing = [k for k in ("D", "V", "weights", "means", "variances") if k not in obj]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    try:
-        model = GmmModel(weights=obj["weights"], means=obj["means"],
-                         variances=obj["variances"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if model.num_components != obj["V"] or model.dim != obj["D"]:
-        raise ValueError(f"{path}: inconsistent model dimensions")
-    return model
+    """Read a model written by :func:`save_gmm`; a malformed file raises
+    ValueError naming the path."""
+    def build(obj):
+        for key in ("D", "V"):
+            if type(obj[key]) is not int or obj[key] < 1:
+                raise ValueError(f"{key} must be a positive integer, got {obj[key]!r}")
+        v, d = obj["V"], obj["D"]
+        return GmmModel(weights=formats.numbers(obj["weights"], "weights", (v,)),
+                        means=formats.numbers(obj["means"], "means", (v, d)),
+                        variances=formats.numbers(obj["variances"], "variances", (v, d)))
+    return formats.read_json(path, ("D", "V", "weights", "means", "variances"), build)

@@ -35,7 +35,6 @@ the latent domain).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,6 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp, psi
 
+from . import formats
 from .corpus import BagOfSounds
 
 __all__ = ["LdaConfig", "LdaModel", "VariationalState", "digamma",
@@ -428,42 +428,19 @@ def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:
     }
     if seed is not None:
         obj["seed"] = seed
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    formats.write_json(path, obj)
 
 
 def load_lda(path) -> LdaModel:
     """Read a model written by :func:`save_lda`; a malformed file raises
     ValueError naming the path. ``-inf`` in ``log_beta`` (a symbol a topic
     never emits, written under ``smoothing=0``) is legal."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: bad json: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a json object, got {type(obj).__name__}")
-    missing = [k for k in ("K", "V", "alpha", "log_beta") if k not in obj]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    for key in ("K", "V"):
-        if type(obj[key]) is not int or obj[key] < 1:
-            raise ValueError(f"{path}: {key} must be a positive integer, got {obj[key]!r}")
-    arrays = {}
-    for key, shape in (("alpha", (obj["K"],)), ("log_beta", (obj["K"], obj["V"]))):
-        try:
-            arrays[key] = np.asarray(obj[key], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{path}: {key} must be a regular array of numbers") from None
-        if arrays[key].shape != shape:
-            raise ValueError(f"{path}: {key} must have shape {shape} from K and V, "
-                             f"got {arrays[key].shape}")
-    if not np.isfinite(arrays["alpha"]).all():
-        raise ValueError(f"{path}: alpha must be finite")
-    if np.isnan(arrays["log_beta"]).any() or np.isposinf(arrays["log_beta"]).any():
-        raise ValueError(f"{path}: log_beta must be finite or -inf")
-    try:
-        return LdaModel(**arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    def build(obj):
+        for key in ("K", "V"):
+            if type(obj[key]) is not int or obj[key] < 1:
+                raise ValueError(f"{key} must be a positive integer, got {obj[key]!r}")
+        k, v = obj["K"], obj["V"]
+        return LdaModel(alpha=formats.numbers(obj["alpha"], "alpha", (k,)),
+                        log_beta=formats.numbers(obj["log_beta"], "log_beta", (k, v),
+                                                 finite="or -inf"))
+    return formats.read_json(path, ("K", "V", "alpha", "log_beta"), build)

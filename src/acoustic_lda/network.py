@@ -37,13 +37,14 @@ computes one layer at a time in place and keeps only the current layer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
+
+from . import formats
 
 __all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
@@ -119,6 +120,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be >= 1")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError("hidden layer widths must be >= 1")
         if self.domain_dim < 0:
             raise ValueError("domain_dim must be >= 0")
         if self.activation not in ("sigmoid", "relu"):
@@ -135,8 +138,12 @@ class TrainConfig:
     halve_lr_on_worse: bool = False  # new-bob style: halve lr when CV loss rises
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.cv_fraction < 1.0:
+            raise ValueError("cv_fraction must lie in [0, 1)")
 
 
 class LdatNetwork:
@@ -467,64 +474,45 @@ def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:
     }
     if seed is not None:
         obj["seed"] = seed
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    formats.write_json(path, obj)
 
 
 def load_network(path) -> LdatNetwork:
     """Read a ``save_network`` file; a malformed one raises ValueError
     naming ``path``."""
-    def fault(message):
-        return ValueError(f"{path}: {message}")
-
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise fault(f"bad json: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise fault(f"expected a json object, got {type(obj).__name__}")
-    missing = [k for k in ("input_dim", "domain_dim", "activation", "layers")
-               if k not in obj]
-    if missing:
-        raise fault(f"missing key(s) {', '.join(missing)}")
-    input_dim, domain_dim, layers = obj["input_dim"], obj["domain_dim"], obj["layers"]
-    if not (_is_int(input_dim) and input_dim >= 1 and _is_int(domain_dim)
-            and domain_dim >= 0):
-        raise fault("input_dim must be an integer >= 1 and domain_dim >= 0")
-    if obj["activation"] not in ("sigmoid", "relu"):
-        raise fault(f"unknown activation {obj['activation']!r}")
-    if not (isinstance(layers, list) and layers):
-        raise fault("layers must be a non-empty list")
-    weights, biases = [], []
-    width = input_dim + domain_dim
-    for i, layer in enumerate(layers):
-        if not (isinstance(layer, dict) and {"rows", "cols", "weights", "bias"} <= set(layer)):
-            raise fault(f"layer {i}: expected an object with rows, cols, weights and bias")
-        rows, cols = layer["rows"], layer["cols"]
-        if not (_is_int(rows) and rows >= 1 and _is_int(cols)):
-            raise fault(f"layer {i}: rows and cols must be integers >= 1")
-        if cols != width:
-            raise fault(f"layer {i}: cols {cols} != " + (
-                f"input_dim + domain_dim = {width}" if i == 0
-                else f"rows of layer {i - 1} = {width}"))
-        try:
-            w = np.asarray(layer["weights"], dtype=float)
-            b = np.asarray(layer["bias"], dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise fault(f"layer {i}: weights and bias must be lists of numbers") from None
-        if w.shape != (rows * cols,):
-            raise fault(f"layer {i}: weights must be rows*cols = {rows * cols} numbers")
-        if b.shape != (rows,):
-            raise fault(f"layer {i}: bias must be rows = {rows} numbers")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise fault(f"layer {i}: weights and bias must be finite")
-        weights.append(w.reshape(rows, cols))
-        biases.append(b)
-        width = rows
-    return LdatNetwork(weights, biases, input_dim, domain_dim, obj["activation"])
+    def build(obj):
+        input_dim, domain_dim, layers = obj["input_dim"], obj["domain_dim"], obj["layers"]
+        if not (type(input_dim) is int and input_dim >= 1
+                and type(domain_dim) is int and domain_dim >= 0):
+            raise ValueError("input_dim must be an integer >= 1 and domain_dim >= 0")
+        if obj["activation"] not in ("sigmoid", "relu"):
+            raise ValueError(f"unknown activation {obj['activation']!r}")
+        if not (isinstance(layers, list) and layers):
+            raise ValueError("layers must be a non-empty list")
+        weights, biases = [], []
+        width = input_dim + domain_dim
+        for i, layer in enumerate(layers):
+            if not (isinstance(layer, dict)
+                    and {"rows", "cols", "weights", "bias"} <= set(layer)):
+                raise ValueError(
+                    f"layer {i}: expected an object with rows, cols, weights and bias")
+            rows, cols = layer["rows"], layer["cols"]
+            if not (type(rows) is int and rows >= 1 and type(cols) is int):
+                raise ValueError(f"layer {i}: rows and cols must be integers >= 1")
+            if cols != width:
+                raise ValueError(f"layer {i}: cols {cols} != " + (
+                    f"input_dim + domain_dim = {width}" if i == 0
+                    else f"rows of layer {i - 1} = {width}"))
+            w = formats.numbers(layer["weights"], f"layer {i}: weights", (None,))
+            b = formats.numbers(layer["bias"], f"layer {i}: bias", (None,))
+            if w.shape != (rows * cols,):
+                raise ValueError(
+                    f"layer {i}: weights must be rows*cols = {rows * cols} numbers")
+            if b.shape != (rows,):
+                raise ValueError(f"layer {i}: bias must be rows = {rows} numbers")
+            weights.append(w.reshape(rows, cols))
+            biases.append(b)
+            width = rows
+        return LdatNetwork(weights, biases, input_dim, domain_dim, obj["activation"])
+    return formats.read_json(path, ("input_dim", "domain_dim", "activation", "layers"),
+                             build)

@@ -307,6 +307,14 @@ class TestContracts:
         pytest.param('{"D": 3,\n', "bad json", id="malformed-json"),
         pytest.param(gmm_json(means=[[10**400, 0.0, 0.0], [1.0] * 3]),
                      "means must be a regular array", id="int-overflows-float"),
+        pytest.param(gmm_json(weights=["0.5", 0.5]), "weights must be a regular array",
+                     id="string-weight"),
+        pytest.param(gmm_json(D=3.0), "D must be a positive integer", id="float-D"),
+        pytest.param(gmm_json(V=True), "V must be a positive integer", id="bool-V"),
+        pytest.param(gmm_json(means=[[True, 0.0, 0.0], [1.0] * 3]),
+                     "means must be a regular array", id="bool-mean"),
+        pytest.param(gmm_json(variances=[[1.0] * 3, ["2", 2.0, 2.0]]),
+                     "variances must be a regular array", id="string-variance"),
     ])
     def test_bad_gmm_artifact_exit_1(self, tmp_path, capsys, pipeline_inputs,
                                      text, message):
@@ -341,6 +349,13 @@ class TestContracts:
                      "log_beta must be a regular array", id="ragged-log-beta"),
         pytest.param(lda_json(alpha=[10**400, 0.5]), "alpha must be a regular array",
                      id="int-overflows-float"),
+        pytest.param(lda_json(alpha=["0.5", 0.5]), "alpha must be a regular array",
+                     id="numeric-string-alpha"),
+        pytest.param(lda_json(alpha=[True, 0.5]), "alpha must be a regular array",
+                     id="bool-alpha"),
+        pytest.param(lda_json(log_beta=[[str(np.log(0.5)), np.log(0.5), -np.inf],
+                                        [np.log(0.2), np.log(0.3), np.log(0.5)]]),
+                     "log_beta must be a regular array", id="numeric-string-log-beta"),
         pytest.param(lda_json(alpha=[float("nan"), 0.5]), "alpha must be finite",
                      id="nan-alpha"),
         pytest.param(lda_json(alpha=[float("inf"), 0.5]), "alpha must be finite",
@@ -420,6 +435,46 @@ class TestContracts:
         assert f"{features}:2: expected a json object, got {kind}" in err
 
     @pytest.mark.parametrize("line, message", [
+        pytest.param('{"id": "d1", "frames": [["1.5", 2.0], [2, 3]]}', "'frames'",
+                     id="numeric-string-frames"),
+        pytest.param('{"id": "d1", "frames": [[1.5, true], [2, 3]]}', "'frames'",
+                     id="bool-frames"),
+        pytest.param('{"id": 7, "frames": [[1.5, 2.0]]}', "'id'", id="int-id"),
+        pytest.param('{"id": "d1", "group": 7, "frames": [[1.5, 2.0]]}', "'group'",
+                     id="int-group"),
+    ])
+    def test_bad_features_record_exit_1(self, tmp_path, capsys, line, message):
+        features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
+        model.write_text(json.dumps({"D": 2, "V": 1, "weights": [1.0],
+                                     "means": [[0.0, 0.0]], "variances": [[1.0, 1.0]]}))
+        features.write_text('{"id": "d0", "frames": [[0.0, 1.0], [1.0, 0.0]]}\n'
+                            + line + "\n")
+        for argv in (("train-gmm", "--features", features, "--components", 1,
+                      "--out", tmp_path / "out.json"),
+                     ("quantize", "--gmm", model, "--features", features,
+                      "--out", tmp_path / "symbols.jsonl")):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "\n" not in err.strip()
+            assert f"{features}:2:" in err and message in err
+
+    @pytest.mark.parametrize("group", [[1], 7, {"a": 1}, True],
+                             ids=["list", "int", "object", "bool"])
+    def test_non_string_group_exit_1(self, tmp_path, capsys, group):
+        bags, assign = tmp_path / "bags.jsonl", tmp_path / "assign.jsonl"
+        bags.write_text(json.dumps({"id": "d0", "group": "speech", "counts": [1, 2]}) + "\n"
+                        + json.dumps({"id": "d1", "group": group, "counts": [2, 1]}) + "\n")
+        assign.write_text("".join(
+            json.dumps({"id": doc_id, "theta": [0.25, 0.75], "map_domain": 1}) + "\n"
+            for doc_id in ("d0", "d1")))
+        assert run("stats", "--assignments", assign, "--bags", bags,
+                   "--out", tmp_path / "stats.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{bags}:2:" in err and "'group' must be a string or null" in err
+        assert not (tmp_path / "stats.csv").exists()
+
+    @pytest.mark.parametrize("line, message", [
         pytest.param("[1, 2]", "expected a json object", id="json-list"),
         pytest.param('{"id": "d0", "theta": [', "bad json", id="malformed-json"),
         pytest.param('{"theta": [1.0], "map_domain": 0}', "'id'", id="missing-id"),
@@ -467,6 +522,10 @@ class TestContracts:
                      id="zero-width-frames"),
         pytest.param('{"id": "d1", "frames": [[NaN, 1]], "labels": [0]}', "finite",
                      id="nan-frames"),
+        pytest.param('{"id": "d1", "frames": [[true, 2]], "labels": [0]}', "'frames'",
+                     id="bool-frames"),
+        pytest.param('{"id": "d1", "frames": [[1.5, false]], "labels": [0]}', "'frames'",
+                     id="bool-among-float-frames"),
         pytest.param('{"id": "d1", "frames": [[1, 2, 3]], "labels": [0]}',
                      "width 3, earlier lines 2", id="width-mismatch"),
         pytest.param('{"id": "d1", "frames": [[1, 2]]}', "'labels'", id="missing-labels"),
@@ -505,6 +564,37 @@ class TestContracts:
                    "--out", tmp_path / "net.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflow" in err
+
+    def test_overflowing_features_exit_1(self, tmp_path, capsys):
+        features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
+        # finite frames whose squares exceed the float range
+        features.write_text(json.dumps({"id": "d0", "frames": [[1e200, 0.0], [0.0, 1.0]]})
+                            + "\n")
+        model.write_text(json.dumps({"D": 2, "V": 1, "weights": [1.0],
+                                     "means": [[0.0, 0.0]], "variances": [[1.0, 1.0]]}))
+        for argv in (("train-gmm", "--features", features, "--components", 1,
+                      "--out", tmp_path / "out.json"),
+                     ("quantize", "--gmm", model, "--features", features,
+                      "--out", tmp_path / "symbols.jsonl")):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--epochs", 0), "epochs must be >= 1", id="zero-epochs"),
+        pytest.param(("--cv-fraction", -0.5), "cv_fraction must lie in [0, 1)",
+                     id="negative-cv-fraction"),
+        pytest.param(("--hidden", "0"), "hidden layer widths must be >= 1", id="zero-hidden"),
+        pytest.param(("--hidden", "4,0"), "hidden layer widths must be >= 1",
+                     id="zero-second-hidden"),
+    ])
+    def test_bad_classifier_flags_exit_1(self, tmp_path, capsys, flags, message):
+        data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
+        data.write_text(GOOD_FRAMES + "\n")
+        assert run("augment-train", "--data", data, *flags, "--out", net) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip() and message in err
+        assert not net.exists()
 
     @pytest.mark.parametrize("line, message", [
         pytest.param("[1, 2]", "expected a json object", id="json-list"),
@@ -545,6 +635,10 @@ class TestContracts:
                      "lists of numbers", id="string-weight"),
         pytest.param(net_json(layer_changes=[(1, {"bias": [0.0, float("inf"), 0.0]})]),
                      "finite", id="infinite-bias"),
+        pytest.param(net_json(layer_changes=[(0, {"weights": ["0.1", -0.2, 0.3, 0.4]})]),
+                     "layer 0: weights must be a regular array", id="numeric-string-weight"),
+        pytest.param(net_json(layer_changes=[(0, {"bias": [False, 0.1]})]),
+                     "layer 0: bias must be a regular array", id="bool-bias"),
     ])
     def test_bad_network_artifact_exit_1(self, tmp_path, capsys, text, message):
         data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
@@ -588,6 +682,33 @@ frame_records = (
     | st.fixed_dictionaries({"id": doc_ids, "frames": json_values,
                              "labels": json_values}))
 keep_records = json_values | st.fixed_dictionaries({"id": doc_ids})
+groups = st.sampled_from(["g", None]) | json_values
+feature_records = json_values | st.fixed_dictionaries({
+    "id": doc_ids, "group": groups,
+    "frames": st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                       min_size=1, max_size=3) | json_values})
+bag_records = json_values | st.fixed_dictionaries({
+    "id": doc_ids, "group": groups,
+    "counts": st.lists(st.integers(0, 5), min_size=2, max_size=2) | json_values})
+assignment_records = json_values | st.fixed_dictionaries({
+    "id": doc_ids,
+    "theta": st.sampled_from([[0.25, 0.75], [1.0, 0.0]]) | json_values,
+    "map_domain": st.sampled_from([0, 1]) | json_values,
+    "weight": st.floats(0, 10) | json_values})
+
+
+def artifacts(obj):
+    """json text of ``obj``, of ``obj`` with any of its values replaced by a
+    random json value, or of a random json value."""
+    return st.builds(lambda v: json.dumps(v) + "\n", json_values | st.fixed_dictionaries(
+        {key: st.just(value) | json_values for key, value in obj.items()}))
+
+
+GMM_D2 = {"D": 2, "V": 2, "weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],
+          "variances": [[1.0, 1.0], [2.0, 2.0]]}
+LDA_K2 = {"K": 2, "V": 2, "alpha": [0.5, 0.5],
+          "log_beta": [[np.log(0.25), np.log(0.75)], [np.log(0.5), np.log(0.5)]]}
+NET_D2 = json.loads(net_json())
 
 
 class TestFuzz:
@@ -606,3 +727,50 @@ class TestFuzz:
         assert run("augment-train", "--data", data, *common) in (0, 1)
         assert run("augment-train", "--data", data, "--keep-ids", keep, *common) in (0, 1)
         assert run("eval", "--net", net, "--data", data) in (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(feature_lines=st.lists(feature_records, min_size=1, max_size=3),
+           gmm_text=artifacts(GMM_D2))
+    def test_fuzzed_features_and_gmm_exit_0_or_1(self, tmp_path_factory,
+                                                 feature_lines, gmm_text):
+        d = tmp_path_factory.mktemp("fuzz")
+        features, model = d / "features.jsonl", d / "gmm.json"
+        features.write_text("".join(json.dumps(v) + "\n" for v in feature_lines))
+        model.write_text(gmm_text)
+        assert run("train-gmm", "--features", features, "--components", 1,
+                   "--out", d / "out.json") in (0, 1)
+        assert run("quantize", "--gmm", model, "--features", features,
+                   "--out", d / "symbols.jsonl", "--bags-out", d / "bags.jsonl") in (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bag_lines=st.lists(bag_records, min_size=1, max_size=3),
+           assignment_lines=st.lists(assignment_records, min_size=1, max_size=3),
+           lda_text=artifacts(LDA_K2))
+    def test_fuzzed_bags_assignments_and_lda_exit_0_or_1(
+            self, tmp_path_factory, bag_lines, assignment_lines, lda_text):
+        d = tmp_path_factory.mktemp("fuzz")
+        bags, assign, model = d / "bags.jsonl", d / "assign.jsonl", d / "lda.json"
+        bags.write_text("".join(json.dumps(v) + "\n" for v in bag_lines))
+        assign.write_text("".join(json.dumps(v) + "\n" for v in assignment_lines))
+        model.write_text(lda_text)
+        assert run("train-lda", "--bags", bags, "--k", 2, "--max-em-iters", 2,
+                   "--out", d / "out.json") in (0, 1)
+        assert run("assign", "--model", model, "--bags", bags,
+                   "--out", d / "assigned.jsonl") in (0, 1)
+        assert run("filter", "--assign-a", assign, "--assign-b", assign,
+                   "--target-frac", 0.5, "--out", d / "filter.jsonl") in (0, 1)
+        assert run("stats", "--assignments", assign, "--bags", bags,
+                   "--out", d / "stats.csv") in (0, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(net_text=artifacts(NET_D2),
+           layer=st.fixed_dictionaries({key: st.just(value) | json_values
+                                        for key, value in NET_D2["layers"][0].items()}))
+    def test_fuzzed_network_exit_0_or_1(self, tmp_path_factory, net_text, layer):
+        d = tmp_path_factory.mktemp("fuzz")
+        data, net, layered = d / "data.jsonl", d / "net.json", d / "layered.json"
+        data.write_text(GOOD_FRAMES + "\n")
+        net.write_text(net_text)
+        layered.write_text(json.dumps({**NET_D2, "layers": [layer, NET_D2["layers"][1]]}))
+        for path in (net, layered):
+            assert run("eval", "--net", path, "--data", data) in (0, 1)

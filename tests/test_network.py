@@ -273,6 +273,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=batch_size)
 
+    @pytest.mark.parametrize("changes, field", [
+        pytest.param({"epochs": 0}, "epochs", id="zero-epochs"),
+        pytest.param({"epochs": -2}, "epochs", id="negative-epochs"),
+        pytest.param({"cv_fraction": -0.5}, "cv_fraction", id="negative-cv-fraction"),
+        pytest.param({"cv_fraction": 1.0}, "cv_fraction", id="whole-cv-fraction"),
+        pytest.param({"cv_fraction": float("nan")}, "cv_fraction", id="nan-cv-fraction"),
+    ])
+    def test_train_config_rejects_out_of_range(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**changes)
+
+    @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3,)],
+                             ids=["zero", "zero-second", "negative"])
+    def test_hidden_widths_must_be_positive(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            NetworkConfig(input_dim=2, output_dim=2, hidden_dims=hidden)
+
     def test_label_out_of_range(self):
         rng = np.random.default_rng(17)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2, seed=0))
