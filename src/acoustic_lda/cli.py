@@ -198,7 +198,6 @@ def _cmd_augment_train(args):
     if args.classes is not None:
         output_dim = args.classes
     domain_dim = assignments[0].num_domains if assignments else 0
-    hidden = [int(h) for h in args.hidden.split(",") if h]
 
     if args.baseline_net:
         baseline = network.load_network(args.baseline_net)
@@ -208,7 +207,7 @@ def _cmd_augment_train(args):
         net = network.init_augmented_from_baseline(baseline, domain_dim)
     else:
         net = network.init_network(network.NetworkConfig(
-            input_dim=input_dim, output_dim=output_dim, hidden_dims=hidden,
+            input_dim=input_dim, output_dim=output_dim, hidden_dims=args.hidden,
             domain_dim=domain_dim, activation=args.activation, seed=args.seed,
         ))
     config = network.TrainConfig(
@@ -243,6 +242,15 @@ def _cmd_stats(args):
     rows = domains.distribution_stats(assignments, group_of, args.top_n)
     domains.write_stats_csv(args.out, rows)
     print(f"wrote {len(rows)} stat rows", file=sys.stderr)
+
+
+def _widths(text):
+    """``--hidden``: comma-separated layer widths as a tuple of ints."""
+    try:
+        return tuple(int(h) for h in text.split(",") if h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _build_parser():
@@ -312,7 +320,7 @@ def _build_parser():
                    help="filter result file restricting the training documents")
     p.add_argument("--baseline-net", default=None,
                    help="initialize feature weights from this baseline network")
-    p.add_argument("--hidden", default="64,64")
+    p.add_argument("--hidden", type=_widths, default="64,64")
     p.add_argument("--activation", choices=["sigmoid", "relu"], default="sigmoid")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--epochs", type=int, default=20)

@@ -5,6 +5,9 @@ Shared rules, which each format's loader adds its own fields to:
 - jsonl: each non-blank line is one json object. A line holding ``_meta``
   (the writer's seed and settings) is skipped on read. Every other line has
   a json string ``id`` and a ``group`` that is absent, null or a string.
+  Lines are decoded with orjson, and a line that orjson rejects is decoded
+  again with the stdlib json module, which also reads ``NaN``, ``Infinity``,
+  ``1e400`` and lone surrogate escapes and words the error for bad json.
 - json: one json object holding the format's required keys.
 - numbers: a numeric field is nested lists of json integers and floats, one
   length per axis; strings and booleans are rejected, not cast. Integer
@@ -12,7 +15,8 @@ Shared rules, which each format's loader adds its own fields to:
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
   and csv and the file for json.
 - writes are atomic: a temp file in the target's directory, then a rename,
-  so a reader never sees half a file.
+  so a reader never sees half a file. The file gets mode 0666 less the
+  umask, as a plain ``open`` would give it.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 
 import numpy as np
+import orjson
 
 __all__ = ["FormatError", "read_jsonl", "read_json", "read_csv", "numbers",
            "json_ints", "write_jsonl", "write_json", "write_csv"]
@@ -40,6 +44,16 @@ def _build(where, build, obj):
         raise FormatError(f"{where}: {exc}") from exc
 
 
+def _loads(line):
+    """The json value of one jsonl line: orjson's, or the stdlib's where
+    orjson rejects the line. Where both reject it, the stdlib's error is
+    raised."""
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return json.loads(line)
+
+
 def read_jsonl(path, build) -> list:
     """``build(record)`` for each record line of the jsonl file ``path``.
 
@@ -55,7 +69,7 @@ def read_jsonl(path, build) -> list:
                 continue
             where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line)
+                obj = _loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: bad json: {exc}") from exc
             if not isinstance(obj, dict):
@@ -140,8 +154,9 @@ def json_ints(value, name) -> np.ndarray:
 def _replace(path, write, newline=None) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
     ``path``; on any failure the temp file is removed."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", newline=newline) as fh:
             write(fh)

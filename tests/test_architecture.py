@@ -1,5 +1,5 @@
 """Every file the package reads or writes goes through ``acoustic_lda.formats``:
-no other module opens a file or touches json, csv or temp files."""
+no other module opens a file or touches json, orjson, csv or temp files."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "acoustic_lda"
-FILE_MODULES = {"json", "csv", "tempfile"}
+FILE_MODULES = {"json", "orjson", "csv", "tempfile"}
 
 
 def file_access(tree):
@@ -40,6 +40,14 @@ def test_only_formats_touches_files(path):
 def test_the_check_sees_the_format_module():
     tree = ast.parse((PACKAGE / "formats.py").read_text())
     kinds = {what for _, what in file_access(tree)}
-    assert {"open()", "import json", "import csv", "import tempfile",
-            "json.loads", "json.dumps", "csv.reader", "csv.writer",
-            "tempfile.mkstemp"} <= kinds
+    assert {"open()", "import json", "import orjson", "import csv",
+            "json.loads", "json.dumps", "orjson.loads", "csv.reader", "csv.writer",
+            "os.open"} <= kinds
+
+
+def test_the_check_sees_temp_files():
+    tree = ast.parse("import tempfile\nfrom tempfile import mkstemp\n"
+                     "tempfile.mkstemp()\nos.fdopen(3)\nio.open('x')\n")
+    assert [what for _, what in file_access(tree)] == [
+        "import tempfile", "from tempfile import", "tempfile.mkstemp",
+        "os.fdopen", "io.open"]

@@ -442,6 +442,9 @@ class TestContracts:
         pytest.param('{"id": 7, "frames": [[1.5, 2.0]]}', "'id'", id="int-id"),
         pytest.param('{"id": "d1", "group": 7, "frames": [[1.5, 2.0]]}', "'group'",
                      id="int-group"),
+        # deeper than the stdlib json decoder's recursion limit
+        pytest.param('{"id": "d1", "frames": ' + "[" * 5000 + "]" * 5000 + "}", "'frames'",
+                     id="deeply-nested-frames"),
     ])
     def test_bad_features_record_exit_1(self, tmp_path, capsys, line, message):
         features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
@@ -493,6 +496,9 @@ class TestContracts:
                      id="map-not-argmax"),
         pytest.param('{"id": "d0", "theta": [1.0], "map_domain": 0, "weight": "1"}',
                      "'weight'", id="string-weight"),
+        # orjson reads this integer as a float; the verdict is the same
+        pytest.param('{"id": "d0", "theta": [1.0], "map_domain": 18446744073709551616}',
+                     "map_domain", id="map-beyond-64-bits"),
     ])
     def test_bad_assignment_record_exit_1(self, tmp_path, capsys, line, message):
         good = json.dumps({"id": "d1", "theta": [0.25, 0.75], "map_domain": 1})
@@ -543,6 +549,9 @@ class TestContracts:
                      id="negative-label"),
         pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [0, 1]}',
                      "length mismatch", id="length-mismatch"),
+        # orjson reads this integer as a float; the verdict is the same
+        pytest.param('{"id": "d1", "frames": [[1, 2]], "labels": [18446744073709551616]}',
+                     "'labels'", id="labels-beyond-64-bits"),
     ])
     def test_bad_labeled_frames_exit_1(self, tmp_path, capsys, line, message):
         data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
@@ -594,6 +603,24 @@ class TestContracts:
         assert run("augment-train", "--data", data, *flags, "--out", net) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip() and message in err
+        assert not net.exists()
+
+    @pytest.mark.parametrize("argv, manifest", [
+        pytest.param(("--hidden", "abc"), None, id="letters"),
+        pytest.param(("--hidden", "64,x"), None, id="letter-after-width"),
+        pytest.param((), {"stages": {"augment-train": {"hidden": "abc"}}}, id="manifest"),
+    ])
+    def test_bad_hidden_flag_exit_2(self, tmp_path, capsys, argv, manifest):
+        data, net, path = tmp_path / "data.jsonl", tmp_path / "net.json", tmp_path / "m.json"
+        data.write_text(GOOD_FRAMES + "\n")
+        top = ()
+        if manifest is not None:
+            path.write_text(json.dumps(manifest))
+            top = ("--manifest", path)
+        with pytest.raises(SystemExit) as exc:
+            run(*top, "augment-train", "--data", data, *argv, "--out", net)
+        assert exc.value.code == 2
+        assert "--hidden" in capsys.readouterr().err
         assert not net.exists()
 
     @pytest.mark.parametrize("line, message", [
