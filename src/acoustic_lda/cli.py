@@ -27,6 +27,7 @@ built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -253,7 +254,10 @@ def _widths(text):
             f"expected comma-separated integers, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser():
+    """The CLI's parser, built once per process: parsing does not change it,
+    so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="acoustic-lda",
         description="Latent acoustic domain discovery and domain-aware training",

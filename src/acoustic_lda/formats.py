@@ -5,13 +5,19 @@ Shared rules, which each format's loader adds its own fields to:
 - jsonl: each non-blank line is one json object. A line holding ``_meta``
   (the writer's seed and settings) is skipped on read. Every other line has
   a json string ``id`` and a ``group`` that is absent, null or a string.
-  Lines are decoded with orjson, and a line that orjson rejects is decoded
-  again with the stdlib json module, which also reads ``NaN``, ``Infinity``,
-  ``1e400`` and lone surrogate escapes and words the error for bad json.
+  Lines are decoded with orjson, and a line that orjson rejects or that is
+  not a json object is decoded again with the stdlib json module, which
+  also reads ``NaN``, ``Infinity``, ``1e400`` and lone surrogate escapes,
+  types an integer beyond 64 bits as an integer and words the error for
+  bad json.
 - json: one json object holding the format's required keys.
+- json nested deeper than the stdlib decoder's recursion limit is bad json.
 - numbers: a numeric field is nested lists of json integers and floats, one
-  length per axis; strings and booleans are rejected, not cast. Integer
-  fields (symbols, counts, labels) take json integers only.
+  length per axis; strings and booleans are rejected, not cast. numpy types
+  the value first, and a value it types as integers or floats needs only
+  its rows holding a 0 or a 1 scanned for booleans; an exact scan of every
+  entry takes what numpy cannot type as numbers, and words the error.
+  Integer fields (symbols, counts, labels) take json integers only.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
   and csv and the file for json.
 - writes are atomic: a temp file in the target's directory, then a rename,
@@ -45,13 +51,16 @@ def _build(where, build, obj):
 
 
 def _loads(line):
-    """The json value of one jsonl line: orjson's, or the stdlib's where
-    orjson rejects the line. Where both reject it, the stdlib's error is
-    raised."""
+    """The json value of one jsonl line: orjson's where it is a json object,
+    else the stdlib's. Where both reject the line, the stdlib's error is
+    raised; a line that is not an object, which the reader rejects, is typed
+    as the stdlib reads it (orjson reads an integer beyond 64 bits as a
+    float)."""
     try:
-        return orjson.loads(line)
+        obj = orjson.loads(line)
     except orjson.JSONDecodeError:
         return json.loads(line)
+    return obj if isinstance(obj, dict) else json.loads(line)
 
 
 def read_jsonl(path, build) -> list:
@@ -70,7 +79,7 @@ def read_jsonl(path, build) -> list:
             where = f"{path}:{lineno}"
             try:
                 obj = _loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise FormatError(f"{where}: bad json: {exc}") from exc
             if not isinstance(obj, dict):
                 raise FormatError(f"{where}: expected a json object, "
@@ -93,7 +102,7 @@ def read_json(path, keys, build):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: bad json: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: expected a json object, got {type(obj).__name__}")
@@ -116,26 +125,68 @@ def numbers(value, name, shape, finite=True) -> np.ndarray:
     or two axis lengths where None takes any length.
 
     ``value`` must be nested lists of json integers and floats; np.asarray
-    alone would read ``"1.5"`` and ``true`` as numbers. ``finite`` is True,
-    False (the caller checks) or ``"or -inf"`` (finite or -inf: the log of a
-    zero probability). Faults raise FormatError starting with ``name`` as
-    given, so a jsonl field passes its key quoted.
+    with a float dtype would read ``"1.5"`` and ``true`` as numbers. numpy
+    types the value first (``_typed``); what it cannot type as numbers goes
+    to the exact element scan (``_scanned``), which words the error.
+    ``finite`` is True, False (the caller checks) or ``"or -inf"`` (finite or
+    -inf: the log of a zero probability). Faults raise FormatError starting
+    with ``name`` as given, so a jsonl field passes its key quoted.
     """
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.ndim != len(shape) or not (
-            {type(v) for v in value} if arr.ndim == 1
-            else {type(v) for row in value for v in row}) <= {int, float}:
-        raise FormatError(f"{name} must be a regular array of numbers: {len(shape)}-d "
-                          f"nested lists of numbers, no strings or booleans")
+    arr = _typed(value, len(shape))
+    if arr is None:
+        arr = _scanned(value, name, len(shape))
     if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
     if finite is True and not np.isfinite(arr).all():
         raise FormatError(f"{name} must be finite")
     if finite == "or -inf" and (np.isnan(arr).any() or np.isposinf(arr).any()):
         raise FormatError(f"{name} must be finite or -inf")
+    return arr
+
+
+def _typed(value, ndim):
+    """``value`` as a float array where numpy types it as an ``ndim``-d array
+    of ints, uints or floats with no boolean among its entries; else None.
+
+    Without a dtype, np.asarray rejects ragged lists and gives a string,
+    object or bool array wherever a string, None, a dict, an integer beyond
+    64 bits or only booleans appear. A boolean mixed with numbers is cast to
+    0 or 1, so only the rows holding an entry equal to 0 or 1 are scanned.
+    Where most entries of the first row are 0 or 1, as in one-hot frames,
+    every row would be, and None is returned at once: the exact scan alone
+    is then quicker.
+    """
+    head = value[0] if ndim == 2 and isinstance(value, list) and value else value
+    if isinstance(head, list):
+        head = head[:64]
+        if 2 * sum(v == 0 or v == 1 for v in head) > len(head):
+            return None
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        return None
+    rows = [value] if ndim == 1 else value
+    suspect = ((arr == 0) | (arr == 1)).any(axis=-1, keepdims=ndim == 1)
+    if bool in {type(v) for i in np.flatnonzero(suspect).tolist() for v in rows[i]}:
+        return None
+    return arr.astype(float, copy=False)
+
+
+def _scanned(value, name, ndim):
+    """``value`` as a float array after an exact type scan of every entry;
+    anything but ``ndim``-d regular nested lists of json integers and floats
+    raises FormatError."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not (
+            {type(v) for v in value} if ndim == 1
+            else {type(v) for row in value for v in row}) <= {int, float}:
+        raise FormatError(f"{name} must be a regular array of numbers: {ndim}-d "
+                          f"nested lists of numbers, no strings or booleans")
     return arr
 
 

@@ -19,7 +19,10 @@ expansion rounds differently from the direct form sum (x - mu)^2 / var;
 ``quantize`` bounds that error per frame and re-scores, with the direct form,
 only the frames whose best and runner-up components lie within the bound.
 Its symbols are therefore those of the direct form, ties going to the lowest
-index.
+index. The model-only terms of the log joint and of that bound (the centre,
+the two matrix operands, the constant and the bound's per-dimension maxima)
+are built once per model, on first use, and kept on the immutable
+``GmmModel``; each block of frames is shifted by the centre once, for both.
 
 EM centres on the mean g of the training frames, which is a safe centre
 because every EM mean is a weighted average of frames. ``train_gmm`` builds
@@ -36,7 +39,8 @@ temporary is O(block * V), and no (frames, components, dims) array is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,7 +67,9 @@ class GmmConfig:
 
 @dataclass(frozen=True)
 class GmmModel:
-    """Diagonal-covariance mixture; immutable and safe to share."""
+    """Diagonal-covariance mixture; immutable and safe to share. It holds
+    read-only copies of the arrays it is given, so the quantizer terms it
+    keeps stay those of its parameters."""
 
     weights: np.ndarray   # (V,)
     means: np.ndarray     # (V, D)
@@ -72,7 +78,7 @@ class GmmModel:
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
             try:
-                arr = np.asarray(getattr(self, name), dtype=float)
+                arr = np.array(getattr(self, name), dtype=float)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be a regular array of numbers") from None
             arr.setflags(write=False)
@@ -95,6 +101,11 @@ class GmmModel:
             raise ValueError("component weights must sum to 1")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
+
+    @cached_property
+    def _terms(self):
+        """The model-only terms of the quantizer, built on first use."""
+        return _model_terms(self)
 
     @property
     def num_components(self) -> int:
@@ -119,15 +130,37 @@ def _log_const(weights, variances, m, prec):
         + (m * m * prec).sum(axis=1))
 
 
-def _log_joint(weights, means, variances, frames):
-    """log(w_i * N(x; mu_i, var_i)) for a block of frames, (N, V), as two
-    matrix products on frames and means shifted by the mean of the means."""
+class _Terms(NamedTuple):
+    """The model-only terms of ``quantize``'s log joint and tie margin, for
+    frames x shifted by ``centre``, the mean of the component means."""
+
+    centre: np.ndarray         # (D,)
+    neg_half_prec: np.ndarray  # (D, V): -prec^T / 2
+    m_prec: np.ndarray         # (D, V): ((means - centre) * prec)^T
+    const: np.ndarray          # (V,): the frame-free terms of the log joint
+    reach: np.ndarray          # (D,): max |means - centre| over the components
+    max_prec: np.ndarray       # (D,): max prec over the components
+    margin_const: float        # the frame-free part of the margin's magnitude
+
+
+def _model_terms(model):
+    """The ``_Terms`` of ``model``, built once per model by ``GmmModel._terms``."""
+    weights, means, variances = model.weights, model.means, model.variances
     centre = means.mean(axis=0)
-    x = frames - centre
     m = means - centre
     prec = 1.0 / variances
-    const = _log_const(weights, variances, m, prec)
-    return const + (x * x) @ (-0.5 * prec.T) + x @ (m * prec).T
+    return _Terms(
+        centre=centre, neg_half_prec=-0.5 * prec.T, m_prec=(m * prec).T,
+        const=_log_const(weights, variances, m, prec),
+        reach=np.abs(m).max(axis=0), max_prec=prec.max(axis=0),
+        margin_const=means.shape[1] * _LOG_2PI + np.max(
+            np.abs(np.log(weights)) + np.abs(np.log(variances)).sum(axis=1)))
+
+
+def _log_joint(terms, x):
+    """log(w_i * N(x; mu_i, var_i)) for a block of frames ``x`` shifted by
+    ``terms.centre``, (N, V), as two matrix products."""
+    return terms.const + (x * x) @ terms.neg_half_prec + x @ terms.m_prec
 
 
 def _log_joint_direct(weights, means, variances, frames):
@@ -141,22 +174,19 @@ def _log_joint_direct(weights, means, variances, frames):
     return np.log(weights)[None, :] + log_pdf
 
 
-def _tie_margin(weights, means, variances, frames):
-    """Per frame, a gap between the best and the runner-up log joint above
-    which ``_log_joint`` and ``_log_joint_direct`` pick the same component.
+def _tie_margin(terms, x):
+    """Per frame of ``x`` (frames shifted by ``terms.centre``), a gap between
+    the best and the runner-up log joint above which ``_log_joint`` and
+    ``_log_joint_direct`` pick the same component.
 
     Either form of one component's log joint is off by at most about
     (D + 6) * eps/2 times the magnitudes it sums, which per-dimension maxima
     over the components bound from above; the margin is four times the worst
     case for two components under both forms.
     """
-    d = means.shape[1]
-    centre = means.mean(axis=0)
-    reach = np.abs(means - centre).max(axis=0)
-    size = (np.abs(frames - centre) + reach) ** 2 @ (1.0 / variances).max(axis=0)
-    size += d * _LOG_2PI + np.max(
-        np.abs(np.log(weights)) + np.abs(np.log(variances)).sum(axis=1))
-    return 8.0 * (d + 6) * _EPS * size
+    size = (np.abs(x) + terms.reach) ** 2 @ terms.max_prec
+    size += terms.margin_const
+    return 8.0 * (terms.centre.size + 6) * _EPS * size
 
 
 def responsibilities(model: GmmModel, frame: np.ndarray) -> np.ndarray:
@@ -164,7 +194,8 @@ def responsibilities(model: GmmModel, frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=float)
     if frame.shape != (model.dim,):
         raise ValueError(f"frame has shape {frame.shape}, model dim is {model.dim}")
-    lj = _log_joint(model.weights, model.means, model.variances, frame[None, :])[0]
+    terms = model._terms
+    lj = _log_joint(terms, frame[None, :] - terms.centre)[0]
     post = np.exp(lj - lj.max())
     return post / post.sum()
 
@@ -183,18 +214,20 @@ def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
         raise ValueError(
             f"document {doc.id!r} has dim {doc.dim}, model dim is {model.dim}"
         )
-    params = (model.weights, model.means, model.variances)
+    terms = model._terms
     symbols = np.empty(doc.num_frames, dtype=np.int64)
     for rows in _blocks(doc.num_frames):
         frames = doc.frames[rows]
-        lj = _log_joint(*params, frames)
+        x = frames - terms.centre
+        lj = _log_joint(terms, x)
         best = lj.argmax(axis=1)
         at = np.arange(best.size)
         top = lj[at, best]
         lj[at, best] = -np.inf
-        near = top - lj.max(axis=1) <= _tie_margin(*params, frames)
+        near = top - lj.max(axis=1) <= _tie_margin(terms, x)
         if near.any():
-            best[near] = _log_joint_direct(*params, frames[near]).argmax(axis=1)
+            best[near] = _log_joint_direct(model.weights, model.means, model.variances,
+                                           frames[near]).argmax(axis=1)
         symbols[rows] = best
     return SymbolDocument(id=doc.id, symbols=symbols, group=doc.group)
 

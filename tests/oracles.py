@@ -10,6 +10,8 @@ from itertools import product
 import numpy as np
 from scipy.special import digamma, expit, gammaln, logsumexp
 
+from acoustic_lda.formats import FormatError
+
 
 def gaussian_responsibilities(weights, means, variances, frame):
     """Direct density-ratio posterior w_i N(x; mu_i, var_i) / sum_j (...)."""
@@ -222,3 +224,26 @@ def network_train(net, dataset, config):
         metrics.append({"epoch": epoch, "train_loss": epoch_loss / order.size,
                         "cv_accuracy": cv_accuracy})
     return metrics
+
+
+def json_numbers(value, name, shape, finite=True):
+    """``formats.numbers`` as an exact type scan of every entry: np.asarray
+    with a float dtype, then the set of the entries' types, which must hold
+    only int and float. Faults raise ``formats.FormatError`` with the same
+    words."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or not (
+            {type(v) for v in value} if arr.ndim == 1
+            else {type(v) for row in value for v in row}) <= {int, float}:
+        raise FormatError(f"{name} must be a regular array of numbers: {len(shape)}-d "
+                          f"nested lists of numbers, no strings or booleans")
+    if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
+    if finite is True and not np.isfinite(arr).all():
+        raise FormatError(f"{name} must be finite")
+    if finite == "or -inf" and (np.isnan(arr).any() or np.isposinf(arr).any()):
+        raise FormatError(f"{name} must be finite or -inf")
+    return arr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acoustic_lda import corpus
+from acoustic_lda import cli, corpus
 from acoustic_lda.cli import _frame_dataset, _load_labeled_frames, main
 from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.network import NetworkConfig, init_network, save_network
@@ -58,6 +58,8 @@ def net_json(layer_changes=(), **changes):
     return json.dumps({k: v for k, v in obj.items() if v is not None}) + "\n"
 
 
+# deeper than the stdlib json decoder's recursion limit
+DEEP = "[" * 5000 + "]" * 5000
 GOOD_FRAMES = '{"id": "d0", "frames": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1]}'
 
 
@@ -280,6 +282,7 @@ class TestContracts:
         pytest.param({"stages": [1]}, id="stages-not-an-object"),
         pytest.param({"seed": "x", "stages": {"train-lda": {"k": 2}}}, id="bad-seed"),
         pytest.param({"sed": 1}, id="unknown-top-level-key"),
+        pytest.param('{"stages": ' + DEEP + "}", id="deeply-nested"),
     ])
     def test_manifest_fault_exit_2(self, tmp_path, capsys, manifest):
         path = tmp_path / "manifest.json"
@@ -315,6 +318,8 @@ class TestContracts:
                      "means must be a regular array", id="bool-mean"),
         pytest.param(gmm_json(variances=[[1.0] * 3, ["2", 2.0, 2.0]]),
                      "variances must be a regular array", id="string-variance"),
+        pytest.param('{"D": 3, "V": 2, "means": ' + DEEP + "}\n", "bad json",
+                     id="deeply-nested"),
     ])
     def test_bad_gmm_artifact_exit_1(self, tmp_path, capsys, pipeline_inputs,
                                      text, message):
@@ -372,6 +377,7 @@ class TestContracts:
                      id="negative-alpha"),
         pytest.param(lda_json(log_beta=[[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]]),
                      "must sum to 1", id="rows-not-normalized"),
+        pytest.param('{"K": 2, "alpha": ' + DEEP + "}\n", "bad json", id="deeply-nested"),
     ])
     def test_bad_lda_artifact_exit_1(self, tmp_path, capsys, text, message):
         model, bags = tmp_path / "lda.json", tmp_path / "bags.jsonl"
@@ -442,9 +448,11 @@ class TestContracts:
         pytest.param('{"id": 7, "frames": [[1.5, 2.0]]}', "'id'", id="int-id"),
         pytest.param('{"id": "d1", "group": 7, "frames": [[1.5, 2.0]]}', "'group'",
                      id="int-group"),
-        # deeper than the stdlib json decoder's recursion limit
-        pytest.param('{"id": "d1", "frames": ' + "[" * 5000 + "]" * 5000 + "}", "'frames'",
+        pytest.param('{"id": "d1", "frames": ' + DEEP + "}", "'frames'",
                      id="deeply-nested-frames"),
+        # NaN sends the line to the stdlib decoder, which hits its recursion limit
+        pytest.param('{"id": "d1", "x": NaN, "frames": ' + DEEP + "}", "bad json",
+                     id="deeply-nested-stdlib-json"),
     ])
     def test_bad_features_record_exit_1(self, tmp_path, capsys, line, message):
         features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
@@ -666,6 +674,8 @@ class TestContracts:
                      "layer 0: weights must be a regular array", id="numeric-string-weight"),
         pytest.param(net_json(layer_changes=[(0, {"bias": [False, 0.1]})]),
                      "layer 0: bias must be a regular array", id="bool-bias"),
+        pytest.param('{"input_dim": 2, "layers": ' + DEEP + "}\n", "bad json",
+                     id="deeply-nested"),
     ])
     def test_bad_network_artifact_exit_1(self, tmp_path, capsys, text, message):
         data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
@@ -691,6 +701,47 @@ class TestContracts:
         assert run("--manifest", manifest, "train-lda", "--bags", bags,
                    "--out", out) == 0
         assert json.loads(out.read_text())["K"] == 2
+
+    def test_calls_sharing_the_parser_match_a_fresh_parser_each(
+            self, tmp_path, pipeline_inputs, capsys, monkeypatch):
+        """``main`` builds its parser once per process. A run of calls mixing
+        subcommands, manifests and failing parses exits, prints and writes
+        what it does with a fresh parser per call, as one process per call
+        would have, and no call's manifest leaks into the next."""
+        steps = [
+            ["--manifest", "m.json", "train-gmm", "--features", "f.jsonl", "--out", "g.json"],
+            ["train-lda", "--bags"],
+            ["quantize", "--gmm", "g.json", "--features", "f.jsonl", "--out", "s.jsonl",
+             "--bags-out", "b.jsonl"],
+            ["--manifest", "m.json", "train-lda", "--bags", "b.jsonl", "--out", "l.json"],
+            ["train-gmm", "--features", "f.jsonl", "--out", "g2.json"],
+            ["train-lda", "--bags", "b.jsonl", "--k", "3", "--out", "l3.json"],
+            ["entropy", "--model", "l.json", "--bags", "b.jsonl"],
+        ]
+        manifest = json.dumps({"seed": 7, "stages": {"train-gmm": {"components": 2},
+                                                     "train-lda": {"k": 2}}})
+
+        def run_steps(d):
+            d.mkdir()
+            (d / "f.jsonl").write_bytes(pipeline_inputs.read_bytes())
+            (d / "m.json").write_text(manifest)
+            monkeypatch.chdir(d)
+            results = []
+            for argv in steps:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, capsys.readouterr().out))
+            return results, {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+        assert cli._build_parser() is cli._build_parser()
+        shared = run_steps(tmp_path / "shared")
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cli._build_parser() is not cli._build_parser()
+        fresh = run_steps(tmp_path / "fresh")
+        assert [code for code, _ in shared[0]] == [0, 2, 0, 0, 2, 0, 0]
+        assert shared == fresh
 
 
 json_values = st.recursive(

@@ -68,6 +68,22 @@ class TestLoadFeatures:
         with pytest.raises(CorpusError, match="duplicate"):
             load_features(path)
 
+    def test_one_hot_frames(self, tmp_path):
+        # every entry 0.0 or 1.0: the rows where a boolean could hide as 0 or 1
+        path = tmp_path / "f.jsonl"
+        frames = np.eye(4)[[0, 2, 1, 3, 3, 0]]
+        write_jsonl(path, [{"id": "a", "frames": frames.tolist()},
+                           {"id": "b", "frames": frames[:2].tolist()}])
+        docs = load_features(path)
+        np.testing.assert_array_equal(docs[0].frames, frames)
+        assert docs[0].frames.dtype == np.float64
+        rows = frames.tolist()
+        rows[4][3] = True
+        write_jsonl(path, [{"id": "a", "frames": frames[:2].tolist()},
+                           {"id": "b", "frames": rows}])
+        with pytest.raises(CorpusError, match=f"{path}:2: 'frames' must be a regular"):
+            load_features(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_text("{not json\n")

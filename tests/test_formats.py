@@ -1,15 +1,18 @@
 """The shared file rules of ``acoustic_lda.formats``: the jsonl decoder agrees
-with the stdlib json module, and written files get the umask's mode."""
+with the stdlib json module, the numbers rule agrees with an exact type scan
+of every entry, and written files get the umask's mode."""
 
 import json
 import os
 import stat
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acoustic_lda import formats
+from oracles import json_numbers
 
 INT64_MIN, UINT64_END = -2 ** 63, 2 ** 64
 
@@ -119,6 +122,13 @@ def test_integers_beyond_64_bits_decode_as_floats(tmp_path):
                    10 ** 400]
 
 
+def test_non_object_line_is_typed_as_the_stdlib_reads_it(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text(f"{INT64_MIN - 1}\n")
+    with pytest.raises(formats.FormatError, match="f.jsonl:1: expected a json object, got int$"):
+        formats.read_jsonl(path, lambda obj: obj)
+
+
 def test_lines_orjson_rejects_decode_with_stdlib_json(tmp_path):
     path = tmp_path / "f.jsonl"
     path.write_text('{"id": "a", "x": NaN}\n{"id": "b", "x": -Infinity}\n'
@@ -126,6 +136,69 @@ def test_lines_orjson_rejects_decode_with_stdlib_json(tmp_path):
     records = formats.read_jsonl(path, lambda obj: obj)
     assert [str(r["x"]) for r in records] == ["nan", "-inf", "inf", "0"]
     assert records[-1]["id"] == "\ud800"
+
+
+def number_outcome(rule, value, shape, finite):
+    """("ok", float64 bytes and shape) or (error type, error text) of ``rule``."""
+    try:
+        arr = rule(value, "'x'", shape, finite)
+    except formats.FormatError as exc:
+        return type(exc).__name__, str(exc)
+    assert arr.dtype == np.float64
+    return "ok", arr.shape, arr.tobytes()
+
+
+edge_ints = st.sampled_from([
+    n + e for n in (2 ** 63, -2 ** 63, 2 ** 64, -2 ** 64, 2 ** 1024, -2 ** 1024)
+    for e in (-1, 0, 1)] + [10 ** 308, 10 ** 400])
+number_pools = [
+    st.floats(),
+    st.integers() | edge_ints,
+    st.floats() | st.integers() | edge_ints,
+    st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False]),
+    st.sampled_from([0.0, 1.0]) | st.floats() | st.booleans(),
+    st.integers(-3, 3) | st.booleans(),
+    st.floats() | st.integers() | edge_ints | st.booleans() | st.none()
+    | st.sampled_from(["1.5", "0", "nan", "true", ""])
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+]
+
+
+def json_arrays(entries):
+    """0-d, 1-d, regular 2-d, ragged and deeper json values of ``entries``."""
+    return st.one_of(
+        entries,
+        st.lists(entries, max_size=8),
+        st.integers(0, 5).flatmap(lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), max_size=6)),
+        st.lists(st.lists(entries, max_size=4) | entries, max_size=5),
+        st.recursive(entries, lambda inner: st.lists(inner, max_size=3), max_leaves=10))
+
+
+@settings(deadline=None)
+@given(value=st.sampled_from(number_pools).flatmap(json_arrays),
+       shape=st.sampled_from([(None,), (None, None)]) | st.integers(0, 3).map(
+           lambda k: (k,)) | st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       finite=st.sampled_from([True, False, "or -inf"]))
+def test_numbers_match_the_exact_type_scan(value, shape, finite):
+    """numpy's typing with a scan of the rows that may hide a boolean gives
+    the arrays and the errors of a scan of every entry. ``max_examples`` is
+    left to the profile (``--hypothesis-profile=ci`` runs 2,000)."""
+    assert (number_outcome(formats.numbers, value, shape, finite)
+            == number_outcome(json_numbers, value, shape, finite))
+
+
+@pytest.mark.parametrize("value, ok", [
+    ([[0.0, 1.0], [1.0, 0.0]], True), ([[0.0, 1.0], [True, 0.0]], False),
+    ([[0.5, 2.5], [0.0, False]], False), ([[2, 3], [1, 4]], True),
+    ([[2, 3], [True, 4]], False), ([1.0, 0.0, 1.0], True), ([0.5, True], False),
+    ([7, 1, False], False),
+], ids=["one-hot", "one-hot-bool", "float-bool-late-row", "ints", "int-bool",
+        "one-hot-1d", "float-bool-1d", "int-bool-1d"])
+def test_booleans_among_zeros_and_ones_are_rejected(value, ok):
+    shape = (None,) * (2 if isinstance(value[0], list) else 1)
+    assert number_outcome(formats.numbers, value, shape, False)[0] == (
+        "ok" if ok else "FormatError")
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],

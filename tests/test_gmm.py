@@ -176,6 +176,59 @@ class TestDensityPath:
                                        getattr(one_block, name), rtol=0, atol=1e-10)
 
 
+class TestModelTerms:
+    """``quantize`` and ``responsibilities`` take each model's log-joint and
+    tie-margin terms from the model, where they are built once."""
+
+    def test_interleaved_models_match_oracle_and_build_terms_once(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        d = 3
+        plain = random_model(rng, 6, d)
+        # a near-tie pair (components 1 and 2) 1e4 away from the other two
+        means = rng.normal(size=(4, d))
+        means[1] = 1e4 + rng.normal(size=d)
+        means[2] = means[1] + rng.normal(scale=1e-2, size=d)
+        variances = 10.0 ** rng.uniform(-6, 1, size=(4, d))
+        variances[1] = variances[2] = rng.uniform(0.5, 2.0, size=d)
+        near_tie = GmmModel(weights=np.full(4, 0.25), means=means, variances=variances)
+        midpoint = (means[1] + means[2]) / 2
+        docs = [FeatureDocument(id=f"d{i}", frames=frames) for i, frames in enumerate([
+            rng.normal(size=(1, d)),
+            np.concatenate([midpoint + rng.normal(scale=1e-4, size=(30, d)),
+                            rng.normal(scale=20.0, size=(30, d))]),
+            rng.normal(loc=20.0, scale=20.0, size=(25, d))])]
+        built, build = [], gmm._model_terms
+        monkeypatch.setattr(gmm, "_model_terms",
+                            lambda model: built.append(model) or build(model))
+        rescored, direct = [], gmm._log_joint_direct
+        monkeypatch.setattr(gmm, "_log_joint_direct",
+                            lambda *a: rescored.append(len(a[-1])) or direct(*a))
+        monkeypatch.setattr(gmm, "_BLOCK_FRAMES", 7)
+        for doc in docs:
+            for model in (plain, near_tie, plain):
+                oracle = gaussian_log_joint(model.weights, model.means, model.variances,
+                                            doc.frames)
+                top2 = np.sort(oracle, axis=1)[:, -2:]
+                assert (top2[:, 1] - top2[:, 0] > 1e-9).all()   # the oracle is decisive
+                np.testing.assert_array_equal(quantize(model, doc).symbols,
+                                              oracle.argmax(axis=1))
+                assert responsibilities(model, doc.frames[0]).argmax() == oracle[0].argmax()
+        assert len(built) == 2 and built[0] is plain and built[1] is near_tie
+        assert sum(rescored) > 0
+
+    def test_model_owns_its_arrays(self):
+        # a view of the caller's array cannot change the model behind its terms
+        means = np.array([[0.0], [1.0]])
+        view = means[:]
+        model = GmmModel(weights=np.array([0.5, 0.5]), means=means,
+                         variances=np.ones((2, 1)))
+        doc = FeatureDocument(id="d", frames=np.array([[0.9]]))
+        assert quantize(model, doc).symbols[0] == 1
+        view[1, 0] = -5.0
+        assert means.flags.writeable and not model.means.flags.writeable
+        assert model.means[1, 0] == 1.0 and quantize(model, doc).symbols[0] == 1
+
+
 class TestEmPath:
     """EM on the per-fit design matrix, against the direct log-domain
     E-step of the oracle."""
