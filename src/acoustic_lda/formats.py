@@ -151,16 +151,9 @@ def _typed(value, ndim):
     Without a dtype, np.asarray rejects ragged lists and gives a string,
     object or bool array wherever a string, None, a dict, an integer beyond
     64 bits or only booleans appear. A boolean mixed with numbers is cast to
-    0 or 1, so only the rows holding an entry equal to 0 or 1 are scanned.
-    Where most entries of the first row are 0 or 1, as in one-hot frames,
-    every row would be, and None is returned at once: the exact scan alone
-    is then quicker.
+    0 or 1, so only the rows holding an entry equal to 0 or 1 are scanned;
+    where every row holds one, as in one-hot frames, every entry is.
     """
-    head = value[0] if ndim == 2 and isinstance(value, list) and value else value
-    if isinstance(head, list):
-        head = head[:64]
-        if 2 * sum(v == 0 or v == 1 for v in head) > len(head):
-            return None
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError):
