@@ -6,7 +6,8 @@ jsonl and json rules. A rerun with identical inputs and seed writes
 identical bytes. The artifact formats belong to the modules that build them
 (features, symbols and bags to ``corpus``, the GMM, LDA and network files
 to ``gmm``, ``lda`` and ``network``, the stats csv to ``domains``); this
-module adds the fields of the files only the CLI reads or writes:
+module adds the fields of the files only the CLI reads or writes. Every
+input is json or jsonl; csv is only written:
 
   assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
                   "map_domain", "weight"}
@@ -21,7 +22,8 @@ stderr; data goes to files, or to stdout for the scalars of ``entropy`` and
 
 A manifest file (``--manifest``) may supply per-stage flag defaults and a
 global seed; explicit flags win over the manifest, which wins over the
-built-in defaults.
+built-in defaults. A stage entry's keys are that subcommand's flag names
+without the leading ``--``, spelled out in full.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _frame_dataset(rows, assignments):
 
 
 def _cmd_train_gmm(args):
-    docs = corpus.load_features(args.features, format=args.format)
+    docs = corpus.load_features(args.features)
     if not docs:
         raise corpus.CorpusError("no feature documents to train on")
     frames = np.concatenate([d.frames for d in docs], axis=0)
@@ -115,7 +117,7 @@ def _cmd_train_gmm(args):
 
 def _cmd_quantize(args):
     model = gmm.load_gmm(args.gmm)
-    docs = corpus.load_features(args.features, format=args.format)
+    docs = corpus.load_features(args.features)
     symbol_docs = [gmm.quantize(model, d) for d in docs]
     corpus.save_symbols(args.out, symbol_docs)
     if args.bags_out:
@@ -268,7 +270,6 @@ def _build_parser():
 
     p = sub.add_parser("train-gmm", help="train the quantizer GMM on pooled frames")
     p.add_argument("--features", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -277,7 +278,6 @@ def _build_parser():
     p = sub.add_parser("quantize", help="map frames to max-posterior component indices")
     p.add_argument("--gmm", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--out", required=True)
     p.add_argument("--bags-out", default=None,
                    help="also write bag-of-sounds count vectors")
@@ -349,22 +349,31 @@ def _build_parser():
     p.add_argument("--top-n", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stats)
-    parser.set_defaults(_commands=tuple(sub.choices))
+    # each subcommand's long flag names, which are a manifest entry's keys
+    parser.set_defaults(_flags={
+        name: {opt[2:] for opt in p._option_string_actions if opt.startswith("--")}
+        - {"help"} for name, p in sub.choices.items()})
     return parser
 
 
 def _manifest_flags(parser, args):
     """The manifest's global seed and its entries for ``args.command``, as
-    ``--key=value`` flag tokens."""
+    ``--key=value`` flag tokens. Each key must be one of the subcommand's
+    flag names, spelled out: argparse would take a prefix, or a key holding
+    ``=``, for some other flag."""
     def entries(manifest):
         if not set(manifest) <= {"seed", "stages"}:
             raise ValueError('expected an object with keys "seed" and "stages"')
         stages = manifest.get("stages", {})
-        if not (isinstance(stages, dict) and set(stages) <= set(args._commands)
+        if not (isinstance(stages, dict) and set(stages) <= set(args._flags)
                 and all(isinstance(e, dict) for e in stages.values())):
             raise ValueError(
-                f'"stages" must map subcommands ({", ".join(args._commands)}) to objects')
+                f'"stages" must map subcommands ({", ".join(args._flags)}) to objects')
         found = dict(stages.get(args.command, {}))
+        unknown = sorted(set(found) - args._flags[args.command])
+        if unknown:
+            raise ValueError(f"{args.command}: unknown flag(s) "
+                             f"{', '.join(map(repr, unknown))}")
         if "seed" in manifest and hasattr(args, "seed"):
             found = {"seed": manifest["seed"], **found}
         for key, value in found.items():

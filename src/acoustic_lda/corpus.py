@@ -1,17 +1,14 @@
 """Corpus documents: feature frames, symbol sequences and bags of sounds.
 
-Each document type is immutable and checks its own array when built. The
-files that hold them follow the shared jsonl rules of :mod:`.formats`; this
-module adds their fields:
+Each document type is immutable: it keeps a read-only copy of the array it
+is given and checks it when built. The files that hold them follow the
+shared jsonl rules of :mod:`.formats`; this module adds their fields:
 
-  features  jsonl: {"id", "group", "frames"}, frames T x D numbers;
-            or csv: header ``id,group,frame_index,f0..fD-1``, a row per frame
+  features  jsonl: {"id", "group", "frames"}, frames T x D numbers
   symbols   jsonl: {"id", "group", "symbols"}, a list of json integers
   bags      jsonl: {"id", "group", "counts"}, a list of json integers
 
-Ids are unique within a file. The synthetic corpus generator uses numpy's
-PCG64 generator, so a fixed seed reproduces the exact symbol sequences on
-any platform running this package.
+Ids are unique within a file.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ __all__ = [
     "load_bags",
     "save_bags",
     "to_bag",
-    "generate_synthetic_lda_corpus",
 ]
 
 
@@ -53,7 +49,7 @@ class FeatureDocument:
     group: Optional[str] = None
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=float)
+        frames = np.array(self.frames, dtype=float)
         if frames.ndim != 2:
             raise CorpusError(f"document {self.id!r}: frames must be 2-d (T x D)")
         frames.setflags(write=False)
@@ -77,7 +73,7 @@ class SymbolDocument:
     group: Optional[str] = None
 
     def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
+        symbols = np.array(self.symbols, dtype=np.int64)
         if symbols.ndim != 1:
             raise CorpusError(f"document {self.id!r}: symbols must be 1-d")
         if symbols.size and symbols.min() < 0:
@@ -98,7 +94,7 @@ class BagOfSounds:
     group: Optional[str] = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise CorpusError(f"document {self.id!r}: counts must be 1-d")
         if counts.size and counts.min() < 0:
@@ -149,21 +145,16 @@ def _check_frames(doc_id: str, frames: np.ndarray, expected_dim: Optional[int]) 
     return frames.shape[1]
 
 
-def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
-    """Load feature documents from a jsonl or csv file.
+def load_features(path) -> list[FeatureDocument]:
+    """Load feature documents from a jsonl file.
 
     All documents must share the frame dimension, ids must be unique and all
     values finite. An empty file yields an empty list.
     """
-    if format == "jsonl":
-        docs = formats.read_jsonl(path, lambda obj: FeatureDocument(
-            id=obj["id"], group=obj.get("group"),
-            frames=formats.numbers(obj.get("frames"), "'frames'", (None, None),
-                                   finite=False)))
-    elif format == "csv":
-        docs = _load_features_csv(path)
-    else:
-        raise ValueError(f"unknown feature format {format!r}")
+    docs = formats.read_jsonl(path, lambda obj: FeatureDocument(
+        id=obj["id"], group=obj.get("group"),
+        frames=formats.numbers(obj.get("frames"), "'frames'", (None, None),
+                               finite=False)))
     _check_unique_ids(docs)
     dim = None
     for doc in docs:
@@ -171,44 +162,9 @@ def load_features(path, format: str = "jsonl") -> list[FeatureDocument]:
     return docs
 
 
-def _load_features_csv(path) -> list[FeatureDocument]:
-    rows = formats.read_csv(path)
-    if not rows:
-        return []
-    where, header = rows[0]
-    if header[:3] != ["id", "group", "frame_index"]:
-        raise CorpusError(f"{where}: unexpected csv header {header[:3]}")
-    rows_by_doc: dict[str, list] = {}
-    group_by_doc: dict[str, Optional[str]] = {}
-    for where, row in rows[1:]:
-        if len(row) != len(header):
-            raise CorpusError(f"{where}: expected {len(header)} fields")
-        doc_id, group = row[0], row[1] or None
-        try:
-            idx = int(row[2])
-            values = [float(v) for v in row[3:]]
-        except ValueError as exc:
-            raise CorpusError(f"{where}: bad value: {exc}") from exc
-        group_by_doc.setdefault(doc_id, group)
-        rows_by_doc.setdefault(doc_id, []).append((idx, values))
-    return [FeatureDocument(id=doc_id, group=group_by_doc[doc_id],
-                            frames=[v for _, v in sorted(indexed)])
-            for doc_id, indexed in rows_by_doc.items()]
-
-
-def save_features(path, docs: Iterable[FeatureDocument], format: str = "jsonl") -> None:
-    docs = list(docs)
-    if format == "jsonl":
-        formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
-                                    "frames": doc.frames.tolist()} for doc in docs))
-    elif format == "csv":
-        dim = docs[0].dim if docs else 0
-        formats.write_csv(
-            path, ["id", "group", "frame_index"] + [f"f{i}" for i in range(dim)],
-            ([doc.id, doc.group or "", t] + [repr(float(v)) for v in frame]
-             for doc in docs for t, frame in enumerate(doc.frames)))
-    else:
-        raise ValueError(f"unknown feature format {format!r}")
+def save_features(path, docs: Iterable[FeatureDocument]) -> None:
+    formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
+                                "frames": doc.frames.tolist()} for doc in docs))
 
 
 def _load_docs(path, cls, field):
@@ -239,50 +195,3 @@ def load_bags(path) -> list[BagOfSounds]:
 
 def save_bags(path, docs: Iterable[BagOfSounds]) -> None:
     _save_docs(path, docs, "counts")
-
-
-def generate_synthetic_lda_corpus(
-    alpha: float,
-    beta: np.ndarray,
-    num_docs: int,
-    doc_len: int,
-    seed: int,
-    return_thetas: bool = False,
-):
-    """Sample symbol documents from the LDA generative process.
-
-    For each document a K-vector theta is drawn from Dir(alpha), then each of
-    the ``doc_len`` symbols draws a latent component from Mult(theta) and a
-    symbol from the corresponding row of ``beta``. Deterministic for a fixed
-    seed (PCG64).
-
-    With ``return_thetas=True`` also returns the M x K matrix of generating
-    mixture weights, for recovery experiments.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if num_docs < 1 or doc_len < 1:
-        raise ValueError("num_docs and doc_len must be >= 1")
-    if beta.ndim != 2:
-        raise ValueError("beta must be a K x V matrix")
-    row_sums = beta.sum(axis=1)
-    if not np.all(np.abs(row_sums - 1.0) < 1e-9):
-        raise ValueError("every beta row must sum to 1")
-    K, V = beta.shape
-    rng = np.random.default_rng(seed)
-    width = max(4, len(str(num_docs - 1)))
-    docs = []
-    thetas = np.empty((num_docs, K))
-    for m in range(num_docs):
-        theta = rng.dirichlet(np.full(K, alpha))
-        z = rng.choice(K, size=doc_len, p=theta)
-        symbols = np.empty(doc_len, dtype=np.int64)
-        for k in np.unique(z):
-            mask = z == k
-            symbols[mask] = rng.choice(V, size=int(mask.sum()), p=beta[k])
-        thetas[m] = theta
-        docs.append(SymbolDocument(id=f"doc{m:0{width}d}", symbols=symbols))
-    if return_thetas:
-        return docs, thetas
-    return docs

@@ -4,13 +4,13 @@ two-model cross-agreement filter with histogram pruning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import formats
 from .corpus import BagOfSounds
-from .lda import LdaConfig, LdaModel, infer_thetas
+from .lda import LdaModel, infer_thetas
 
 __all__ = ["DomainAssignment", "UbicVector", "FilterResult", "assign",
            "ubic_encode", "average_domain_entropy", "cross_agreement_filter",
@@ -20,7 +20,8 @@ __all__ = ["DomainAssignment", "UbicVector", "FilterResult", "assign",
 @dataclass(frozen=True)
 class DomainAssignment:
     """MAP domain of one document plus its full posterior and a weight used
-    for aggregation (token count, standing in for duration)."""
+    for aggregation (token count, standing in for duration). It holds a
+    read-only copy of the theta it is given."""
 
     doc_id: str
     theta: np.ndarray
@@ -28,7 +29,7 @@ class DomainAssignment:
     weight: float = 1.0
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         if abs(theta.sum() - 1.0) > 1e-9:
@@ -47,12 +48,13 @@ class DomainAssignment:
 
 @dataclass(frozen=True)
 class UbicVector:
-    """One-hot code marking a document's MAP domain."""
+    """One-hot code marking a document's MAP domain, held as a read-only
+    copy."""
 
     code: np.ndarray
 
     def __post_init__(self):
-        code = np.asarray(self.code, dtype=float)
+        code = np.array(self.code, dtype=float)
         code.setflags(write=False)
         object.__setattr__(self, "code", code)
         if not (np.count_nonzero(code) == 1 and code.max() == 1.0):
@@ -67,11 +69,7 @@ class UbicVector:
         return int(np.argmax(self.code))
 
 
-def assign(
-    model: LdaModel,
-    corpus: Sequence[BagOfSounds],
-    config: Optional[LdaConfig] = None,
-) -> list[DomainAssignment]:
+def assign(model: LdaModel, corpus: Sequence[BagOfSounds]) -> list[DomainAssignment]:
     """Infer theta for every document and take the MAP domain.
 
     np.argmax breaks exact ties toward the lowest index, matching the stated
@@ -79,7 +77,7 @@ def assign(
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    thetas = infer_thetas(model, corpus, config)
+    thetas = infer_thetas(model, corpus)
     return [
         DomainAssignment(doc_id=doc.id, theta=theta, map_domain=int(np.argmax(theta)),
                          weight=float(doc.total))

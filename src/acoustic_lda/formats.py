@@ -11,6 +11,7 @@ Shared rules, which each format's loader adds its own fields to:
   types an integer beyond 64 bits as an integer and words the error for
   bad json.
 - json: one json object holding the format's required keys.
+- csv is written only, for the stats and metrics tables; no loader reads it.
 - json nested deeper than the stdlib decoder's recursion limit is bad json.
 - numbers: a numeric field is nested lists of json integers and floats, one
   length per axis; strings and booleans are rejected, not cast. numpy types
@@ -19,7 +20,7 @@ Shared rules, which each format's loader adds its own fields to:
   entry takes what numpy cannot type as numbers, and words the error.
   Integer fields (symbols, counts, labels) take json integers only.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
-  and csv and the file for json.
+  and the file for json.
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
   umask, as a plain ``open`` would give it.
@@ -34,8 +35,8 @@ import os
 import numpy as np
 import orjson
 
-__all__ = ["FormatError", "read_jsonl", "read_json", "read_csv", "numbers",
-           "json_ints", "write_jsonl", "write_json", "write_csv"]
+__all__ = ["FormatError", "read_jsonl", "read_json", "numbers", "json_ints",
+           "write_jsonl", "write_json", "write_csv"]
 
 
 class FormatError(ValueError):
@@ -110,14 +111,6 @@ def read_json(path, keys, build):
     if missing:
         raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
     return _build(path, build, obj)
-
-
-def read_csv(path) -> list:
-    """(``path:line``, row) for each non-empty row of the csv file ``path``,
-    the header included."""
-    with open(path, newline="") as fh:
-        return [(f"{path}:{lineno}", row)
-                for lineno, row in enumerate(csv.reader(fh), 1) if row]
 
 
 def numbers(value, name, shape, finite=True) -> np.ndarray:

@@ -13,11 +13,11 @@ from the diagonal-covariance expansion
 where x and m_i are the frame and the mean shifted by one common centre, so
 that a large common offset does not cancel.
 
-``quantize`` and ``responsibilities`` centre on the mean of the component
-means and take the frames in fixed-size blocks of ``_BLOCK_FRAMES``. The
-expansion rounds differently from the direct form sum (x - mu)^2 / var;
-``quantize`` bounds that error per frame and re-scores, with the direct form,
-only the frames whose best and runner-up components lie within the bound.
+``quantize`` centres on the mean of the component means and takes the
+frames in fixed-size blocks of ``_BLOCK_FRAMES``. The expansion rounds
+differently from the direct form sum (x - mu)^2 / var; ``quantize`` bounds
+that error per frame and re-scores, with the direct form, only the frames
+whose best and runner-up components lie within the bound.
 Its symbols are therefore those of the direct form, ties going to the lowest
 index. The model-only terms of the log joint and of that bound (the centre,
 the two matrix operands, the constant and the bound's per-dimension maxima)
@@ -47,8 +47,7 @@ import numpy as np
 from . import formats
 from .corpus import FeatureDocument, SymbolDocument
 
-__all__ = ["GmmConfig", "GmmModel", "train_gmm", "responsibilities", "quantize",
-           "save_gmm", "load_gmm"]
+__all__ = ["GmmConfig", "GmmModel", "train_gmm", "quantize", "save_gmm", "load_gmm"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _EPS = np.finfo(float).eps
@@ -187,17 +186,6 @@ def _tie_margin(terms, x):
     size = (np.abs(x) + terms.reach) ** 2 @ terms.max_prec
     size += terms.margin_const
     return 8.0 * (terms.centre.size + 6) * _EPS * size
-
-
-def responsibilities(model: GmmModel, frame: np.ndarray) -> np.ndarray:
-    """Posterior P(G_i | x) over components for a single frame."""
-    frame = np.asarray(frame, dtype=float)
-    if frame.shape != (model.dim,):
-        raise ValueError(f"frame has shape {frame.shape}, model dim is {model.dim}")
-    terms = model._terms
-    lj = _log_joint(terms, frame[None, :] - terms.centre)[0]
-    post = np.exp(lj - lj.max())
-    return post / post.sum()
 
 
 @np.errstate(over="raise", invalid="raise")

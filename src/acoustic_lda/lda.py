@@ -27,10 +27,10 @@ sum_k (gamma_k - alpha_k)(E_q[log theta_k] - digamma(gamma_prev)_k) plus
 sum_w C_w log(norm_w), with the two scalings added back, where gamma_prev
 and norm are those of the document's last sweep. The M-step re-estimates
 the topic rows from the expected counts eb * (el.T @ (C / norm)), with
-optional additive smoothing. Training, single-document inference and corpus
-inference all run this one E-step; a single document is the batch of one.
-``log_beta`` stores K rows of length V (log-probability of each symbol given
-the latent domain).
+optional additive smoothing. ``fit`` and ``infer_thetas`` run this one
+E-step: ``fit`` with the tolerances of its ``LdaConfig``, inference with
+their defaults, ``_GAMMA_TOL`` and ``_MAX_E_ITERS``. ``log_beta`` stores K
+rows of length V (log-probability of each symbol given the latent domain).
 """
 
 from __future__ import annotations
@@ -45,47 +45,42 @@ from scipy.special import gammaln, logsumexp, psi
 from . import formats
 from .corpus import BagOfSounds
 
-__all__ = ["LdaConfig", "LdaModel", "VariationalState", "digamma",
-           "e_step_document", "elbo", "fit", "infer_theta", "infer_thetas",
-           "save_lda", "load_lda"]
+__all__ = ["LdaConfig", "LdaModel", "fit", "infer_thetas", "save_lda", "load_lda"]
 
 
 # Below this a scaled norm loses precision and C / norm may overflow; a
 # document with such a norm at a symbol it contains goes to the log domain.
 _NORM_FLOOR = 1e-250
 
-
-def digamma(x):
-    """scipy's digamma, restricted to positive arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("digamma requires positive arguments")
-    return psi(x)
+# The E-step stops a document once its max relative gamma change falls below
+# _GAMMA_TOL, or after _MAX_E_ITERS sweeps: fit's defaults, and inference's.
+_GAMMA_TOL = 1e-5
+_MAX_E_ITERS = 100
 
 
 @dataclass
 class LdaConfig:
-    gamma_tol: float = 1e-5      # max relative gamma change to stop the E-step
-    max_e_iters: int = 100
+    gamma_tol: float = _GAMMA_TOL  # max relative gamma change to stop the E-step
+    max_e_iters: int = _MAX_E_ITERS
     em_tol: float = 1e-4         # relative corpus-ELBO change to stop EM
     max_em_iters: int = 50
     smoothing: float = 1e-3      # additive pseudo-count per (k, w) cell; 0 disables
     alpha: Optional[float] = None  # symmetric Dirichlet scale; None means 1/K
     seed: int = 0
-    subtract_prior: bool = False  # theta = (gamma - alpha)/sum if True
 
 
 @dataclass(frozen=True)
 class LdaModel:
-    """Topic-symbol matrix in the log domain plus the Dirichlet scale."""
+    """Topic-symbol matrix in the log domain plus the Dirichlet scale. It
+    holds read-only copies of the arrays it is given."""
 
     alpha: np.ndarray      # (K,) positive
     log_beta: np.ndarray   # (K, V), each row normalized in probability space
     elbo_history: Optional[list] = None   # per-EM-iteration corpus ELBO; not serialized
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        log_beta = np.asarray(self.log_beta, dtype=float)
+        alpha = np.atleast_1d(np.array(self.alpha, dtype=float))
+        log_beta = np.array(self.log_beta, dtype=float)
         if log_beta.ndim != 2 or 0 in log_beta.shape:
             raise ValueError(f"log_beta must have shape (K, V) with K, V >= 1, "
                              f"got {log_beta.shape}")
@@ -108,17 +103,6 @@ class LdaModel:
     @property
     def vocab_size(self) -> int:
         return self.log_beta.shape[1]
-
-
-@dataclass(frozen=True)
-class VariationalState:
-    """Per-document variational posterior: Dirichlet gamma and one phi row
-    per distinct symbol present in the document."""
-
-    gamma: np.ndarray      # (K,)
-    phi: np.ndarray        # (U, K), row-stochastic
-    word_ids: np.ndarray   # (U,) the distinct symbols, aligned with phi rows
-    counts: np.ndarray     # (U,) occurrence counts of each distinct symbol
 
 
 def _stack_counts(docs: Sequence[BagOfSounds], v: int) -> np.ndarray:
@@ -273,58 +257,20 @@ def _em_terms(log_beta, alpha, c, config: LdaConfig):
     return bounds, stats
 
 
-def _posterior(model: LdaModel, docs: Sequence[BagOfSounds], config: LdaConfig):
-    """The E-step over non-empty documents under a trained model.
-
-    Returns the counts (M, V), the scaled beta, and the outputs of
-    :func:`_e_step`: gamma, the last sweeps' digamma and the re-run phis.
-    """
+def _posterior(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
+    """gamma (M, K) of the non-empty documents ``docs`` under a trained
+    model, by the E-step at the default tolerances."""
     c = _stack_counts(docs, model.vocab_size)
     dead = (c[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
     if dead.any():
         raise FloatingPointError(f"document {docs[dead.argmax()].id!r}: "
                                  "observed symbol has zero mass in every topic")
     eb, _ = _scaled_beta(model.log_beta)
-    gamma, dig, fallback = _e_step(model.log_beta, eb, model.alpha, c,
-                                   config.gamma_tol, config.max_e_iters)
+    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, c, _GAMMA_TOL, _MAX_E_ITERS)
     bad = ~np.isfinite(gamma).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"document {docs[bad.argmax()].id!r}: non-finite gamma")
-    return c, eb, gamma, dig, fallback
-
-
-def e_step_document(
-    model: LdaModel,
-    doc: BagOfSounds,
-    config: Optional[LdaConfig] = None,
-) -> VariationalState:
-    """Variational inference for one document (the E-step on a batch of one).
-
-    phi is that of the last sweep, the one that gave gamma.
-    """
-    c, eb, gamma, dig, fallback = _posterior(model, [doc], config or LdaConfig())
-    ids = np.flatnonzero(c[0])
-    if fallback:
-        phi = fallback[0]
-    else:
-        el, norm, _ = _scaled_norm(dig, eb, c)
-        phi = el[0] * eb[:, ids].T / norm[0, ids, None]
-    return VariationalState(gamma=gamma[0], phi=phi, word_ids=ids, counts=c[0, ids])
-
-
-def elbo(model: LdaModel, doc: BagOfSounds, state: VariationalState) -> float:
-    """Evidence lower bound for one document under the given variational state."""
-    if state.gamma.shape != (model.num_domains,):
-        raise ValueError("gamma length does not match the model")
-    if state.phi.shape != (state.word_ids.shape[0], model.num_domains):
-        raise ValueError("phi shape does not match the state's word ids")
-    ids = np.flatnonzero(doc.counts)
-    if not (np.array_equal(ids, state.word_ids)
-            and np.array_equal(doc.counts[ids], state.counts)):
-        raise ValueError(f"document {doc.id!r} does not match the state's "
-                         "symbols and counts")
-    return _phi_bound(model.alpha, model.log_beta.T[ids], state.counts,
-                      state.gamma, state.phi)
+    return gamma
 
 
 def _init_log_beta(c, k, smoothing, rng):
@@ -382,18 +328,13 @@ def fit(
     return LdaModel(alpha=alpha, log_beta=log_beta, elbo_history=history)
 
 
-def infer_thetas(
-    model: LdaModel,
-    docs: Sequence[BagOfSounds],
-    config: Optional[LdaConfig] = None,
-) -> np.ndarray:
+def infer_thetas(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
     """Normalized domain posterior of each document, (M, K): gamma over its
-    sum, or gamma minus alpha over its sum with ``config.subtract_prior``.
+    sum.
 
     An empty document yields the uniform vector with a warning; training-time
     empty documents are rejected by :func:`fit` instead.
     """
-    config = config or LdaConfig()
     k = model.num_domains
     theta = np.full((len(docs), k), 1.0 / k)
     live = []
@@ -403,20 +344,9 @@ def infer_thetas(
         else:
             live.append(i)
     if live:
-        _, _, gamma, _, _ = _posterior(model, [docs[i] for i in live], config)
-        if config.subtract_prior:
-            gamma = gamma - model.alpha
+        gamma = _posterior(model, [docs[i] for i in live])
         theta[live] = gamma / gamma.sum(axis=1, keepdims=True)
     return theta
-
-
-def infer_theta(
-    model: LdaModel,
-    doc: BagOfSounds,
-    config: Optional[LdaConfig] = None,
-) -> np.ndarray:
-    """:func:`infer_thetas` for a single document."""
-    return infer_thetas(model, [doc], config)[0]
 
 
 def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:

@@ -68,11 +68,13 @@ def brute_log_evidence(alpha, beta, symbols):
     return float(total)
 
 
-def lda_e_step_gamma(alpha, log_beta, counts, gamma_tol, max_iters):
-    """gamma of one document by the (phi, gamma) coordinate ascent in the log
-    domain: from gamma = alpha + N/K, phi_w = softmax_k(log_beta_kw +
-    digamma(gamma_k)) and gamma = alpha + sum_w n_w phi_w, until the largest
-    relative change of gamma falls below ``gamma_tol``."""
+def lda_e_step(alpha, log_beta, counts, gamma_tol, max_iters):
+    """gamma and phi of one document by the (phi, gamma) coordinate ascent
+    in the log domain: from gamma = alpha + N/K, phi_w = softmax_k(log_beta_kw
+    + digamma(gamma_k)) and gamma = alpha + sum_w n_w phi_w, until the largest
+    relative change of gamma falls below ``gamma_tol``. phi (U, K) is that of
+    the last sweep, the one that gave gamma, with a row per symbol present in
+    ``counts``, in symbol order."""
     alpha = np.asarray(alpha, dtype=float)
     log_beta = np.asarray(log_beta, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -86,7 +88,32 @@ def lda_e_step_gamma(alpha, log_beta, counts, gamma_tol, max_iters):
         gamma = new
         if done:
             break
-    return gamma
+    return gamma, phi
+
+
+def lda_phi_elbo(alpha, log_beta, counts, gamma, phi):
+    """The evidence lower bound of one document in the phi form of Blei, Ng
+    & Jordan (2003), one term at a time, for ``phi`` (U, K) with a row per
+    symbol present in ``counts``:
+
+        E[log p(theta | alpha)] + sum_w n_w E[log p(z_w | theta)]
+        + sum_w n_w E[log p(w | z_w, beta)] - E[log q(theta)]
+        - sum_w n_w E[log q(z_w)].
+    """
+    alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    ids = np.flatnonzero(counts)
+    n, lb = counts[ids], np.asarray(log_beta, dtype=float)[:, ids].T
+    e_log_theta = digamma(gamma) - digamma(gamma.sum())
+    log_p_theta = (gammaln(alpha.sum()) - gammaln(alpha).sum()
+                   + ((alpha - 1.0) * e_log_theta).sum())
+    log_q_theta = (gammaln(gamma.sum()) - gammaln(gamma).sum()
+                   + ((gamma - 1.0) * e_log_theta).sum())
+    log_p_z = n @ (phi @ e_log_theta)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 * log 0 is 0
+        log_p_w = n @ np.where(phi > 0, phi * lb, 0.0).sum(axis=1)
+        log_q_z = n @ np.where(phi > 0, phi * np.log(phi), 0.0).sum(axis=1)
+    return float(log_p_theta + log_p_z + log_p_w - log_q_theta - log_q_z)
 
 
 def grid_posterior_mean_theta0(alpha, beta, symbols, grid_points=10_000):

@@ -15,6 +15,7 @@ from oracles import (
     greedy_row_match,
     prefix_filter_oracle,
 )
+from synthetic import generate_synthetic_lda_corpus
 
 
 def report(number, name, ok=True):
@@ -28,7 +29,7 @@ def test_01_lda_recovery():
     k, v = 4, 50
     rng = np.random.default_rng(42)
     true_beta = rng.dirichlet(np.full(v, 0.2), size=k)
-    docs, thetas = corpus.generate_synthetic_lda_corpus(
+    docs, thetas = generate_synthetic_lda_corpus(
         0.1, true_beta, 500, 200, seed=7, return_thetas=True)
     bags = [corpus.to_bag(d, v) for d in docs]
     model = lda.fit(bags, k)
@@ -50,6 +51,7 @@ def test_01_lda_recovery():
 
 
 def test_02_elbo_soundness():
+    # the bound fit maximises: the E-step of EM on a corpus of one document
     rng = np.random.default_rng(2)
     worst_gap = np.inf
     for _ in range(100):
@@ -59,10 +61,9 @@ def test_02_elbo_soundness():
         beta = rng.dirichlet(np.ones(v), size=k)
         alpha = rng.uniform(0.1, 2.0, size=k)
         symbols = rng.integers(0, v, size=n)
-        model = lda.LdaModel(alpha=alpha, log_beta=np.log(beta))
-        doc = corpus.BagOfSounds(id="d", counts=np.bincount(symbols, minlength=v))
-        state = lda.e_step_document(model, doc)
-        bound = lda.elbo(model, doc, state)
+        counts = np.bincount(symbols, minlength=v)[None].astype(float)
+        bounds, _ = lda._em_terms(np.log(beta), alpha, counts, lda.LdaConfig())
+        bound = bounds[0]
         evidence = brute_log_evidence(alpha, beta, symbols)
         gap = evidence - bound
         assert gap > -1e-6, f"ELBO above evidence by {-gap:.2e}"
@@ -79,7 +80,7 @@ def test_03_em_monotonicity():
         k = int(rng.integers(2, 4))
         v = int(rng.integers(5, 12))
         beta = rng.dirichlet(np.ones(v), size=k)
-        docs = corpus.generate_synthetic_lda_corpus(
+        docs = generate_synthetic_lda_corpus(
             0.5, beta, 20, 15, seed=300 + trial)
         model = lda.fit([corpus.to_bag(d, v) for d in docs], k,
                         lda.LdaConfig(seed=trial))
@@ -124,7 +125,10 @@ def test_04_quantizer_correctness():
             variances=rng.uniform(0.2, 2.0, size=(v, d)),
         )
         frame = rng.normal(size=d)
-        got = gmm.responsibilities(rm, frame)
+        # the posterior from the log joint quantize takes its argmax of
+        lj = gmm._log_joint(rm._terms, frame[None, :] - rm._terms.centre)[0]
+        got = np.exp(lj - lj.max())
+        got /= got.sum()
         want = gaussian_responsibilities(rm.weights, rm.means, rm.variances, frame)
         worst = max(worst, np.abs(got - want).max())
     assert worst < 1e-10, f"responsibility error {worst:.2e}"
@@ -230,13 +234,12 @@ def test_08_entropy_trend():
     rng = np.random.default_rng(5)
     v = 40
     true_beta = rng.dirichlet(np.full(v, 0.3), size=32)
-    docs = corpus.generate_synthetic_lda_corpus(0.5, true_beta, 150, 20, seed=6)
+    docs = generate_synthetic_lda_corpus(0.5, true_beta, 150, 20, seed=6)
     bags = [corpus.to_bag(d, v) for d in docs]
     entropies = []
     for k in (4, 8, 16, 32):
         model = lda.fit(bags, k, lda.LdaConfig(seed=3, alpha=0.5))
-        assignments = domains.assign(model, bags,
-                                     lda.LdaConfig(seed=3, alpha=0.5))
+        assignments = domains.assign(model, bags)
         entropies.append(domains.average_domain_entropy(assignments))
     assert all(b >= a - 1e-9 for a, b in zip(entropies, entropies[1:])), \
         f"entropies {entropies}"

@@ -1,5 +1,13 @@
-"""Every file the package reads or writes goes through ``acoustic_lda.formats``:
-no other module opens a file or touches json, orjson, csv or temp files."""
+"""Two rules on the package's source.
+
+Every file the package reads or writes goes through ``acoustic_lda.formats``:
+no other module opens a file or touches json, orjson, csv or temp files.
+
+Every public top-level function and class is reached from the pipeline: from
+``cli.main`` and module-level code, through the definitions that use it. A
+name that only tests call does not belong in the package; the few kept on
+purpose are listed in ``KEPT``, each with its reason.
+"""
 
 import ast
 from pathlib import Path
@@ -41,7 +49,7 @@ def test_the_check_sees_the_format_module():
     tree = ast.parse((PACKAGE / "formats.py").read_text())
     kinds = {what for _, what in file_access(tree)}
     assert {"open()", "import json", "import orjson", "import csv",
-            "json.loads", "json.dumps", "orjson.loads", "csv.reader", "csv.writer",
+            "json.loads", "json.dumps", "orjson.loads", "csv.writer",
             "os.open"} <= kinds
 
 
@@ -51,3 +59,87 @@ def test_the_check_sees_temp_files():
     assert [what for _, what in file_access(tree)] == [
         "import tempfile", "from tempfile import", "tempfile.mkstemp",
         "os.fdopen", "io.open"]
+
+
+# public names no pipeline stage reaches, kept on purpose
+KEPT = {
+    ("network", "gradient_check"):
+        "per-frame helper of test_06, like LdatNetwork.forward and "
+        "first_layer_preactivation for test_05; they go with ROADMAP item 7",
+    ("corpus", "load_symbols"): "the reader of the symbols file quantize writes",
+    ("corpus", "save_features"): "the writer of the features file train-gmm and quantize read",
+}
+ROOTS = {("cli", "main")}   # the console script
+
+
+def reach(sources, roots):
+    """The (module, name) of each top-level definition in ``sources`` (module
+    name -> source text) reached from ``roots`` and from module-level code.
+
+    A definition uses what it loads by name (its own module's definitions
+    and names imported with ``from .module import name``) and ``module.name``
+    for a module imported with ``from . import module``.
+    """
+    defs, edges, reached = set(), {}, set(roots)
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        modules, names = {}, {}
+        local = {node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+
+        def uses(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    if sub.id in local:
+                        yield module, sub.id
+                    elif sub.id in names:
+                        yield names[sub.id]
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                        and sub.value.id in modules:
+                    yield modules[sub.value.id], sub.attr
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.add((module, node.name))
+                edges[module, node.name] = set(uses(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= set(uses(node))
+    todo = list(reached)
+    while todo:
+        for used in edges.get(todo.pop(), ()):
+            if used not in reached:
+                reached.add(used)
+                todo.append(used)
+    return defs & reached
+
+
+def unreached_public(sources, roots):
+    public = {(m, n) for m, text in sources.items() for node in ast.parse(text).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              for n in [node.name] if not n.startswith("_")}
+    return sorted(public - reach(sources, roots))
+
+
+def test_every_public_name_is_reached_from_the_pipeline():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert set(KEPT) <= set(unreached_public(sources, ROOTS)), "a kept name is reached"
+    assert unreached_public(sources, ROOTS | set(KEPT)) == []
+
+
+def test_the_reach_check_follows_uses():
+    sources = {
+        "a": "from . import b\nfrom .b import used\n"
+             "def main():\n    used()\n    b.attr()\n"
+             "def dead():\n    b.only_dead()\n",
+        "b": "X = None\ndef used(): pass\ndef attr(): return helper()\n"
+             "def helper(): pass\ndef only_dead(): pass\n"
+             "class Loaded: pass\nY = Loaded\n",
+    }
+    assert unreached_public(sources, {("a", "main")}) == [("a", "dead"), ("b", "only_dead")]

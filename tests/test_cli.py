@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -283,6 +285,9 @@ class TestContracts:
         pytest.param({"seed": "x", "stages": {"train-lda": {"k": 2}}}, id="bad-seed"),
         pytest.param({"sed": 1}, id="unknown-top-level-key"),
         pytest.param('{"stages": ' + DEEP + "}", id="deeply-nested"),
+        pytest.param({"stages": {"train-lda": {"em": 0.5}}}, id="prefix-of-em-tol"),
+        pytest.param({"stages": {"train-lda": {"max": 3}}}, id="prefix-of-max-em-iters"),
+        pytest.param({"stages": {"train-lda": {"out=evil.json": "1"}}}, id="key-holding-equals"),
     ])
     def test_manifest_fault_exit_2(self, tmp_path, capsys, manifest):
         path = tmp_path / "manifest.json"
@@ -294,6 +299,20 @@ class TestContracts:
                   str(tmp_path / "bags.jsonl"), "--out", str(tmp_path / "lda.json")])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", [
+        ["train-gmm", "--components", "2", "--out", "gmm.json"],
+        ["quantize", "--gmm", "gmm.json", "--out", "symbols.jsonl"],
+    ], ids=["train-gmm", "quantize"])
+    def test_csv_feature_format_flag_exit_2(self, tmp_path, capsys, monkeypatch,
+                                            pipeline_inputs, stage):
+        # features are read from jsonl only; --format is not a flag
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*stage, "--features", pipeline_inputs, "--format", "csv")
+        assert exc.value.code == 2
+        assert not (tmp_path / stage[-1]).exists()
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         pytest.param(gmm_json(variances=[[1.0], [1.0]]), "variances must have shape",
@@ -852,3 +871,102 @@ class TestFuzz:
         layered.write_text(json.dumps({**NET_D2, "layers": [layer, NET_D2["layers"][1]]}))
         for path in (net, layered):
             assert run("eval", "--net", path, "--data", data) in (0, 1)
+
+
+def stage_flags():
+    """Each subcommand's long flag names without the leading ``--``, read
+    off the parser's own actions."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+    return {name: sorted(opt[2:] for action in p._actions for opt in action.option_strings
+                         if opt.startswith("--") and opt != "--help")
+            for name, p in sub.choices.items()}
+
+
+STAGE_FLAGS = stage_flags()
+ALL_FLAGS = sorted({flag for flags in STAGE_FLAGS.values() for flag in flags})
+# every file a stage writes is named here, so a manifest value cannot move it;
+# the inputs are absent, so no manifest path is ever read
+STAGE_ARGV = {
+    "train-gmm": ["--features", "f.jsonl", "--out", "o.json"],
+    "quantize": ["--gmm", "g.json", "--features", "f.jsonl", "--out", "o.jsonl",
+                 "--bags-out", "b.jsonl"],
+    "train-lda": ["--bags", "b.jsonl", "--out", "o.json"],
+    "assign": ["--model", "l.json", "--bags", "b.jsonl", "--out", "o.jsonl"],
+    "entropy": ["--model", "l.json", "--bags", "b.jsonl"],
+    "filter": ["--assign-a", "a.jsonl", "--assign-b", "a.jsonl", "--out", "o.jsonl"],
+    "augment-train": ["--data", "d.jsonl", "--out", "o.json", "--metrics", "m.csv"],
+    "eval": ["--net", "n.json", "--data", "d.jsonl"],
+    "stats": ["--assignments", "a.jsonl", "--bags", "b.jsonl", "--out", "o.csv"],
+}
+
+
+@st.composite
+def manifest_runs(draw):
+    """A subcommand and a manifest text for it. Its entry for that
+    subcommand takes keys from the subcommand's flag names, their prefixes,
+    flag names with ``=`` or whitespace and text after them, other
+    subcommands' flag names and any text; the draws lean towards manifests
+    whose only fault is one key."""
+    command = draw(st.sampled_from(sorted(STAGE_FLAGS)))
+    own = st.sampled_from(STAGE_FLAGS[command])
+    prefixes = own.flatmap(lambda flag: st.integers(1, len(flag) - 1).map(
+        lambda n: flag[:n]))
+    keys = st.one_of(
+        own, prefixes, prefixes,
+        st.builds(lambda flag, sep, tail: flag + sep + tail, own,
+                  st.sampled_from(["=", " ", "\t", " =", "\n"]), st.text(max_size=4)),
+        st.sampled_from(ALL_FLAGS), st.text(max_size=6))
+    values = st.one_of(st.integers(0, 5), st.sampled_from(["1", "2", "0.5", "relu", "4,4"]),
+                       json_values)
+    entry = st.dictionaries(keys, values, min_size=1, max_size=3)
+    others = st.dictionaries(st.sampled_from(sorted(STAGE_FLAGS)) | st.text(max_size=6),
+                             entry | json_values, max_size=2)
+    stages = st.one_of(*[st.builds(lambda e, rest: {**rest, command: e}, entry, others)] * 3,
+                       others | json_values)
+    structured = st.fixed_dictionaries({"stages": stages}, optional={
+        "seed": st.integers(0, 9) | json_values, "sed": json_values})
+    manifest = draw(st.one_of(structured, structured, structured, json_values))
+    return json.dumps(manifest) + "\n", command
+
+
+def manifest_fault(text, command):
+    """Whether the manifest ``text`` is at fault for ``command``: an
+    unknown key, stage or flag name, or a value that is not a string or a
+    number."""
+    manifest = json.loads(text)
+    if not (isinstance(manifest, dict) and set(manifest) <= {"seed", "stages"}):
+        return True
+    stages = manifest.get("stages", {})
+    if not (isinstance(stages, dict) and set(stages) <= set(STAGE_FLAGS)
+            and all(isinstance(entry, dict) for entry in stages.values())):
+        return True
+    entry = dict(stages.get(command, {}))
+    if "seed" in manifest and "seed" in STAGE_FLAGS[command]:
+        entry["seed"] = manifest["seed"]
+    return any(key not in STAGE_FLAGS[command] or isinstance(value, bool)
+               or not isinstance(value, (str, int, float)) for key, value in entry.items())
+
+
+class TestManifestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(run_args=manifest_runs())
+    def test_fuzzed_manifest_exits_0_1_or_2(self, tmp_path_factory, run_args):
+        """Every run exits 0, 1 or 2 without a traceback, and a manifest at
+        fault exits 2."""
+        text, command = run_args
+        d = tmp_path_factory.mktemp("manifest")
+        path = d / "manifest.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(["--manifest", str(path), command,
+                             *[a if a.startswith("--") else str(d / a)
+                               for a in STAGE_ARGV[command]]])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if manifest_fault(text, command):
+            assert code == 2, err.getvalue()

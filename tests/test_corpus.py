@@ -10,11 +10,13 @@ from acoustic_lda.corpus import (
     CorpusError,
     FeatureDocument,
     SymbolDocument,
-    generate_synthetic_lda_corpus,
     load_features,
     save_features,
     to_bag,
 )
+from acoustic_lda.domains import DomainAssignment, UbicVector
+from acoustic_lda.lda import LdaModel
+from synthetic import generate_synthetic_lda_corpus
 
 
 def write_jsonl(path, records):
@@ -90,20 +92,6 @@ class TestLoadFeatures:
         with pytest.raises(CorpusError, match="bad json"):
             load_features(path)
 
-    def test_csv_round_trip(self, tmp_path):
-        docs = [
-            FeatureDocument(id="a", frames=np.array([[1.5, -2.25], [0.1, 0.2]]),
-                            group="g1"),
-            FeatureDocument(id="b", frames=np.array([[3.0, 4.0]])),
-        ]
-        path = tmp_path / "f.csv"
-        save_features(path, docs, format="csv")
-        loaded = load_features(path, format="csv")
-        assert [d.id for d in loaded] == ["a", "b"]
-        assert loaded[0].group == "g1"
-        np.testing.assert_allclose(loaded[0].frames, docs[0].frames, atol=1e-12)
-        np.testing.assert_allclose(loaded[1].frames, docs[1].frames, atol=1e-12)
-
 
 class TestRoundTrips:
     def test_features_jsonl(self, tmp_path):
@@ -152,6 +140,31 @@ class TestIntegerFields:
         with pytest.raises(CorpusError,
                            match=f"{path}:2: .*'{field}' must be a list of integers"):
             loader(path)
+
+
+@pytest.mark.parametrize("build, field, given, bad", [
+    pytest.param(lambda a: FeatureDocument(id="d", frames=a), "frames",
+                 [[1.0, 2.0]], np.nan, id="FeatureDocument"),
+    pytest.param(lambda a: SymbolDocument(id="d", symbols=a), "symbols",
+                 [0, 1, 2], -5, id="SymbolDocument"),
+    pytest.param(lambda a: BagOfSounds(id="d", counts=a), "counts",
+                 [3, 0, 1], -5, id="BagOfSounds"),
+    pytest.param(lambda a: LdaModel(alpha=a, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]])),
+                 "alpha", [0.5, 0.5], -3.0, id="LdaModel"),
+    pytest.param(lambda a: DomainAssignment(doc_id="d", theta=a, map_domain=0), "theta",
+                 [0.7, 0.3], 0.0, id="DomainAssignment"),
+    pytest.param(lambda a: UbicVector(code=a), "code", [0.0, 1.0], 1.0, id="UbicVector"),
+])
+def test_records_own_their_arrays(build, field, given, bad):
+    """A record keeps a read-only copy: a view of the caller's array taken
+    before cannot write into it, and the caller's array stays writable."""
+    arr = np.array(given)
+    view = arr[:]
+    record = build(arr)
+    view[0] = bad
+    assert arr.flags.writeable
+    np.testing.assert_array_equal(getattr(record, field), given)
+    assert not getattr(record, field).flags.writeable
 
 
 class TestToBag:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acoustic_lda.corpus import generate_synthetic_lda_corpus, to_bag
+from acoustic_lda.corpus import to_bag
 from acoustic_lda.domains import (
     DomainAssignment,
     UbicVector,
@@ -12,8 +12,9 @@ from acoustic_lda.domains import (
     ubic_encode,
     write_stats_csv,
 )
-from acoustic_lda.lda import LdaModel, e_step_document, fit
+from acoustic_lda.lda import LdaModel, fit, infer_thetas
 from oracles import prefix_filter_oracle
+from synthetic import generate_synthetic_lda_corpus
 
 
 def da(doc_id, theta, weight=1.0):
@@ -76,10 +77,9 @@ class TestAssign:
             out = assign(model, bags)
         np.testing.assert_array_equal(out[2].theta, np.full(3, 1.0 / 3))
         for i in (0, 1, 3, 4):
-            gamma = e_step_document(model, bags[i]).gamma
-            np.testing.assert_allclose(out[i].theta, gamma / gamma.sum(),
-                                       atol=1e-12, rtol=0)
-            assert out[i].map_domain == int(np.argmax(gamma))
+            theta = infer_thetas(model, [bags[i]])[0]
+            np.testing.assert_allclose(out[i].theta, theta, atol=1e-12, rtol=0)
+            assert out[i].map_domain == int(np.argmax(theta))
 
     def test_empty_corpus(self):
         model = LdaModel(alpha=np.array([1.0]),

@@ -8,7 +8,6 @@ from acoustic_lda.gmm import (
     GmmModel,
     load_gmm,
     quantize,
-    responsibilities,
     save_gmm,
     train_gmm,
 )
@@ -22,6 +21,14 @@ def random_model(rng, v, d):
         means=rng.normal(size=(v, d)),
         variances=rng.uniform(0.2, 2.0, size=(v, d)),
     )
+
+
+def responsibilities(model, frame):
+    """Posterior over components of one frame, from the log joint whose
+    argmax ``quantize`` takes."""
+    lj = gmm._log_joint(model._terms, frame[None, :] - model._terms.centre)[0]
+    post = np.exp(lj - lj.max())
+    return post / post.sum()
 
 
 class TestResponsibilities:
@@ -54,8 +61,8 @@ class TestResponsibilities:
     def test_dimension_mismatch(self):
         model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
                          variances=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            responsibilities(model, np.zeros(3))
+        with pytest.raises(ValueError, match="dim 3, model dim is 2"):
+            quantize(model, FeatureDocument(id="d", frames=np.zeros((1, 3))))
 
 
 class TestQuantize:
@@ -177,7 +184,7 @@ class TestDensityPath:
 
 
 class TestModelTerms:
-    """``quantize`` and ``responsibilities`` take each model's log-joint and
+    """``quantize`` and the posterior take each model's log-joint and
     tie-margin terms from the model, where they are built once."""
 
     def test_interleaved_models_match_oracle_and_build_terms_once(self, monkeypatch):

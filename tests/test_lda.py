@@ -2,29 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.special
 
 from acoustic_lda import lda
-from acoustic_lda.corpus import BagOfSounds, generate_synthetic_lda_corpus, to_bag
-from acoustic_lda.lda import (
-    LdaConfig,
-    LdaModel,
-    VariationalState,
-    digamma,
-    e_step_document,
-    elbo,
-    fit,
-    infer_theta,
-    infer_thetas,
-    load_lda,
-    save_lda,
-)
+from acoustic_lda.corpus import BagOfSounds, to_bag
+from acoustic_lda.lda import LdaConfig, LdaModel, fit, infer_thetas, load_lda, save_lda
 from oracles import (
     brute_log_evidence,
     greedy_row_match,
     grid_posterior_mean_theta0,
-    lda_e_step_gamma,
+    lda_e_step,
+    lda_phi_elbo,
 )
+from synthetic import generate_synthetic_lda_corpus
 
 
 def bag(counts, doc_id="d"):
@@ -37,6 +26,14 @@ def make_model(beta, alpha):
     return LdaModel(alpha=alpha, log_beta=np.log(beta))
 
 
+def em_terms(model, doc, config=None):
+    """The bound and expected counts ``fit`` takes from one document: its
+    E-step on a corpus of one."""
+    bounds, stats = lda._em_terms(model.log_beta, model.alpha,
+                                  doc.counts[None].astype(float), config or LdaConfig())
+    return bounds[0], stats
+
+
 def random_instance(rng, max_k=3, max_v=4, max_len=4):
     k = int(rng.integers(1, max_k + 1))
     v = int(rng.integers(2, max_v + 1))
@@ -47,28 +44,13 @@ def random_instance(rng, max_k=3, max_v=4, max_len=4):
     return make_model(beta, alpha), symbols, beta, alpha, v
 
 
-class TestDigamma:
-    def test_matches_scipy(self):
-        x = np.concatenate([
-            np.geomspace(1e-3, 5.9, 200),
-            np.geomspace(6.0, 1e6, 200),
-        ])
-        np.testing.assert_allclose(digamma(x), scipy.special.digamma(x),
-                                   atol=1e-11, rtol=0)
-
-    def test_scalar_and_positivity(self):
-        assert abs(digamma(1.0) - scipy.special.digamma(1.0)) < 1e-12
-        with pytest.raises(ValueError):
-            digamma(np.array([1.0, -0.5]))
-
-
 class TestEStep:
     def test_k1_degenerate(self):
         model = make_model([[0.2, 0.3, 0.5]], 0.7)
         doc = bag([2, 1, 3])
-        state = e_step_document(model, doc)
-        np.testing.assert_allclose(state.gamma, [0.7 + 6], atol=1e-12)
-        np.testing.assert_allclose(state.phi, np.ones((3, 1)), atol=1e-12)
+        np.testing.assert_allclose(lda._posterior(model, [doc])[0], [0.7 + 6], atol=1e-12)
+        # every phi row is (1,): the expected counts are the counts
+        np.testing.assert_allclose(em_terms(model, doc)[1], [[2, 1, 3]], atol=1e-12)
 
     def test_disjoint_support_vs_grid_oracle(self):
         beta = np.array([
@@ -79,8 +61,8 @@ class TestEStep:
         model = make_model(beta + 1e-300, 0.1)
         symbols = [0, 1, 1, 0, 0, 1] * 4   # long enough to swamp the alpha mass
         doc = bag(np.bincount(symbols, minlength=4))
-        state = e_step_document(model, doc)
-        frac = state.gamma[0] / state.gamma.sum()
+        gamma = lda._posterior(model, [doc])[0]
+        frac = gamma[0] / gamma.sum()
         assert frac > 0.99
         oracle = grid_posterior_mean_theta0(0.1, beta, symbols)
         assert abs(frac - oracle) < 0.01
@@ -88,16 +70,18 @@ class TestEStep:
     def test_symmetric_model_gives_equal_gamma(self):
         row = [0.1, 0.2, 0.3, 0.4]
         model = make_model([row, row, row], 0.5)
-        state = e_step_document(model, bag([1, 0, 2, 1]))
-        assert np.max(np.abs(state.gamma - state.gamma[0])) < 1e-9
+        gamma = lda._posterior(model, [bag([1, 0, 2, 1])])[0]
+        assert np.max(np.abs(gamma - gamma[0])) < 1e-9
 
     def test_phi_rows_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             model, symbols, *_ , v = random_instance(rng)
-            state = e_step_document(model, bag(np.bincount(symbols, minlength=v)))
-            np.testing.assert_allclose(state.phi.sum(axis=1), 1.0, atol=1e-9)
-            assert np.all(state.gamma > 0)
+            doc = bag(np.bincount(symbols, minlength=v))
+            # each symbol's phi row sums to 1: its expected counts sum to its count
+            np.testing.assert_allclose(em_terms(model, doc)[1].sum(axis=0), doc.counts,
+                                       atol=1e-9)
+            assert np.all(lda._posterior(model, [doc])[0] > 0)
 
     def test_inner_elbo_monotone(self):
         # the bound after i coordinate-ascent sweeps, for i = 1..30
@@ -105,22 +89,22 @@ class TestEStep:
         for _ in range(20):
             model, symbols, *_ , v = random_instance(rng, max_len=6)
             doc = bag(np.bincount(symbols, minlength=v))
-            history = [elbo(model, doc, e_step_document(
-                model, doc, LdaConfig(max_e_iters=i))) for i in range(1, 31)]
+            history = [em_terms(model, doc, LdaConfig(max_e_iters=i))[0]
+                       for i in range(1, 31)]
             diffs = np.diff(history)
             assert (diffs >= -1e-10).all()
 
     def test_empty_document_rejected(self):
         model = make_model([[0.5, 0.5]], 1.0)
         with pytest.raises(ValueError, match="empty"):
-            e_step_document(model, bag([0, 0]))
+            lda._posterior(model, [bag([0, 0])])
 
     def test_zero_mass_symbol_signalled(self):
         # symbol 1 has exactly zero mass in every topic: non-finite signal
         log_beta = np.array([[0.0, -np.inf], [0.0, -np.inf]])
         model = LdaModel(alpha=np.array([1.0, 1.0]), log_beta=log_beta)
         with pytest.raises(FloatingPointError):
-            e_step_document(model, bag([2, 3]))
+            infer_thetas(model, [bag([2, 3])])
 
     def test_zero_mass_symbol_names_document(self):
         log_beta = np.array([[0.0, -np.inf, -np.inf], [-np.inf, -np.inf, 0.0]])
@@ -145,6 +129,15 @@ class TestPhiFreeEStep:
             docs.append(bag(counts, f"d{i}"))
         return docs
 
+    @staticmethod
+    def e_step(log_beta, alpha, docs, config):
+        """gamma (M, K) of the batched E-step on ``docs``, and the phi of
+        each document it re-ran in the log domain, by row."""
+        c = np.array([doc.counts for doc in docs], dtype=float)
+        gamma, _, fallback = lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c,
+                                         config.gamma_tol, config.max_e_iters)
+        return gamma, fallback
+
     def test_gamma_matches_log_domain_oracle(self):
         rng = np.random.default_rng(30)
         config = LdaConfig()
@@ -153,11 +146,11 @@ class TestPhiFreeEStep:
             model = make_model(rng.dirichlet(np.full(v, 0.5), size=k),
                                rng.uniform(0.05, 2.0, size=k))
             docs = self.mixed_corpus(rng, v, 25)
-            _, _, gamma, _, fallback = lda._posterior(model, docs, config)
+            gamma, fallback = self.e_step(model.log_beta, model.alpha, docs, config)
             assert not fallback
             for doc, g in zip(docs, gamma):
-                want = lda_e_step_gamma(model.alpha, model.log_beta, doc.counts,
-                                        config.gamma_tol, config.max_e_iters)
+                want, _ = lda_e_step(model.alpha, model.log_beta, doc.counts,
+                                     config.gamma_tol, config.max_e_iters)
                 np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
 
     def test_underflowing_norm_reruns_in_log_domain(self, monkeypatch):
@@ -181,14 +174,14 @@ class TestPhiFreeEStep:
 
         monkeypatch.setattr(lda, "_log_domain_e_step", counted)
         config = LdaConfig()
-        _, _, gamma, _, fallback = lda._posterior(model, docs, config)
+        gamma, fallback = self.e_step(log_beta, alpha, docs, config)
         assert reruns == [[1.0]] and list(fallback) == [1]
         for doc, g in zip(docs, gamma):
-            want = lda_e_step_gamma(alpha, log_beta, doc.counts,
-                                    config.gamma_tol, config.max_e_iters)
+            want, _ = lda_e_step(alpha, log_beta, doc.counts,
+                                 config.gamma_tol, config.max_e_iters)
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
-        state = e_step_document(model, docs[1])
-        np.testing.assert_allclose(state.phi[0], np.eye(k)[1], atol=1e-12)
+        np.testing.assert_allclose(fallback[1][0], np.eye(k)[1], atol=1e-12)
+        np.testing.assert_array_equal(lda._posterior(model, docs), gamma)
 
     def test_every_document_rerun_gives_the_same_fit(self, monkeypatch):
         # an infinite floor sends every document through the log-domain
@@ -219,10 +212,12 @@ class TestPhiFreeEStep:
             bounds, stats = lda._em_terms(model.log_beta, model.alpha, c, config)
             want_stats = np.zeros((k, v))
             for doc, bound in zip(docs, bounds):
-                state = e_step_document(model, doc, config)
-                want = elbo(model, doc, state)
+                gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
+                                        config.gamma_tol, config.max_e_iters)
+                want = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma, phi)
                 assert abs(bound - want) <= 1e-10 * abs(want)
-                want_stats[:, state.word_ids] += (state.counts[:, None] * state.phi).T
+                ids = np.flatnonzero(doc.counts)
+                want_stats[:, ids] += (doc.counts[ids, None] * phi).T
             np.testing.assert_allclose(stats, want_stats, rtol=1e-12, atol=1e-12)
 
     def test_memory_does_not_grow_with_the_widest_document(self):
@@ -251,21 +246,21 @@ class TestPhiFreeEStep:
 
 
 class TestElbo:
+    """The bound ``fit`` maximises, of one document."""
+
     def test_k1_equals_exact_log_likelihood(self):
         beta = np.array([[0.2, 0.3, 0.5]])
         model = make_model(beta, 0.7)
         doc = bag([1, 2, 0])
-        state = e_step_document(model, doc)
         exact = 1 * np.log(0.2) + 2 * np.log(0.3)
-        assert abs(elbo(model, doc, state) - exact) < 1e-9
+        assert abs(em_terms(model, doc)[0] - exact) < 1e-9
 
     def test_bounded_by_brute_force_evidence(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             model, symbols, beta, alpha, v = random_instance(rng)
             doc = bag(np.bincount(symbols, minlength=v))
-            state = e_step_document(model, doc)
-            bound = elbo(model, doc, state)
+            bound = em_terms(model, doc)[0]
             evidence = brute_log_evidence(alpha, beta, symbols)
             assert bound <= evidence + 1e-6
 
@@ -275,10 +270,11 @@ class TestElbo:
         if model.num_domains == 1:
             model, symbols, *_ , v = random_instance(rng, max_k=3, max_len=4)
         doc = bag(np.bincount(symbols, minlength=v))
-        state = e_step_document(model, doc)
-        worse = VariationalState(gamma=state.gamma * 1.1, phi=state.phi,
-                                 word_ids=state.word_ids, counts=state.counts)
-        assert elbo(model, doc, state) > elbo(model, doc, worse)
+        config = LdaConfig()
+        gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
+                                config.gamma_tol, config.max_e_iters)
+        worse = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma * 1.1, phi)
+        assert em_terms(model, doc)[0] > worse
 
     def test_vocabulary_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -286,25 +282,12 @@ class TestElbo:
         model = make_model(beta, 0.4)
         symbols = np.array([0, 2, 4, 2])
         doc = bag(np.bincount(symbols, minlength=5))
-        state = e_step_document(model, doc)
-        base = elbo(model, doc, state)
+        base = em_terms(model, doc)[0]
 
         perm = np.array([3, 0, 4, 1, 2])   # new id of each old symbol
         model_p = make_model(beta[:, np.argsort(perm)], 0.4)
         doc_p = bag(np.bincount(perm[symbols], minlength=5))
-        state_p = e_step_document(model_p, doc_p)
-        assert abs(elbo(model_p, doc_p, state_p) - base) < 1e-10
-
-
-    def test_rejects_state_of_another_document(self):
-        model = make_model([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], 0.5)
-        a, b = bag([2, 1, 0], "a"), bag([0, 1, 2], "b")
-        state = e_step_document(model, a)
-        assert np.isfinite(elbo(model, a, state))
-        with pytest.raises(ValueError, match="'b'"):
-            elbo(model, b, state)                  # other symbols
-        with pytest.raises(ValueError, match="'c'"):
-            elbo(model, bag([1, 2, 0], "c"), state)   # same symbols, other counts
+        assert abs(em_terms(model_p, doc_p)[0] - base) < 1e-10
 
 
 class TestFit:
@@ -366,7 +349,7 @@ class TestFit:
 class TestInferTheta:
     def test_k1(self):
         model = make_model([[0.5, 0.5]], 1.0)
-        np.testing.assert_allclose(infer_theta(model, bag([2, 1])), [1.0])
+        np.testing.assert_allclose(infer_thetas(model, [bag([2, 1])])[0], [1.0])
 
     def test_disjoint_support(self):
         beta = np.array([
@@ -374,35 +357,25 @@ class TestInferTheta:
             [0.0, 0.0, 0.5, 0.5],
         ])
         model = make_model(beta + 1e-300, 0.1)
-        theta = infer_theta(model, bag([8, 8, 0, 0]))
+        theta = infer_thetas(model, [bag([8, 8, 0, 0])])[0]
         assert theta[0] > 0.99 and theta[1] < 0.01
 
     def test_symmetric_uniform(self):
         row = [0.25, 0.25, 0.25, 0.25]
         model = make_model([row, row], 0.5)
-        theta = infer_theta(model, bag([1, 1, 0, 2]))
+        theta = infer_thetas(model, [bag([1, 1, 0, 2])])[0]
         np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-9)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         model, symbols, *_ , v = random_instance(rng)
-        theta = infer_theta(model, bag(np.bincount(symbols, minlength=v)))
+        theta = infer_thetas(model, [bag(np.bincount(symbols, minlength=v))])[0]
         assert abs(theta.sum() - 1.0) < 1e-9
-
-    def test_subtract_prior_option(self):
-        rng = np.random.default_rng(20)
-        beta = rng.dirichlet(np.ones(5), size=2)
-        model = make_model(beta, 0.4)
-        doc = bag([2, 1, 0, 3, 1])
-        state = e_step_document(model, doc)
-        theta = infer_theta(model, doc, LdaConfig(subtract_prior=True))
-        want = (state.gamma - model.alpha) / (state.gamma - model.alpha).sum()
-        np.testing.assert_allclose(theta, want, atol=1e-12)
 
     def test_empty_document_warns_uniform(self):
         model = make_model([[0.5, 0.5], [0.5, 0.5]], 1.0)
         with pytest.warns(UserWarning):
-            theta = infer_theta(model, bag([0, 0]))
+            theta = infer_thetas(model, [bag([0, 0])])[0]
         np.testing.assert_allclose(theta, [0.5, 0.5])
 
     def test_label_permutation_equivariance(self):
@@ -410,9 +383,9 @@ class TestInferTheta:
         beta = rng.dirichlet(np.ones(6), size=3)
         alpha = np.array([0.3, 0.5, 0.9])
         doc = bag([2, 0, 1, 3, 0, 1])
-        base = infer_theta(make_model(beta, alpha), doc)
+        base = infer_thetas(make_model(beta, alpha), [doc])[0]
         perm = np.array([2, 0, 1])
-        permuted = infer_theta(make_model(beta[perm], alpha[perm]), doc)
+        permuted = infer_thetas(make_model(beta[perm], alpha[perm]), [doc])[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 
 
