@@ -10,11 +10,15 @@ module adds the fields of the files only the CLI reads or writes. Every
 input is json or jsonl; csv is only written:
 
   assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
-                  "map_domain", "weight"}
+                  "map_domain", "weight"}, one K (theta length) per file
   filter output   jsonl, a ``_meta`` line with the filter's cutoff and
                   histogram, then {"id"} per kept document (``--keep-ids``)
   labelled frames jsonl {"id", "frames", "labels"} (``--data``)
   metrics         csv ``epoch,train_loss,cv_accuracy``
+
+``augment-train`` and ``eval`` give every frame of a document that
+document's ``map_domain``; the network turns it into the one-hot UBIC.
+``eval`` requires the assignments' K to be the network's domain dim.
 
 Exit codes: 0 success, 1 data error, 2 bad flags or manifest. Logs go to
 stderr; data goes to files, or to stdout for the scalars of ``entropy`` and
@@ -41,8 +45,11 @@ __all__ = ["main"]
 
 def _load_assignments(path):
     """Assignment records {id, theta, map_domain, weight?} as
-    DomainAssignments."""
+    DomainAssignments, with one K (length of theta) for the whole file."""
+    k = 0
+
     def build(obj):
+        nonlocal k
         theta = formats.numbers(obj.get("theta"), "'theta'", (None,))
         map_domain, weight = obj.get("map_domain"), obj.get("weight", 1.0)
         if not theta.size:
@@ -52,8 +59,12 @@ def _load_assignments(path):
         # a finite number; the bound also keeps an integer within float range
         if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
             raise ValueError("'weight' must be a finite number")
-        return domains.DomainAssignment(doc_id=obj["id"], theta=theta,
-                                        map_domain=map_domain, weight=float(weight))
+        record = domains.DomainAssignment(doc_id=obj["id"], theta=theta,
+                                          map_domain=map_domain, weight=float(weight))
+        if k and theta.size != k:
+            raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
+        k = theta.size
+        return record
     return formats.read_jsonl(path, build)
 
 
@@ -89,20 +100,20 @@ def _load_labeled_frames(path):
 
 def _frame_dataset(rows, assignments):
     """The frames of ``rows`` in order as one FrameData; with
-    ``assignments``, every frame carries its document's UBIC code."""
+    ``assignments``, every frame carries its document's MAP domain."""
     lengths = [len(labels) for _, _, labels in rows]
     if not sum(lengths):
         raise corpus.CorpusError("no labelled frames")
-    codes = None
+    frame_domains = None
     if assignments is not None:
-        code_of = {a.doc_id: domains.ubic_encode(a).code for a in assignments}
+        domain_of = {a.doc_id: a.map_domain for a in assignments}
         for doc_id, _, _ in rows:
-            if doc_id not in code_of:
+            if doc_id not in domain_of:
                 raise KeyError(f"no domain assignment for document {doc_id!r}")
-        codes = np.repeat([code_of[doc_id] for doc_id, _, _ in rows], lengths, axis=0)
+        frame_domains = np.repeat([domain_of[doc_id] for doc_id, _, _ in rows], lengths)
     return network.FrameData(
         features=np.concatenate([frames for _, frames, _ in rows]),
-        labels=np.concatenate([labels for _, _, labels in rows]), codes=codes)
+        labels=np.concatenate([labels for _, _, labels in rows]), domains=frame_domains)
 
 
 def _cmd_train_gmm(args):
@@ -234,6 +245,9 @@ def _cmd_eval(args):
     rows = _load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
     dataset = _frame_dataset(rows, assignments)
+    if assignments and net.domain_dim and assignments[0].num_domains != net.domain_dim:
+        raise ValueError(f"assignments have K={assignments[0].num_domains} != "
+                         f"network domain dim {net.domain_dim}")
     accuracy = network.evaluate_accuracy(net, dataset)
     print(f"{accuracy:.6f}")
 

@@ -1,5 +1,7 @@
-"""Hard domain assignment, UBIC encoding, entropy diagnostics and the
-two-model cross-agreement filter with histogram pruning."""
+"""Hard domain assignment, entropy diagnostics and the two-model
+cross-agreement filter with histogram pruning. A document's MAP domain is
+the index its frames carry into the classifier, where the network turns it
+into the one-hot UBIC."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from . import formats
 from .corpus import BagOfSounds
 from .lda import LdaModel, infer_thetas
 
-__all__ = ["DomainAssignment", "UbicVector", "FilterResult", "assign",
-           "ubic_encode", "average_domain_entropy", "cross_agreement_filter",
+__all__ = ["DomainAssignment", "FilterResult", "assign",
+           "average_domain_entropy", "cross_agreement_filter",
            "distribution_stats", "write_stats_csv"]
 
 
@@ -46,29 +48,6 @@ class DomainAssignment:
         return self.theta.shape[0]
 
 
-@dataclass(frozen=True)
-class UbicVector:
-    """One-hot code marking a document's MAP domain, held as a read-only
-    copy."""
-
-    code: np.ndarray
-
-    def __post_init__(self):
-        code = np.array(self.code, dtype=float)
-        code.setflags(write=False)
-        object.__setattr__(self, "code", code)
-        if not (np.count_nonzero(code) == 1 and code.max() == 1.0):
-            raise ValueError("UBIC must have exactly one entry equal to 1")
-
-    @property
-    def num_domains(self) -> int:
-        return self.code.shape[0]
-
-    @property
-    def domain(self) -> int:
-        return int(np.argmax(self.code))
-
-
 def assign(model: LdaModel, corpus: Sequence[BagOfSounds]) -> list[DomainAssignment]:
     """Infer theta for every document and take the MAP domain.
 
@@ -83,12 +62,6 @@ def assign(model: LdaModel, corpus: Sequence[BagOfSounds]) -> list[DomainAssignm
                          weight=float(doc.total))
         for doc, theta in zip(corpus, thetas)
     ]
-
-
-def ubic_encode(assignment: DomainAssignment) -> UbicVector:
-    code = np.zeros(assignment.num_domains)
-    code[assignment.map_domain] = 1.0
-    return UbicVector(code=code)
 
 
 def average_domain_entropy(

@@ -1,18 +1,21 @@
-"""Feedforward frame classifier with optional one-hot domain augmentation.
+"""Feedforward frame classifier with optional UBIC domain augmentation.
 
-With a domain input the first-layer weights split into [W_v | W_d] over the
-concatenated [features | code] vector, so the pre-activation is
-W_v @ features + W_d @ code + b: selecting a domain adds a per-domain bias
-(the column of W_d) on top of the shared bias. A network built from a
-baseline with W_d = 0 is therefore functionally identical to that baseline.
+A domain-aware network takes each frame with the LDA domain of its document,
+an integer d in [0, K). The domain enters the first layer as its one-hot
+code e_d (the UBIC), so the first-layer weights split into [W_v | W_d] over
+the input [features | e_d], and the pre-activation is
+W_v @ features + W_d @ e_d + b: selecting a domain adds a per-domain bias
+(column d of W_d) on top of the shared bias. A network built from a baseline
+with W_d = 0 is therefore functionally identical to that baseline.
 
 Training and evaluation take a ``FrameData``: frame features (N, D), class
-labels (N,) and, for a domain-aware network, the one-hot codes (N, K). It is
-validated once when built; ``train`` and ``evaluate_accuracy`` check it once
-against the network, form the input matrix [features | codes] once and take
-minibatches and the held-out slice as row indexes into it. The per-frame
-entry points (``forward``, ``first_layer_preactivation``, ``gradient_check``)
-check their single frame and code themselves, by the same exact one-hot rule.
+labels (N,) and, for a domain-aware network, the domain indexes (N,). It
+keeps read-only copies, validated once when built. ``train`` and
+``evaluate_accuracy`` check it once against the network in ``_inputs``,
+which forms the input matrix [features | one-hot] once, and take minibatches
+and the held-out slice as row indexes into it. The first layer multiplies
+the whole row: ``x @ W_v.T + W_d[:, d]`` is the same sum in another order,
+and on short batches the BLAS rounds it differently.
 
 The parameters live in one contiguous float64 vector, ``LdatNetwork.params``:
 every layer's weights, then every layer's biases. ``weights[i]`` and
@@ -22,17 +25,16 @@ every layer's weights, then every layer's biases. ``weights[i]`` and
 
 One step routine (``_Step``) runs a batch's forward and backward pass in
 place, in scratch arrays of O(batch * width) allocated once per ``train``
-call, and writes the gradients into views of the gradient vector;
-``gradient_check`` runs it too. Each step stores the probability every row
-gave its label in a per-epoch buffer of one float per training frame. The
-epoch's loss is taken from that buffer at the end of the epoch: each batch's
-mean cross-entropy, weighted by its size and added in batch order. Every
-floating-point operation and its order are those of the per-array,
-per-batch form kept in ``tests/oracles.py``, so the trained weights and the
-metrics are bitwise the same.
+call, and writes the gradients into views of the gradient vector. Each step
+stores the probability every row gave its label in a per-epoch buffer of one
+float per training frame. The epoch's loss is taken from that buffer at the
+end of the epoch: each batch's mean cross-entropy, weighted by its size and
+added in batch order. Every floating-point operation and its order are those
+of the per-array, per-batch form kept in ``tests/oracles.py``, so the trained
+weights and the metrics are bitwise the same.
 
-Inference (``evaluate_accuracy``, the per-epoch held-out pass, ``forward``)
-computes one layer at a time in place and keeps only the current layer.
+Inference (``evaluate_accuracy`` and the per-epoch held-out pass) computes
+one layer at a time in place and keeps only the current layer.
 """
 
 from __future__ import annotations
@@ -48,15 +50,8 @@ from . import formats
 
 __all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
-           "train", "gradient_check", "evaluate_accuracy",
+           "train", "evaluate_accuracy",
            "save_network", "load_network"]
-
-
-def _check_one_hot(codes: np.ndarray) -> None:
-    """Raise ValueError unless every code (along the last axis) is exactly
-    one-hot: each entry 0.0 or 1.0 and exactly one 1.0."""
-    if not (np.all((codes == 0.0) | (codes == 1.0)) and np.all(codes.sum(axis=-1) == 1.0)):
-        raise ValueError("domain codes must be exactly one-hot")
 
 
 def _views(flat: np.ndarray, shapes) -> list:
@@ -69,40 +64,44 @@ def _views(flat: np.ndarray, shapes) -> list:
     return views
 
 
+def _indexes(values, name: str, n: int) -> np.ndarray:
+    """A read-only int64 copy of ``values``, which must be ``n`` integers
+    >= 0."""
+    arr = np.asarray(values)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers")
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{name} must be >= 0")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FrameData:
     """Classifier frames as arrays: ``features`` (N, D) finite, ``labels``
-    (N,) non-negative integers and ``codes`` (N, K) exactly one-hot, or None
-    for a baseline network. ``len()`` is the frame count N."""
+    (N,) and ``domains`` (N,) non-negative integers, ``domains`` None for a
+    baseline network. It holds read-only copies of the arrays it is given.
+    ``len()`` is the frame count N."""
 
     features: np.ndarray
     labels: np.ndarray
-    codes: Optional[np.ndarray] = None
+    domains: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels)
+        features = np.array(self.features, dtype=float)
         if features.ndim != 2:
             raise ValueError(f"features must have shape (N, D), got {features.shape}")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        if labels.shape != (features.shape[0],):
-            raise ValueError(f"labels must have shape ({features.shape[0]},), "
-                             f"got {labels.shape}")
-        if labels.size and labels.dtype.kind not in "iu":
-            raise ValueError("labels must be integers")
-        if labels.size and labels.min() < 0:
-            raise ValueError("labels must be >= 0")
+        features.setflags(write=False)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
-        if self.codes is None:
-            return
-        codes = np.asarray(self.codes, dtype=float)
-        if codes.ndim != 2 or codes.shape[0] != features.shape[0] or codes.shape[1] == 0:
-            raise ValueError(f"codes must have shape ({features.shape[0]}, K), "
-                             f"got {codes.shape}")
-        _check_one_hot(codes)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "labels", _indexes(self.labels, "labels", len(self)))
+        if self.domains is not None:
+            object.__setattr__(self, "domains",
+                               _indexes(self.domains, "domains", len(self)))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -135,7 +134,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     cv_fraction: float = 0.1      # held-out slice for per-epoch frame accuracy
-    halve_lr_on_worse: bool = False  # new-bob style: halve lr when CV loss rises
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -168,34 +166,6 @@ class LdatNetwork:
     def output_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def feature_weights(self) -> np.ndarray:
-        """W_v: first-layer columns acting on the acoustic features."""
-        return self.weights[0][:, : self.input_dim]
-
-    @property
-    def domain_weights(self) -> np.ndarray:
-        """W_d: first-layer columns acting on the one-hot domain code."""
-        return self.weights[0][:, self.input_dim:]
-
-    def _check_inputs(self, x, code):
-        if x.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"feature dim {x.shape[-1]} != network input dim {self.input_dim}"
-            )
-        if self.domain_dim == 0:
-            if code is not None:
-                raise ValueError("network has no domain input")
-            return x
-        if code is None:
-            raise ValueError("network requires a domain code input")
-        if code.shape[-1] != self.domain_dim:
-            raise ValueError(
-                f"code dim {code.shape[-1]} != network domain dim {self.domain_dim}"
-            )
-        _check_one_hot(code)
-        return np.concatenate([x, code], axis=-1)
-
     def _layer(self, i, h, out=None):
         """Layer ``i``'s output for the rows ``h``, written to ``out`` when
         given: its activation, or for the last layer the softmax of each row.
@@ -213,36 +183,12 @@ class LdatNetwork:
         return z
 
     def _forward(self, inputs):
-        """Output probabilities for rows of [features | code]; only the
+        """Output probabilities for rows of [features | one-hot]; only the
         current layer's array is kept."""
         h = inputs
         for i in range(len(self.weights)):
             h = self._layer(i, h)
         return h
-
-    def forward(self, features, code=None) -> np.ndarray:
-        """Class probabilities for a single frame (with its UBIC code when
-        the network is domain-aware)."""
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 1:
-            raise ValueError("forward takes a single feature vector")
-        return self._forward(self._check_inputs(
-            features[None, :],
-            None if code is None else np.asarray(code, dtype=float)[None, :]))[0]
-
-    def first_layer_preactivation(self, features, code=None) -> np.ndarray:
-        """W_v @ features + W_d @ code + b, computed in decomposed form.
-
-        For a one-hot code the W_d term reduces bitwise to selecting the
-        corresponding column: every other product is an exact 0.0.
-        """
-        features = np.asarray(features, dtype=float)
-        self._check_inputs(features,
-                           None if code is None else np.asarray(code, dtype=float))
-        pre = self.feature_weights @ features + self.biases[0]
-        if code is not None:
-            pre = pre + self.domain_weights @ np.asarray(code, dtype=float)
-        return pre
 
     def copy(self) -> "LdatNetwork":
         return LdatNetwork(self.weights, self.biases, self.input_dim,
@@ -270,7 +216,7 @@ class _Step:
         self.grad_w, self.grad_b = views[:len(net.weights)], views[len(net.weights):]
 
     def __call__(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Gradients for the rows ``x`` of [features | code] with ``labels``;
+        """Gradients for the rows ``x`` of [features | one-hot] with ``labels``;
         returns the probability each row gave its label."""
         net, acts = self.net, self.acts
         h = x
@@ -333,25 +279,28 @@ def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> Lda
 
 
 def _inputs(net: LdatNetwork, dataset: FrameData) -> np.ndarray:
-    """The input matrix [features | codes] of ``dataset``, checked against
-    ``net``'s input, domain and output sizes."""
+    """The input matrix [features | one-hot domain] of ``dataset``, checked
+    against ``net``'s input, domain and output sizes."""
     if not isinstance(dataset, FrameData):
         raise TypeError(f"dataset must be a FrameData, got {type(dataset).__name__}")
-    if dataset.features.shape[1] != net.input_dim:
-        raise ValueError(f"feature dim {dataset.features.shape[1]} != "
-                         f"network input dim {net.input_dim}")
-    if len(dataset) and dataset.labels.max() >= net.output_dim:
+    n, d = dataset.features.shape
+    if d != net.input_dim:
+        raise ValueError(f"feature dim {d} != network input dim {net.input_dim}")
+    if n and dataset.labels.max() >= net.output_dim:
         raise ValueError("label out of range for the output layer")
     if net.domain_dim == 0:
-        if dataset.codes is not None:
-            raise ValueError("baseline network got domain codes")
+        if dataset.domains is not None:
+            raise ValueError("baseline network got domains")
         return dataset.features
-    if dataset.codes is None:
-        raise ValueError("domain-aware network needs a code for every frame")
-    if dataset.codes.shape[1] != net.domain_dim:
-        raise ValueError(f"code dim {dataset.codes.shape[1]} != "
+    if dataset.domains is None:
+        raise ValueError("domain-aware network needs a domain for every frame")
+    if n and dataset.domains.max() >= net.domain_dim:
+        raise ValueError(f"domain {dataset.domains.max()} out of range for "
                          f"network domain dim {net.domain_dim}")
-    return np.concatenate([dataset.features, dataset.codes], axis=1)
+    inputs = np.zeros((n, d + net.domain_dim))
+    inputs[:, :d] = dataset.features
+    inputs[np.arange(n), d + dataset.domains] = 1.0
+    return inputs
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -377,11 +326,9 @@ def train(net: LdatNetwork, dataset: FrameData,
     if tr_idx.size == 0:
         raise ValueError("cv_fraction leaves no training data")
 
-    lr = config.learning_rate
     grad = np.empty_like(net.params)
     steps = {}                       # one _Step per batch size: full and last
     picked = np.empty(tr_idx.size)   # each training frame's label probability
-    prev_cv_loss = None
     metrics = []
     for epoch in range(config.epochs):
         order = tr_idx[rng.permutation(tr_idx.size)]
@@ -390,7 +337,7 @@ def train(net: LdatNetwork, dataset: FrameData,
             step = steps.get(batch.size) or steps.setdefault(
                 batch.size, _Step(net, batch.size, grad))
             picked[start:start + batch.size] = step(inputs[batch], labels[batch])
-            grad *= lr
+            grad *= config.learning_rate
             net.params -= grad
         picked += 1e-12
         np.log(picked, out=picked)
@@ -406,13 +353,7 @@ def train(net: LdatNetwork, dataset: FrameData,
         if n_cv:
             cy = labels[cv_idx]
             probs = net._forward(inputs[cv_idx])
-            cv_loss = -float(
-                np.log(probs[np.arange(n_cv), cy] + 1e-12).mean())
             cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
-            if config.halve_lr_on_worse and prev_cv_loss is not None \
-                    and cv_loss > prev_cv_loss:
-                lr *= 0.5
-            prev_cv_loss = cv_loss
         metrics.append({"epoch": epoch, "train_loss": train_loss,
                         "cv_accuracy": cv_accuracy})
     return metrics
@@ -427,38 +368,6 @@ def evaluate_accuracy(net: LdatNetwork, dataset: FrameData) -> float:
         raise ValueError("empty dataset")
     probs = net._forward(inputs)
     return float((probs.argmax(axis=1) == dataset.labels).mean())
-
-
-def gradient_check(net: LdatNetwork, sample, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients
-    on one training example, over every parameter including W_d columns."""
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
-    features, code, label = sample
-    x = net._check_inputs(np.asarray(features, dtype=float)[None, :],
-                          None if code is None else np.asarray(code, dtype=float)[None, :])
-    y = np.asarray([label], dtype=np.int64)
-
-    grad = np.empty_like(net.params)
-    _Step(net, 1, grad)(x, y)
-
-    def loss_at():
-        probs = net._forward(x)
-        return -float(np.log(probs[0, label] + 1e-12))
-
-    max_err = 0.0
-    flat = net.params
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        hi = loss_at()
-        flat[i] = orig - epsilon
-        lo = loss_at()
-        flat[i] = orig
-        numeric = (hi - lo) / (2.0 * epsilon)
-        denom = max(abs(numeric) + abs(grad[i]), 1e-8)
-        max_err = max(max_err, abs(numeric - grad[i]) / denom)
-    return max_err
 
 
 def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:

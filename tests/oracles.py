@@ -3,6 +3,8 @@
 These deliberately avoid the library's own code paths: direct density
 formulas, exhaustive enumeration, grid quadrature, and the plain
 per-array loops that the library's in-place forms must match bit for bit.
+``gradient_check`` is the exception: it holds the network's own step to
+central differences of its own loss.
 """
 
 from itertools import product
@@ -11,6 +13,7 @@ import numpy as np
 from scipy.special import digamma, expit, gammaln, logsumexp
 
 from acoustic_lda.formats import FormatError
+from acoustic_lda.network import _Step
 
 
 def gaussian_responsibilities(weights, means, variances, frame):
@@ -214,18 +217,19 @@ def network_train(net, dataset, config):
     gathers, ``network_backprop``, a per-array ``w -= lr * g`` on
     ``net.weights`` and ``net.biases``, and the per-batch mean loss added to
     the epoch's total. Same seeded draws and metric dicts as
-    ``network.train``."""
-    if dataset.codes is None:
+    ``network.train``. A domain enters as a row of ``np.eye(K)``, appended
+    to the frame's features."""
+    if dataset.domains is None:
         inputs = dataset.features
     else:
-        inputs = np.concatenate([dataset.features, dataset.codes], axis=1)
+        inputs = np.concatenate(
+            [dataset.features, np.eye(net.domain_dim)[dataset.domains]], axis=1)
     labels, n = dataset.labels, len(dataset)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
     n_cv = int(round(config.cv_fraction * n))
     cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
     lr = config.learning_rate
-    prev_cv_loss = None
     metrics = []
     for epoch in range(config.epochs):
         order = tr_idx[rng.permutation(tr_idx.size)]
@@ -242,15 +246,38 @@ def network_train(net, dataset, config):
         if n_cv:
             cy = labels[cv_idx]
             probs, _ = network_forward(net, inputs[cv_idx])
-            cv_loss = -float(np.log(probs[np.arange(n_cv), cy] + 1e-12).mean())
             cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
-            if config.halve_lr_on_worse and prev_cv_loss is not None \
-                    and cv_loss > prev_cv_loss:
-                lr *= 0.5
-            prev_cv_loss = cv_loss
         metrics.append({"epoch": epoch, "train_loss": epoch_loss / order.size,
                         "cv_accuracy": cv_accuracy})
     return metrics
+
+
+def gradient_check(net, inputs, label, epsilon=1e-5):
+    """Max relative error between the gradient ``network._Step`` writes for
+    the single input row ``inputs`` (1, D + K) with ``label`` and central
+    differences of the loss from ``net._forward``, over every parameter,
+    W_d columns included."""
+    if not 1e-7 <= epsilon <= 1e-3:
+        raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    grad = np.empty_like(net.params)
+    _Step(net, 1, grad)(inputs, np.asarray([label], dtype=np.int64))
+
+    def loss_at():
+        return -float(np.log(net._forward(inputs)[0, label] + 1e-12))
+
+    max_err = 0.0
+    flat = net.params
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        hi = loss_at()
+        flat[i] = orig - epsilon
+        lo = loss_at()
+        flat[i] = orig
+        numeric = (hi - lo) / (2.0 * epsilon)
+        denom = max(abs(numeric) + abs(grad[i]), 1e-8)
+        max_err = max(max_err, abs(numeric - grad[i]) / denom)
+    return max_err
 
 
 def json_numbers(value, name, shape, finite=True):

@@ -12,6 +12,7 @@ from acoustic_lda.cli import main as cli_main
 from oracles import (
     brute_log_evidence,
     gaussian_responsibilities,
+    gradient_check,
     greedy_row_match,
     prefix_filter_oracle,
 )
@@ -136,6 +137,13 @@ def test_04_quantizer_correctness():
               f"max oracle error {worst:.1e})")
 
 
+def _rows(net, x, domain=None):
+    """The network input ``network._inputs`` builds for the single frame
+    ``x`` with its domain, labelled 0."""
+    return network._inputs(net, network.FrameData(
+        x[None, :], [0], None if domain is None else [domain]))
+
+
 def test_05_domain_bias_algebra():
     rng = np.random.default_rng(5)
     baseline = network.init_network(network.NetworkConfig(
@@ -143,20 +151,20 @@ def test_05_domain_bias_algebra():
     augmented = network.init_augmented_from_baseline(baseline, 8)
     for _ in range(100):
         x = rng.normal(size=12)
-        code = np.zeros(8)
-        code[rng.integers(0, 8)] = 1.0
-        np.testing.assert_allclose(augmented.forward(x, code),
-                                   baseline.forward(x), atol=1e-12)
+        domain = int(rng.integers(0, 8))
+        np.testing.assert_allclose(augmented._forward(_rows(augmented, x, domain)),
+                                   baseline._forward(_rows(baseline, x)), atol=1e-12)
 
     trained = augmented.copy()
     trained.weights[0][:] = rng.normal(size=trained.weights[0].shape)
     x = rng.normal(size=12)
-    base = trained.feature_weights @ x + trained.biases[0]
+    w_v, w_d = trained.weights[0][:, :12], trained.weights[0][:, 12:]
+    base = w_v @ x + trained.biases[0]
     for i in range(8):
-        code = np.zeros(8)
-        code[i] = 1.0
-        pre = trained.first_layer_preactivation(x, code)
-        np.testing.assert_array_equal(pre, base + trained.domain_weights[:, i])
+        row = _rows(trained, x, i)[0]
+        # the decomposed product of the row the network is given
+        pre = w_v @ row[:12] + trained.biases[0] + w_d @ row[12:]
+        np.testing.assert_array_equal(pre, base + w_d[:, i])
     report(5, "domain-bias algebra (baseline equivalence at init, "
               "one-hot column selection)")
 
@@ -175,13 +183,10 @@ def test_06_gradient_fidelity():
             domain_dim=domain_dim, seed=int(rng.integers(0, 2**31))))
         for b in net.biases:
             b += rng.normal(scale=0.1, size=b.shape)
-        code = None
-        if domain_dim:
-            code = np.zeros(domain_dim)
-            code[rng.integers(0, domain_dim)] = 1.0
-        sample = (rng.normal(size=input_dim), code,
-                  int(rng.integers(0, output_dim)))
-        worst = max(worst, network.gradient_check(net, sample, epsilon=1e-5))
+        domain = int(rng.integers(0, domain_dim)) if domain_dim else None
+        inputs = _rows(net, rng.normal(size=input_dim), domain)
+        label = int(rng.integers(0, output_dim))
+        worst = max(worst, gradient_check(net, inputs, label, epsilon=1e-5))
     assert worst < 1e-4, f"max relative gradient error {worst:.2e}"
     report(6, f"gradient fidelity over 100 networks (max error {worst:.1e})")
 
@@ -189,7 +194,7 @@ def test_06_gradient_fidelity():
 def _domain_shifted_task(seed, n):
     """Frames whose informative dimension confounds class and domain: the
     observable is roughly class + domain, so class is ambiguous without the
-    domain code."""
+    domain."""
     rng = np.random.default_rng(seed)
     n_classes, n_domains, dim = 8, 4, 6
     cls = rng.integers(0, n_classes, size=n)
@@ -197,17 +202,15 @@ def _domain_shifted_task(seed, n):
     x = rng.normal(0.0, 0.3, size=(n, dim))
     x[:, 0] += cls + dom
     x[:, 0] = (x[:, 0] - 5.0) / 3.0
-    codes = np.zeros((n, n_domains))
-    codes[np.arange(n), dom] = 1.0
-    return x, codes, cls
+    return x, dom, cls
 
 
 def test_07_ldat_benefit():
     start = time.time()
     gaps = []
     for seed in range(5):
-        xtr, ctr, ytr = _domain_shifted_task(seed, 20_000)
-        xte, cte, yte = _domain_shifted_task(seed + 1000, 5_000)
+        xtr, dtr, ytr = _domain_shifted_task(seed, 20_000)
+        xte, dte, yte = _domain_shifted_task(seed + 1000, 5_000)
         cfg = network.TrainConfig(epochs=8, learning_rate=0.2, batch_size=32,
                                   seed=seed, cv_fraction=0.0)
 
@@ -219,8 +222,8 @@ def test_07_ldat_benefit():
         aug = network.init_network(network.NetworkConfig(
             input_dim=6, domain_dim=4, output_dim=8, hidden_dims=(64, 64),
             seed=seed))
-        network.train(aug, network.FrameData(xtr, ytr, ctr), cfg)
-        acc_aug = network.evaluate_accuracy(aug, network.FrameData(xte, yte, cte))
+        network.train(aug, network.FrameData(xtr, ytr, dtr), cfg)
+        acc_aug = network.evaluate_accuracy(aug, network.FrameData(xte, yte, dte))
         gaps.append(acc_aug - acc_base)
     mean_gap = float(np.mean(gaps))
     elapsed = time.time() - start

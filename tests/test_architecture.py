@@ -6,7 +6,9 @@ no other module opens a file or touches json, orjson, csv or temp files.
 Every public top-level function and class is reached from the pipeline: from
 ``cli.main`` and module-level code, through the definitions that use it. A
 name that only tests call does not belong in the package; the few kept on
-purpose are listed in ``KEPT``, each with its reason.
+purpose are listed in ``KEPT``, each with its reason. The same holds for the
+public methods and properties of the reached classes, matched by attribute
+name: some reached definition must load an attribute of that name.
 """
 
 import ast
@@ -63,24 +65,30 @@ def test_the_check_sees_temp_files():
 
 # public names no pipeline stage reaches, kept on purpose
 KEPT = {
-    ("network", "gradient_check"):
-        "per-frame helper of test_06, like LdatNetwork.forward and "
-        "first_layer_preactivation for test_05; they go with ROADMAP item 7",
     ("corpus", "load_symbols"): "the reader of the symbols file quantize writes",
     ("corpus", "save_features"): "the writer of the features file train-gmm and quantize read",
 }
 ROOTS = {("cli", "main")}   # the console script
 
 
+def top_level(sources):
+    """(module, node) for each top-level function and class in ``sources``."""
+    return [(module, node) for module, text in sources.items()
+            for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def reach(sources, roots):
     """The (module, name) of each top-level definition in ``sources`` (module
-    name -> source text) reached from ``roots`` and from module-level code.
+    name -> source text) reached from ``roots`` and from module-level code,
+    and the attribute names those definitions and that code load.
 
     A definition uses what it loads by name (its own module's definitions
     and names imported with ``from .module import name``) and ``module.name``
     for a module imported with ``from . import module``.
     """
     defs, edges, reached = set(), {}, set(roots)
+    attrs, module_attrs = {}, set()
     for module, text in sources.items():
         tree = ast.parse(text)
         modules, names = {}, {}
@@ -105,32 +113,53 @@ def reach(sources, roots):
                         and sub.value.id in modules:
                     yield modules[sub.value.id], sub.attr
 
+        def loaded_attrs(node):
+            return {sub.attr for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.add((module, node.name))
                 edges[module, node.name] = set(uses(node))
+                attrs[module, node.name] = loaded_attrs(node)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 reached |= set(uses(node))
+                module_attrs |= loaded_attrs(node)
     todo = list(reached)
     while todo:
         for used in edges.get(todo.pop(), ()):
             if used not in reached:
                 reached.add(used)
                 todo.append(used)
-    return defs & reached
+    reached &= defs
+    return reached, module_attrs.union(*(attrs[d] for d in reached))
 
 
 def unreached_public(sources, roots):
-    public = {(m, n) for m, text in sources.items() for node in ast.parse(text).body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              for n in [node.name] if not n.startswith("_")}
-    return sorted(public - reach(sources, roots))
+    public = {(m, node.name) for m, node in top_level(sources)
+              if not node.name.startswith("_")}
+    return sorted(public - reach(sources, roots)[0])
+
+
+def unused_public_members(sources, roots):
+    """``Class.member`` for each public method or property of a reached
+    class whose name no reached definition loads as an attribute."""
+    reached, loaded = reach(sources, roots)
+    return sorted(f"{node.name}.{member.name}" for m, node in top_level(sources)
+                  if isinstance(node, ast.ClassDef) and (m, node.name) in reached
+                  for member in node.body if isinstance(member, ast.FunctionDef)
+                  and not member.name.startswith("_") and member.name not in loaded)
 
 
 def test_every_public_name_is_reached_from_the_pipeline():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert set(KEPT) <= set(unreached_public(sources, ROOTS)), "a kept name is reached"
     assert unreached_public(sources, ROOTS | set(KEPT)) == []
+
+
+def test_every_public_member_is_used_by_the_pipeline():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_public_members(sources, ROOTS | set(KEPT)) == []
 
 
 def test_the_reach_check_follows_uses():
@@ -143,3 +172,20 @@ def test_the_reach_check_follows_uses():
              "class Loaded: pass\nY = Loaded\n",
     }
     assert unreached_public(sources, {("a", "main")}) == [("a", "dead"), ("b", "only_dead")]
+
+
+def test_the_member_check_follows_attribute_loads():
+    sources = {
+        "a": "from .b import Used\n"
+             "def main():\n    Used().called()\n    return Used().prop\n"
+             "def dead(x):\n    return x.by_dead\n",
+        "b": "class Used:\n"
+             "    def called(self): return self.helper()\n"
+             "    def helper(self): pass\n"
+             "    @property\n    def prop(self): return 1\n"
+             "    def by_dead(self): pass\n"
+             "    def never(self): pass\n"
+             "    def _private(self): pass\n"
+             "class Unreached:\n    def alone(self): pass\n",
+    }
+    assert unused_public_members(sources, {("a", "main")}) == ["Used.by_dead", "Used.never"]

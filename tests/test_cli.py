@@ -213,9 +213,8 @@ class TestFrameDataset:
             assert len(dataset) == 5
             np.testing.assert_array_equal(dataset.features, features)
             np.testing.assert_array_equal(dataset.labels, [1, 0, 2, 2, 1])
-        np.testing.assert_array_equal(augmented.codes, [
-            [0, 0, 1], [0, 0, 1], [1, 0, 0], [1, 0, 0], [1, 0, 0]])
-        assert baseline.codes is None
+        np.testing.assert_array_equal(augmented.domains, [2, 2, 0, 0, 0])
+        assert baseline.domains is None
 
     def test_missing_assignment_exit_1(self, tmp_path, capsys):
         data, assign = tmp_path / "data.jsonl", tmp_path / "assign.jsonl"
@@ -224,6 +223,62 @@ class TestFrameDataset:
         assert run("augment-train", "--data", data, "--assignments", assign,
                    "--out", tmp_path / "net.json") == 1
         assert "no domain assignment for document 'd0'" in capsys.readouterr().err
+
+
+def assignments_text(*thetas):
+    """An assignments file for documents d0, d1, ... with these thetas."""
+    return "".join(json.dumps({"id": f"d{i}", "theta": theta,
+                               "map_domain": int(np.argmax(theta))}) + "\n"
+                   for i, theta in enumerate(thetas))
+
+
+def two_document_frames(path):
+    path.write_text(json.dumps({"id": "d0", "frames": [[0.0, 1.0]], "labels": [0]}) + "\n"
+                    + json.dumps({"id": "d1", "frames": [[1.0, 0.0]], "labels": [1]}) + "\n")
+
+
+class TestAssignmentsK:
+    @pytest.mark.parametrize("command", ["augment-train", "eval", "filter", "stats"])
+    def test_two_k_file_exit_1(self, tmp_path, capsys, command):
+        """A theta whose length differs from earlier lines is a fault of its
+        line, whichever subcommand reads the file."""
+        assign, other = tmp_path / "assign.jsonl", tmp_path / "other.jsonl"
+        assign.write_text(assignments_text([0.25, 0.75], [0.6, 0.3, 0.1]))
+        other.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        data, bags, net = tmp_path / "data.jsonl", tmp_path / "bags.jsonl", tmp_path / "net.json"
+        two_document_frames(data)
+        bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n"
+                        + json.dumps({"id": "d1", "group": "b", "counts": [2, 1]}) + "\n")
+        save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2,
+                                                     domain_dim=2)))
+        argv = {
+            "augment-train": ["--data", data, "--assignments", assign,
+                              "--out", tmp_path / "out.json"],
+            "eval": ["--net", net, "--data", data, "--assignments", assign],
+            "filter": ["--assign-a", assign, "--assign-b", other, "--target-frac", 0.5,
+                       "--out", tmp_path / "out.jsonl"],
+            "stats": ["--assignments", assign, "--bags", bags, "--out", tmp_path / "out.csv"],
+        }[command]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{assign}:2: 'theta' has 3 domains, earlier lines 2" in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("k_file, k_net, code", [(2, 3, 1), (3, 2, 1), (3, 3, 0)])
+    def test_eval_k_must_be_the_network_domain_dim(self, tmp_path, capsys,
+                                                     k_file, k_net, code):
+        """Every document's domain is 0, an index that fits either way; K
+        itself must match."""
+        assign, data, net = tmp_path / "assign.jsonl", tmp_path / "data.jsonl", tmp_path / "n.json"
+        theta = [0.5] + [0.5 / (k_file - 1)] * (k_file - 1)
+        assign.write_text(assignments_text(theta, theta))
+        two_document_frames(data)
+        save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2,
+                                                     domain_dim=k_net)))
+        assert run("eval", "--net", net, "--data", data, "--assignments", assign) == code
+        if code:
+            assert f"K={k_file} != network domain dim {k_net}" in capsys.readouterr().err
 
 
 class TestContracts:
@@ -910,8 +965,9 @@ def manifest_runs(draw):
     whose only fault is one key."""
     command = draw(st.sampled_from(sorted(STAGE_FLAGS)))
     own = st.sampled_from(STAGE_FLAGS[command])
-    prefixes = own.flatmap(lambda flag: st.integers(1, len(flag) - 1).map(
-        lambda n: flag[:n]))
+    # a one-letter flag such as train-lda's "k" has no proper prefix
+    prefixes = st.sampled_from([f for f in STAGE_FLAGS[command] if len(f) >= 2]).flatmap(
+        lambda flag: st.integers(1, len(flag) - 1).map(lambda n: flag[:n]))
     keys = st.one_of(
         own, prefixes, prefixes,
         st.builds(lambda flag, sep, tail: flag + sep + tail, own,

@@ -14,8 +14,9 @@ from acoustic_lda.corpus import (
     save_features,
     to_bag,
 )
-from acoustic_lda.domains import DomainAssignment, UbicVector
+from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.lda import LdaModel
+from acoustic_lda.network import FrameData
 from synthetic import generate_synthetic_lda_corpus
 
 
@@ -153,7 +154,12 @@ class TestIntegerFields:
                  "alpha", [0.5, 0.5], -3.0, id="LdaModel"),
     pytest.param(lambda a: DomainAssignment(doc_id="d", theta=a, map_domain=0), "theta",
                  [0.7, 0.3], 0.0, id="DomainAssignment"),
-    pytest.param(lambda a: UbicVector(code=a), "code", [0.0, 1.0], 1.0, id="UbicVector"),
+    pytest.param(lambda a: FrameData(a, [0]), "features", [[1.0, 2.0]], np.nan,
+                 id="FrameData-features"),
+    pytest.param(lambda a: FrameData(np.zeros((2, 1)), a), "labels", [0, 1], -1,
+                 id="FrameData-labels"),
+    pytest.param(lambda a: FrameData(np.zeros((2, 1)), [0, 0], domains=a), "domains",
+                 [0, 1], -1, id="FrameData-domains"),
 ])
 def test_records_own_their_arrays(build, field, given, bad):
     """A record keeps a read-only copy: a view of the caller's array taken

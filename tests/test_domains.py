@@ -4,15 +4,14 @@ import pytest
 from acoustic_lda.corpus import to_bag
 from acoustic_lda.domains import (
     DomainAssignment,
-    UbicVector,
     assign,
     average_domain_entropy,
     cross_agreement_filter,
     distribution_stats,
-    ubic_encode,
     write_stats_csv,
 )
 from acoustic_lda.lda import LdaModel, fit, infer_thetas
+from acoustic_lda.network import FrameData, NetworkConfig, _inputs, init_network
 from oracles import prefix_filter_oracle
 from synthetic import generate_synthetic_lda_corpus
 
@@ -93,29 +92,40 @@ def to_bag_counts(doc_id, counts):
     return BagOfSounds(id=doc_id, counts=np.asarray(counts, dtype=np.int64))
 
 
+def ubic(assignment, input_dim=1):
+    """The one-hot UBIC the network appends to a frame of the document of
+    ``assignment``: the domain columns of the row ``network._inputs`` builds
+    for its MAP domain."""
+    net = init_network(NetworkConfig(input_dim=input_dim, output_dim=1,
+                                     domain_dim=assignment.num_domains))
+    row = _inputs(net, FrameData(np.zeros((1, input_dim)), [0], [assignment.map_domain]))[0]
+    return row[input_dim:]
+
+
 class TestUbic:
     def test_one_hot(self):
-        code = ubic_encode(da("x", [0.1, 0.1, 0.7, 0.1]))
-        np.testing.assert_array_equal(code.code, [0, 0, 1, 0])
-        assert code.domain == 2
+        code = ubic(da("x", [0.1, 0.1, 0.7, 0.1]))
+        np.testing.assert_array_equal(code, [0, 0, 1, 0])
+        assert int(np.argmax(code)) == 2
 
     def test_k1(self):
-        code = ubic_encode(da("x", [1.0]))
-        np.testing.assert_array_equal(code.code, [1.0])
+        code = ubic(da("x", [1.0]))
+        np.testing.assert_array_equal(code, [1.0])
 
     def test_k64_width(self):
         theta = np.zeros(64)
         theta[5] = 1.0
-        code = ubic_encode(da("x", theta))
-        assert code.num_domains == 64
+        code = ubic(da("x", theta), input_dim=440)
+        assert code.shape == (64,)
         # augmenting a 440-dim feature vector gives a 504-wide input
-        assert 440 + code.num_domains == 504
+        assert 440 + code.size == 504
 
     def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            UbicVector(code=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            UbicVector(code=np.array([0.0, 0.5]))
+        net = init_network(NetworkConfig(input_dim=1, output_dim=1, domain_dim=2))
+        with pytest.raises(ValueError, match="out of range"):
+            _inputs(net, FrameData(np.zeros((1, 1)), [0], [2]))
+        with pytest.raises(ValueError, match=">= 0"):
+            FrameData(np.zeros((1, 1)), [0], [-1])
 
 
 class TestEntropy:

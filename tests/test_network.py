@@ -2,16 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import network_train
+from oracles import gradient_check, network_train
 
 from acoustic_lda.network import (
     FrameData,
-    LdatNetwork,
     NetworkConfig,
     TrainConfig,
+    _inputs,
     _Step,
     evaluate_accuracy,
-    gradient_check,
     init_augmented_from_baseline,
     init_network,
     load_network,
@@ -50,24 +49,37 @@ def peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def one_hot(k, j):
-    code = np.zeros(k)
-    code[j] = 1.0
-    return code
+def rows(net, x, domains=None):
+    """The input rows ``_inputs`` builds for the frames ``x`` (one frame or
+    several) and their domains, each labelled 0."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return _inputs(net, FrameData(x, np.zeros(len(x), dtype=int),
+                                  None if domains is None else np.atleast_1d(domains)))
+
+
+def probs(net, x, domain=None):
+    """Class probabilities of ``net`` for the single frame ``x``."""
+    return net._forward(rows(net, x, domain))[0]
+
+
+def decomposed(net, row):
+    """W_v @ features + b + W_d @ one-hot for one input row, in that order."""
+    w, d = net.weights[0], net.input_dim
+    return w[:, :d] @ row[:d] + net.biases[0] + w[:, d:] @ row[d:]
 
 
 class TestForward:
     def test_baseline_softmax_normalized(self):
         rng = np.random.default_rng(0)
         net = small_net(rng)
-        out = net.forward(rng.normal(size=5))
+        out = probs(net, rng.normal(size=5))
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out > 0)
         # saturated sigmoid units (|pre-activation| in the thousands) stay
         # finite and raise no floating-point error
         with np.errstate(over="raise", invalid="raise"):
             for scale in (-1e4, 1e4):
-                out = net.forward(np.full(5, scale))
+                out = probs(net, np.full(5, scale))
                 assert abs(out.sum() - 1.0) < 1e-9
 
     def test_zero_domain_weights_match_baseline(self):
@@ -76,50 +88,54 @@ class TestForward:
         augmented = init_augmented_from_baseline(baseline, 3)
         for _ in range(20):
             x = rng.normal(size=5)
-            code = one_hot(3, int(rng.integers(0, 3)))
+            domain = int(rng.integers(0, 3))
             np.testing.assert_allclose(
-                augmented.forward(x, code), baseline.forward(x), atol=1e-12)
+                probs(augmented, x, domain), probs(baseline, x), atol=1e-12)
 
     def test_one_hot_selects_column(self):
         rng = np.random.default_rng(2)
         net = small_net(rng, domain_dim=4)
         net.weights[0][:] = rng.normal(size=net.weights[0].shape)
         x = rng.normal(size=5)
+        inputs = rows(net, np.tile(x, (4, 1)), np.arange(4))
+        # the first layer as the network computes it, on whole rows
+        pre = inputs @ net.weights[0].T + net.biases[0]
         for j in range(4):
-            pre = net.first_layer_preactivation(x, one_hot(4, j))
-            want = (net.feature_weights @ x + net.domain_weights[:, j]
+            np.testing.assert_array_equal(inputs[j, 5:], np.eye(4)[j])
+            want = (net.weights[0][:, :5] @ x + net.weights[0][:, 5 + j]
                     + net.biases[0])
-            np.testing.assert_allclose(pre, want, atol=0)
+            np.testing.assert_allclose(pre[j], want, atol=0)
 
     def test_domain_switch_is_column_difference(self):
         rng = np.random.default_rng(3)
         net = small_net(rng, domain_dim=5)
         x = rng.normal(size=5)
-        base = net.feature_weights @ x + net.biases[0]
-        pre_i = net.first_layer_preactivation(x, one_hot(5, 1))
-        pre_j = net.first_layer_preactivation(x, one_hot(5, 4))
+        w_d = net.weights[0][:, 5:]
+        base = net.weights[0][:, :5] @ x + net.biases[0]
+        pre_i = decomposed(net, rows(net, x, 1)[0])
+        pre_j = decomposed(net, rows(net, x, 4)[0])
         # one-hot algebra: adding the selected column, bit for bit
-        np.testing.assert_array_equal(pre_i, base + net.domain_weights[:, 1])
-        np.testing.assert_array_equal(pre_j, base + net.domain_weights[:, 4])
-        diff = net.domain_weights[:, 4] - net.domain_weights[:, 1]
+        np.testing.assert_array_equal(pre_i, base + w_d[:, 1])
+        np.testing.assert_array_equal(pre_j, base + w_d[:, 4])
+        diff = w_d[:, 4] - w_d[:, 1]
         np.testing.assert_allclose(pre_j - pre_i, diff, atol=1e-12)
 
     def test_input_validation(self):
         rng = np.random.default_rng(4)
         net = small_net(rng, domain_dim=2)
         x = rng.normal(size=5)
-        with pytest.raises(ValueError):
-            net.forward(x)                       # missing code
-        with pytest.raises(ValueError):
-            net.forward(x, np.array([0.5, 0.5]))  # not one-hot
-        # within np.isclose of one-hot, but not exactly one-hot
-        with pytest.raises(ValueError, match="exactly one-hot"):
-            net.forward(x, np.array([1 - 1e-9, 0.0]))
-        with pytest.raises(ValueError, match="exactly one-hot"):
-            net.first_layer_preactivation(x, np.array([1 - 1e-9, 0.0]))
+        with pytest.raises(ValueError, match="needs a domain"):
+            rows(net, x)
+        with pytest.raises(ValueError, match="out of range"):
+            rows(net, x, 2)
+        with pytest.raises(ValueError, match=">= 0"):
+            rows(net, x, -1)
+        # a float index, even a whole one, is not a domain
+        with pytest.raises(ValueError, match="integers"):
+            rows(net, x, np.array([1.0]))
         baseline = small_net(rng)
-        with pytest.raises(ValueError):
-            baseline.forward(x, one_hot(2, 0))   # unexpected code
+        with pytest.raises(ValueError, match="baseline network got domains"):
+            rows(baseline, x, 0)
 
 
 class TestAugmentFromBaseline:
@@ -130,15 +146,14 @@ class TestAugmentFromBaseline:
         assert augmented.weights[0].shape[1] == 5 + 64
         x = rng.normal(size=5)
         np.testing.assert_allclose(
-            augmented.forward(x, one_hot(64, 17)), baseline.forward(x),
-            atol=1e-12)
-        assert np.all(augmented.domain_weights == 0.0)
+            probs(augmented, x, 17), probs(baseline, x), atol=1e-12)
+        assert np.all(augmented.weights[0][:, 5:] == 0.0)
 
     def test_k1_single_zero_column(self):
         rng = np.random.default_rng(6)
         baseline = small_net(rng)
         augmented = init_augmented_from_baseline(baseline, 1)
-        assert augmented.domain_weights.shape == (baseline.weights[0].shape[0], 1)
+        assert augmented.weights[0][:, 5:].shape == (baseline.weights[0].shape[0], 1)
 
     def test_rejects_already_augmented(self):
         rng = np.random.default_rng(7)
@@ -151,14 +166,14 @@ class TestGradientCheck:
     def test_small_net_accurate(self):
         rng = np.random.default_rng(8)
         net = small_net(rng, input_dim=4, hidden=(5,), output_dim=3)
-        err = gradient_check(net, (rng.normal(size=4), None, 1), epsilon=1e-5)
+        err = gradient_check(net, rows(net, rng.normal(size=4)), 1, epsilon=1e-5)
         assert err < 1e-5
 
     def test_augmented_net_accurate(self):
         rng = np.random.default_rng(9)
         net = small_net(rng, input_dim=4, hidden=(5,), output_dim=3,
                         domain_dim=3)
-        err = gradient_check(net, (rng.normal(size=4), one_hot(3, 2), 0),
+        err = gradient_check(net, rows(net, rng.normal(size=4), 2), 0,
                              epsilon=1e-5)
         assert err < 1e-5
 
@@ -166,10 +181,9 @@ class TestGradientCheck:
         rng = np.random.default_rng(10)
         net = small_net(rng, input_dim=4, hidden=(5,), output_dim=3,
                         domain_dim=4)
-        x = np.asarray(rng.normal(size=4))[None, :]
-        code = one_hot(4, 2)[None, :]
+        x = rng.normal(size=4)
         step = _Step(net, 1, np.empty_like(net.params))
-        step(np.concatenate([x, code], axis=1), np.array([1]))
+        step(rows(net, x, 2), np.array([1]))
         wd_grad = step.grad_w[0][:, 4:]
         assert np.all(wd_grad[:, [0, 1, 3]] == 0.0)
         assert np.any(wd_grad[:, 2] != 0.0)
@@ -180,16 +194,16 @@ class TestGradientCheck:
         # keep pre-activations away from zero so central differences are valid
         for _ in range(5):
             x = rng.normal(size=5)
-            z = net.first_layer_preactivation(x)
+            z = net.weights[0] @ x + net.biases[0]
             if np.abs(z).min() > 1e-2:
-                err = gradient_check(net, (x, None, 0), epsilon=1e-6)
+                err = gradient_check(net, rows(net, x), 0, epsilon=1e-6)
                 assert err < 1e-4
 
     def test_epsilon_range(self):
         rng = np.random.default_rng(12)
         net = small_net(rng)
         with pytest.raises(ValueError):
-            gradient_check(net, (rng.normal(size=5), None, 0), epsilon=1e-2)
+            gradient_check(net, rows(net, rng.normal(size=5)), 0, epsilon=1e-2)
 
 
 class TestTrain:
@@ -238,24 +252,13 @@ class TestTrain:
         assert [m["epoch"] for m in metrics] == [0, 1, 2, 3]
         assert all(m["cv_accuracy"] is not None for m in metrics)
 
-    def test_lr_halving_on_cv_regression(self):
-        rng = np.random.default_rng(19)
-        data = random_frames(rng, 80, 3, 3)   # unlearnable labels: cv loss wobbles
-        net = init_network(NetworkConfig(input_dim=3, output_dim=3,
-                                         hidden_dims=(4,), seed=2))
-        metrics = train(net, data, TrainConfig(
-            epochs=10, learning_rate=0.5, cv_fraction=0.25, seed=3,
-            halve_lr_on_worse=True))
-        assert len(metrics) == 10
-        assert all(np.isfinite(m["train_loss"]) for m in metrics)
-
     def test_held_weight_array_follows_training(self):
         rng = np.random.default_rng(23)
         net = small_net(rng, domain_dim=2)
         held = net.weights[0]
         before = held.copy()
         train(net, FrameData(rng.normal(size=(40, 5)), rng.integers(0, 4, size=40),
-                             np.eye(2)[rng.integers(0, 2, size=40)]),
+                             rng.integers(0, 2, size=40)),
               TrainConfig(epochs=2, cv_fraction=0.0))
         assert not np.array_equal(held, before)
         np.testing.assert_array_equal(held, net.weights[0])
@@ -308,18 +311,34 @@ class TestTrainMatchesOracle:
     def test_bitwise_equal(self, activation, hidden, domain_dim, cv_fraction):
         rng = np.random.default_rng(25)
         n = 83                    # 67 or 83 training frames: a ragged last batch
-        codes = np.eye(domain_dim)[rng.integers(0, domain_dim, size=n)] if domain_dim else None
-        data = FrameData(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n), codes)
+        domains = rng.integers(0, domain_dim, size=n) if domain_dim else None
+        data = FrameData(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n), domains)
         net = small_net(rng, hidden=hidden, domain_dim=domain_dim,
                         activation=activation)
         reference = net.copy()
         config = TrainConfig(epochs=6, learning_rate=0.8, batch_size=7, seed=3,
-                             cv_fraction=cv_fraction, halve_lr_on_worse=True)
+                             cv_fraction=cv_fraction)
         metrics = train(net, data, config)
         assert metrics == network_train(reference, data, config)
         for got, want in zip((*net.weights, *net.biases),
                              (*reference.weights, *reference.biases)):
             np.testing.assert_array_equal(got, want)
+
+    def test_paper_sizes_with_a_16_row_last_batch(self):
+        """D=39, K=4 and hidden (64, 64) at batch 32, as the classifier runs,
+        with 80 training frames: two full batches and a 16-row last one. On
+        rows this few the split first layer x @ W_v.T + W_d[:, d] rounds
+        differently from [x | e_d] @ W.T, and this case tells them apart."""
+        rng = np.random.default_rng(28)
+        n = 80
+        data = FrameData(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n),
+                         rng.integers(0, 4, size=n))
+        net = small_net(rng, input_dim=39, hidden=(64, 64), output_dim=8, domain_dim=4)
+        net.weights[0][:, 39:] = rng.normal(size=(64, 4))
+        reference = net.copy()
+        config = TrainConfig(epochs=3, batch_size=32, seed=4, cv_fraction=0.0)
+        assert train(net, data, config) == network_train(reference, data, config)
+        np.testing.assert_array_equal(net.params, reference.params)
 
     def test_single_short_batch(self):
         rng = np.random.default_rng(26)
@@ -343,21 +362,26 @@ class TestEvaluate:
 
 class TestFrameData:
     def test_len_is_frame_count(self):
-        data = FrameData(np.zeros((3, 2)), [0, 1, 0], np.eye(2)[[1, 0, 1]])
+        data = FrameData(np.zeros((3, 2)), [0, 1, 0], [1, 0, 1])
         assert len(data) == 3
         assert data.labels.dtype == np.int64
+        assert data.domains.dtype == np.int64
 
     def test_rejects_code_row_not_one_hot(self):
-        codes = np.eye(3)
-        codes[1] = [0.5, 0.5, 0.0]
-        with pytest.raises(ValueError, match="one-hot"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], codes)
+        """A domain is one index >= 0 per frame: the index form of a code row
+        that must be one-hot."""
+        with pytest.raises(ValueError, match="domains must be integers"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="domains must be >= 0"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], [0, -1, 1])
+        with pytest.raises(ValueError, match="domains must have shape"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], np.eye(3, dtype=int))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="labels must have shape"):
             FrameData(np.zeros((3, 2)), [0, 1])
-        with pytest.raises(ValueError, match="codes must have shape"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], np.eye(2))
+        with pytest.raises(ValueError, match="domains must have shape"):
+            FrameData(np.zeros((3, 2)), [0, 1, 2], [0, 1])
 
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -370,27 +394,29 @@ class TestFrameData:
     def test_codes_passed_to_baseline_net(self):
         rng = np.random.default_rng(20)
         net = small_net(rng)
-        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3], np.eye(4))
-        with pytest.raises(ValueError, match="baseline network got domain codes"):
+        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="baseline network got domains"):
             train(net, data, TrainConfig(epochs=1))
-        with pytest.raises(ValueError, match="baseline network got domain codes"):
+        with pytest.raises(ValueError, match="baseline network got domains"):
             evaluate_accuracy(net, data)
 
     def test_no_codes_passed_to_augmented_net(self):
         rng = np.random.default_rng(21)
         net = small_net(rng, domain_dim=2)
         data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3])
-        with pytest.raises(ValueError, match="needs a code"):
+        with pytest.raises(ValueError, match="needs a domain"):
             train(net, data, TrainConfig(epochs=1))
-        with pytest.raises(ValueError, match="needs a code"):
+        with pytest.raises(ValueError, match="needs a domain"):
             evaluate_accuracy(net, data)
 
     def test_code_width_checked_against_net(self):
         rng = np.random.default_rng(22)
         net = small_net(rng, domain_dim=2)
-        data = FrameData(rng.normal(size=(3, 5)), [0, 1, 2], np.eye(3))
-        with pytest.raises(ValueError, match="code dim 3"):
+        data = FrameData(rng.normal(size=(3, 5)), [0, 1, 2], [0, 1, 2])
+        with pytest.raises(ValueError, match="domain 2 out of range"):
             evaluate_accuracy(net, data)
+        with pytest.raises(ValueError, match="domain 2 out of range"):
+            train(net, data, TrainConfig(epochs=1))
 
 
 class TestSerialization:
@@ -403,6 +429,4 @@ class TestSerialization:
         assert back.input_dim == net.input_dim
         assert back.domain_dim == net.domain_dim
         x = rng.normal(size=5)
-        code = one_hot(3, 1)
-        np.testing.assert_allclose(back.forward(x, code), net.forward(x, code),
-                                   atol=1e-15)
+        np.testing.assert_allclose(probs(back, x, 1), probs(net, x, 1), atol=1e-15)
