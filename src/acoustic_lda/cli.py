@@ -121,7 +121,7 @@ def _cmd_train_gmm(args):
     if not docs:
         raise corpus.CorpusError("no feature documents to train on")
     frames = np.concatenate([d.frames for d in docs], axis=0)
-    model = gmm.train_gmm(frames, args.components, gmm.GmmConfig())
+    model = gmm.train_gmm(frames, args.components)
     gmm.save_gmm(args.out, model, seed=args.seed)
     print(f"trained GMM: V={model.num_components} D={model.dim}", file=sys.stderr)
 
@@ -139,11 +139,8 @@ def _cmd_quantize(args):
 
 def _cmd_train_lda(args):
     bags = corpus.load_bags(args.bags)
-    config = lda.LdaConfig(seed=args.seed)
-    if args.em_tol is not None:
-        config.em_tol = args.em_tol
-    if args.max_em_iters is not None:
-        config.max_em_iters = args.max_em_iters
+    config = lda.LdaConfig(em_tol=args.em_tol, max_em_iters=args.max_em_iters,
+                           seed=args.seed)
     model = lda.fit(bags, args.k, config)
     lda.save_lda(args.out, model, seed=args.seed)
     print(f"trained LDA: K={args.k} on {len(bags)} documents", file=sys.stderr)
@@ -173,13 +170,10 @@ def _cmd_entropy(args):
 def _cmd_filter(args):
     assign_a = _load_assignments(args.assign_a)
     assign_b = _load_assignments(args.assign_b)
-    total = sum(a.weight for a in assign_a)
     if args.target_weight is not None:
         target = args.target_weight
-    elif args.target_frac is not None:
-        target = args.target_frac * total
     else:
-        raise ValueError("filter needs --target-frac or --target-weight")
+        target = args.target_frac * sum(a.weight for a in assign_a)
     result = domains.cross_agreement_filter(assign_a, assign_b, target)
     meta = {
         "seed": args.seed,
@@ -287,7 +281,7 @@ def _build_parser():
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_gmm, _required=["components"])
+    p.set_defaults(func=_cmd_train_gmm, _required=[("components",)])
 
     p = sub.add_parser("quantize", help="map frames to max-posterior component indices")
     p.add_argument("--gmm", required=True)
@@ -301,10 +295,10 @@ def _build_parser():
     p.add_argument("--bags", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--em-tol", type=float, default=None)
-    p.add_argument("--max-em-iters", type=int, default=None)
+    p.add_argument("--em-tol", type=float, default=lda.LdaConfig.em_tol)
+    p.add_argument("--max-em-iters", type=int, default=lda.LdaConfig.max_em_iters)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_lda, _required=["k"])
+    p.set_defaults(func=_cmd_train_lda, _required=[("k",)])
 
     p = sub.add_parser("assign", help="MAP domain assignment per document")
     p.add_argument("--model", required=True)
@@ -326,7 +320,7 @@ def _build_parser():
     p.add_argument("--target-weight", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_filter)
+    p.set_defaults(func=_cmd_filter, _required=[("target_frac", "target_weight")])
 
     p = sub.add_parser("augment-train",
                        help="train the frame classifier, optionally UBIC-augmented")
@@ -422,9 +416,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = _parse_args(parser, argv)
-    for name in getattr(args, "_required", []):
-        if getattr(args, name) is None:
-            print(f"error: missing required flag --{name}", file=sys.stderr)
+    # each entry of _required holds flags of which at least one must be set
+    for names in getattr(args, "_required", []):
+        if all(getattr(args, name) is None for name in names):
+            flags = " or ".join("--" + name.replace("_", "-") for name in names)
+            print(f"error: missing required flag {flags}", file=sys.stderr)
             return 2
     try:
         args.func(args)

@@ -153,7 +153,10 @@ def distribution_stats(
 
     Domains are ranked by total weight across all groups; rows come out
     grouped by group name, top domains first in rank order, then "other".
+    ``top_n`` 0 puts every domain in "other".
     """
+    if top_n < 0:
+        raise ValueError("top_n must be >= 0")
     totals: dict[int, float] = {}
     table: dict[tuple[str, int], float] = {}
     for a in assignments:

@@ -47,21 +47,17 @@ import numpy as np
 from . import formats
 from .corpus import FeatureDocument, SymbolDocument
 
-__all__ = ["GmmConfig", "GmmModel", "train_gmm", "quantize", "save_gmm", "load_gmm"]
+__all__ = ["GmmModel", "train_gmm", "quantize", "save_gmm", "load_gmm"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _EPS = np.finfo(float).eps
 _BLOCK_FRAMES = 4096   # frames per block in EM statistics and in quantize
-
-
-@dataclass
-class GmmConfig:
-    split_em_iters: int = 4          # EM iterations after each mix-up split
-    final_tol: float = 1e-6          # relative log-likelihood change to stop
-    max_final_iters: int = 50
-    variance_floor_factor: float = 1e-4   # times the global per-dim variance
-    mean_perturbation: float = 0.2   # split offset, in per-dim std units
-    empty_mass_threshold: float = 1e-8
+_SPLIT_EM_ITERS = 4    # EM passes after each mix-up split
+_FINAL_TOL = 1e-6      # relative log-likelihood change that ends the final EM
+_MAX_FINAL_ITERS = 50
+_VARIANCE_FLOOR = 1e-4  # times the global per-dimension variance
+_PERTURBATION = 0.2    # split offset, in per-dimension std units
+_EMPTY_MASS = 1e-8     # posterior mass below which a component is re-seeded
 
 
 @dataclass(frozen=True)
@@ -255,15 +251,15 @@ def _em_statistics(weights, means, variances, g, z):
     return ll, mass, acc
 
 
-def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol,
-                   empty_threshold, perturbation, history):
+def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol):
     """Run EM at a fixed component count on the design matrix ``z`` of frames
     centred on ``g``; returns updated parameters.
 
-    Appends per-iteration average log-likelihood to ``history``. Stops early
-    when ``tol`` is set and the relative change falls below it. A re-seed on
-    the last pass earns one extra pass, so that the re-seeded parameters are
-    re-fitted before they are returned.
+    Stops early when ``tol`` is set and the relative change of the average
+    log-likelihood falls below it. A component whose posterior mass falls
+    below ``_EMPTY_MASS`` is re-seeded by splitting the heaviest one into it.
+    A re-seed on the last pass earns one extra pass, so that the re-seeded
+    parameters are re-fitted before they are returned.
     """
     n, d = z.shape[1], means.shape[1]
     prev_ll, reseeded = None, False
@@ -274,14 +270,12 @@ def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol,
         ll = total / n
         if not np.isfinite(ll):
             raise FloatingPointError("EM produced a non-finite log-likelihood")
-        history.append(ll)
 
-        empties = np.flatnonzero(mass < empty_threshold)
+        empties = np.flatnonzero(mass < _EMPTY_MASS)
         reseeded = bool(empties.size)
         if reseeded:
-            weights, means, variances = _reseed_empties(
-                weights.copy(), means.copy(), variances.copy(), empties, perturbation
-            )
+            for dst in empties:
+                _split(weights, means, variances, int(np.argmax(weights)), dst)
             prev_ll = None   # restart monotonicity tracking after a reseed
             continue
 
@@ -298,54 +292,30 @@ def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol,
     return weights, means, variances
 
 
-def _split_component(weights, means, variances, idx, perturbation):
-    """Split component ``idx`` into two, offsetting means by +-0.2 std."""
-    sigma = np.sqrt(variances[idx])
-    offset = perturbation * sigma
-    w = weights[idx] / 2.0
-    new_weights = np.concatenate([weights, [w]])
-    new_weights[idx] = w
-    new_means = np.vstack([means, means[idx] + offset])
-    new_means[idx] = means[idx] - offset
-    new_variances = np.vstack([variances, variances[idx]])
-    return new_weights, new_means, new_variances
-
-
-def _reseed_empties(weights, means, variances, empties, perturbation):
-    """Re-seed dead components by re-splitting the heaviest one."""
-    for idx in empties:
-        heavy = int(np.argmax(weights))
-        sigma = np.sqrt(variances[heavy])
-        offset = perturbation * sigma
-        w = weights[heavy] / 2.0
-        weights[heavy] = w
-        weights[idx] = w
-        means[idx] = means[heavy] + offset
-        means[heavy] = means[heavy] - offset
-        variances[idx] = variances[heavy]
-    return weights, means, variances
+def _split(weights, means, variances, src, dst):
+    """Split component ``src`` in place into itself and ``dst``: half its
+    weight each, means ``_PERTURBATION`` std below and above its mean, and its
+    variances for both."""
+    offset = _PERTURBATION * np.sqrt(variances[src])
+    weights[src] = weights[dst] = weights[src] / 2.0
+    means[dst] = means[src] + offset
+    means[src] -= offset
+    variances[dst] = variances[src]
 
 
 @np.errstate(over="raise", invalid="raise")
-def train_gmm(
-    frames: np.ndarray,
-    target_components: int,
-    config: Optional[GmmConfig] = None,
-    return_history: bool = False,
-):
+def train_gmm(frames: np.ndarray, target_components: int) -> GmmModel:
     """Train a diagonal GMM by EM with mix-up component splitting.
 
     Starts from the single-component maximum-likelihood solution and grows the
     mixture one split at a time (heaviest component first) until it reaches
-    ``target_components``, running a few EM passes after every split, then a
-    final EM to convergence. Deterministic: no randomness is involved.
-
-    With ``return_history=True`` returns ``(model, history)`` where history is
-    a list of ``(component_count, [avg log-likelihood per EM iteration])``
-    stages, for monotonicity checks. Overflow, as from frames whose squares
-    exceed the float range, raises FloatingPointError.
+    ``target_components``, running ``_SPLIT_EM_ITERS`` EM passes after every
+    split, then a final EM of at most ``_MAX_FINAL_ITERS`` passes to the
+    relative tolerance ``_FINAL_TOL``. Variances are floored at
+    ``_VARIANCE_FLOOR`` times the global per-dimension variance.
+    Deterministic: no randomness is involved. Overflow, as from frames whose
+    squares exceed the float range, raises FloatingPointError.
     """
-    config = config or GmmConfig()
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
         raise ValueError("frames must be an N x D matrix")
@@ -360,40 +330,25 @@ def train_gmm(
         raise ValueError("target_components must be >= 1")
 
     global_var = frames.var(axis=0)
-    floor = np.maximum(config.variance_floor_factor * global_var, 1e-12)
+    floor = np.maximum(_VARIANCE_FLOOR * global_var, 1e-12)
     g, z = _design_matrix(frames)
 
     weights = np.array([1.0])
     means = g[None, :]
     variances = np.maximum(global_var, floor)[None, :]
 
-    stages = []
     while weights.shape[0] < target_components:
         heavy = int(np.argmax(weights))
-        weights, means, variances = _split_component(
-            weights, means, variances, heavy, config.mean_perturbation
-        )
-        stage_ll: list[float] = []
+        # a zero-weight slot for the split to fill
+        weights = np.append(weights, 0.0)
+        means, variances = (np.vstack([a, np.zeros(d)]) for a in (means, variances))
+        _split(weights, means, variances, heavy, weights.shape[0] - 1)
         weights, means, variances = _em_iterations(
-            weights, means, variances, g, z, floor,
-            config.split_em_iters, None,
-            config.empty_mass_threshold, config.mean_perturbation, stage_ll,
-        )
-        stages.append((weights.shape[0], stage_ll))
+            weights, means, variances, g, z, floor, _SPLIT_EM_ITERS, None)
 
-    final_ll: list[float] = []
     weights, means, variances = _em_iterations(
-        weights, means, variances, g, z, floor,
-        config.max_final_iters, config.final_tol,
-        config.empty_mass_threshold, config.mean_perturbation, final_ll,
-    )
-    stages.append((weights.shape[0], final_ll))
-
-    weights = weights / weights.sum()
-    model = GmmModel(weights=weights, means=means, variances=variances)
-    if return_history:
-        return model, stages
-    return model
+        weights, means, variances, g, z, floor, _MAX_FINAL_ITERS, _FINAL_TOL)
+    return GmmModel(weights=weights / weights.sum(), means=means, variances=variances)
 
 
 def save_gmm(path, model: GmmModel, seed: Optional[int] = None) -> None:

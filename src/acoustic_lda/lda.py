@@ -26,11 +26,11 @@ The evidence lower bound needs no phi either: it is the Dirichlet terms plus
 sum_k (gamma_k - alpha_k)(E_q[log theta_k] - digamma(gamma_prev)_k) plus
 sum_w C_w log(norm_w), with the two scalings added back, where gamma_prev
 and norm are those of the document's last sweep. The M-step re-estimates
-the topic rows from the expected counts eb * (el.T @ (C / norm)), with
-optional additive smoothing. ``fit`` and ``infer_thetas`` run this one
-E-step: ``fit`` with the tolerances of its ``LdaConfig``, inference with
-their defaults, ``_GAMMA_TOL`` and ``_MAX_E_ITERS``. ``log_beta`` stores K
-rows of length V (log-probability of each symbol given the latent domain).
+the topic rows from the expected counts eb * (el.T @ (C / norm)) plus the
+pseudo-count ``_SMOOTHING`` in every cell. ``fit`` and ``infer_thetas`` run
+this one E-step, to the tolerance ``_GAMMA_TOL`` or ``_MAX_E_ITERS``
+sweeps. ``log_beta`` stores K rows of length V (log-probability of each
+symbol given the latent domain).
 """
 
 from __future__ import annotations
@@ -53,20 +53,25 @@ __all__ = ["LdaConfig", "LdaModel", "fit", "infer_thetas", "save_lda", "load_lda
 _NORM_FLOOR = 1e-250
 
 # The E-step stops a document once its max relative gamma change falls below
-# _GAMMA_TOL, or after _MAX_E_ITERS sweeps: fit's defaults, and inference's.
+# _GAMMA_TOL, or after _MAX_E_ITERS sweeps.
 _GAMMA_TOL = 1e-5
 _MAX_E_ITERS = 100
+
+# The M-step's pseudo-count per (k, w) cell, also added to the empirical
+# symbol counts the topic rows start from.
+_SMOOTHING = 1e-3
 
 
 @dataclass
 class LdaConfig:
-    gamma_tol: float = _GAMMA_TOL  # max relative gamma change to stop the E-step
-    max_e_iters: int = _MAX_E_ITERS
     em_tol: float = 1e-4         # relative corpus-ELBO change to stop EM
     max_em_iters: int = 50
-    smoothing: float = 1e-3      # additive pseudo-count per (k, w) cell; 0 disables
     alpha: Optional[float] = None  # symmetric Dirichlet scale; None means 1/K
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def _scaled_norm(dig, eb, c):
     return el, norm, under
 
 
-def _log_domain_e_step(lb, counts, alpha, gamma_tol, max_iters):
+def _log_domain_e_step(lb, counts, alpha):
     """The same updates for one document in the log domain, through phi.
 
     ``lb`` is (U, K): the model's log-probabilities at the document's
@@ -151,7 +156,7 @@ def _log_domain_e_step(lb, counts, alpha, gamma_tol, max_iters):
     underflows. Returns gamma (K,) and the phi (U, K) of the last sweep.
     """
     gamma = alpha + counts.sum() / lb.shape[1]
-    for _ in range(max_iters):
+    for _ in range(_MAX_E_ITERS):
         log_phi = lb + psi(gamma)
         log_phi -= log_phi.max(axis=1, keepdims=True)
         phi = np.exp(log_phi)
@@ -159,28 +164,26 @@ def _log_domain_e_step(lb, counts, alpha, gamma_tol, max_iters):
         new_gamma = alpha + counts @ phi
         delta = np.max(np.abs(new_gamma - gamma) / gamma)
         gamma = new_gamma
-        if delta < gamma_tol:
+        if delta < _GAMMA_TOL:
             break
     return gamma, phi
 
 
-def _e_step(log_beta, eb, alpha, c, gamma_tol, max_iters):
+def _e_step(log_beta, eb, alpha, c):
     """Iterate the phi-free updates for the M documents of ``c`` (M, V) at once.
 
     ``eb`` is the scaled beta of :func:`_scaled_beta`. A document is frozen
-    once its max relative gamma change falls below ``gamma_tol``. A document
+    once its max relative gamma change falls below ``_GAMMA_TOL``. A document
     whose norm falls below ``_NORM_FLOOR`` at a symbol it contains is re-run
     from the start by :func:`_log_domain_e_step`. Returns gamma (M, K); for
     each document, digamma(gamma) at the start of its last sweep (M, K); and
     the phi of each re-run document, by row.
     """
-    if max_iters < 1:
-        raise ValueError("max_e_iters must be >= 1")
     gamma = alpha + c.sum(axis=1, keepdims=True) / eb.shape[0]
     dig = np.empty_like(gamma)
     under = np.zeros(c.shape[0], dtype=bool)
     live, c_live = np.arange(c.shape[0]), c
-    for _ in range(max_iters):
+    for _ in range(_MAX_E_ITERS):
         old = gamma[live]
         d = psi(old)
         el, norm, low = _scaled_norm(d, eb, c_live)
@@ -188,15 +191,14 @@ def _e_step(log_beta, eb, alpha, c, gamma_tol, max_iters):
         gamma[live] = new_gamma
         dig[live] = d
         under[live[low]] = True
-        keep = (np.max(np.abs(new_gamma - old) / old, axis=1) >= gamma_tol) & ~low
+        keep = (np.max(np.abs(new_gamma - old) / old, axis=1) >= _GAMMA_TOL) & ~low
         live, c_live = live[keep], c_live[keep]
         if live.size == 0:
             break
     fallback = {}
     for i in np.flatnonzero(under):
         ids = np.flatnonzero(c[i])
-        gamma[i], fallback[i] = _log_domain_e_step(
-            log_beta.T[ids], c[i, ids], alpha, gamma_tol, max_iters)
+        gamma[i], fallback[i] = _log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
     return gamma, dig, fallback
 
 
@@ -239,13 +241,12 @@ def _bound(alpha, top, c, gamma, dig_prev, norm):
             + c.sum(axis=1) * dig_prev.max(axis=1) + c @ top)
 
 
-def _em_terms(log_beta, alpha, c, config: LdaConfig):
+def _em_terms(log_beta, alpha, c):
     """The E-step of variational EM on the counts ``c`` (M, V): each
     document's evidence lower bound (M,) and the expected counts (K, V)
     the M-step normalises, eb * (el.T @ (c / norm)) from the last sweeps."""
     eb, top = _scaled_beta(log_beta)
-    gamma, dig, fallback = _e_step(log_beta, eb, alpha, c, config.gamma_tol,
-                                   config.max_e_iters)
+    gamma, dig, fallback = _e_step(log_beta, eb, alpha, c)
     el, norm, _ = _scaled_norm(dig, eb, c)
     bounds = _bound(alpha, top, c, gamma, dig, norm)
     el[list(fallback)] = 0.0      # a re-run document's counts go through its phi
@@ -259,24 +260,24 @@ def _em_terms(log_beta, alpha, c, config: LdaConfig):
 
 def _posterior(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
     """gamma (M, K) of the non-empty documents ``docs`` under a trained
-    model, by the E-step at the default tolerances."""
+    model, by the E-step."""
     c = _stack_counts(docs, model.vocab_size)
     dead = (c[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
     if dead.any():
         raise FloatingPointError(f"document {docs[dead.argmax()].id!r}: "
                                  "observed symbol has zero mass in every topic")
     eb, _ = _scaled_beta(model.log_beta)
-    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, c, _GAMMA_TOL, _MAX_E_ITERS)
+    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, c)
     bad = ~np.isfinite(gamma).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"document {docs[bad.argmax()].id!r}: non-finite gamma")
     return gamma
 
 
-def _init_log_beta(c, k, smoothing, rng):
+def _init_log_beta(c, k, rng):
     """Empirical symbol distribution of the counts ``c`` (M, V) times seeded
     multiplicative noise."""
-    emp = c.sum(axis=0) + max(smoothing, 1e-3)
+    emp = c.sum(axis=0) + _SMOOTHING
     emp /= emp.sum()
     beta = emp[None, :] * rng.uniform(0.5, 1.5, size=(k, c.shape[1]))
     beta /= beta.sum(axis=1, keepdims=True)
@@ -290,9 +291,10 @@ def fit(
 ) -> LdaModel:
     """Variational EM over a corpus of bags-of-sounds.
 
-    Alternates the batched E-step with the topic-row M-step until the
-    relative change of the corpus ELBO falls below ``config.em_tol``.
-    Deterministic for a fixed ``config.seed``.
+    Alternates the batched E-step with the topic-row M-step for at most
+    ``config.max_em_iters`` iterations, stopping once the relative change of
+    the corpus ELBO falls below ``config.em_tol``. Deterministic for a fixed
+    ``config.seed``.
     """
     config = config or LdaConfig()
     if not corpus:
@@ -306,20 +308,19 @@ def fit(
     if alpha_scale <= 0:
         raise ValueError("alpha must be positive")
     alpha = np.full(num_domains, alpha_scale)
-    log_beta = _init_log_beta(c, num_domains, config.smoothing, rng)
+    log_beta = _init_log_beta(c, num_domains, rng)
 
     history: list[float] = []
     prev = None
     for _ in range(config.max_em_iters):
-        bounds, stats = _em_terms(log_beta, alpha, c, config)
+        bounds, stats = _em_terms(log_beta, alpha, c)
         corpus_elbo = float(bounds.sum())
         if not np.isfinite(corpus_elbo):
             raise FloatingPointError("variational EM produced a non-finite ELBO")
         history.append(corpus_elbo)
 
-        stats += config.smoothing
-        with np.errstate(divide="ignore"):
-            log_beta = np.log(stats) - np.log(stats.sum(axis=1, keepdims=True))
+        stats += _SMOOTHING
+        log_beta = np.log(stats) - np.log(stats.sum(axis=1, keepdims=True))
 
         if prev is not None and abs(corpus_elbo - prev) <= config.em_tol * abs(prev):
             break
@@ -364,7 +365,8 @@ def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:
 def load_lda(path) -> LdaModel:
     """Read a model written by :func:`save_lda`; a malformed file raises
     ValueError naming the path. ``-inf`` in ``log_beta`` (a symbol a topic
-    never emits, written under ``smoothing=0``) is legal."""
+    never emits) is legal, although ``fit``, whose M-step adds a positive
+    pseudo-count to every cell, never writes it."""
     def build(obj):
         for key in ("K", "V"):
             if type(obj[key]) is not int or obj[key] < 1:

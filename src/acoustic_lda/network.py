@@ -190,10 +190,6 @@ class LdatNetwork:
             h = self._layer(i, h)
         return h
 
-    def copy(self) -> "LdatNetwork":
-        return LdatNetwork(self.weights, self.biases, self.input_dim,
-                           self.domain_dim, self.activation)
-
 
 class _Step:
     """Forward and backward pass of one SGD step on batches of ``m`` rows.

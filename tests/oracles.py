@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: direct density
 formulas, exhaustive enumeration, grid quadrature, and the plain
 per-array loops that the library's in-place forms must match bit for bit.
-``gradient_check`` is the exception: it holds the network's own step to
-central differences of its own loss.
+``gradient_check`` is an exception: it holds the network's own step to
+central differences of its own loss. ``gmm_stages`` is another: it records
+the average log-likelihood of each of ``train_gmm``'s own EM passes.
 """
 
 from itertools import product
@@ -12,6 +13,7 @@ from itertools import product
 import numpy as np
 from scipy.special import digamma, expit, gammaln, logsumexp
 
+from acoustic_lda import gmm
 from acoustic_lda.formats import FormatError
 from acoustic_lda.network import _Step
 
@@ -37,6 +39,29 @@ def gaussian_log_joint(weights, means, variances, frames):
         out[:, i] = np.log(w) - 0.5 * (
             np.log(2 * np.pi * var).sum() + ((frames - mu) ** 2 / var).sum(axis=1))
     return out
+
+
+def gmm_stages(frames, target_components):
+    """``gmm.train_gmm(frames, target_components)`` and its EM stages: one
+    (component count, [average log-likelihood of each pass]) per call of
+    ``gmm._em_iterations``, from the totals ``gmm._em_statistics`` returns."""
+    stages = []
+    em_iterations, em_statistics = gmm._em_iterations, gmm._em_statistics
+
+    def iterations(weights, *args):
+        stages.append((weights.shape[0], []))
+        return em_iterations(weights, *args)
+
+    def statistics(*args):
+        total, mass, acc = em_statistics(*args)
+        stages[-1][1].append(total / args[-1].shape[1])
+        return total, mass, acc
+
+    gmm._em_iterations, gmm._em_statistics = iterations, statistics
+    try:
+        return gmm.train_gmm(frames, target_components), stages
+    finally:
+        gmm._em_iterations, gmm._em_statistics = em_iterations, em_statistics
 
 
 def gmm_em_statistics(weights, means, variances, frames, centre):

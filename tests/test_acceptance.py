@@ -12,6 +12,7 @@ from acoustic_lda.cli import main as cli_main
 from oracles import (
     brute_log_evidence,
     gaussian_responsibilities,
+    gmm_stages,
     gradient_check,
     greedy_row_match,
     prefix_filter_oracle,
@@ -63,7 +64,7 @@ def test_02_elbo_soundness():
         alpha = rng.uniform(0.1, 2.0, size=k)
         symbols = rng.integers(0, v, size=n)
         counts = np.bincount(symbols, minlength=v)[None].astype(float)
-        bounds, _ = lda._em_terms(np.log(beta), alpha, counts, lda.LdaConfig())
+        bounds, _ = lda._em_terms(np.log(beta), alpha, counts)
         bound = bounds[0]
         evidence = brute_log_evidence(alpha, beta, symbols)
         gap = evidence - bound
@@ -95,8 +96,7 @@ def test_03_em_monotonicity():
         centers = rng.normal(scale=3.0, size=(3, d))
         frames = np.concatenate(
             [rng.normal(c, rng.uniform(0.5, 1.5), size=(n, d)) for c in centers])
-        _, history = gmm.train_gmm(frames, int(rng.integers(2, 6)),
-                                   return_history=True)
+        _, history = gmm_stages(frames, int(rng.integers(2, 6)))
         for _, lls in history:
             assert (np.diff(lls) >= -1e-8).all()
     report(3, "EM monotonicity (20 LDA corpora at 1e-6, 20 GMM runs at 1e-8)")
@@ -155,7 +155,9 @@ def test_05_domain_bias_algebra():
         np.testing.assert_allclose(augmented._forward(_rows(augmented, x, domain)),
                                    baseline._forward(_rows(baseline, x)), atol=1e-12)
 
-    trained = augmented.copy()
+    trained = network.LdatNetwork(augmented.weights, augmented.biases,
+                                  augmented.input_dim, augmented.domain_dim,
+                                  augmented.activation)
     trained.weights[0][:] = rng.normal(size=trained.weights[0].shape)
     x = rng.normal(size=12)
     w_v, w_d = trained.weights[0][:, :12], trained.weights[0][:, 12:]

@@ -9,6 +9,11 @@ name that only tests call does not belong in the package; the few kept on
 purpose are listed in ``KEPT``, each with its reason. The same holds for the
 public methods and properties of the reached classes, matched by attribute
 name: some reached definition must load an attribute of that name.
+
+Every field of a config dataclass (a dataclass named ``*Config``) that
+``cli.main`` reaches is set in ``cli.py``, as a constructor keyword or by
+attribute assignment: a value the pipeline never sets is a module constant,
+not a field. The few kept on purpose are listed in ``KEPT_FIELDS``.
 """
 
 import ast
@@ -69,6 +74,11 @@ KEPT = {
     ("corpus", "save_features"): "the writer of the features file train-gmm and quantize read",
 }
 ROOTS = {("cli", "main")}   # the console script
+
+# config fields the CLI never sets, kept on purpose
+KEPT_FIELDS = {
+    ("lda", "LdaConfig", "alpha"): "acceptance test_08 trains at alpha=0.5",
+}
 
 
 def top_level(sources):
@@ -189,3 +199,49 @@ def test_the_member_check_follows_attribute_loads():
              "class Unreached:\n    def alone(self): pass\n",
     }
     assert unused_public_members(sources, {("a", "main")}) == ["Used.by_dead", "Used.never"]
+
+
+def unset_config_fields(sources, roots, setter):
+    """(module, class, field) for each field of a reached ``*Config``
+    dataclass that module ``setter`` neither passes as a keyword to a call
+    of that class nor assigns as an attribute."""
+    reached, _ = reach(sources, roots)
+    tree = ast.parse(sources[setter])
+    keywords, assigned = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            keywords |= {(callee, kw.arg) for kw in node.keywords}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            assigned.add(node.attr)
+    return sorted(
+        (m, node.name, field.target.id) for m, node in top_level(sources)
+        if isinstance(node, ast.ClassDef) and (m, node.name) in reached
+        and node.name.endswith("Config")
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and (node.name, field.target.id) not in keywords
+        and field.target.id not in assigned)
+
+
+def test_every_config_field_is_set_by_the_cli():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    unset = unset_config_fields(sources, ROOTS, "cli")
+    assert set(KEPT_FIELDS) <= set(unset), "a kept field is set by the CLI"
+    assert sorted(set(unset) - set(KEPT_FIELDS)) == []
+
+
+def test_the_config_check_sees_keywords_and_assignments():
+    sources = {
+        "a": "from . import b\n"
+             "def main():\n    c = b.RunConfig(rate=1)\n    c.seed = 2\n"
+             "    b.Other(size=3)\n",
+        "b": "from dataclasses import dataclass\n"
+             "@dataclass\nclass RunConfig:\n    rate: float = 0.1\n"
+             "    seed: int = 0\n    tol: float = 1e-6\n"
+             "@dataclass(frozen=True)\nclass Other:\n    size: int = 1\n"
+             "    unset: int = 0\n"
+             "@dataclass\nclass DeadConfig:\n    unset: int = 0\n",
+    }
+    assert unset_config_fields(sources, {("a", "main")}, "a") == [("b", "RunConfig", "tol")]

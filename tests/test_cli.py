@@ -38,8 +38,8 @@ def gmm_json(**changes):
 
 def lda_json(**changes):
     """A valid K=2, V=3 LDA artifact as json text, with a symbol that topic 0
-    never emits (-inf, as ``smoothing=0`` writes); a change to None drops the
-    key."""
+    never emits (-inf, legal on load although ``fit`` never writes it); a
+    change to None drops the key."""
     obj = {"K": 2, "V": 3, "alpha": [0.5, 0.5],
            "log_beta": [[np.log(0.5), np.log(0.5), -np.inf],
                         [np.log(0.2), np.log(0.3), np.log(0.5)]], **changes}
@@ -775,6 +775,52 @@ class TestContracts:
         assert run("--manifest", manifest, "train-lda", "--bags", bags,
                    "--out", out) == 0
         assert json.loads(out.read_text())["K"] == 2
+
+    @pytest.mark.parametrize("argv, manifest", [
+        pytest.param(("--max-em-iters", 0), None, id="flag"),
+        pytest.param((), {"stages": {"train-lda": {"max-em-iters": 0}}}, id="manifest"),
+    ])
+    def test_zero_em_iterations_exit_1(self, tmp_path, capsys, argv, manifest):
+        bags, out, path = tmp_path / "bags.jsonl", tmp_path / "lda.json", tmp_path / "m.json"
+        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([3, 1]))])
+        top = ()
+        if manifest is not None:
+            path.write_text(json.dumps(manifest))
+            top = ("--manifest", path)
+        assert run(*top, "train-lda", "--bags", bags, "--k", 2, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_em_iters must be >= 1" in err
+        assert not out.exists()
+
+    def test_filter_without_a_target_exit_2(self, tmp_path, capsys):
+        a, out, path = tmp_path / "a.jsonl", tmp_path / "filter.jsonl", tmp_path / "m.json"
+        a.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        argv = ("filter", "--assign-a", a, "--assign-b", a, "--out", out)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--target-frac or --target-weight" in err
+        assert not out.exists()
+        path.write_text(json.dumps({"stages": {"filter": {"target-frac": 0.5}}}))
+        assert run("--manifest", path, *argv) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("top_n, code, domains", [
+        (-1, 1, None), (0, 0, ["other"]), (2, 0, ["0", "1", "other"])])
+    def test_stats_top_n(self, tmp_path, capsys, top_n, code, domains):
+        assign, bags, out = tmp_path / "a.jsonl", tmp_path / "bags.jsonl", tmp_path / "s.csv"
+        # domain 0 weighs the most and domain 2 the least
+        assign.write_text(assignments_text([0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                                           [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]))
+        corpus.save_bags(bags, [corpus.BagOfSounds(id=f"d{i}", counts=np.array([1]),
+                                                   group="g") for i in range(4)])
+        assert run("stats", "--assignments", assign, "--bags", bags,
+                   "--top-n", top_n, "--out", out) == code
+        if domains is None:
+            assert "top_n must be >= 0" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            rows = out.read_text().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows] == domains
 
     def test_calls_sharing_the_parser_match_a_fresh_parser_each(
             self, tmp_path, pipeline_inputs, capsys, monkeypatch):

@@ -3,15 +3,13 @@ import pytest
 
 from acoustic_lda import gmm
 from acoustic_lda.corpus import FeatureDocument
-from acoustic_lda.gmm import (
-    GmmConfig,
-    GmmModel,
-    load_gmm,
-    quantize,
-    save_gmm,
-    train_gmm,
+from acoustic_lda.gmm import GmmModel, load_gmm, quantize, save_gmm, train_gmm
+from oracles import (
+    gaussian_log_joint,
+    gaussian_responsibilities,
+    gmm_em_statistics,
+    gmm_stages,
 )
-from oracles import gaussian_log_joint, gaussian_responsibilities, gmm_em_statistics
 
 
 def random_model(rng, v, d):
@@ -265,8 +263,8 @@ class TestEmPath:
         rng = np.random.default_rng(26)
         frames = np.concatenate([rng.normal(c, 1.0, size=(300, 2))
                                  for c in ([-4.0, 0.0], [0.0, 3.0], [4.0, 0.0])])
-        base, base_history = train_gmm(frames, 6, return_history=True)
-        far, far_history = train_gmm(frames + 1e4, 6, return_history=True)
+        base, base_history = gmm_stages(frames, 6)
+        far, far_history = gmm_stages(frames + 1e4, 6)
         assert ([len(lls) for _, lls in far_history]
                 == [len(lls) for _, lls in base_history])
         np.testing.assert_array_equal(
@@ -280,11 +278,19 @@ class TestEmPath:
         # 14 frames at 2 and 10 at 1: at V=5 the last pass after the last
         # split finds a component with no mass
         frames = np.repeat([[2.0], [1.0]], [14, 10], axis=0)
-        reseeded, reseed = [], gmm._reseed_empties
-        monkeypatch.setattr(gmm, "_reseed_empties",
-                            lambda *a: reseeded.append(reseed(*a)) or reseeded[-1])
-        config = GmmConfig(max_final_iters=0)
-        model, history = train_gmm(frames, 5, config, return_history=True)
+        reseeded, split = [], gmm._split
+
+        def recorded(weights, means, variances, src, dst):
+            # a mix-up split fills an appended zero-weight slot; a re-seed
+            # splits into a component that had weight
+            reseed = weights[dst] > 0
+            split(weights, means, variances, src, dst)
+            if reseed:
+                reseeded.append((weights.copy(), means.copy(), variances.copy()))
+
+        monkeypatch.setattr(gmm, "_split", recorded)
+        monkeypatch.setattr(gmm, "_MAX_FINAL_ITERS", 0)
+        model, history = gmm_stages(frames, 5)
         assert [len(lls) for _, lls in history] == [4, 4, 4, 5, 0]
         assert len(reseeded) == 1
 
@@ -331,16 +337,16 @@ class TestTrainGmm:
             rng.normal(0.0, 1.0, size=(150, 2)),
             rng.normal(4.0, 1.5, size=(150, 2)),
         ])
-        _, history = train_gmm(frames, 4, return_history=True)
+        _, history = gmm_stages(frames, 4)
         for _, lls in history:
             diffs = np.diff(lls)
             assert (diffs >= -1e-8).all()
 
-    def test_variance_floor(self):
+    def test_variance_floor(self, monkeypatch):
         rng = np.random.default_rng(3)
         frames = rng.normal(size=(200, 3))
-        config = GmmConfig(variance_floor_factor=1e-2)
-        model = train_gmm(frames, 4, config)
+        monkeypatch.setattr(gmm, "_VARIANCE_FLOOR", 1e-2)
+        model = train_gmm(frames, 4)
         floor = 1e-2 * frames.var(axis=0)
         assert np.all(model.variances >= floor[None, :] - 1e-15)
 

@@ -26,11 +26,11 @@ def make_model(beta, alpha):
     return LdaModel(alpha=alpha, log_beta=np.log(beta))
 
 
-def em_terms(model, doc, config=None):
+def em_terms(model, doc):
     """The bound and expected counts ``fit`` takes from one document: its
     E-step on a corpus of one."""
     bounds, stats = lda._em_terms(model.log_beta, model.alpha,
-                                  doc.counts[None].astype(float), config or LdaConfig())
+                                  doc.counts[None].astype(float))
     return bounds[0], stats
 
 
@@ -83,14 +83,16 @@ class TestEStep:
                                        atol=1e-9)
             assert np.all(lda._posterior(model, [doc])[0] > 0)
 
-    def test_inner_elbo_monotone(self):
+    def test_inner_elbo_monotone(self, monkeypatch):
         # the bound after i coordinate-ascent sweeps, for i = 1..30
         rng = np.random.default_rng(1)
         for _ in range(20):
             model, symbols, *_ , v = random_instance(rng, max_len=6)
             doc = bag(np.bincount(symbols, minlength=v))
-            history = [em_terms(model, doc, LdaConfig(max_e_iters=i))[0]
-                       for i in range(1, 31)]
+            history = []
+            for i in range(1, 31):
+                monkeypatch.setattr(lda, "_MAX_E_ITERS", i)
+                history.append(em_terms(model, doc)[0])
             diffs = np.diff(history)
             assert (diffs >= -1e-10).all()
 
@@ -130,27 +132,25 @@ class TestPhiFreeEStep:
         return docs
 
     @staticmethod
-    def e_step(log_beta, alpha, docs, config):
+    def e_step(log_beta, alpha, docs):
         """gamma (M, K) of the batched E-step on ``docs``, and the phi of
         each document it re-ran in the log domain, by row."""
         c = np.array([doc.counts for doc in docs], dtype=float)
-        gamma, _, fallback = lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c,
-                                         config.gamma_tol, config.max_e_iters)
+        gamma, _, fallback = lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c)
         return gamma, fallback
 
     def test_gamma_matches_log_domain_oracle(self):
         rng = np.random.default_rng(30)
-        config = LdaConfig()
         for _ in range(10):
             k, v = int(rng.integers(1, 9)), int(rng.integers(2, 41))
             model = make_model(rng.dirichlet(np.full(v, 0.5), size=k),
                                rng.uniform(0.05, 2.0, size=k))
             docs = self.mixed_corpus(rng, v, 25)
-            gamma, fallback = self.e_step(model.log_beta, model.alpha, docs, config)
+            gamma, fallback = self.e_step(model.log_beta, model.alpha, docs)
             assert not fallback
             for doc, g in zip(docs, gamma):
                 want, _ = lda_e_step(model.alpha, model.log_beta, doc.counts,
-                                     config.gamma_tol, config.max_e_iters)
+                                     lda._GAMMA_TOL, lda._MAX_E_ITERS)
                 np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
 
     def test_underflowing_norm_reruns_in_log_domain(self, monkeypatch):
@@ -173,12 +173,11 @@ class TestPhiFreeEStep:
             return rerun(lb, counts, *args)
 
         monkeypatch.setattr(lda, "_log_domain_e_step", counted)
-        config = LdaConfig()
-        gamma, fallback = self.e_step(log_beta, alpha, docs, config)
+        gamma, fallback = self.e_step(log_beta, alpha, docs)
         assert reruns == [[1.0]] and list(fallback) == [1]
         for doc, g in zip(docs, gamma):
             want, _ = lda_e_step(alpha, log_beta, doc.counts,
-                                 config.gamma_tol, config.max_e_iters)
+                                 lda._GAMMA_TOL, lda._MAX_E_ITERS)
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(fallback[1][0], np.eye(k)[1], atol=1e-12)
         np.testing.assert_array_equal(lda._posterior(model, docs), gamma)
@@ -200,20 +199,21 @@ class TestPhiFreeEStep:
         np.testing.assert_allclose(rerun.log_beta, base.log_beta, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("sweeps", [1, 3, 50])
-    def test_phi_free_terms_match_phi_form(self, sweeps):
+    def test_phi_free_terms_match_phi_form(self, monkeypatch, sweeps):
         rng = np.random.default_rng(32)
-        config = LdaConfig(max_e_iters=sweeps, gamma_tol=0.0)
+        monkeypatch.setattr(lda, "_MAX_E_ITERS", sweeps)
+        monkeypatch.setattr(lda, "_GAMMA_TOL", 0.0)
         for _ in range(10):
             k, v = int(rng.integers(1, 7)), int(rng.integers(2, 31))
             model = make_model(rng.dirichlet(np.ones(v), size=k),
                                rng.uniform(0.1, 2.0, size=k))
             docs = self.mixed_corpus(rng, v, 20)
             c = np.array([doc.counts for doc in docs], dtype=float)
-            bounds, stats = lda._em_terms(model.log_beta, model.alpha, c, config)
+            bounds, stats = lda._em_terms(model.log_beta, model.alpha, c)
             want_stats = np.zeros((k, v))
             for doc, bound in zip(docs, bounds):
                 gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
-                                        config.gamma_tol, config.max_e_iters)
+                                        lda._GAMMA_TOL, lda._MAX_E_ITERS)
                 want = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma, phi)
                 assert abs(bound - want) <= 1e-10 * abs(want)
                 ids = np.flatnonzero(doc.counts)
@@ -270,9 +270,8 @@ class TestElbo:
         if model.num_domains == 1:
             model, symbols, *_ , v = random_instance(rng, max_k=3, max_len=4)
         doc = bag(np.bincount(symbols, minlength=v))
-        config = LdaConfig()
         gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
-                                config.gamma_tol, config.max_e_iters)
+                                lda._GAMMA_TOL, lda._MAX_E_ITERS)
         worse = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma * 1.1, phi)
         assert em_terms(model, doc)[0] > worse
 
@@ -300,10 +299,10 @@ class TestFit:
         tvs, _ = greedy_row_match(beta, np.exp(model.log_beta))
         assert tvs.max() < 0.1
 
-    def test_k1_closed_form(self):
+    def test_k1_closed_form(self, monkeypatch):
         bags = [bag([3, 0, 1]), bag([0, 2, 2])]
-        config = LdaConfig(smoothing=0.5)
-        model = fit(bags, 1, config)
+        monkeypatch.setattr(lda, "_SMOOTHING", 0.5)
+        model = fit(bags, 1)
         counts = np.array([3.0, 2.0, 3.0]) + 0.5
         np.testing.assert_allclose(np.exp(model.log_beta[0]),
                                    counts / counts.sum(), atol=1e-9)
