@@ -4,16 +4,15 @@ Each subcommand reads its inputs from files and writes its outputs through
 :mod:`.formats`, so every write is atomic and every input meets the shared
 jsonl and json rules. A rerun with identical inputs and seed writes
 identical bytes. The artifact formats belong to the modules that build them
-(features, symbols and bags to ``corpus``, the GMM, LDA and network files
-to ``gmm``, ``lda`` and ``network``, the stats csv to ``domains``); this
-module adds the fields of the files only the CLI reads or writes. Every
-input is json or jsonl; csv is only written:
+(features, labelled frames, symbols and bags to ``corpus``, the GMM, LDA
+and network files to ``gmm``, ``lda`` and ``network``, the stats csv to
+``domains``); this module adds the fields of the files only the CLI reads
+or writes. Every input is json or jsonl; csv is only written:
 
   assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
                   "map_domain", "weight"}, one K (theta length) per file
   filter output   jsonl, a ``_meta`` line with the filter's cutoff and
                   histogram, then {"id"} per kept document (``--keep-ids``)
-  labelled frames jsonl {"id", "frames", "labels"} (``--data``)
   metrics         csv ``epoch,train_loss,cv_accuracy``
 
 ``augment-train`` and ``eval`` give every frame of a document that
@@ -68,73 +67,45 @@ def _load_assignments(path):
     return formats.read_jsonl(path, build)
 
 
-def _load_labeled_frames(path):
-    """Frame-classification data: jsonl rows {id, frames, labels} as
-    (id, frames (T, D), labels (T,)) triples, with one D for the whole file.
-    A document with no frames loads with shape (0, D)."""
-    width = 0
-
-    def build(obj):
-        nonlocal width
-        if obj.get("frames") == []:
-            frames = np.empty((0, 0))
-        else:
-            frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
-            if not frames.shape[1]:
-                raise ValueError("'frames' must have width >= 1")
-            if width and frames.shape[1] != width:
-                raise ValueError(f"frames have width {frames.shape[1]}, "
-                                 f"earlier lines {width}")
-            width = frames.shape[1]
-        labels = formats.json_ints(obj.get("labels"), "labels")
-        if np.any(labels < 0):
-            raise ValueError("'labels' must be >= 0")
-        if frames.shape[0] != labels.shape[0]:
-            raise ValueError("frames/labels length mismatch")
-        return obj["id"], frames, labels
-
-    rows = formats.read_jsonl(path, build)
-    return [(doc_id, frames.reshape(len(labels), width), labels)
-            for doc_id, frames, labels in rows]
-
-
-def _frame_dataset(rows, assignments):
-    """The frames of ``rows`` in order as one FrameData; with
-    ``assignments``, every frame carries its document's MAP domain."""
-    lengths = [len(labels) for _, _, labels in rows]
-    if not sum(lengths):
+def _frame_dataset(record, assignments):
+    """The labelled frames of ``record`` as one FrameData, which shares the
+    record's arrays; with ``assignments``, every frame carries its
+    document's MAP domain."""
+    if not record.num_frames:
         raise corpus.CorpusError("no labelled frames")
     frame_domains = None
     if assignments is not None:
         domain_of = {a.doc_id: a.map_domain for a in assignments}
-        for doc_id, _, _ in rows:
+        for doc_id in record.ids:
             if doc_id not in domain_of:
                 raise KeyError(f"no domain assignment for document {doc_id!r}")
-        frame_domains = np.repeat([domain_of[doc_id] for doc_id, _, _ in rows], lengths)
-    return network.FrameData(
-        features=np.concatenate([frames for _, frames, _ in rows]),
-        labels=np.concatenate([labels for _, _, labels in rows]), domains=frame_domains)
+        frame_domains = np.repeat([domain_of[doc_id] for doc_id in record.ids],
+                                  np.diff(record.offsets))
+    return network.FrameData(features=record.frames, labels=record.labels,
+                             domains=frame_domains)
 
 
 def _cmd_train_gmm(args):
-    docs = corpus.load_features(args.features)
-    if not docs:
+    record = corpus.load_features(args.features)
+    if not record.ids:
         raise corpus.CorpusError("no feature documents to train on")
-    frames = np.concatenate([d.frames for d in docs], axis=0)
-    model = gmm.train_gmm(frames, args.components)
+    model = gmm.train_gmm(record.frames, args.components)
     gmm.save_gmm(args.out, model, seed=args.seed)
     print(f"trained GMM: V={model.num_components} D={model.dim}", file=sys.stderr)
 
 
 def _cmd_quantize(args):
     model = gmm.load_gmm(args.gmm)
-    docs = corpus.load_features(args.features)
-    symbol_docs = [gmm.quantize(model, d) for d in docs]
+    symbol_docs = []
+    # one document at a time: the corpus's frames are never held whole
+    corpus.read_features(args.features, lambda doc: symbol_docs.append(
+        corpus.SymbolDocument(id=doc.ids[0], symbols=gmm.quantize(model, doc),
+                              group=doc.groups[0])))
     corpus.save_symbols(args.out, symbol_docs)
     if args.bags_out:
         bags = [corpus.to_bag(d, model.num_components) for d in symbol_docs]
         corpus.save_bags(args.bags_out, bags)
-    print(f"quantized {len(docs)} documents", file=sys.stderr)
+    print(f"quantized {len(symbol_docs)} documents", file=sys.stderr)
 
 
 def _cmd_train_lda(args):
@@ -194,12 +165,12 @@ def _cmd_filter(args):
 
 
 def _cmd_augment_train(args):
-    rows = _load_labeled_frames(args.data)
+    record = corpus.load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
     if args.keep_ids:
-        kept = set(formats.read_jsonl(args.keep_ids, lambda obj: obj["id"]))
-        rows = [r for r in rows if r[0] in kept]
-    dataset = _frame_dataset(rows, assignments)
+        record = record.subset(set(formats.read_jsonl(args.keep_ids,
+                                                      lambda obj: obj["id"])))
+    dataset = _frame_dataset(record, assignments)
 
     input_dim = dataset.features.shape[1]
     output_dim = int(dataset.labels.max()) + 1
@@ -236,9 +207,9 @@ def _cmd_augment_train(args):
 
 def _cmd_eval(args):
     net = network.load_network(args.net)
-    rows = _load_labeled_frames(args.data)
+    record = corpus.load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
-    dataset = _frame_dataset(rows, assignments)
+    dataset = _frame_dataset(record, assignments)
     if assignments and net.domain_dim and assignments[0].num_domains != net.domain_dim:
         raise ValueError(f"assignments have K={assignments[0].num_domains} != "
                          f"network domain dim {net.domain_dim}")

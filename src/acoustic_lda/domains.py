@@ -102,8 +102,10 @@ def cross_agreement_filter(
     index ascending) and documents are kept from the top tuples until the
     cumulative kept weight first reaches ``target_weight``.
     """
-    if target_weight <= 0:
+    if not target_weight > 0:
         raise ValueError("target_weight must be positive")
+    if not target_weight < np.inf:
+        raise ValueError("target_weight must be finite")
     by_id_b = {a.doc_id: a for a in assign_b}
     ids_a = [a.doc_id for a in assign_a]
     if set(ids_a) != set(by_id_b) or len(ids_a) != len(assign_b):

@@ -24,6 +24,8 @@ Shared rules, which each format's loader adds its own fields to:
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
   umask, as a plain ``open`` would give it.
+- json is written strict: a NaN or an infinity, which json cannot hold,
+  raises FormatError naming the file, and nothing is written.
 """
 
 from __future__ import annotations
@@ -190,7 +192,8 @@ def json_ints(value, name) -> np.ndarray:
 
 def _replace(path, write, newline=None) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
-    ``path``; on any failure the temp file is removed."""
+    ``path``; on any failure the temp file is removed, and a ValueError is
+    raised as a FormatError naming ``path``."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -198,8 +201,10 @@ def _replace(path, write, newline=None) -> None:
         with open(fd, "w", newline=newline) as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, ValueError):
+            raise FormatError(f"{path}: {exc}") from exc
         raise
 
 
@@ -208,9 +213,9 @@ def write_jsonl(path, records, meta=None) -> None:
     ``meta`` is given."""
     def write(fh):
         if meta is not None:
-            fh.write(json.dumps({"_meta": meta}) + "\n")
+            fh.write(json.dumps({"_meta": meta}, allow_nan=False) + "\n")
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
     _replace(path, write)
 
 
@@ -218,7 +223,7 @@ def write_json(path, obj) -> None:
     """``obj`` as one line of json, streamed: a model's json text is never
     held whole in memory."""
     def write(fh):
-        json.dump(obj, fh)
+        json.dump(obj, fh, allow_nan=False)
         fh.write("\n")
     _replace(path, write)
 

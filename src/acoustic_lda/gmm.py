@@ -45,7 +45,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import formats
-from .corpus import FeatureDocument, SymbolDocument
+from .corpus import Frames
 
 __all__ = ["GmmModel", "train_gmm", "quantize", "save_gmm", "load_gmm"]
 
@@ -185,18 +185,22 @@ def _tie_margin(terms, x):
 
 
 @np.errstate(over="raise", invalid="raise")
-def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
-    """Map each frame to its maximum-posterior component index.
+def quantize(model: GmmModel, doc: Frames) -> np.ndarray:
+    """Map each frame of the record ``doc`` (the CLI passes one document at a
+    time) to its maximum-posterior component index: the (N,) symbols, in
+    the order of ``doc.frames``.
 
     Ties break toward the lowest component index. The posterior argmax equals
     the argmax of the log joint, so no normalization is needed. Frames whose
     best two components lie within ``_tie_margin`` are re-scored with the
-    direct form, so the symbols are those of sum (x - mu)^2 / var. Frames so
-    large that their squares overflow raise FloatingPointError.
+    direct form, so the symbols are those of sum (x - mu)^2 / var, and a
+    frame's symbol does not depend on the block it is scored in. Frames so
+    large that their squares overflow raise FloatingPointError. (The record
+    is named ``doc``, the name ``perfbench/tracing.py`` binds.)
     """
-    if doc.dim != model.dim:
+    if doc.ids and doc.dim != model.dim:
         raise ValueError(
-            f"document {doc.id!r} has dim {doc.dim}, model dim is {model.dim}"
+            f"document {doc.ids[0]!r} has dim {doc.dim}, model dim is {model.dim}"
         )
     terms = model._terms
     symbols = np.empty(doc.num_frames, dtype=np.int64)
@@ -213,7 +217,7 @@ def quantize(model: GmmModel, doc: FeatureDocument) -> SymbolDocument:
             best[near] = _log_joint_direct(model.weights, model.means, model.variances,
                                            frames[near]).argmax(axis=1)
         symbols[rows] = best
-    return SymbolDocument(id=doc.id, symbols=symbols, group=doc.group)
+    return symbols
 
 
 def _design_matrix(frames):

@@ -70,6 +70,8 @@ class LdaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.em_tol < np.inf:
+            raise ValueError("em_tol must be finite and >= 0")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be >= 1")
 

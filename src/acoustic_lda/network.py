@@ -10,7 +10,8 @@ with W_d = 0 is therefore functionally identical to that baseline.
 
 Training and evaluation take a ``FrameData``: frame features (N, D), class
 labels (N,) and, for a domain-aware network, the domain indexes (N,). It
-keeps read-only copies, validated once when built. ``train`` and
+keeps them read-only, sharing a loaded ``Frames`` record's arrays rather
+than copying them, and validates them once when built. ``train`` and
 ``evaluate_accuracy`` check it once against the network in ``_inputs``,
 which forms the input matrix [features | one-hot] once, and take minibatches
 and the held-out slice as row indexes into it. The first layer multiplies
@@ -47,6 +48,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import formats
+from .corpus import read_only
 
 __all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
@@ -65,8 +67,8 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 
 def _indexes(values, name: str, n: int) -> np.ndarray:
-    """A read-only int64 copy of ``values``, which must be ``n`` integers
-    >= 0."""
+    """``values``, which must be ``n`` integers >= 0, as a read-only int64
+    array (``read_only``)."""
     arr = np.asarray(values)
     if arr.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -74,29 +76,28 @@ def _indexes(values, name: str, n: int) -> np.ndarray:
         raise ValueError(f"{name} must be integers")
     if arr.size and arr.min() < 0:
         raise ValueError(f"{name} must be >= 0")
-    arr = arr.astype(np.int64)
-    arr.setflags(write=False)
-    return arr
+    return read_only(arr, np.int64)
 
 
 @dataclass(frozen=True)
 class FrameData:
     """Classifier frames as arrays: ``features`` (N, D) finite, ``labels``
     (N,) and ``domains`` (N,) non-negative integers, ``domains`` None for a
-    baseline network. It holds read-only copies of the arrays it is given.
-    ``len()`` is the frame count N."""
+    baseline network. It keeps its arrays read-only (``corpus.read_only``):
+    an array that owns its data and is read-only, as a loaded ``Frames``
+    record's are, is kept uncopied, and any other is copied. ``len()`` is
+    the frame count N."""
 
     features: np.ndarray
     labels: np.ndarray
     domains: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=float)
+        features = read_only(self.features, float)
         if features.ndim != 2:
             raise ValueError(f"features must have shape (N, D), got {features.shape}")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")
-        features.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", _indexes(self.labels, "labels", len(self)))
         if self.domains is not None:
@@ -138,6 +139,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.cv_fraction < 1.0:

@@ -4,7 +4,7 @@ same symbol sequences on any platform."""
 
 import numpy as np
 
-from acoustic_lda.corpus import SymbolDocument
+from acoustic_lda.corpus import Frames, SymbolDocument
 
 
 def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
@@ -46,3 +46,12 @@ def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
     if return_thetas:
         return docs, thetas
     return docs
+
+
+def feature_record(*frames, ids=None, groups=None):
+    """A ``corpus.Frames`` record of documents with these (T, D) frames,
+    named d0, d1, ... unless ``ids`` are given."""
+    ids = [f"d{i}" for i in range(len(frames))] if ids is None else ids
+    return Frames(ids=ids, groups=[None] * len(frames) if groups is None else groups,
+                  offsets=np.cumsum([0, *map(len, frames)]),
+                  frames=np.concatenate(frames) if frames else np.empty((0, 0)))

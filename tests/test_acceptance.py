@@ -17,7 +17,7 @@ from oracles import (
     greedy_row_match,
     prefix_filter_oracle,
 )
-from synthetic import generate_synthetic_lda_corpus
+from synthetic import feature_record, generate_synthetic_lda_corpus
 
 
 def report(number, name, ok=True):
@@ -108,8 +108,7 @@ def test_04_quantizer_correctness():
     labels = np.repeat(np.arange(3), 800)
     frames = np.concatenate([rng.normal(c, 1.0, size=(800, 2)) for c in centers])
     model = gmm.train_gmm(frames, 3)
-    doc = corpus.FeatureDocument(id="all", frames=frames)
-    symbols = gmm.quantize(model, doc).symbols
+    symbols = gmm.quantize(model, feature_record(frames, ids=["all"]))
     # align components with generating clusters by mean proximity
     comp_of = {c: int(np.argmin(np.linalg.norm(model.means - centers[c], axis=1)))
                for c in range(3)}
@@ -300,21 +299,20 @@ def test_09_cross_agreement_filter():
 
 def test_10_pipeline_determinism(tmp_path):
     rng = np.random.default_rng(10)
-    docs = []
-    for i in range(20):
-        group = "a" if i < 10 else "b"
-        center = -3.0 if group == "a" else 3.0
-        docs.append(corpus.FeatureDocument(
-            id=f"d{i:02d}", frames=rng.normal(center, 1.0, size=(25, 2)),
-            group=group))
+    groups = ["a" if i < 10 else "b" for i in range(20)]
+    record = feature_record(
+        *[rng.normal(-3.0 if group == "a" else 3.0, 1.0, size=(25, 2)) for group in groups],
+        ids=[f"d{i:02d}" for i in range(20)], groups=groups)
     features = tmp_path / "features.jsonl"
-    corpus.save_features(features, docs)
+    corpus.save_features(features, record)
 
     data = tmp_path / "data.jsonl"
     with open(data, "w") as fh:
-        for d in docs:
-            labels = (d.frames[:, 0] > d.frames[:, 1]).astype(int)
-            fh.write(json.dumps({"id": d.id, "frames": d.frames.tolist(),
+        bounds = record.offsets.tolist()
+        for doc_id, start, stop in zip(record.ids, bounds, bounds[1:]):
+            frames = record.frames[start:stop]
+            labels = (frames[:, 0] > frames[:, 1]).astype(int)
+            fh.write(json.dumps({"id": doc_id, "frames": frames.tolist(),
                                  "labels": labels.tolist()}) + "\n")
 
     def run_pipeline(out_dir):

@@ -6,25 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acoustic_lda import cli, corpus
-from acoustic_lda.cli import _frame_dataset, _load_labeled_frames, main
+from acoustic_lda import cli, corpus, gmm
+from acoustic_lda.cli import _frame_dataset, main
 from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.network import NetworkConfig, init_network, save_network
+from synthetic import feature_record
 
 
 @pytest.fixture
 def pipeline_inputs(tmp_path):
     """Small synthetic feature corpus with two acoustically distinct groups."""
     rng = np.random.default_rng(0)
-    docs = []
-    for i in range(24):
-        group = "music" if i % 2 else "speech"
-        center = 4.0 if group == "music" else -4.0
-        frames = rng.normal(center, 1.0, size=(30, 3))
-        docs.append(corpus.FeatureDocument(id=f"d{i:02d}", frames=frames,
-                                           group=group))
+    groups = ["music" if i % 2 else "speech" for i in range(24)]
+    record = feature_record(
+        *[rng.normal(4.0 if group == "music" else -4.0, 1.0, size=(30, 3))
+          for group in groups],
+        ids=[f"d{i:02d}" for i in range(24)], groups=groups)
     path = tmp_path / "features.jsonl"
-    corpus.save_features(path, docs)
+    corpus.save_features(path, record)
     return path
 
 
@@ -82,6 +81,14 @@ class TestStages:
                    "--out", symbols, "--bags-out", bags) == 0
         loaded = corpus.load_bags(bags)
         assert len(loaded) == 24 and loaded[0].group in ("speech", "music")
+        # the CLI cuts the corpus's symbols into its documents at the offsets
+        record = corpus.load_features(pipeline_inputs)
+        symbol_docs = corpus.load_symbols(symbols)
+        assert [d.id for d in symbol_docs] == list(record.ids)
+        assert [d.group for d in symbol_docs] == list(record.groups)
+        assert all(len(d) == 30 for d in symbol_docs)
+        np.testing.assert_array_equal(np.concatenate([d.symbols for d in symbol_docs]),
+                                      gmm.quantize(gmm.load_gmm(gmm_path), record))
 
         lda2 = tmp_path / "lda2.json"
         lda3 = tmp_path / "lda3.json"
@@ -198,16 +205,16 @@ class TestFrameDataset:
             {"id": "b", "frames": [[1, 2], [3, 4]], "labels": [1, 0]},
             {"id": "c", "frames": [[5, 6], [7, 8], [9, 10]], "labels": [2, 2, 1]},
         ]))
-        rows = _load_labeled_frames(data)
-        assert [r[0] for r in rows] == ["empty", "b", "c"]
-        assert rows[0][1].shape == (0, 2)
+        record = corpus.load_labeled_frames(data)
+        assert record.ids == ("empty", "b", "c")
+        assert record.frames[record.offsets[0]:record.offsets[1]].shape == (0, 2)
         assignments = [
             DomainAssignment(doc_id="c", theta=[0.6, 0.3, 0.1], map_domain=0),
             DomainAssignment(doc_id="b", theta=[0.1, 0.2, 0.7], map_domain=2),
             DomainAssignment(doc_id="empty", theta=[0.2, 0.7, 0.1], map_domain=1),
         ]
-        augmented = _frame_dataset(rows, assignments)
-        baseline = _frame_dataset(rows, None)
+        augmented = _frame_dataset(record, assignments)
+        baseline = _frame_dataset(record, None)
         features = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
         for dataset in (augmented, baseline):
             assert len(dataset) == 5
@@ -215,6 +222,36 @@ class TestFrameDataset:
             np.testing.assert_array_equal(dataset.labels, [1, 0, 2, 2, 1])
         np.testing.assert_array_equal(augmented.domains, [2, 2, 0, 0, 0])
         assert baseline.domains is None
+
+    def test_keep_ids_trains_as_on_the_kept_documents_alone(self, tmp_path):
+        """``--keep-ids`` selects the kept documents' frames and labels with
+        one row mask: the network and metrics are those trained on a file
+        of only those documents."""
+        rng = np.random.default_rng(8)
+        lines = [{"id": f"d{i}", "frames": rng.normal(size=(n, 2)).tolist(),
+                  "labels": rng.integers(0, 3, size=n).tolist()}
+                 for i, n in enumerate([4, 0, 3, 5, 2])]
+        kept = {"d1", "d2", "d4"}
+        data, alone, keep = (tmp_path / name for name in ("data.jsonl", "alone.jsonl",
+                                                          "keep.jsonl"))
+        data.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        alone.write_text("".join(json.dumps(r) + "\n" for r in lines if r["id"] in kept))
+        keep.write_text('{"_meta": {"seed": 0}}\n'
+                        + "".join(json.dumps({"id": i}) + "\n" for i in ["d4", "d2", "d1", "x"]))
+        record = corpus.load_labeled_frames(data).subset(kept)
+        assert record.ids == ("d1", "d2", "d4")
+        np.testing.assert_array_equal(record.offsets, [0, 0, 3, 5])
+        np.testing.assert_array_equal(record.frames, [f for r in lines if r["id"] in kept
+                                                      for f in r["frames"]])
+        np.testing.assert_array_equal(record.labels, [y for r in lines if r["id"] in kept
+                                                      for y in r["labels"]])
+        outs = []
+        for argv in (("--data", data, "--keep-ids", keep), ("--data", alone)):
+            net, metrics = tmp_path / f"net{len(outs)}.json", tmp_path / f"m{len(outs)}.csv"
+            assert run("augment-train", *argv, "--hidden", "3", "--epochs", 2, "--classes", 3,
+                       "--batch-size", 2, "--out", net, "--metrics", metrics) == 0
+            outs.append((net.read_bytes(), metrics.read_bytes()))
+        assert outs[0] == outs[1]
 
     def test_missing_assignment_exit_1(self, tmp_path, capsys):
         data, assign = tmp_path / "data.jsonl", tmp_path / "assign.jsonl"
@@ -678,6 +715,12 @@ class TestContracts:
         pytest.param(("--hidden", "0"), "hidden layer widths must be >= 1", id="zero-hidden"),
         pytest.param(("--hidden", "4,0"), "hidden layer widths must be >= 1",
                      id="zero-second-hidden"),
+        pytest.param(("--lr", "nan"), "learning_rate must be finite and >= 0", id="nan-lr"),
+        pytest.param(("--lr", "inf"), "learning_rate must be finite and >= 0", id="inf-lr"),
+        pytest.param(("--lr", "-0.1"), "learning_rate must be finite and >= 0",
+                     id="negative-lr"),
+        pytest.param(("--cv-fraction", "nan"), "cv_fraction must lie in [0, 1)",
+                     id="nan-cv-fraction"),
     ])
     def test_bad_classifier_flags_exit_1(self, tmp_path, capsys, flags, message):
         data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
@@ -791,6 +834,44 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "max_em_iters must be >= 1" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("em_tol", ["nan", "inf", "-1"])
+    def test_bad_em_tol_exit_1(self, tmp_path, capsys, em_tol):
+        bags, out = tmp_path / "bags.jsonl", tmp_path / "lda.json"
+        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([3, 1]))])
+        assert run("train-lda", "--bags", bags, "--k", 2, f"--em-tol={em_tol}",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "em_tol must be finite and >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--target-frac", "nan", "target_weight must be positive"),
+        ("--target-weight", "nan", "target_weight must be positive"),
+        ("--target-frac", "-inf", "target_weight must be positive"),
+        ("--target-weight", "inf", "target_weight must be finite"),
+    ])
+    def test_bad_filter_target_exit_1(self, tmp_path, capsys, flag, value, message):
+        a, out = tmp_path / "a.jsonl", tmp_path / "filter.jsonl"
+        a.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        assert run("filter", "--assign-a", a, "--assign-b", a, f"{flag}={value}",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_overflowing_filter_weights_exit_1_and_leave_no_file(self, tmp_path, capsys):
+        """Finite weights whose total overflows to inf would put inf and NaN
+        into the filter's ``_meta``; json cannot hold them, so the write
+        fails, naming the file, and leaves neither it nor a temp file."""
+        a, out = tmp_path / "a.jsonl", tmp_path / "filter.jsonl"
+        a.write_text("".join(json.dumps({"id": f"d{i}", "theta": [1.0, 0.0], "map_domain": 0,
+                                         "weight": 1e308}) + "\n" for i in range(2)))
+        assert run("filter", "--assign-a", a, "--assign-b", a, "--target-weight", 1.0,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{out}: Out of range float" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
 
     def test_filter_without_a_target_exit_2(self, tmp_path, capsys):
         a, out, path = tmp_path / "a.jsonl", tmp_path / "filter.jsonl", tmp_path / "m.json"
@@ -1072,3 +1153,111 @@ class TestManifestFuzz:
         assert "Traceback" not in err.getvalue()
         if manifest_fault(text, command):
             assert code == 2, err.getvalue()
+
+
+# each subcommand's numeric flags, each with a valid value; quantize, entropy
+# and eval have none. A fuzz draw may leave out any flag but those of
+# REQUIRED_FLAGS, which it always sets.
+NUMERIC_FLAGS = {
+    "train-gmm": {"components": "2", "seed": "1"},
+    "train-lda": {"k": "2", "seed": "1", "em-tol": "1e-3", "max-em-iters": "3"},
+    "assign": {"seed": "1"},
+    "filter": {"target-frac": "0.5", "target-weight": "1.5", "seed": "1"},
+    "augment-train": {"hidden": "4", "classes": "2", "epochs": "2", "lr": "0.1",
+                      "batch-size": "3", "cv-fraction": "0.25", "seed": "1"},
+    "stats": {"top-n": "1"},
+}
+REQUIRED_FLAGS = {"components", "k", "target-frac"}
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e308"]
+
+
+@pytest.fixture(scope="module")
+def numeric_inputs(tmp_path_factory):
+    """Valid inputs for every subcommand with numeric flags: four documents
+    d0..d3 of D=2 frames, their bags (V=3), labels and K=2 assignments, and
+    a K=2, V=3 LDA model."""
+    d = tmp_path_factory.mktemp("numeric")
+    rng = np.random.default_rng(5)
+    frames = [rng.normal(size=(5, 2)) + 3 * (i % 2) for i in range(4)]
+    (d / "features.jsonl").write_text("".join(
+        json.dumps({"id": f"d{i}", "frames": f.tolist()}) + "\n"
+        for i, f in enumerate(frames)))
+    corpus.save_bags(d / "bags.jsonl", [
+        corpus.BagOfSounds(id=f"d{i}", counts=np.array([3, i, 1]), group="g")
+        for i in range(4)])
+    (d / "data.jsonl").write_text("".join(
+        json.dumps({"id": f"d{i}", "frames": f.tolist(),
+                    "labels": (f[:, 0] > f[:, 1]).astype(int).tolist()}) + "\n"
+        for i, f in enumerate(frames)))
+    (d / "assign.jsonl").write_text(assignments_text(
+        [0.75, 0.25], [0.25, 0.75], [0.5, 0.5], [0.125, 0.875]))
+    (d / "lda.json").write_text(lda_json(log_beta=np.log([[0.5, 0.25, 0.25],
+                                                          [0.2, 0.3, 0.5]]).tolist()))
+    return {"train-gmm": ["--features", d / "features.jsonl", "--out", "gmm.json"],
+            "train-lda": ["--bags", d / "bags.jsonl", "--out", "lda.json"],
+            "assign": ["--model", d / "lda.json", "--bags", d / "bags.jsonl",
+                       "--out", "assign.jsonl"],
+            "filter": ["--assign-a", d / "assign.jsonl", "--assign-b", d / "assign.jsonl",
+                       "--out", "filter.jsonl"],
+            "augment-train": ["--data", d / "data.jsonl", "--assignments", d / "assign.jsonl",
+                              "--out", "net.json", "--metrics", "metrics.csv"],
+            "stats": ["--assignments", d / "assign.jsonl", "--bags", d / "bags.jsonl",
+                      "--out", "stats.csv"]}
+
+
+@st.composite
+def numeric_runs(draw):
+    """A subcommand and ``--flag=value`` tokens for its numeric flags: one
+    or two of them take a value of ``EDGE_VALUES``, and each other one its
+    valid value, unless the draw leaves it out."""
+    command = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    flags = NUMERIC_FLAGS[command]
+    edge = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=2,
+                         unique=True))
+    tokens = []
+    for flag, valid in flags.items():
+        value = (draw(st.sampled_from(EDGE_VALUES)) if flag in edge
+                 else valid if flag in REQUIRED_FLAGS
+                 else draw(st.sampled_from([valid, valid, None])))
+        if value is not None:
+            tokens.append(f"--{flag}={value}")
+    return command, tokens
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not json")
+
+
+class TestNumericFlagFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(run_args=numeric_runs())
+    def test_numeric_flags_exit_0_1_or_2_and_write_strict_json(
+            self, tmp_path_factory, numeric_inputs, run_args):
+        """Every run exits 0, 1 or 2 without an exception escaping ``main``,
+        and every file written on exit 0 is strict json (no NaN or
+        Infinity) or a csv holding no such value."""
+        command, tokens = run_args
+        d = tmp_path_factory.mktemp("numeric-run")
+        # the inputs are paths; an output is a name, written into ``d``
+        argv = [str(d / a) if isinstance(a, str) and not a.startswith("--") else str(a)
+                for a in numeric_inputs[command]]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main([command, *argv, *tokens])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        written = sorted(d.iterdir())
+        if code != 0:
+            assert written == [], err.getvalue()
+            return
+        assert written
+        for path in written:
+            text = path.read_text()
+            if path.suffix == ".csv":
+                cells = {c.strip().lower() for line in text.splitlines()
+                         for c in line.split(",")}
+                assert not cells & {"nan", "inf", "-inf", "infinity", "-infinity"}, text
+            else:
+                for line in text.splitlines():
+                    json.loads(line, parse_constant=reject_constant)

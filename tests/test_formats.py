@@ -217,3 +217,19 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode, write):
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("write", [
+    lambda path, v: formats.write_json(path, {"a": [1.0, v]}),
+    lambda path, v: formats.write_jsonl(path, [{"id": "a", "x": v}], meta={"seed": 0}),
+    lambda path, v: formats.write_jsonl(path, [{"id": "a"}], meta={"target": v}),
+], ids=["json", "jsonl-record", "jsonl-meta"])
+def test_json_writers_refuse_non_finite_numbers(tmp_path, write, value):
+    """json has no NaN or Infinity: the writer names the file, and neither
+    the file nor its temp file is left."""
+    path = tmp_path / "out"
+    with pytest.raises(formats.FormatError, match=f"{path}: Out of range float"):
+        write(path, value)
+    assert os.listdir(tmp_path) == []

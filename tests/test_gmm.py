@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acoustic_lda import gmm
-from acoustic_lda.corpus import FeatureDocument
 from acoustic_lda.gmm import GmmModel, load_gmm, quantize, save_gmm, train_gmm
 from oracles import (
     gaussian_log_joint,
@@ -10,6 +9,7 @@ from oracles import (
     gmm_em_statistics,
     gmm_stages,
 )
+from synthetic import feature_record
 
 
 def random_model(rng, v, d):
@@ -60,7 +60,7 @@ class TestResponsibilities:
         model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, 2)),
                          variances=np.ones((1, 2)))
         with pytest.raises(ValueError, match="dim 3, model dim is 2"):
-            quantize(model, FeatureDocument(id="d", frames=np.zeros((1, 3))))
+            quantize(model, feature_record(np.zeros((1, 3))))
 
 
 class TestQuantize:
@@ -68,10 +68,10 @@ class TestQuantize:
         means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         model = GmmModel(weights=np.full(3, 1 / 3), means=means,
                          variances=np.ones((3, 2)))
-        doc = FeatureDocument(id="d", frames=means[[2, 0, 1]])
+        doc = feature_record(means[[2, 0, 1]])
         out = quantize(model, doc)
-        np.testing.assert_array_equal(out.symbols, [2, 0, 1])
-        assert out.id == "d" and len(out) == 3
+        np.testing.assert_array_equal(out, [2, 0, 1])
+        assert out.shape == (3,)
 
     def test_tie_breaks_to_lowest_index(self):
         # components 1 and 4 identical; 0 is far away with tiny weight
@@ -79,18 +79,18 @@ class TestQuantize:
         weights = np.array([0.1, 0.3, 0.1, 0.2, 0.3])
         model = GmmModel(weights=weights / weights.sum(), means=means,
                          variances=np.ones((5, 1)))
-        out = quantize(model, FeatureDocument(id="d", frames=np.array([[0.0]])))
-        assert out.symbols[0] == 1
+        out = quantize(model, feature_record(np.array([[0.0]])))
+        assert out[0] == 1
 
     def test_matches_responsibility_argmax(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, 5, 3)
-        doc = FeatureDocument(id="d", frames=rng.normal(size=(40, 3)))
+        doc = feature_record(rng.normal(size=(40, 3)))
         out = quantize(model, doc)
         for t, frame in enumerate(doc.frames):
             want = int(np.argmax(gaussian_responsibilities(
                 model.weights, model.means, model.variances, frame)))
-            assert out.symbols[t] == want
+            assert out[t] == want
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -98,10 +98,10 @@ class TestQuantize:
         perm = np.array([2, 0, 3, 1])
         permuted = GmmModel(weights=model.weights[perm], means=model.means[perm],
                             variances=model.variances[perm])
-        doc = FeatureDocument(id="d", frames=rng.normal(size=(30, 2)))
-        base = quantize(model, doc).symbols
+        doc = feature_record(rng.normal(size=(30, 2)))
+        base = quantize(model, doc)
         inverse = np.argsort(perm)
-        np.testing.assert_array_equal(quantize(permuted, doc).symbols,
+        np.testing.assert_array_equal(quantize(permuted, doc),
                                       inverse[base])
 
 
@@ -128,7 +128,7 @@ class TestDensityPath:
         oracle = gaussian_log_joint(model.weights, means, variances, frames)
         top2 = np.sort(oracle, axis=1)[:, -2:]
         assert (top2[:, 1] - top2[:, 0] > 1e-9).all()   # the oracle is decisive
-        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        symbols = quantize(model, feature_record(frames))
         np.testing.assert_array_equal(symbols, oracle.argmax(axis=1))
         assert {3, 7} <= set(symbols[:400].tolist())
 
@@ -144,7 +144,7 @@ class TestDensityPath:
         model = GmmModel(weights=np.full(6, 1.0 / 6), means=means,
                          variances=variances)
         frames = far + rng.normal(scale=0.5, size=(300, d))
-        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        symbols = quantize(model, feature_record(frames))
         assert (symbols == 2).all()
 
     def test_common_offset_needs_no_rescore(self, monkeypatch):
@@ -157,7 +157,7 @@ class TestDensityPath:
         direct, rescored = gmm._log_joint_direct, []
         monkeypatch.setattr(gmm, "_log_joint_direct",
                             lambda *a: rescored.append(len(a[-1])) or direct(*a))
-        symbols = quantize(model, FeatureDocument(id="d", frames=frames)).symbols
+        symbols = quantize(model, feature_record(frames))
         oracle = gaussian_log_joint(model.weights, model.means, model.variances,
                                     frames)
         np.testing.assert_array_equal(symbols, oracle.argmax(axis=1))
@@ -167,15 +167,15 @@ class TestDensityPath:
         rng = np.random.default_rng(23)
         frames = np.concatenate([rng.normal(c, 1.0, size=(200, 3))
                                  for c in (-6.0, 0.0, 6.0)])
-        doc = FeatureDocument(id="d", frames=frames)
+        doc = feature_record(frames)
         assert frames.shape[0] <= gmm._BLOCK_FRAMES
         one_block = train_gmm(frames, 5)
-        symbols = quantize(one_block, doc).symbols
+        symbols = quantize(one_block, doc)
 
         monkeypatch.setattr(gmm, "_BLOCK_FRAMES", 7)
         blocked = train_gmm(frames, 5)
-        np.testing.assert_array_equal(quantize(one_block, doc).symbols, symbols)
-        np.testing.assert_array_equal(quantize(blocked, doc).symbols, symbols)
+        np.testing.assert_array_equal(quantize(one_block, doc), symbols)
+        np.testing.assert_array_equal(quantize(blocked, doc), symbols)
         for name in ("weights", "means", "variances"):
             np.testing.assert_allclose(getattr(blocked, name),
                                        getattr(one_block, name), rtol=0, atol=1e-10)
@@ -197,11 +197,11 @@ class TestModelTerms:
         variances[1] = variances[2] = rng.uniform(0.5, 2.0, size=d)
         near_tie = GmmModel(weights=np.full(4, 0.25), means=means, variances=variances)
         midpoint = (means[1] + means[2]) / 2
-        docs = [FeatureDocument(id=f"d{i}", frames=frames) for i, frames in enumerate([
+        docs = [feature_record(frames) for frames in [
             rng.normal(size=(1, d)),
             np.concatenate([midpoint + rng.normal(scale=1e-4, size=(30, d)),
                             rng.normal(scale=20.0, size=(30, d))]),
-            rng.normal(loc=20.0, scale=20.0, size=(25, d))])]
+            rng.normal(loc=20.0, scale=20.0, size=(25, d))]]
         built, build = [], gmm._model_terms
         monkeypatch.setattr(gmm, "_model_terms",
                             lambda model: built.append(model) or build(model))
@@ -215,7 +215,7 @@ class TestModelTerms:
                                             doc.frames)
                 top2 = np.sort(oracle, axis=1)[:, -2:]
                 assert (top2[:, 1] - top2[:, 0] > 1e-9).all()   # the oracle is decisive
-                np.testing.assert_array_equal(quantize(model, doc).symbols,
+                np.testing.assert_array_equal(quantize(model, doc),
                                               oracle.argmax(axis=1))
                 assert responsibilities(model, doc.frames[0]).argmax() == oracle[0].argmax()
         assert len(built) == 2 and built[0] is plain and built[1] is near_tie
@@ -227,11 +227,11 @@ class TestModelTerms:
         view = means[:]
         model = GmmModel(weights=np.array([0.5, 0.5]), means=means,
                          variances=np.ones((2, 1)))
-        doc = FeatureDocument(id="d", frames=np.array([[0.9]]))
-        assert quantize(model, doc).symbols[0] == 1
+        doc = feature_record(np.array([[0.9]]))
+        assert quantize(model, doc)[0] == 1
         view[1, 0] = -5.0
         assert means.flags.writeable and not model.means.flags.writeable
-        assert model.means[1, 0] == 1.0 and quantize(model, doc).symbols[0] == 1
+        assert model.means[1, 0] == 1.0 and quantize(model, doc)[0] == 1
 
 
 class TestEmPath:
@@ -268,8 +268,8 @@ class TestEmPath:
         assert ([len(lls) for _, lls in far_history]
                 == [len(lls) for _, lls in base_history])
         np.testing.assert_array_equal(
-            quantize(far, FeatureDocument(id="d", frames=frames + 1e4)).symbols,
-            quantize(base, FeatureDocument(id="d", frames=frames)).symbols)
+            quantize(far, feature_record(frames + 1e4)),
+            quantize(base, feature_record(frames)))
         np.testing.assert_allclose(far.means, base.means + 1e4, rtol=0, atol=1e-9)
         np.testing.assert_allclose(far.variances, base.variances, rtol=1e-9)
         np.testing.assert_allclose(far.weights, base.weights, rtol=1e-9)
