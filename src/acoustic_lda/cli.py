@@ -67,22 +67,18 @@ def _load_assignments(path):
     return formats.read_jsonl(path, build)
 
 
-def _frame_dataset(record, assignments):
-    """The labelled frames of ``record`` as one FrameData, which shares the
-    record's arrays; with ``assignments``, every frame carries its
-    document's MAP domain."""
+def _doc_domains(record, assignments):
+    """The MAP domain of each document of the labelled frames ``record``,
+    (M,), from ``assignments``, or None without them."""
     if not record.num_frames:
         raise corpus.CorpusError("no labelled frames")
-    frame_domains = None
-    if assignments is not None:
-        domain_of = {a.doc_id: a.map_domain for a in assignments}
-        for doc_id in record.ids:
-            if doc_id not in domain_of:
-                raise KeyError(f"no domain assignment for document {doc_id!r}")
-        frame_domains = np.repeat([domain_of[doc_id] for doc_id in record.ids],
-                                  np.diff(record.offsets))
-    return network.FrameData(features=record.frames, labels=record.labels,
-                             domains=frame_domains)
+    if assignments is None:
+        return None
+    domain_of = {a.doc_id: a.map_domain for a in assignments}
+    for doc_id in record.ids:
+        if doc_id not in domain_of:
+            raise KeyError(f"no domain assignment for document {doc_id!r}")
+    return np.array([domain_of[doc_id] for doc_id in record.ids], dtype=np.int64)
 
 
 def _cmd_train_gmm(args):
@@ -103,8 +99,7 @@ def _cmd_quantize(args):
                               group=doc.groups[0])))
     corpus.save_symbols(args.out, symbol_docs)
     if args.bags_out:
-        bags = [corpus.to_bag(d, model.num_components) for d in symbol_docs]
-        corpus.save_bags(args.bags_out, bags)
+        corpus.save_bags(args.bags_out, corpus.to_bag(symbol_docs, model.num_components))
     print(f"quantized {len(symbol_docs)} documents", file=sys.stderr)
 
 
@@ -170,10 +165,10 @@ def _cmd_augment_train(args):
     if args.keep_ids:
         record = record.subset(set(formats.read_jsonl(args.keep_ids,
                                                       lambda obj: obj["id"])))
-    dataset = _frame_dataset(record, assignments)
+    doc_domains = _doc_domains(record, assignments)
 
-    input_dim = dataset.features.shape[1]
-    output_dim = int(dataset.labels.max()) + 1
+    input_dim = record.dim
+    output_dim = int(record.labels.max()) + 1
     if args.classes is not None:
         output_dim = args.classes
     domain_dim = assignments[0].num_domains if assignments else 0
@@ -193,7 +188,7 @@ def _cmd_augment_train(args):
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
         seed=args.seed, cv_fraction=args.cv_fraction,
     )
-    metrics = network.train(net, dataset, config)
+    metrics = network.train(net, record, config, domains=doc_domains)
     network.save_network(args.out, net, seed=args.seed)
     if args.metrics:
         formats.write_csv(args.metrics, ["epoch", "train_loss", "cv_accuracy"], (
@@ -209,18 +204,18 @@ def _cmd_eval(args):
     net = network.load_network(args.net)
     record = corpus.load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
-    dataset = _frame_dataset(record, assignments)
+    doc_domains = _doc_domains(record, assignments)
     if assignments and net.domain_dim and assignments[0].num_domains != net.domain_dim:
         raise ValueError(f"assignments have K={assignments[0].num_domains} != "
                          f"network domain dim {net.domain_dim}")
-    accuracy = network.evaluate_accuracy(net, dataset)
+    accuracy = network.evaluate_accuracy(net, record, doc_domains)
     print(f"{accuracy:.6f}")
 
 
 def _cmd_stats(args):
     assignments = _load_assignments(args.assignments)
     bags = corpus.load_bags(args.bags)
-    group_of = {b.id: (b.group or "unknown") for b in bags}
+    group_of = {doc_id: group or "unknown" for doc_id, group in zip(bags.ids, bags.groups)}
     rows = domains.distribution_stats(assignments, group_of, args.top_n)
     domains.write_stats_csv(args.out, rows)
     print(f"wrote {len(rows)} stat rows", file=sys.stderr)

@@ -4,10 +4,12 @@ A corpus's frames are one record, ``Frames``: the documents' ids and groups,
 and every frame in one (N, D) matrix, document i holding rows
 ``offsets[i]:offsets[i + 1]``, as Kaldi keeps an utterance's features in one
 matrix. Labelled frames (the classifier's data) add one class label per frame.
-The loaders copy each line's frames into one buffer that grows by a realloc,
-so a corpus's frames are held once; ``read_features`` streams a features
-file one document at a time, for a stage that needs no more. Symbol
-sequences and bags of sounds are one record per document.
+A corpus's bags of sounds are one record too, ``Bags``, document i's counts
+in row i of one (M, V) matrix; the stages compute on both as loaded. The
+loaders copy each line's rows into one buffer that grows by a realloc, so a
+corpus's frames or counts are held once; ``read_features`` streams a
+features file one document at a time, for a stage that needs no more.
+Symbol sequences are one record per document.
 
 Every record is immutable and checked when built. It keeps its arrays
 read-only (``read_only``): an array that owns its data and is already
@@ -19,10 +21,10 @@ the shared jsonl rules of :mod:`.formats`; this module adds their fields:
   labelled frames jsonl: {"id", "frames", "labels"}, frames T x D finite
                   numbers or [] (T = 0), labels T integers >= 0
   symbols         jsonl: {"id", "group", "symbols"}, a list of json integers
-  bags            jsonl: {"id", "group", "counts"}, a list of json integers
+  bags            jsonl: {"id", "group", "counts"}, V json integers >= 0
 
 Ids are unique within a features, symbols or bags file. All frames of a file
-share one dimension D.
+share one dimension D, and all counts of a bags file one length V.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "read_only",
     "Frames",
     "SymbolDocument",
-    "BagOfSounds",
+    "Bags",
     "read_features",
     "load_features",
     "load_labeled_frames",
@@ -69,6 +71,17 @@ def read_only(values, dtype) -> np.ndarray:
     return arr
 
 
+def _naturals(values, name) -> np.ndarray:
+    """``values``, which must be integers >= 0, as a read-only int64 array
+    (``read_only``); a float is rejected, not cast."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise CorpusError(f"{name} must be integers")
+    if arr.size and arr.min() < 0:
+        raise CorpusError(f"{name} must be >= 0")
+    return read_only(arr, np.int64)
+
+
 def _offsets(lengths) -> np.ndarray:
     """The (M + 1,) row offsets of documents of ``lengths`` rows."""
     return np.cumsum([0, *lengths], dtype=np.int64)
@@ -78,8 +91,9 @@ def _offsets(lengths) -> np.ndarray:
 class Frames:
     """A corpus's frames: document i is ``ids[i]``, in group ``groups[i]``
     (a string or None), with frames ``frames[offsets[i]:offsets[i + 1]]``
-    of the (N, D) ``frames`` and, for labelled frames, the class labels
-    ``labels`` (N,), else None. ``offsets`` (M + 1,) runs from 0 to N."""
+    of the (N, D) ``frames``, which are finite, and, for labelled frames, the
+    class labels ``labels`` (N,), integers >= 0, else None. ``offsets``
+    (M + 1,) runs from 0 to N. ``len()`` is the frame count N."""
 
     ids: tuple
     groups: tuple
@@ -97,20 +111,23 @@ class Frames:
                 and (np.diff(offsets) >= 0).all()):
             raise CorpusError("ids, groups and offsets must describe M documents "
                               "whose rows run in order from 0 to N")
+        if not np.isfinite(frames).all():
+            raise CorpusError("frames must be finite")
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "frames", frames)
         if self.labels is not None:
-            labels = read_only(self.labels, np.int64)
+            labels = _naturals(self.labels, "labels")
             if labels.shape != (len(frames),):
                 raise CorpusError(f"labels must have shape ({len(frames)},), "
                                   f"got {labels.shape}")
             object.__setattr__(self, "labels", labels)
 
-    @property
-    def num_frames(self) -> int:
+    def __len__(self) -> int:
         return self.frames.shape[0]
+
+    num_frames = property(__len__)
 
     @property
     def dim(self) -> int:
@@ -188,39 +205,43 @@ class SymbolDocument:
 
 
 @dataclass(frozen=True)
-class BagOfSounds:
-    """Count vector over the V quantizer symbols for one document."""
+class Bags:
+    """A corpus's bags of sounds: document i is ``ids[i]``, in group
+    ``groups[i]`` (a string or None), with the counts ``counts[i]`` over the
+    V quantizer symbols of the (M, V) ``counts``, integers >= 0. ``len()``
+    is the document count M."""
 
-    id: str
+    ids: tuple
+    groups: tuple
     counts: np.ndarray
-    group: Optional[str] = None
 
     def __post_init__(self):
-        counts = read_only(self.counts, np.int64)
-        if counts.ndim != 1:
-            raise CorpusError(f"document {self.id!r}: counts must be 1-d")
-        if counts.size and counts.min() < 0:
-            raise CorpusError(f"document {self.id!r}: negative count")
+        counts = _naturals(self.counts, "counts")
+        if not (counts.ndim == 2 and len(counts) == len(self.ids) == len(self.groups)):
+            raise CorpusError(f"counts {counts.shape} must be M x V, for M ids and groups")
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def __len__(self) -> int:
+        return self.counts.shape[0]
 
     @property
     def vocab_size(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[1]
 
 
-def to_bag(doc: SymbolDocument, vocab_size: int) -> BagOfSounds:
-    """Count symbol occurrences; the bag-of-sounds representation."""
-    if doc.symbols.size and doc.symbols.max() >= vocab_size:
-        bad = int(doc.symbols.max())
-        raise CorpusError(
-            f"document {doc.id!r}: symbol {bad} out of range for V={vocab_size}"
-        )
-    counts = np.bincount(doc.symbols, minlength=vocab_size)
-    return BagOfSounds(id=doc.id, counts=counts, group=doc.group)
+def to_bag(docs: Sequence[SymbolDocument], vocab_size: int) -> Bags:
+    """The bags of sounds of the quantized documents ``docs``: each one's
+    symbol counts over the ``vocab_size`` symbols."""
+    counts = np.empty((len(docs), vocab_size), dtype=np.int64)
+    for row, doc in zip(counts, docs):
+        if doc.symbols.size and doc.symbols.max() >= vocab_size:
+            raise CorpusError(f"document {doc.id!r}: symbol {doc.symbols.max()} "
+                              f"out of range for V={vocab_size}")
+        row[:] = np.bincount(doc.symbols, minlength=vocab_size)
+    return Bags(ids=[doc.id for doc in docs], groups=[doc.group for doc in docs],
+                counts=_frozen(counts))
 
 
 def _check_unique_ids(ids: Sequence[str]) -> None:
@@ -330,31 +351,44 @@ def save_features(path, record: Frames) -> None:
                                in zip(record.ids, record.groups, bounds, bounds[1:])))
 
 
-def _load_docs(path, cls, field):
-    """Symbol or bag documents: ``field`` is a list of json integers."""
-    docs = formats.read_jsonl(path, lambda obj: cls(
+def load_symbols(path) -> list[SymbolDocument]:
+    docs = formats.read_jsonl(path, lambda obj: SymbolDocument(
         id=obj["id"], group=obj.get("group"),
-        **{field: formats.json_ints(obj.get(field), field)}))
+        symbols=formats.json_ints(obj.get("symbols"), "symbols")))
     _check_unique_ids([doc.id for doc in docs])
     return docs
 
 
-def _save_docs(path, docs, field):
-    formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
-                                field: getattr(doc, field).tolist()} for doc in docs))
-
-
-def load_symbols(path) -> list[SymbolDocument]:
-    return _load_docs(path, SymbolDocument, "symbols")
-
-
 def save_symbols(path, docs: Iterable[SymbolDocument]) -> None:
-    _save_docs(path, docs, "symbols")
+    formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
+                                "symbols": doc.symbols.tolist()} for doc in docs))
 
 
-def load_bags(path) -> list[BagOfSounds]:
-    return _load_docs(path, BagOfSounds, "counts")
+def load_bags(path) -> Bags:
+    """A bags jsonl file as one ``Bags`` record. Each line is checked as a
+    one-document record, and its faults, or counts whose length differs from
+    the earlier lines', are raised naming its ``file:line``."""
+    rows = _Rows(2, np.int64)
+    width = None
+
+    def build(obj):
+        nonlocal width
+        bag = Bags(ids=[obj["id"]], groups=[obj.get("group")],
+                   counts=formats.json_ints(obj.get("counts"), "counts")[None])
+        if width is not None and bag.vocab_size != width:
+            raise ValueError(f"'counts' has {bag.vocab_size} symbols, "
+                             f"earlier lines {width}")
+        width = bag.vocab_size
+        rows.append(bag.counts)
+        return bag.ids[0], bag.groups[0]
+
+    docs = formats.read_jsonl(path, build)
+    _check_unique_ids([doc_id for doc_id, _ in docs])
+    return Bags(ids=[doc_id for doc_id, _ in docs], groups=[group for _, group in docs],
+                counts=rows.frozen())
 
 
-def save_bags(path, docs: Iterable[BagOfSounds]) -> None:
-    _save_docs(path, docs, "counts")
+def save_bags(path, bags: Bags) -> None:
+    formats.write_jsonl(path, ({"id": doc_id, "group": group, "counts": row.tolist()}
+                               for doc_id, group, row
+                               in zip(bags.ids, bags.groups, bags.counts)))

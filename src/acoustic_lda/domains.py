@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import formats
-from .corpus import BagOfSounds
+from .corpus import Bags
 from .lda import LdaModel, infer_thetas
 
 __all__ = ["DomainAssignment", "FilterResult", "assign",
@@ -34,6 +34,8 @@ class DomainAssignment:
         theta = np.array(self.theta, dtype=float)
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
+        if theta.size and theta.min() < 0:
+            raise ValueError(f"document {self.doc_id!r}: theta must not be negative")
         if abs(theta.sum() - 1.0) > 1e-9:
             raise ValueError(f"document {self.doc_id!r}: theta must sum to 1")
         if self.map_domain != int(np.argmax(theta)):
@@ -48,19 +50,19 @@ class DomainAssignment:
         return self.theta.shape[0]
 
 
-def assign(model: LdaModel, corpus: Sequence[BagOfSounds]) -> list[DomainAssignment]:
+def assign(model: LdaModel, corpus: Bags) -> list[DomainAssignment]:
     """Infer theta for every document and take the MAP domain.
 
     np.argmax breaks exact ties toward the lowest index, matching the stated
     tie rule. The weight is the document's token count.
     """
-    if not corpus:
+    if not len(corpus):
         raise ValueError("corpus is empty")
     thetas = infer_thetas(model, corpus)
     return [
-        DomainAssignment(doc_id=doc.id, theta=theta, map_domain=int(np.argmax(theta)),
-                         weight=float(doc.total))
-        for doc, theta in zip(corpus, thetas)
+        DomainAssignment(doc_id=doc_id, theta=theta, map_domain=int(np.argmax(theta)),
+                         weight=float(total))
+        for doc_id, theta, total in zip(corpus.ids, thetas, corpus.counts.sum(axis=1))
     ]
 
 
@@ -102,6 +104,8 @@ def cross_agreement_filter(
     index ascending) and documents are kept from the top tuples until the
     cumulative kept weight first reaches ``target_weight``.
     """
+    if not assign_a or not assign_b:
+        raise ValueError("no assignments to filter")
     if not target_weight > 0:
         raise ValueError("target_weight must be positive")
     if not target_weight < np.inf:

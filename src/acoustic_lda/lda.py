@@ -7,7 +7,7 @@ parameters (gamma, phi) of every document at once:
     gamma_k   =  alpha_k + sum_w count_w * phi_{wk}
 
 phi is never formed (the batch form of Hoffman, Blei & Bach 2010, "Online
-learning for LDA"). Let C be the dense (M, V) counts of the documents, eb
+learning for LDA"). Let C be the (M, V) counts of a ``corpus.Bags`` record, eb
 the matrix exp(log_beta) with each symbol's column scaled so that its
 largest entry is 1, and el the matrix exp(digamma(gamma)) with each
 document's row scaled likewise. phi is unchanged by either scaling, so one
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, psi
 
 from . import formats
-from .corpus import BagOfSounds
+from .corpus import Bags
 
 __all__ = ["LdaConfig", "LdaModel", "fit", "infer_thetas", "save_lda", "load_lda"]
 
@@ -110,19 +110,6 @@ class LdaModel:
     @property
     def vocab_size(self) -> int:
         return self.log_beta.shape[1]
-
-
-def _stack_counts(docs: Sequence[BagOfSounds], v: int) -> np.ndarray:
-    """The documents' counts as one dense (M, V) float matrix. Rejects a
-    document of another vocabulary size and an empty document."""
-    for doc in docs:
-        if doc.vocab_size != v:
-            raise ValueError(f"document {doc.id!r} has V={doc.vocab_size}, expected V={v}")
-    c = np.array([doc.counts for doc in docs], dtype=float)
-    empty = ~c.any(axis=1)
-    if empty.any():
-        raise ValueError(f"document {docs[empty.argmax()].id!r} is empty")
-    return c
 
 
 def _scaled_beta(log_beta):
@@ -260,19 +247,25 @@ def _em_terms(log_beta, alpha, c):
     return bounds, stats
 
 
-def _posterior(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
-    """gamma (M, K) of the non-empty documents ``docs`` under a trained
-    model, by the E-step."""
-    c = _stack_counts(docs, model.vocab_size)
-    dead = (c[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
+def _posterior(model: LdaModel, counts, ids) -> np.ndarray:
+    """gamma (M, K) of the documents ``ids`` with the counts ``counts``
+    (M, V) under a trained model, by the E-step. Rejects counts of another
+    vocabulary size and an empty document."""
+    if counts.shape[1] != model.vocab_size:
+        raise ValueError(f"document {ids[0]!r} has V={counts.shape[1]}, "
+                         f"expected V={model.vocab_size}")
+    empty = ~counts.any(axis=1)
+    if empty.any():
+        raise ValueError(f"document {ids[empty.argmax()]!r} is empty")
+    dead = (counts[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
     if dead.any():
-        raise FloatingPointError(f"document {docs[dead.argmax()].id!r}: "
+        raise FloatingPointError(f"document {ids[dead.argmax()]!r}: "
                                  "observed symbol has zero mass in every topic")
     eb, _ = _scaled_beta(model.log_beta)
-    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, c)
+    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, counts.astype(float))
     bad = ~np.isfinite(gamma).all(axis=1)
     if bad.any():
-        raise FloatingPointError(f"document {docs[bad.argmax()].id!r}: non-finite gamma")
+        raise FloatingPointError(f"document {ids[bad.argmax()]!r}: non-finite gamma")
     return gamma
 
 
@@ -287,7 +280,7 @@ def _init_log_beta(c, k, rng):
 
 
 def fit(
-    corpus: Sequence[BagOfSounds],
+    corpus: Bags,
     num_domains: int,
     config: Optional[LdaConfig] = None,
 ) -> LdaModel:
@@ -299,11 +292,14 @@ def fit(
     ``config.seed``.
     """
     config = config or LdaConfig()
-    if not corpus:
+    if not len(corpus):
         raise ValueError("corpus is empty")
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
-    c = _stack_counts(corpus, corpus[0].vocab_size)
+    empty = ~corpus.counts.any(axis=1)
+    if empty.any():
+        raise ValueError(f"document {corpus.ids[empty.argmax()]!r} is empty")
+    c = corpus.counts.astype(float)
 
     rng = np.random.default_rng(config.seed)
     alpha_scale = config.alpha if config.alpha is not None else 1.0 / num_domains
@@ -331,7 +327,7 @@ def fit(
     return LdaModel(alpha=alpha, log_beta=log_beta, elbo_history=history)
 
 
-def infer_thetas(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
+def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
     """Normalized domain posterior of each document, (M, K): gamma over its
     sum.
 
@@ -340,14 +336,12 @@ def infer_thetas(model: LdaModel, docs: Sequence[BagOfSounds]) -> np.ndarray:
     """
     k = model.num_domains
     theta = np.full((len(docs), k), 1.0 / k)
-    live = []
-    for i, doc in enumerate(docs):
-        if doc.total < 1:
-            warnings.warn(f"document {doc.id!r} is empty; returning uniform theta")
-        else:
-            live.append(i)
-    if live:
-        gamma = _posterior(model, [docs[i] for i in live])
+    live = docs.counts.any(axis=1)
+    for i in np.flatnonzero(~live):
+        warnings.warn(f"document {docs.ids[i]!r} is empty; returning uniform theta")
+    if live.any():
+        gamma = _posterior(model, docs.counts[live],
+                           [doc_id for doc_id, alive in zip(docs.ids, live) if alive])
         theta[live] = gamma / gamma.sum(axis=1, keepdims=True)
     return theta
 

@@ -8,15 +8,15 @@ W_v @ features + W_d @ e_d + b: selecting a domain adds a per-domain bias
 (column d of W_d) on top of the shared bias. A network built from a baseline
 with W_d = 0 is therefore functionally identical to that baseline.
 
-Training and evaluation take a ``FrameData``: frame features (N, D), class
-labels (N,) and, for a domain-aware network, the domain indexes (N,). It
-keeps them read-only, sharing a loaded ``Frames`` record's arrays rather
-than copying them, and validates them once when built. ``train`` and
-``evaluate_accuracy`` check it once against the network in ``_inputs``,
-which forms the input matrix [features | one-hot] once, and take minibatches
-and the held-out slice as row indexes into it. The first layer multiplies
-the whole row: ``x @ W_v.T + W_d[:, d]`` is the same sum in another order,
-and on short batches the BLAS rounds it differently.
+Training and evaluation take a labelled ``corpus.Frames`` record as loaded,
+frames (N, D) and labels (N,), and for a domain-aware network one domain
+index per document (M,). ``train`` and ``evaluate_accuracy`` check them once
+against the network in ``_inputs``, which gives each frame its document's
+domain and forms the input matrix [frames | one-hot] once (a baseline takes
+the record's frames uncopied), and take minibatches and the held-out slice
+as row indexes into it. The first layer multiplies the whole row:
+``x @ W_v.T + W_d[:, d]`` is the same sum in another order, and on short
+batches the BLAS rounds it differently.
 
 The parameters live in one contiguous float64 vector, ``LdatNetwork.params``:
 every layer's weights, then every layer's biases. ``weights[i]`` and
@@ -48,9 +48,9 @@ import numpy as np
 from scipy.special import expit
 
 from . import formats
-from .corpus import read_only
+from .corpus import Frames
 
-__all__ = ["FrameData", "NetworkConfig", "TrainConfig", "LdatNetwork",
+__all__ = ["NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
            "train", "evaluate_accuracy",
            "save_network", "load_network"]
@@ -64,48 +64,6 @@ def _views(flat: np.ndarray, shapes) -> list:
         views.append(flat[at:at + size].reshape(shape))
         at += size
     return views
-
-
-def _indexes(values, name: str, n: int) -> np.ndarray:
-    """``values``, which must be ``n`` integers >= 0, as a read-only int64
-    array (``read_only``)."""
-    arr = np.asarray(values)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers")
-    if arr.size and arr.min() < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return read_only(arr, np.int64)
-
-
-@dataclass(frozen=True)
-class FrameData:
-    """Classifier frames as arrays: ``features`` (N, D) finite, ``labels``
-    (N,) and ``domains`` (N,) non-negative integers, ``domains`` None for a
-    baseline network. It keeps its arrays read-only (``corpus.read_only``):
-    an array that owns its data and is read-only, as a loaded ``Frames``
-    record's are, is kept uncopied, and any other is copied. ``len()`` is
-    the frame count N."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    domains: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        features = read_only(self.features, float)
-        if features.ndim != 2:
-            raise ValueError(f"features must have shape (N, D), got {features.shape}")
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", _indexes(self.labels, "labels", len(self)))
-        if self.domains is not None:
-            object.__setattr__(self, "domains",
-                               _indexes(self.domains, "domains", len(self)))
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass
@@ -139,8 +97,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.cv_fraction < 1.0:
@@ -277,35 +235,48 @@ def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> Lda
                        baseline.input_dim, num_domains, baseline.activation)
 
 
-def _inputs(net: LdatNetwork, dataset: FrameData) -> np.ndarray:
-    """The input matrix [features | one-hot domain] of ``dataset``, checked
-    against ``net``'s input, domain and output sizes."""
-    if not isinstance(dataset, FrameData):
-        raise TypeError(f"dataset must be a FrameData, got {type(dataset).__name__}")
-    n, d = dataset.features.shape
+def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
+    """The input matrix [frames | one-hot domain] of the labelled frames
+    ``dataset``, each frame with ``domains[i]``, the domain of its document
+    i, checked against ``net``'s input, domain and output sizes."""
+    if not isinstance(dataset, Frames) or dataset.labels is None:
+        raise TypeError(f"dataset must be a labelled Frames record, "
+                        f"got {type(dataset).__name__}")
+    n, d = dataset.frames.shape
     if d != net.input_dim:
         raise ValueError(f"feature dim {d} != network input dim {net.input_dim}")
     if n and dataset.labels.max() >= net.output_dim:
         raise ValueError("label out of range for the output layer")
     if net.domain_dim == 0:
-        if dataset.domains is not None:
+        if domains is not None:
             raise ValueError("baseline network got domains")
-        return dataset.features
-    if dataset.domains is None:
-        raise ValueError("domain-aware network needs a domain for every frame")
-    if n and dataset.domains.max() >= net.domain_dim:
-        raise ValueError(f"domain {dataset.domains.max()} out of range for "
+        return dataset.frames
+    if domains is None:
+        raise ValueError("domain-aware network needs a domain for every document")
+    domains = np.asarray(domains)
+    m = len(dataset.ids)
+    if domains.shape != (m,):
+        raise ValueError(f"domains must have shape ({m},), one per document, "
+                         f"got {domains.shape}")
+    if m and domains.dtype.kind not in "iu":
+        raise ValueError("domains must be integers")
+    if m and domains.min() < 0:
+        raise ValueError("domains must be >= 0")
+    if m and domains.max() >= net.domain_dim:
+        raise ValueError(f"domain {domains.max()} out of range for "
                          f"network domain dim {net.domain_dim}")
     inputs = np.zeros((n, d + net.domain_dim))
-    inputs[:, :d] = dataset.features
-    inputs[np.arange(n), d + dataset.domains] = 1.0
+    inputs[:, :d] = dataset.frames
+    inputs[np.arange(n), d + np.repeat(domains, np.diff(dataset.offsets))] = 1.0
     return inputs
 
 
 @np.errstate(over="raise", invalid="raise")
-def train(net: LdatNetwork, dataset: FrameData,
-          config: Optional[TrainConfig] = None):
-    """Minibatch SGD on cross-entropy; mutates ``net`` in place.
+def train(net: LdatNetwork, dataset: Frames,
+          config: Optional[TrainConfig] = None, domains=None):
+    """Minibatch SGD on cross-entropy over the labelled frames ``dataset``,
+    with one domain per document for a domain-aware network; mutates ``net``
+    in place.
 
     Returns a list of per-epoch metric dicts {epoch, train_loss,
     cv_accuracy}; cv_accuracy is None when cv_fraction is 0. Deterministic
@@ -313,7 +284,7 @@ def train(net: LdatNetwork, dataset: FrameData,
     epoch, raises FloatingPointError.
     """
     config = config or TrainConfig()
-    inputs, labels = _inputs(net, dataset), dataset.labels
+    inputs, labels = _inputs(net, dataset, domains), dataset.labels
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
@@ -359,10 +330,11 @@ def train(net: LdatNetwork, dataset: FrameData,
 
 
 @np.errstate(over="raise", invalid="raise")
-def evaluate_accuracy(net: LdatNetwork, dataset: FrameData) -> float:
-    """Frame classification accuracy over ``dataset``; overflow raises
+def evaluate_accuracy(net: LdatNetwork, dataset: Frames, domains=None) -> float:
+    """Frame classification accuracy over the labelled frames ``dataset``,
+    with one domain per document for a domain-aware network; overflow raises
     FloatingPointError."""
-    inputs = _inputs(net, dataset)
+    inputs = _inputs(net, dataset, domains)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     probs = net._forward(inputs)

@@ -237,18 +237,19 @@ def network_backprop(net, inputs, labels):
 
 
 @np.errstate(over="raise", invalid="raise")
-def network_train(net, dataset, config):
+def network_train(net, dataset, config, domains=None):
     """Minibatch SGD on cross-entropy, one batch at a time: per-batch row
     gathers, ``network_backprop``, a per-array ``w -= lr * g`` on
     ``net.weights`` and ``net.biases``, and the per-batch mean loss added to
     the epoch's total. Same seeded draws and metric dicts as
-    ``network.train``. A domain enters as a row of ``np.eye(K)``, appended
-    to the frame's features."""
-    if dataset.domains is None:
-        inputs = dataset.features
+    ``network.train``. A document's domain enters as a row of ``np.eye(K)``,
+    appended to each of its frames."""
+    if domains is None:
+        inputs = dataset.frames
     else:
+        frame_domains = np.repeat(domains, np.diff(dataset.offsets))
         inputs = np.concatenate(
-            [dataset.features, np.eye(net.domain_dim)[dataset.domains]], axis=1)
+            [dataset.frames, np.eye(net.domain_dim)[frame_domains]], axis=1)
     labels, n = dataset.labels, len(dataset)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)

@@ -4,7 +4,7 @@ same symbol sequences on any platform."""
 
 import numpy as np
 
-from acoustic_lda.corpus import Frames, SymbolDocument
+from acoustic_lda.corpus import Bags, Frames, SymbolDocument
 
 
 def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
@@ -55,3 +55,20 @@ def feature_record(*frames, ids=None, groups=None):
     return Frames(ids=ids, groups=[None] * len(frames) if groups is None else groups,
                   offsets=np.cumsum([0, *map(len, frames)]),
                   frames=np.concatenate(frames) if frames else np.empty((0, 0)))
+
+
+def labelled_frames(frames, labels):
+    """A labelled ``corpus.Frames`` record of the (N, D) ``frames`` with one
+    document per frame, named f0, f1, ...: a domain per document is then a
+    domain per frame."""
+    frames = np.asarray(frames, dtype=float)
+    return Frames(ids=[f"f{i}" for i in range(len(frames))], groups=[None] * len(frames),
+                  offsets=np.arange(len(frames) + 1), frames=frames, labels=labels)
+
+
+def bag_record(*counts, ids=None, groups=None):
+    """A ``corpus.Bags`` record of documents with these count vectors, named
+    d0, d1, ... unless ``ids`` are given."""
+    ids = [f"d{i}" for i in range(len(counts))] if ids is None else ids
+    return Bags(ids=ids, groups=[None] * len(counts) if groups is None else groups,
+                counts=np.array(counts if counts else np.empty((0, 0)), dtype=np.int64))

@@ -17,7 +17,7 @@ from oracles import (
     greedy_row_match,
     prefix_filter_oracle,
 )
-from synthetic import feature_record, generate_synthetic_lda_corpus
+from synthetic import feature_record, generate_synthetic_lda_corpus, labelled_frames
 
 
 def report(number, name, ok=True):
@@ -33,7 +33,7 @@ def test_01_lda_recovery():
     true_beta = rng.dirichlet(np.full(v, 0.2), size=k)
     docs, thetas = generate_synthetic_lda_corpus(
         0.1, true_beta, 500, 200, seed=7, return_thetas=True)
-    bags = [corpus.to_bag(d, v) for d in docs]
+    bags = corpus.to_bag(docs, v)
     model = lda.fit(bags, k)
     tvs, perm = greedy_row_match(true_beta, np.exp(model.log_beta))
     assert tvs.max() < 0.1, f"worst TV {tvs.max():.3f}"
@@ -84,7 +84,7 @@ def test_03_em_monotonicity():
         beta = rng.dirichlet(np.ones(v), size=k)
         docs = generate_synthetic_lda_corpus(
             0.5, beta, 20, 15, seed=300 + trial)
-        model = lda.fit([corpus.to_bag(d, v) for d in docs], k,
+        model = lda.fit(corpus.to_bag(docs, v), k,
                         lda.LdaConfig(seed=trial))
         history = np.asarray(model.elbo_history)
         drops = np.diff(history) / np.abs(history[:-1])
@@ -139,8 +139,8 @@ def test_04_quantizer_correctness():
 def _rows(net, x, domain=None):
     """The network input ``network._inputs`` builds for the single frame
     ``x`` with its domain, labelled 0."""
-    return network._inputs(net, network.FrameData(
-        x[None, :], [0], None if domain is None else [domain]))
+    return network._inputs(net, labelled_frames(x[None, :], [0]),
+                           None if domain is None else [domain])
 
 
 def test_05_domain_bias_algebra():
@@ -217,14 +217,15 @@ def test_07_ldat_benefit():
 
         base = network.init_network(network.NetworkConfig(
             input_dim=6, output_dim=8, hidden_dims=(64, 64), seed=seed))
-        network.train(base, network.FrameData(xtr, ytr), cfg)
-        acc_base = network.evaluate_accuracy(base, network.FrameData(xte, yte))
+        train, test = labelled_frames(xtr, ytr), labelled_frames(xte, yte)
+        network.train(base, train, cfg)
+        acc_base = network.evaluate_accuracy(base, test)
 
         aug = network.init_network(network.NetworkConfig(
             input_dim=6, domain_dim=4, output_dim=8, hidden_dims=(64, 64),
             seed=seed))
-        network.train(aug, network.FrameData(xtr, ytr, dtr), cfg)
-        acc_aug = network.evaluate_accuracy(aug, network.FrameData(xte, yte, dte))
+        network.train(aug, train, cfg, domains=dtr)
+        acc_aug = network.evaluate_accuracy(aug, test, dte)
         gaps.append(acc_aug - acc_base)
     mean_gap = float(np.mean(gaps))
     elapsed = time.time() - start
@@ -239,7 +240,7 @@ def test_08_entropy_trend():
     v = 40
     true_beta = rng.dirichlet(np.full(v, 0.3), size=32)
     docs = generate_synthetic_lda_corpus(0.5, true_beta, 150, 20, seed=6)
-    bags = [corpus.to_bag(d, v) for d in docs]
+    bags = corpus.to_bag(docs, v)
     entropies = []
     for k in (4, 8, 16, 32):
         model = lda.fit(bags, k, lda.LdaConfig(seed=3, alpha=0.5))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acoustic_lda import cli, corpus, gmm
-from acoustic_lda.cli import _frame_dataset, main
+from acoustic_lda import cli, corpus, gmm, network
+from acoustic_lda.cli import _doc_domains, main
 from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.network import NetworkConfig, init_network, save_network
-from synthetic import feature_record
+from synthetic import bag_record, feature_record
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestStages:
         assert run("quantize", "--gmm", gmm_path, "--features", pipeline_inputs,
                    "--out", symbols, "--bags-out", bags) == 0
         loaded = corpus.load_bags(bags)
-        assert len(loaded) == 24 and loaded[0].group in ("speech", "music")
+        assert len(loaded) == 24 and loaded.groups[0] in ("speech", "music")
         # the CLI cuts the corpus's symbols into its documents at the offsets
         record = corpus.load_features(pipeline_inputs)
         symbol_docs = corpus.load_symbols(symbols)
@@ -134,10 +134,8 @@ class TestStages:
         save_lda(model_path, LdaModel(alpha=np.array([0.01, 0.01]),
                                       log_beta=log_beta))
         bags_path = tmp_path / "bags.jsonl"
-        corpus.save_bags(bags_path, [
-            corpus.BagOfSounds(id="a", counts=np.array([40, 40, 0, 0])),
-            corpus.BagOfSounds(id="b", counts=np.array([0, 0, 40, 40])),
-        ])
+        corpus.save_bags(bags_path, bag_record([40, 40, 0, 0], [0, 0, 40, 40],
+                                               ids=["a", "b"]))
         capsys.readouterr()
         assert run("entropy", "--model", model_path, "--bags", bags_path) == 0
         assert float(capsys.readouterr().out.strip()) < 0.005
@@ -213,15 +211,17 @@ class TestFrameDataset:
             DomainAssignment(doc_id="b", theta=[0.1, 0.2, 0.7], map_domain=2),
             DomainAssignment(doc_id="empty", theta=[0.2, 0.7, 0.1], map_domain=1),
         ]
-        augmented = _frame_dataset(record, assignments)
-        baseline = _frame_dataset(record, None)
+        doc_domains = _doc_domains(record, assignments)
+        assert _doc_domains(record, None) is None
+        np.testing.assert_array_equal(doc_domains, [1, 2, 0])
+        net = init_network(NetworkConfig(input_dim=2, output_dim=3, domain_dim=3))
+        augmented = network._inputs(net, record, doc_domains)
         features = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
-        for dataset in (augmented, baseline):
-            assert len(dataset) == 5
-            np.testing.assert_array_equal(dataset.features, features)
-            np.testing.assert_array_equal(dataset.labels, [1, 0, 2, 2, 1])
-        np.testing.assert_array_equal(augmented.domains, [2, 2, 0, 0, 0])
-        assert baseline.domains is None
+        assert len(record) == 5
+        np.testing.assert_array_equal(record.frames, features)
+        np.testing.assert_array_equal(record.labels, [1, 0, 2, 2, 1])
+        np.testing.assert_array_equal(augmented[:, :2], features)
+        np.testing.assert_array_equal(augmented[:, 2:].argmax(axis=1), [2, 2, 0, 0, 0])
 
     def test_keep_ids_trains_as_on_the_kept_documents_alone(self, tmp_path):
         """``--keep-ids`` selects the kept documents' frames and labels with
@@ -492,8 +492,7 @@ class TestContracts:
     ])
     def test_bad_lda_artifact_exit_1(self, tmp_path, capsys, text, message):
         model, bags = tmp_path / "lda.json", tmp_path / "bags.jsonl"
-        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([2, 1, 0])),
-                                corpus.BagOfSounds(id="d1", counts=np.array([0, 1, 3]))])
+        corpus.save_bags(bags, bag_record([2, 1, 0], [0, 1, 3]))
         commands = (("assign", "--model", model, "--bags", bags,
                      "--out", tmp_path / "assign.jsonl"),
                     ("entropy", "--model", model, "--bags", bags))
@@ -596,6 +595,37 @@ class TestContracts:
         assert f"{bags}:2:" in err and "'group' must be a string or null" in err
         assert not (tmp_path / "stats.csv").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "train-lda", "assign"])
+    def test_ragged_bags_exit_1(self, tmp_path, capsys, command):
+        """Bags whose count rows differ in length are a fault of the first
+        line that differs, found when the file is loaded."""
+        bags, assign, model = (tmp_path / name for name in
+                               ("bags.jsonl", "assign.jsonl", "lda.json"))
+        bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n"
+                        + json.dumps({"id": "d1", "group": "b", "counts": [2, 1, 4]}) + "\n")
+        assign.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        model.write_text(lda_json(V=2, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]]).tolist()))
+        out = tmp_path / "out"
+        argv = {"stats": ["--assignments", assign, "--bags", bags, "--out", out],
+                "train-lda": ["--bags", bags, "--k", 2, "--out", out],
+                "assign": ["--model", model, "--bags", bags, "--out", out]}[command]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{bags}:2: 'counts' has 3 symbols, earlier lines 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", [("--target-weight", 1.0), ("--target-frac", 0.5)],
+                             ids=["weight", "frac"])
+    def test_filter_on_empty_assignments_exit_1(self, tmp_path, capsys, target):
+        a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "filter.jsonl"
+        for path in (a, b):
+            path.write_text('{"_meta": {"seed": 0}}\n')
+        assert run("filter", "--assign-a", a, "--assign-b", b, *target, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no assignments to filter" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         pytest.param("[1, 2]", "expected a json object", id="json-list"),
         pytest.param('{"id": "d0", "theta": [', "bad json", id="malformed-json"),
@@ -613,6 +643,8 @@ class TestContracts:
                      id="string-map"),
         pytest.param('{"id": "d0", "theta": [0.3, 0.7], "map_domain": 0}', "argmax",
                      id="map-not-argmax"),
+        pytest.param('{"id": "d0", "theta": [1.5, -0.5], "map_domain": 0}', "negative",
+                     id="negative-theta"),
         pytest.param('{"id": "d0", "theta": [1.0], "map_domain": 0, "weight": "1"}',
                      "'weight'", id="string-weight"),
         # orjson reads this integer as a float; the verdict is the same
@@ -715,10 +747,11 @@ class TestContracts:
         pytest.param(("--hidden", "0"), "hidden layer widths must be >= 1", id="zero-hidden"),
         pytest.param(("--hidden", "4,0"), "hidden layer widths must be >= 1",
                      id="zero-second-hidden"),
-        pytest.param(("--lr", "nan"), "learning_rate must be finite and >= 0", id="nan-lr"),
-        pytest.param(("--lr", "inf"), "learning_rate must be finite and >= 0", id="inf-lr"),
-        pytest.param(("--lr", "-0.1"), "learning_rate must be finite and >= 0",
+        pytest.param(("--lr", "nan"), "learning_rate must be finite and > 0", id="nan-lr"),
+        pytest.param(("--lr", "inf"), "learning_rate must be finite and > 0", id="inf-lr"),
+        pytest.param(("--lr", "-0.1"), "learning_rate must be finite and > 0",
                      id="negative-lr"),
+        pytest.param(("--lr", "0"), "learning_rate must be finite and > 0", id="zero-lr"),
         pytest.param(("--cv-fraction", "nan"), "cv_fraction must lie in [0, 1)",
                      id="nan-cv-fraction"),
     ])
@@ -808,9 +841,7 @@ class TestContracts:
 
     def test_manifest_values_read_as_flags(self, tmp_path):
         bags = tmp_path / "bags.jsonl"
-        corpus.save_bags(bags, [
-            corpus.BagOfSounds(id=f"d{i}", counts=np.array([3, i, 1, 0]))
-            for i in range(4)])
+        corpus.save_bags(bags, bag_record(*([3, i, 1, 0] for i in range(4))))
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "stages": {"train-lda": {"k": "2", "max-em-iters": 3}}}))
@@ -825,7 +856,7 @@ class TestContracts:
     ])
     def test_zero_em_iterations_exit_1(self, tmp_path, capsys, argv, manifest):
         bags, out, path = tmp_path / "bags.jsonl", tmp_path / "lda.json", tmp_path / "m.json"
-        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([3, 1]))])
+        corpus.save_bags(bags, bag_record([3, 1]))
         top = ()
         if manifest is not None:
             path.write_text(json.dumps(manifest))
@@ -838,7 +869,7 @@ class TestContracts:
     @pytest.mark.parametrize("em_tol", ["nan", "inf", "-1"])
     def test_bad_em_tol_exit_1(self, tmp_path, capsys, em_tol):
         bags, out = tmp_path / "bags.jsonl", tmp_path / "lda.json"
-        corpus.save_bags(bags, [corpus.BagOfSounds(id="d0", counts=np.array([3, 1]))])
+        corpus.save_bags(bags, bag_record([3, 1]))
         assert run("train-lda", "--bags", bags, "--k", 2, f"--em-tol={em_tol}",
                    "--out", out) == 1
         err = capsys.readouterr().err
@@ -892,8 +923,7 @@ class TestContracts:
         # domain 0 weighs the most and domain 2 the least
         assign.write_text(assignments_text([0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
                                            [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]))
-        corpus.save_bags(bags, [corpus.BagOfSounds(id=f"d{i}", counts=np.array([1]),
-                                                   group="g") for i in range(4)])
+        corpus.save_bags(bags, bag_record(*[[1]] * 4, groups=["g"] * 4))
         assert run("stats", "--assignments", assign, "--bags", bags,
                    "--top-n", top_n, "--out", out) == code
         if domains is None:
@@ -1182,9 +1212,8 @@ def numeric_inputs(tmp_path_factory):
     (d / "features.jsonl").write_text("".join(
         json.dumps({"id": f"d{i}", "frames": f.tolist()}) + "\n"
         for i, f in enumerate(frames)))
-    corpus.save_bags(d / "bags.jsonl", [
-        corpus.BagOfSounds(id=f"d{i}", counts=np.array([3, i, 1]), group="g")
-        for i in range(4)])
+    corpus.save_bags(d / "bags.jsonl", bag_record(*([3, i, 1] for i in range(4)),
+                                                  groups=["g"] * 4))
     (d / "data.jsonl").write_text("".join(
         json.dumps({"id": f"d{i}", "frames": f.tolist(),
                     "labels": (f[:, 0] > f[:, 1]).astype(int).tolist()}) + "\n"

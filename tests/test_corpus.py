@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from acoustic_lda import cli, corpus, gmm
+from acoustic_lda import cli, corpus, gmm, network
 from acoustic_lda.corpus import (
-    BagOfSounds,
+    Bags,
     CorpusError,
     Frames,
     SymbolDocument,
@@ -17,8 +17,7 @@ from acoustic_lda.corpus import (
 )
 from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.lda import LdaModel
-from acoustic_lda.network import FrameData
-from synthetic import feature_record, generate_synthetic_lda_corpus
+from synthetic import bag_record, feature_record, generate_synthetic_lda_corpus
 
 
 def write_jsonl(path, records):
@@ -159,11 +158,11 @@ class TestRoundTrips:
         back = corpus.load_symbols(tmp_path / "s.jsonl")
         np.testing.assert_array_equal(back[0].symbols, sdocs[0].symbols)
 
-        bags = [BagOfSounds(id="x", counts=np.array([2, 0, 1]), group="g")]
+        bags = bag_record([2, 0, 1], ids=["x"], groups=["g"])
         corpus.save_bags(tmp_path / "b.jsonl", bags)
         back = corpus.load_bags(tmp_path / "b.jsonl")
-        np.testing.assert_array_equal(back[0].counts, bags[0].counts)
-        assert back[0].group == "g"
+        np.testing.assert_array_equal(back.counts, bags.counts)
+        assert back.groups == ("g",)
 
 
 class TestIntegerFields:
@@ -192,18 +191,15 @@ class TestIntegerFields:
                  "frames", [[1.0, 2.0]], np.nan, id="Frames"),
     pytest.param(lambda a: SymbolDocument(id="d", symbols=a), "symbols",
                  [0, 1, 2], -5, id="SymbolDocument"),
-    pytest.param(lambda a: BagOfSounds(id="d", counts=a), "counts",
-                 [3, 0, 1], -5, id="BagOfSounds"),
+    pytest.param(lambda a: Bags(ids=["d"], groups=[None], counts=a), "counts",
+                 [[3, 0, 1]], -5, id="Bags"),
     pytest.param(lambda a: LdaModel(alpha=a, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]])),
                  "alpha", [0.5, 0.5], -3.0, id="LdaModel"),
     pytest.param(lambda a: DomainAssignment(doc_id="d", theta=a, map_domain=0), "theta",
                  [0.7, 0.3], 0.0, id="DomainAssignment"),
-    pytest.param(lambda a: FrameData(a, [0]), "features", [[1.0, 2.0]], np.nan,
-                 id="FrameData-features"),
-    pytest.param(lambda a: FrameData(np.zeros((2, 1)), a), "labels", [0, 1], -1,
-                 id="FrameData-labels"),
-    pytest.param(lambda a: FrameData(np.zeros((2, 1)), [0, 0], domains=a), "domains",
-                 [0, 1], -1, id="FrameData-domains"),
+    pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 2],
+                                  frames=np.zeros((2, 1)), labels=a),
+                 "labels", [0, 1], -1, id="Frames-labels"),
 ])
 def test_records_own_their_arrays(build, field, given, bad):
     """A record keeps a read-only copy: a view of the caller's array taken
@@ -222,13 +218,15 @@ def test_records_own_their_arrays(build, field, given, bad):
     pytest.param(lambda a: _frozen(a[:]), id="read-only-view"),
 ])
 def test_frame_data_copies_an_array_it_does_not_own(make):
-    """FrameData keeps an array uncopied only when the array owns its data
-    and is read-only: a writable array, or a read-only view of a writable
-    base, could still be written, so it is copied."""
+    """Frames keeps an array uncopied only when the array owns its data and
+    is read-only: a writable array, or a read-only view of a writable base,
+    could still be written, so it is copied."""
+    def record(frames):
+        return Frames(ids=["d"], groups=[None], offsets=[0, 2], frames=frames)
     owned = _frozen(np.zeros((2, 1)))
-    assert FrameData(owned, [0, 0]).features is owned
+    assert record(owned).frames is owned
     given = make(np.zeros((2, 1)))
-    assert not np.shares_memory(FrameData(given, [0, 0]).features, given)
+    assert not np.shares_memory(record(given).frames, given)
 
 
 def _frozen(arr):
@@ -243,6 +241,10 @@ def _frozen(arr):
     pytest.param({"groups": [None]}, "groups", id="groups-length"),
     pytest.param({"frames": np.zeros(3)}, "2-d", id="one-d-frames"),
     pytest.param({"labels": [0, 1]}, "labels", id="labels-length"),
+    pytest.param({"frames": [[0.0, 1.0], [np.inf, 0.0], [0.0, 0.0]]}, "finite",
+                 id="non-finite-frames"),
+    pytest.param({"labels": [0.0, 1.5, 2.0]}, "labels must be integers", id="float-labels"),
+    pytest.param({"labels": [0, -1, 2]}, "labels must be >= 0", id="negative-label"),
 ])
 def test_frames_record_checks_its_layout(changes, message):
     fields = {"ids": ["a", "b"], "groups": [None, "g"], "offsets": [0, 1, 3],
@@ -250,6 +252,49 @@ def test_frames_record_checks_its_layout(changes, message):
     Frames(**fields)
     with pytest.raises(CorpusError, match=message):
         Frames(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"counts": [3, 0, 1, 2]}, "counts", id="one-d-counts"),
+    pytest.param({"counts": [[3, 0], [1, 2], [0, 1]]}, "counts", id="counts-rows"),
+    pytest.param({"groups": [None]}, "groups", id="groups-length"),
+    pytest.param({"counts": [[3.0, 0.0], [1.5, 2.0]]}, "counts must be integers",
+                 id="float-counts"),
+    pytest.param({"counts": [[3, 0], [-1, 2]]}, "counts must be >= 0", id="negative-count"),
+])
+def test_bags_record_checks_its_layout(changes, message):
+    fields = {"ids": ["a", "b"], "groups": [None, "g"], "counts": [[3, 0], [1, 2]]}
+    bags = Bags(**fields)
+    assert len(bags) == 2 and bags.vocab_size == 2
+    with pytest.raises(CorpusError, match=message):
+        Bags(**{**fields, **changes})
+
+
+class TestLoadBags:
+    def test_one_matrix_in_file_order(self, tmp_path):
+        path = tmp_path / "bags.jsonl"
+        write_jsonl(path, [{"id": "b", "group": "g", "counts": [0, 2, 1]},
+                           {"id": "a", "counts": [4, 0, 0]}])
+        bags = corpus.load_bags(path)
+        assert bags.ids == ("b", "a") and bags.groups == ("g", None)
+        np.testing.assert_array_equal(bags.counts, [[0, 2, 1], [4, 0, 0]])
+        assert bags.counts.flags.owndata and not bags.counts.flags.writeable
+
+    def test_empty_file_has_no_documents(self, tmp_path):
+        path = tmp_path / "bags.jsonl"
+        path.write_text("")
+        assert len(corpus.load_bags(path)) == 0
+
+    @pytest.mark.parametrize("counts, message", [
+        pytest.param([1, 2], "'counts' has 2 symbols, earlier lines 3", id="short-row"),
+        pytest.param([1], "'counts' has 1 symbols, earlier lines 3", id="one-count"),
+        pytest.param([1, 2, -1], "counts must be >= 0", id="negative-count"),
+    ])
+    def test_bad_line_named(self, tmp_path, counts, message):
+        path = tmp_path / "bags.jsonl"
+        write_jsonl(path, [{"id": "a", "counts": [1, 2, 3]}, {"id": "b", "counts": counts}])
+        with pytest.raises(CorpusError, match=f"{path}:2: {message}"):
+            corpus.load_bags(path)
 
 
 def write_frames(path, docs, frames, dim, labelled):
@@ -267,8 +312,8 @@ def write_frames(path, docs, frames, dim, labelled):
 
 class TestFrameMemory:
     """A corpus's frames are held once: the loaders fill one buffer, a
-    FrameData shares the labelled record's arrays and train-gmm takes the
-    features record's matrix as it is."""
+    baseline network's input is the labelled record's matrix and train-gmm
+    takes the features record's matrix as it is."""
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["features", "labelled"])
     def test_loading_peaks_below_two_and_a_half_times_the_frames(self, tmp_path, labelled):
@@ -276,11 +321,12 @@ class TestFrameMemory:
         # documents are many and short beside the whole
         path = tmp_path / "frames.jsonl"
         write_frames(path, 60, 100, 39, labelled)
+        net = network.init_network(network.NetworkConfig(input_dim=39, output_dim=8))
         tracemalloc.start()
         try:
             if labelled:
                 record = corpus.load_labeled_frames(path)
-                dataset = cli._frame_dataset(record, None)
+                inputs = network._inputs(net, record, None)
             else:
                 record = corpus.load_features(path)
             peak = tracemalloc.get_traced_memory()[1]
@@ -289,8 +335,7 @@ class TestFrameMemory:
         assert record.frames.shape == (6000, 39)
         assert peak < 2.5 * record.frames.nbytes, peak / record.frames.nbytes
         if labelled:
-            assert np.shares_memory(dataset.features, record.frames)
-            assert np.shares_memory(dataset.labels, record.labels)
+            assert inputs is record.frames
 
     def test_quantize_holds_one_document_at_a_time(self, tmp_path):
         path, model = tmp_path / "frames.jsonl", tmp_path / "gmm.json"
@@ -333,23 +378,30 @@ class TestFrameMemory:
 
 class TestToBag:
     def test_basic_counts(self):
-        bag = to_bag(SymbolDocument(id="d", symbols=np.array([0, 0, 2])), 3)
-        np.testing.assert_array_equal(bag.counts, [2, 0, 1])
-        assert bag.total == 3
+        bag = to_bag([SymbolDocument(id="d", symbols=np.array([0, 0, 2]))], 3)
+        np.testing.assert_array_equal(bag.counts, [[2, 0, 1]])
+        assert bag.counts.sum() == 3
 
     def test_single_symbol(self):
-        bag = to_bag(SymbolDocument(id="d", symbols=np.array([1])), 4)
-        np.testing.assert_array_equal(bag.counts, [0, 1, 0, 0])
+        bag = to_bag([SymbolDocument(id="d", symbols=np.array([1]))], 4)
+        np.testing.assert_array_equal(bag.counts, [[0, 1, 0, 0]])
 
     def test_out_of_range(self):
         with pytest.raises(CorpusError, match="out of range"):
-            to_bag(SymbolDocument(id="d", symbols=np.array([5])), 4)
+            to_bag([SymbolDocument(id="d", symbols=np.array([5]))], 4)
+
+    def test_documents_in_order(self):
+        docs = [SymbolDocument(id="x", symbols=np.array([2, 2]), group="g"),
+                SymbolDocument(id="y", symbols=np.array([], dtype=np.int64))]
+        bags = to_bag(docs, 3)
+        assert bags.ids == ("x", "y") and bags.groups == ("g", None)
+        np.testing.assert_array_equal(bags.counts, [[0, 0, 2], [0, 0, 0]])
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=200))
     def test_mass_preserved(self, symbols):
         doc = SymbolDocument(id="d", symbols=np.asarray(symbols, dtype=np.int64))
-        bag = to_bag(doc, 10)
-        assert bag.total == len(symbols)
+        bag = to_bag([doc], 10)
+        assert bag.counts.sum() == len(symbols)
 
 
 class TestSyntheticCorpus:

@@ -11,9 +11,9 @@ from acoustic_lda.domains import (
     write_stats_csv,
 )
 from acoustic_lda.lda import LdaModel, fit, infer_thetas
-from acoustic_lda.network import FrameData, NetworkConfig, _inputs, init_network
+from acoustic_lda.network import NetworkConfig, _inputs, init_network
 from oracles import prefix_filter_oracle
-from synthetic import generate_synthetic_lda_corpus
+from synthetic import bag_record, generate_synthetic_lda_corpus, labelled_frames
 
 
 def da(doc_id, theta, weight=1.0):
@@ -50,7 +50,7 @@ class TestAssign:
         ])
         docs, thetas = generate_synthetic_lda_corpus(
             0.05, beta, 200, 40, seed=1, return_thetas=True)
-        bags = [to_bag(d, 8) for d in docs]
+        bags = to_bag(docs, 8)
         model = fit(bags, 2)
         assignments = assign(model, bags)
         gen = thetas.argmax(axis=1)
@@ -61,7 +61,7 @@ class TestAssign:
     def test_weight_is_token_count(self):
         model = LdaModel(alpha=np.array([1.0]),
                          log_beta=np.log(np.array([[0.5, 0.5]])))
-        bags = [to_bag_counts("d", [3, 4])]
+        bags = bag_record([3, 4])
         out = assign(model, bags)
         assert out[0].weight == 7.0
 
@@ -71,12 +71,12 @@ class TestAssign:
         model = LdaModel(alpha=np.array([0.2, 0.5, 0.9]), log_beta=np.log(beta))
         counts = [[4, 0, 0, 0, 0, 0], [2, 1, 0, 3, 0, 5], [0, 0, 0, 0, 0, 0],
                   [0, 7, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]]
-        bags = [to_bag_counts(f"d{i}", c) for i, c in enumerate(counts)]
+        bags = bag_record(*counts)
         with pytest.warns(UserWarning, match="'d2'"):
             out = assign(model, bags)
         np.testing.assert_array_equal(out[2].theta, np.full(3, 1.0 / 3))
         for i in (0, 1, 3, 4):
-            theta = infer_thetas(model, [bags[i]])[0]
+            theta = infer_thetas(model, bag_record(counts[i], ids=[f"d{i}"]))[0]
             np.testing.assert_allclose(out[i].theta, theta, atol=1e-12, rtol=0)
             assert out[i].map_domain == int(np.argmax(theta))
 
@@ -84,12 +84,7 @@ class TestAssign:
         model = LdaModel(alpha=np.array([1.0]),
                          log_beta=np.log(np.array([[0.5, 0.5]])))
         with pytest.raises(ValueError):
-            assign(model, [])
-
-
-def to_bag_counts(doc_id, counts):
-    from acoustic_lda.corpus import BagOfSounds
-    return BagOfSounds(id=doc_id, counts=np.asarray(counts, dtype=np.int64))
+            assign(model, bag_record())
 
 
 def ubic(assignment, input_dim=1):
@@ -98,7 +93,8 @@ def ubic(assignment, input_dim=1):
     for its MAP domain."""
     net = init_network(NetworkConfig(input_dim=input_dim, output_dim=1,
                                      domain_dim=assignment.num_domains))
-    row = _inputs(net, FrameData(np.zeros((1, input_dim)), [0], [assignment.map_domain]))[0]
+    row = _inputs(net, labelled_frames(np.zeros((1, input_dim)), [0]),
+                  [assignment.map_domain])[0]
     return row[input_dim:]
 
 
@@ -123,9 +119,9 @@ class TestUbic:
     def test_rejects_malformed(self):
         net = init_network(NetworkConfig(input_dim=1, output_dim=1, domain_dim=2))
         with pytest.raises(ValueError, match="out of range"):
-            _inputs(net, FrameData(np.zeros((1, 1)), [0], [2]))
+            _inputs(net, labelled_frames(np.zeros((1, 1)), [0]), [2])
         with pytest.raises(ValueError, match=">= 0"):
-            FrameData(np.zeros((1, 1)), [0], [-1])
+            _inputs(net, labelled_frames(np.zeros((1, 1)), [0]), [-1])
 
 
 class TestEntropy:
@@ -210,6 +206,11 @@ class TestCrossAgreementFilter:
         b = [da("2", [1.0])]
         with pytest.raises(ValueError, match="different document sets"):
             cross_agreement_filter(a, b, 1.0)
+
+    @pytest.mark.parametrize("target", [1.0, 0.0])
+    def test_empty_lists_rejected(self, target):
+        with pytest.raises(ValueError, match="no assignments"):
+            cross_agreement_filter([], [], target)
 
     def test_nonpositive_target(self):
         a = [da("1", [1.0])]

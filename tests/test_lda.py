@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acoustic_lda import lda
-from acoustic_lda.corpus import BagOfSounds, to_bag
+from acoustic_lda.corpus import to_bag
 from acoustic_lda.lda import LdaConfig, LdaModel, fit, infer_thetas, load_lda, save_lda
 from oracles import (
     brute_log_evidence,
@@ -13,11 +13,22 @@ from oracles import (
     lda_e_step,
     lda_phi_elbo,
 )
-from synthetic import generate_synthetic_lda_corpus
+from synthetic import bag_record, generate_synthetic_lda_corpus
 
 
 def bag(counts, doc_id="d"):
-    return BagOfSounds(id=doc_id, counts=np.asarray(counts, dtype=np.int64))
+    """A ``Bags`` record of one document."""
+    return bag_record(counts, ids=[doc_id])
+
+
+def joined(docs):
+    """One ``Bags`` record of the documents of the one-document records ``docs``."""
+    return bag_record(*(doc.counts[0] for doc in docs), ids=[doc.ids[0] for doc in docs])
+
+
+def posterior(model, docs):
+    """``lda._posterior`` of the documents of the record ``docs``."""
+    return lda._posterior(model, docs.counts, docs.ids)
 
 
 def make_model(beta, alpha):
@@ -30,7 +41,7 @@ def em_terms(model, doc):
     """The bound and expected counts ``fit`` takes from one document: its
     E-step on a corpus of one."""
     bounds, stats = lda._em_terms(model.log_beta, model.alpha,
-                                  doc.counts[None].astype(float))
+                                  doc.counts.astype(float))
     return bounds[0], stats
 
 
@@ -48,7 +59,7 @@ class TestEStep:
     def test_k1_degenerate(self):
         model = make_model([[0.2, 0.3, 0.5]], 0.7)
         doc = bag([2, 1, 3])
-        np.testing.assert_allclose(lda._posterior(model, [doc])[0], [0.7 + 6], atol=1e-12)
+        np.testing.assert_allclose(posterior(model, doc)[0], [0.7 + 6], atol=1e-12)
         # every phi row is (1,): the expected counts are the counts
         np.testing.assert_allclose(em_terms(model, doc)[1], [[2, 1, 3]], atol=1e-12)
 
@@ -61,7 +72,7 @@ class TestEStep:
         model = make_model(beta + 1e-300, 0.1)
         symbols = [0, 1, 1, 0, 0, 1] * 4   # long enough to swamp the alpha mass
         doc = bag(np.bincount(symbols, minlength=4))
-        gamma = lda._posterior(model, [doc])[0]
+        gamma = posterior(model, doc)[0]
         frac = gamma[0] / gamma.sum()
         assert frac > 0.99
         oracle = grid_posterior_mean_theta0(0.1, beta, symbols)
@@ -70,7 +81,7 @@ class TestEStep:
     def test_symmetric_model_gives_equal_gamma(self):
         row = [0.1, 0.2, 0.3, 0.4]
         model = make_model([row, row, row], 0.5)
-        gamma = lda._posterior(model, [bag([1, 0, 2, 1])])[0]
+        gamma = posterior(model, bag([1, 0, 2, 1]))[0]
         assert np.max(np.abs(gamma - gamma[0])) < 1e-9
 
     def test_phi_rows_normalized(self):
@@ -79,9 +90,9 @@ class TestEStep:
             model, symbols, *_ , v = random_instance(rng)
             doc = bag(np.bincount(symbols, minlength=v))
             # each symbol's phi row sums to 1: its expected counts sum to its count
-            np.testing.assert_allclose(em_terms(model, doc)[1].sum(axis=0), doc.counts,
+            np.testing.assert_allclose(em_terms(model, doc)[1].sum(axis=0), doc.counts[0],
                                        atol=1e-9)
-            assert np.all(lda._posterior(model, [doc])[0] > 0)
+            assert np.all(posterior(model, doc)[0] > 0)
 
     def test_inner_elbo_monotone(self, monkeypatch):
         # the bound after i coordinate-ascent sweeps, for i = 1..30
@@ -99,19 +110,19 @@ class TestEStep:
     def test_empty_document_rejected(self):
         model = make_model([[0.5, 0.5]], 1.0)
         with pytest.raises(ValueError, match="empty"):
-            lda._posterior(model, [bag([0, 0])])
+            posterior(model, bag([0, 0]))
 
     def test_zero_mass_symbol_signalled(self):
         # symbol 1 has exactly zero mass in every topic: non-finite signal
         log_beta = np.array([[0.0, -np.inf], [0.0, -np.inf]])
         model = LdaModel(alpha=np.array([1.0, 1.0]), log_beta=log_beta)
         with pytest.raises(FloatingPointError):
-            infer_thetas(model, [bag([2, 3])])
+            infer_thetas(model, bag([2, 3]))
 
     def test_zero_mass_symbol_names_document(self):
         log_beta = np.array([[0.0, -np.inf, -np.inf], [-np.inf, -np.inf, 0.0]])
         model = LdaModel(alpha=np.array([1.0, 1.0]), log_beta=log_beta)
-        docs = [bag([2, 0, 1], "a"), bag([1, 4, 0], "b"), bag([0, 0, 3], "c")]
+        docs = bag_record([2, 0, 1], [1, 4, 0], [0, 0, 3], ids=["a", "b", "c"])
         with pytest.raises(FloatingPointError, match="'b'"):
             infer_thetas(model, docs)
 
@@ -129,13 +140,13 @@ class TestPhiFreeEStep:
             counts = np.zeros(v, dtype=np.int64)
             counts[ids] = rng.integers(1, 30, size=ids.size)
             docs.append(bag(counts, f"d{i}"))
-        return docs
+        return joined(docs)
 
     @staticmethod
     def e_step(log_beta, alpha, docs):
         """gamma (M, K) of the batched E-step on ``docs``, and the phi of
         each document it re-ran in the log domain, by row."""
-        c = np.array([doc.counts for doc in docs], dtype=float)
+        c = docs.counts.astype(float)
         gamma, _, fallback = lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c)
         return gamma, fallback
 
@@ -148,8 +159,8 @@ class TestPhiFreeEStep:
             docs = self.mixed_corpus(rng, v, 25)
             gamma, fallback = self.e_step(model.log_beta, model.alpha, docs)
             assert not fallback
-            for doc, g in zip(docs, gamma):
-                want, _ = lda_e_step(model.alpha, model.log_beta, doc.counts,
+            for counts, g in zip(docs.counts, gamma):
+                want, _ = lda_e_step(model.alpha, model.log_beta, counts,
                                      lda._GAMMA_TOL, lda._MAX_E_ITERS)
                 np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
 
@@ -164,7 +175,7 @@ class TestPhiFreeEStep:
         alpha = np.full(k, 1e-6)
         alpha[0] = 1.0
         model = LdaModel(alpha=alpha, log_beta=log_beta)
-        docs = [bag([2, 0], "a"), bag([0, 1], "b"), bag([1, 0], "c")]
+        docs = bag_record([2, 0], [0, 1], [1, 0], ids=["a", "b", "c"])
         reruns = []
         rerun = lda._log_domain_e_step
 
@@ -175,12 +186,12 @@ class TestPhiFreeEStep:
         monkeypatch.setattr(lda, "_log_domain_e_step", counted)
         gamma, fallback = self.e_step(log_beta, alpha, docs)
         assert reruns == [[1.0]] and list(fallback) == [1]
-        for doc, g in zip(docs, gamma):
-            want, _ = lda_e_step(alpha, log_beta, doc.counts,
+        for counts, g in zip(docs.counts, gamma):
+            want, _ = lda_e_step(alpha, log_beta, counts,
                                  lda._GAMMA_TOL, lda._MAX_E_ITERS)
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(fallback[1][0], np.eye(k)[1], atol=1e-12)
-        np.testing.assert_array_equal(lda._posterior(model, docs), gamma)
+        np.testing.assert_array_equal(posterior(model, docs), gamma)
 
     def test_every_document_rerun_gives_the_same_fit(self, monkeypatch):
         # an infinite floor sends every document through the log-domain
@@ -188,7 +199,7 @@ class TestPhiFreeEStep:
         rng = np.random.default_rng(31)
         beta = rng.dirichlet(np.ones(12), size=3)
         docs = generate_synthetic_lda_corpus(0.3, beta, 30, 25, seed=4)
-        bags = [to_bag(d, 12) for d in docs]
+        bags = to_bag(docs, 12)
         config = LdaConfig(seed=2)
         base = fit(bags, 3, config)
         monkeypatch.setattr(lda, "_NORM_FLOOR", np.inf)
@@ -208,16 +219,16 @@ class TestPhiFreeEStep:
             model = make_model(rng.dirichlet(np.ones(v), size=k),
                                rng.uniform(0.1, 2.0, size=k))
             docs = self.mixed_corpus(rng, v, 20)
-            c = np.array([doc.counts for doc in docs], dtype=float)
+            c = docs.counts.astype(float)
             bounds, stats = lda._em_terms(model.log_beta, model.alpha, c)
             want_stats = np.zeros((k, v))
-            for doc, bound in zip(docs, bounds):
-                gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
+            for counts, bound in zip(docs.counts, bounds):
+                gamma, phi = lda_e_step(model.alpha, model.log_beta, counts,
                                         lda._GAMMA_TOL, lda._MAX_E_ITERS)
-                want = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma, phi)
+                want = lda_phi_elbo(model.alpha, model.log_beta, counts, gamma, phi)
                 assert abs(bound - want) <= 1e-10 * abs(want)
-                ids = np.flatnonzero(doc.counts)
-                want_stats[:, ids] += (doc.counts[ids, None] * phi).T
+                ids = np.flatnonzero(counts)
+                want_stats[:, ids] += (counts[ids, None] * phi).T
             np.testing.assert_allclose(stats, want_stats, rtol=1e-12, atol=1e-12)
 
     def test_memory_does_not_grow_with_the_widest_document(self):
@@ -242,7 +253,7 @@ class TestPhiFreeEStep:
             finally:
                 tracemalloc.stop()
 
-        assert peak(narrow + [wide]) <= 2 * peak(narrow)
+        assert peak(joined(narrow + [wide])) <= 2 * peak(joined(narrow))
 
 
 class TestElbo:
@@ -270,9 +281,9 @@ class TestElbo:
         if model.num_domains == 1:
             model, symbols, *_ , v = random_instance(rng, max_k=3, max_len=4)
         doc = bag(np.bincount(symbols, minlength=v))
-        gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts,
+        gamma, phi = lda_e_step(model.alpha, model.log_beta, doc.counts[0],
                                 lda._GAMMA_TOL, lda._MAX_E_ITERS)
-        worse = lda_phi_elbo(model.alpha, model.log_beta, doc.counts, gamma * 1.1, phi)
+        worse = lda_phi_elbo(model.alpha, model.log_beta, doc.counts[0], gamma * 1.1, phi)
         assert em_terms(model, doc)[0] > worse
 
     def test_vocabulary_permutation_invariance(self):
@@ -294,13 +305,13 @@ class TestFit:
         rng = np.random.default_rng(42)
         beta = rng.dirichlet(np.full(30, 0.2), size=3)
         docs = generate_synthetic_lda_corpus(0.1, beta, 300, 150, seed=7)
-        bags = [to_bag(d, 30) for d in docs]
+        bags = to_bag(docs, 30)
         model = fit(bags, 3)
         tvs, _ = greedy_row_match(beta, np.exp(model.log_beta))
         assert tvs.max() < 0.1
 
     def test_k1_closed_form(self, monkeypatch):
-        bags = [bag([3, 0, 1]), bag([0, 2, 2])]
+        bags = bag_record([3, 0, 1], [0, 2, 2])
         monkeypatch.setattr(lda, "_SMOOTHING", 0.5)
         model = fit(bags, 1)
         counts = np.array([3.0, 2.0, 3.0]) + 0.5
@@ -311,7 +322,7 @@ class TestFit:
         rng = np.random.default_rng(5)
         beta = rng.dirichlet(np.ones(10), size=2)
         docs = generate_synthetic_lda_corpus(0.3, beta, 30, 20, seed=1)
-        bags = [to_bag(d, 10) for d in docs]
+        bags = to_bag(docs, 10)
         a = fit(bags, 2, LdaConfig(seed=9))
         b = fit(bags, 2, LdaConfig(seed=9))
         np.testing.assert_array_equal(a.log_beta, b.log_beta)
@@ -323,7 +334,7 @@ class TestFit:
             beta = rng.dirichlet(np.ones(v), size=k)
             docs = generate_synthetic_lda_corpus(
                 0.5, beta, 25, 15, seed=100 + trial)
-            model = fit([to_bag(d, v) for d in docs], k,
+            model = fit(to_bag(docs, v), k,
                         LdaConfig(seed=trial))
             diffs = np.diff(model.elbo_history)
             assert (diffs >= -1e-6 * np.abs(model.elbo_history[:-1])).all()
@@ -332,23 +343,23 @@ class TestFit:
         rng = np.random.default_rng(7)
         beta = rng.dirichlet(np.ones(8), size=2)
         docs = generate_synthetic_lda_corpus(0.5, beta, 20, 10, seed=2)
-        model = fit([to_bag(d, 8) for d in docs], 4)
+        model = fit(to_bag(docs, 8), 4)
         np.testing.assert_allclose(np.exp(model.log_beta).sum(axis=1), 1.0,
                                    atol=1e-9)
 
     def test_rejects_bad_corpus(self):
         with pytest.raises(ValueError):
-            fit([], 2)
+            fit(bag_record(), 2)
         with pytest.raises(ValueError):
-            fit([bag([1, 1])], 0)
+            fit(bag([1, 1]), 0)
         with pytest.raises(ValueError, match="empty"):
-            fit([bag([0, 0])], 2)
+            fit(bag([0, 0]), 2)
 
 
 class TestInferTheta:
     def test_k1(self):
         model = make_model([[0.5, 0.5]], 1.0)
-        np.testing.assert_allclose(infer_thetas(model, [bag([2, 1])])[0], [1.0])
+        np.testing.assert_allclose(infer_thetas(model, bag([2, 1]))[0], [1.0])
 
     def test_disjoint_support(self):
         beta = np.array([
@@ -356,25 +367,25 @@ class TestInferTheta:
             [0.0, 0.0, 0.5, 0.5],
         ])
         model = make_model(beta + 1e-300, 0.1)
-        theta = infer_thetas(model, [bag([8, 8, 0, 0])])[0]
+        theta = infer_thetas(model, bag([8, 8, 0, 0]))[0]
         assert theta[0] > 0.99 and theta[1] < 0.01
 
     def test_symmetric_uniform(self):
         row = [0.25, 0.25, 0.25, 0.25]
         model = make_model([row, row], 0.5)
-        theta = infer_thetas(model, [bag([1, 1, 0, 2])])[0]
+        theta = infer_thetas(model, bag([1, 1, 0, 2]))[0]
         np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-9)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         model, symbols, *_ , v = random_instance(rng)
-        theta = infer_thetas(model, [bag(np.bincount(symbols, minlength=v))])[0]
+        theta = infer_thetas(model, bag(np.bincount(symbols, minlength=v)))[0]
         assert abs(theta.sum() - 1.0) < 1e-9
 
     def test_empty_document_warns_uniform(self):
         model = make_model([[0.5, 0.5], [0.5, 0.5]], 1.0)
         with pytest.warns(UserWarning):
-            theta = infer_thetas(model, [bag([0, 0])])[0]
+            theta = infer_thetas(model, bag([0, 0]))[0]
         np.testing.assert_allclose(theta, [0.5, 0.5])
 
     def test_label_permutation_equivariance(self):
@@ -382,9 +393,9 @@ class TestInferTheta:
         beta = rng.dirichlet(np.ones(6), size=3)
         alpha = np.array([0.3, 0.5, 0.9])
         doc = bag([2, 0, 1, 3, 0, 1])
-        base = infer_thetas(make_model(beta, alpha), [doc])[0]
+        base = infer_thetas(make_model(beta, alpha), doc)[0]
         perm = np.array([2, 0, 1])
-        permuted = infer_thetas(make_model(beta[perm], alpha[perm]), [doc])[0]
+        permuted = infer_thetas(make_model(beta[perm], alpha[perm]), doc)[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 
 

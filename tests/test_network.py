@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import gradient_check, network_train
+from synthetic import feature_record, labelled_frames
 
 from acoustic_lda.network import (
-    FrameData,
     LdatNetwork,
     NetworkConfig,
     TrainConfig,
@@ -43,7 +43,7 @@ def random_frames(rng, n, dim, classes):
     """``n`` frames with uniform random labels, drawn (features, label) in
     turn."""
     draws = [(rng.normal(size=dim), int(rng.integers(0, classes))) for _ in range(n)]
-    return FrameData(np.array([x for x, _ in draws]), np.array([y for _, y in draws]))
+    return labelled_frames(np.array([x for x, _ in draws]), np.array([y for _, y in draws]))
 
 
 def peak_bytes(fn, *args):
@@ -60,8 +60,8 @@ def rows(net, x, domains=None):
     """The input rows ``_inputs`` builds for the frames ``x`` (one frame or
     several) and their domains, each labelled 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _inputs(net, FrameData(x, np.zeros(len(x), dtype=int),
-                                  None if domains is None else np.atleast_1d(domains)))
+    return _inputs(net, labelled_frames(x, np.zeros(len(x), dtype=int)),
+                   None if domains is None else np.atleast_1d(domains))
 
 
 def probs(net, x, domain=None):
@@ -214,17 +214,10 @@ class TestGradientCheck:
 
 
 class TestTrain:
-    def test_zero_learning_rate_no_change(self):
-        rng = np.random.default_rng(13)
-        net = small_net(rng)
-        before = [w.copy() for w in net.weights]
-        data = random_frames(rng, 64, 5, 4)
-        metrics = train(net, data, TrainConfig(epochs=3, learning_rate=0.0,
-                                               cv_fraction=0.0))
-        for w0, w1 in zip(before, net.weights):
-            np.testing.assert_array_equal(w0, w1)
-        losses = [m["train_loss"] for m in metrics]
-        assert max(losses) - min(losses) < 1e-12
+    def test_zero_learning_rate_rejected(self):
+        """A zero step would train nothing and save the initial network."""
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=0.0)
 
     def test_linearly_separable_no_hidden_layer(self):
         rng = np.random.default_rng(14)
@@ -233,7 +226,7 @@ class TestTrain:
         x = rng.normal(size=(n, 2)) + np.where(labels[:, None] == 1, 3.0, -3.0)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2,
                                          hidden_dims=(), seed=0))
-        data = FrameData(x, labels)
+        data = labelled_frames(x, labels)
         train(net, data, TrainConfig(epochs=50, learning_rate=0.5,
                                      cv_fraction=0.2, seed=1))
         acc = evaluate_accuracy(net, data)
@@ -264,19 +257,18 @@ class TestTrain:
         net = small_net(rng, domain_dim=2)
         held = net.weights[0]
         before = held.copy()
-        train(net, FrameData(rng.normal(size=(40, 5)), rng.integers(0, 4, size=40),
-                             rng.integers(0, 2, size=40)),
-              TrainConfig(epochs=2, cv_fraction=0.0))
+        train(net, labelled_frames(rng.normal(size=(40, 5)), rng.integers(0, 4, size=40)),
+              TrainConfig(epochs=2, cv_fraction=0.0), domains=rng.integers(0, 2, size=40))
         assert not np.array_equal(held, before)
         np.testing.assert_array_equal(held, net.weights[0])
 
     def test_train_memory_independent_of_input_copies(self):
         # a per-epoch copy of the inputs alone would take 4 times the bound
         rng = np.random.default_rng(24)
-        data = FrameData(rng.normal(size=(20_000, 39)), rng.integers(0, 8, size=20_000))
+        data = labelled_frames(rng.normal(size=(20_000, 39)), rng.integers(0, 8, size=20_000))
         net = init_network(NetworkConfig(input_dim=39, output_dim=8, seed=0))
         config = TrainConfig(epochs=2, cv_fraction=0.0)
-        assert peak_bytes(train, net, data, config) < data.features.nbytes / 4
+        assert peak_bytes(train, net, data, config) < data.frames.nbytes / 4
 
     @pytest.mark.parametrize("batch_size", [0, -4])
     def test_batch_size_must_be_positive(self, batch_size):
@@ -304,7 +296,7 @@ class TestTrain:
         rng = np.random.default_rng(17)
         net = init_network(NetworkConfig(input_dim=2, output_dim=2, seed=0))
         with pytest.raises(ValueError):
-            train(net, FrameData(rng.normal(size=(1, 2)), [5]), TrainConfig())
+            train(net, labelled_frames(rng.normal(size=(1, 2)), [5]), TrainConfig())
 
 
 class TestTrainMatchesOracle:
@@ -319,14 +311,14 @@ class TestTrainMatchesOracle:
         rng = np.random.default_rng(25)
         n = 83                    # 67 or 83 training frames: a ragged last batch
         domains = rng.integers(0, domain_dim, size=n) if domain_dim else None
-        data = FrameData(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n), domains)
+        data = labelled_frames(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n))
         net = small_net(rng, hidden=hidden, domain_dim=domain_dim,
                         activation=activation)
         reference = copied(net)
         config = TrainConfig(epochs=6, learning_rate=0.8, batch_size=7, seed=3,
                              cv_fraction=cv_fraction)
-        metrics = train(net, data, config)
-        assert metrics == network_train(reference, data, config)
+        metrics = train(net, data, config, domains)
+        assert metrics == network_train(reference, data, config, domains)
         for got, want in zip((*net.weights, *net.biases),
                              (*reference.weights, *reference.biases)):
             np.testing.assert_array_equal(got, want)
@@ -338,13 +330,14 @@ class TestTrainMatchesOracle:
         differently from [x | e_d] @ W.T, and this case tells them apart."""
         rng = np.random.default_rng(28)
         n = 80
-        data = FrameData(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n),
-                         rng.integers(0, 4, size=n))
+        data = labelled_frames(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
+        domains = rng.integers(0, 4, size=n)
         net = small_net(rng, input_dim=39, hidden=(64, 64), output_dim=8, domain_dim=4)
         net.weights[0][:, 39:] = rng.normal(size=(64, 4))
         reference = copied(net)
         config = TrainConfig(epochs=3, batch_size=32, seed=4, cv_fraction=0.0)
-        assert train(net, data, config) == network_train(reference, data, config)
+        assert (train(net, data, config, domains)
+                == network_train(reference, data, config, domains))
         np.testing.assert_array_equal(net.params, reference.params)
 
     def test_single_short_batch(self):
@@ -361,7 +354,7 @@ class TestEvaluate:
     def test_memory_holds_at_most_two_hidden_layers(self):
         rng = np.random.default_rng(27)
         n = 20_000
-        data = FrameData(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
+        data = labelled_frames(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
         net = init_network(NetworkConfig(input_dim=39, output_dim=8,
                                          hidden_dims=(64, 64), seed=0))
         assert peak_bytes(evaluate_accuracy, net, data) < 2.5 * n * 64 * 8
@@ -369,48 +362,53 @@ class TestEvaluate:
 
 class TestFrameData:
     def test_len_is_frame_count(self):
-        data = FrameData(np.zeros((3, 2)), [0, 1, 0], [1, 0, 1])
+        data = labelled_frames(np.zeros((3, 2)), [0, 1, 0])
         assert len(data) == 3
         assert data.labels.dtype == np.int64
-        assert data.domains.dtype == np.int64
+        net = small_net(np.random.default_rng(19), input_dim=2, domain_dim=2)
+        np.testing.assert_array_equal(_inputs(net, data, [1, 0, 1])[:, 2:],
+                                      [[0, 1], [1, 0], [0, 1]])
 
     def test_rejects_code_row_not_one_hot(self):
-        """A domain is one index >= 0 per frame: the index form of a code row
-        that must be one-hot."""
+        """A domain is one index >= 0 per document: the index form of a code
+        row that must be one-hot."""
+        net = small_net(np.random.default_rng(18), input_dim=2, domain_dim=3)
+        data = labelled_frames(np.zeros((3, 2)), [0, 1, 2])
         with pytest.raises(ValueError, match="domains must be integers"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], [0.0, 0.5, 1.0])
+            _inputs(net, data, [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="domains must be >= 0"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], [0, -1, 1])
+            _inputs(net, data, [0, -1, 1])
         with pytest.raises(ValueError, match="domains must have shape"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], np.eye(3, dtype=int))
+            _inputs(net, data, np.eye(3, dtype=int))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="labels must have shape"):
-            FrameData(np.zeros((3, 2)), [0, 1])
+            labelled_frames(np.zeros((3, 2)), [0, 1])
+        net = small_net(np.random.default_rng(18), input_dim=2, domain_dim=3)
         with pytest.raises(ValueError, match="domains must have shape"):
-            FrameData(np.zeros((3, 2)), [0, 1, 2], [0, 1])
+            _inputs(net, labelled_frames(np.zeros((3, 2)), [0, 1, 2]), [0, 1])
 
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError, match=">= 0"):
-            FrameData(np.zeros((2, 2)), [0, -1])
+            labelled_frames(np.zeros((2, 2)), [0, -1])
 
     def test_rejects_non_finite_features(self):
         with pytest.raises(ValueError, match="finite"):
-            FrameData(np.array([[0.0, np.nan]]), [0])
+            labelled_frames(np.array([[0.0, np.nan]]), [0])
 
     def test_codes_passed_to_baseline_net(self):
         rng = np.random.default_rng(20)
         net = small_net(rng)
-        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3], [0, 1, 2, 3])
+        data = labelled_frames(rng.normal(size=(4, 5)), [0, 1, 2, 3])
         with pytest.raises(ValueError, match="baseline network got domains"):
-            train(net, data, TrainConfig(epochs=1))
+            train(net, data, TrainConfig(epochs=1), domains=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="baseline network got domains"):
-            evaluate_accuracy(net, data)
+            evaluate_accuracy(net, data, [0, 1, 2, 3])
 
     def test_no_codes_passed_to_augmented_net(self):
         rng = np.random.default_rng(21)
         net = small_net(rng, domain_dim=2)
-        data = FrameData(rng.normal(size=(4, 5)), [0, 1, 2, 3])
+        data = labelled_frames(rng.normal(size=(4, 5)), [0, 1, 2, 3])
         with pytest.raises(ValueError, match="needs a domain"):
             train(net, data, TrainConfig(epochs=1))
         with pytest.raises(ValueError, match="needs a domain"):
@@ -419,11 +417,17 @@ class TestFrameData:
     def test_code_width_checked_against_net(self):
         rng = np.random.default_rng(22)
         net = small_net(rng, domain_dim=2)
-        data = FrameData(rng.normal(size=(3, 5)), [0, 1, 2], [0, 1, 2])
+        data = labelled_frames(rng.normal(size=(3, 5)), [0, 1, 2])
         with pytest.raises(ValueError, match="domain 2 out of range"):
-            evaluate_accuracy(net, data)
+            evaluate_accuracy(net, data, [0, 1, 2])
         with pytest.raises(ValueError, match="domain 2 out of range"):
-            train(net, data, TrainConfig(epochs=1))
+            train(net, data, TrainConfig(epochs=1), domains=[0, 1, 2])
+
+    def test_dataset_must_be_labelled_frames(self):
+        rng = np.random.default_rng(29)
+        net = small_net(rng)
+        with pytest.raises(TypeError, match="labelled Frames"):
+            train(net, feature_record(rng.normal(size=(4, 5))), TrainConfig(epochs=1))
 
 
 class TestSerialization:
