@@ -11,6 +11,7 @@ or writes. Every input is json or jsonl; csv is only written:
 
   assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
                   "map_domain", "weight"}, one K (theta length) per file
+                  and unique ids; it loads as one ``domains.Assignments``
   filter output   jsonl, a ``_meta`` line with the filter's cutoff and
                   histogram, then {"id"} per kept document (``--keep-ids``)
   metrics         csv ``epoch,train_loss,cv_accuracy``
@@ -19,9 +20,9 @@ or writes. Every input is json or jsonl; csv is only written:
 document's ``map_domain``; the network turns it into the one-hot UBIC.
 ``eval`` requires the assignments' K to be the network's domain dim.
 
-Exit codes: 0 success, 1 data error, 2 bad flags or manifest. Logs go to
-stderr; data goes to files, or to stdout for the scalars of ``entropy`` and
-``eval``.
+Exit codes: 0 success, 1 data error (a size too large to allocate is one),
+2 bad flags or manifest. Logs go to stderr; data goes to files, or to stdout
+for the scalars of ``entropy`` and ``eval``.
 
 A manifest file (``--manifest``) may supply per-stage flag defaults and a
 global seed; explicit flags win over the manifest, which wins over the
@@ -42,10 +43,12 @@ from . import corpus, domains, formats, gmm, lda, network
 __all__ = ["main"]
 
 
-def _load_assignments(path):
-    """Assignment records {id, theta, map_domain, weight?} as
-    DomainAssignments, with one K (length of theta) for the whole file."""
-    k = 0
+def _load_assignments(path) -> domains.Assignments:
+    """An assignments file as one ``domains.Assignments`` record. Each line
+    is checked as a one-document record, and for its ``map_domain``, an id
+    no earlier line holds and the earlier lines' K (length of theta); its
+    faults are raised naming its ``file:line``."""
+    docs, k = {}, 0   # id -> the line's one-document record, in file order
 
     def build(obj):
         nonlocal k
@@ -58,27 +61,35 @@ def _load_assignments(path):
         # a finite number; the bound also keeps an integer within float range
         if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
             raise ValueError("'weight' must be a finite number")
-        record = domains.DomainAssignment(doc_id=obj["id"], theta=theta,
-                                          map_domain=map_domain, weight=float(weight))
+        doc = domains.Assignments(ids=[obj["id"]], thetas=theta[None],
+                                  weights=[float(weight)])
+        if map_domain != int(doc.map_domains[0]):
+            raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
+        if obj["id"] in docs:
+            raise ValueError(f"duplicate document id {obj['id']!r}")
         if k and theta.size != k:
             raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
+        docs[obj["id"]] = doc
         k = theta.size
-        return record
-    return formats.read_jsonl(path, build)
+
+    formats.read_jsonl(path, build)
+    return domains.Assignments(
+        ids=list(docs), weights=[doc.weights[0] for doc in docs.values()],
+        thetas=np.reshape([doc.thetas[0] for doc in docs.values()], (len(docs), k)))
 
 
 def _doc_domains(record, assignments):
     """The MAP domain of each document of the labelled frames ``record``,
-    (M,), from ``assignments``, or None without them."""
+    (M,), from the record ``assignments``, or None without them."""
     if not record.num_frames:
         raise corpus.CorpusError("no labelled frames")
     if assignments is None:
         return None
-    domain_of = {a.doc_id: a.map_domain for a in assignments}
+    row_of = {doc_id: i for i, doc_id in enumerate(assignments.ids)}
     for doc_id in record.ids:
-        if doc_id not in domain_of:
+        if doc_id not in row_of:
             raise KeyError(f"no domain assignment for document {doc_id!r}")
-    return np.array([domain_of[doc_id] for doc_id in record.ids], dtype=np.int64)
+    return assignments.map_domains[[row_of[doc_id] for doc_id in record.ids]]
 
 
 def _cmd_train_gmm(args):
@@ -116,13 +127,13 @@ def _cmd_assign(args):
     model = lda.load_lda(args.model)
     bags = corpus.load_bags(args.bags)
     assignments = domains.assign(model, bags)
-    records = [
-        {"id": a.doc_id, "theta": a.theta.tolist(),
-         "map_domain": a.map_domain, "weight": a.weight}
-        for a in assignments
-    ]
-    formats.write_jsonl(args.out, records, meta={"seed": args.seed})
-    print(f"assigned {len(records)} documents", file=sys.stderr)
+    formats.write_jsonl(args.out, (
+        {"id": doc_id, "theta": theta, "map_domain": map_domain, "weight": weight}
+        for doc_id, theta, map_domain, weight
+        in zip(assignments.ids, assignments.thetas.tolist(),
+               assignments.map_domains.tolist(), assignments.weights.tolist())),
+        meta={"seed": args.seed})
+    print(f"assigned {len(assignments)} documents", file=sys.stderr)
 
 
 def _cmd_entropy(args):
@@ -139,7 +150,7 @@ def _cmd_filter(args):
     if args.target_weight is not None:
         target = args.target_weight
     else:
-        target = args.target_frac * sum(a.weight for a in assign_a)
+        target = args.target_frac * sum(assign_a.weights.tolist())
     result = domains.cross_agreement_filter(assign_a, assign_b, target)
     meta = {
         "seed": args.seed,
@@ -171,7 +182,7 @@ def _cmd_augment_train(args):
     output_dim = int(record.labels.max()) + 1
     if args.classes is not None:
         output_dim = args.classes
-    domain_dim = assignments[0].num_domains if assignments else 0
+    domain_dim = assignments.num_domains if assignments is not None else 0
 
     if args.baseline_net:
         baseline = network.load_network(args.baseline_net)
@@ -205,8 +216,8 @@ def _cmd_eval(args):
     record = corpus.load_labeled_frames(args.data)
     assignments = _load_assignments(args.assignments) if args.assignments else None
     doc_domains = _doc_domains(record, assignments)
-    if assignments and net.domain_dim and assignments[0].num_domains != net.domain_dim:
-        raise ValueError(f"assignments have K={assignments[0].num_domains} != "
+    if assignments and net.domain_dim and assignments.num_domains != net.domain_dim:
+        raise ValueError(f"assignments have K={assignments.num_domains} != "
                          f"network domain dim {net.domain_dim}")
     accuracy = network.evaluate_accuracy(net, record, doc_domains)
     print(f"{accuracy:.6f}")
@@ -390,7 +401,7 @@ def main(argv=None) -> int:
             return 2
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError, MemoryError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1

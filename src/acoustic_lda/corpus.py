@@ -39,6 +39,7 @@ from . import formats
 __all__ = [
     "CorpusError",
     "read_only",
+    "check_unique_ids",
     "Frames",
     "SymbolDocument",
     "Bags",
@@ -244,7 +245,8 @@ def to_bag(docs: Sequence[SymbolDocument], vocab_size: int) -> Bags:
                 counts=_frozen(counts))
 
 
-def _check_unique_ids(ids: Sequence[str]) -> None:
+def check_unique_ids(ids: Sequence[str]) -> None:
+    """Raise CorpusError naming the first id that an earlier one repeats."""
     seen = set()
     for doc_id in ids:
         if doc_id in seen:
@@ -291,7 +293,7 @@ def read_features(path, each) -> list:
         return doc_id, group, len(frames)
 
     docs = formats.read_jsonl(path, build)
-    _check_unique_ids([doc_id for doc_id, _, _ in docs])
+    check_unique_ids([doc_id for doc_id, _, _ in docs])
     for fault in (doc_fault, each_fault):
         if fault is not None:
             raise fault
@@ -355,7 +357,7 @@ def load_symbols(path) -> list[SymbolDocument]:
     docs = formats.read_jsonl(path, lambda obj: SymbolDocument(
         id=obj["id"], group=obj.get("group"),
         symbols=formats.json_ints(obj.get("symbols"), "symbols")))
-    _check_unique_ids([doc.id for doc in docs])
+    check_unique_ids([doc.id for doc in docs])
     return docs
 
 
@@ -383,7 +385,7 @@ def load_bags(path) -> Bags:
         return bag.ids[0], bag.groups[0]
 
     docs = formats.read_jsonl(path, build)
-    _check_unique_ids([doc_id for doc_id, _ in docs])
+    check_unique_ids([doc_id for doc_id, _ in docs])
     return Bags(ids=[doc_id for doc_id, _ in docs], groups=[group for _, group in docs],
                 counts=rows.frozen())
 

@@ -1,82 +1,82 @@
 """Hard domain assignment, entropy diagnostics and the two-model
-cross-agreement filter with histogram pruning. A document's MAP domain is
+cross-agreement filter with histogram pruning, on one record per corpus,
+``Assignments``, as bags are one ``corpus.Bags``. A document's MAP domain is
 the index its frames carry into the classifier, where the network turns it
 into the one-hot UBIC."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import formats
-from .corpus import Bags
+from .corpus import Bags, check_unique_ids, read_only
 from .lda import LdaModel, infer_thetas
 
-__all__ = ["DomainAssignment", "FilterResult", "assign",
+__all__ = ["Assignments", "FilterResult", "assign",
            "average_domain_entropy", "cross_agreement_filter",
            "distribution_stats", "write_stats_csv"]
 
 
 @dataclass(frozen=True)
-class DomainAssignment:
-    """MAP domain of one document plus its full posterior and a weight used
-    for aggregation (token count, standing in for duration). It holds a
-    read-only copy of the theta it is given."""
+class Assignments:
+    """A corpus's domain assignments: document i is ``ids[i]``, unique, with
+    its posterior over K domains in row i of the (M, K) ``thetas``, >= 0 and
+    summing to 1, and the weight ``weights[i]`` >= 0 used for aggregation
+    (its token count, standing in for duration). ``map_domains`` (M,) is each
+    row's argmax, so an exact tie goes to the lowest index. The arrays are
+    read-only (``read_only``). ``len()`` is the document count M."""
 
-    doc_id: str
-    theta: np.ndarray
-    map_domain: int
-    weight: float = 1.0
+    ids: tuple
+    thetas: np.ndarray
+    weights: np.ndarray
+    map_domains: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        if theta.size and theta.min() < 0:
-            raise ValueError(f"document {self.doc_id!r}: theta must not be negative")
-        if abs(theta.sum() - 1.0) > 1e-9:
-            raise ValueError(f"document {self.doc_id!r}: theta must sum to 1")
-        if self.map_domain != int(np.argmax(theta)):
-            raise ValueError(
-                f"document {self.doc_id!r}: map_domain is not argmax(theta)"
-            )
-        if self.weight < 0:
-            raise ValueError(f"document {self.doc_id!r}: negative weight")
+        ids = tuple(self.ids)
+        thetas, weights = read_only(self.thetas, float), read_only(self.weights, float)
+        if not (thetas.ndim == 2 and len(thetas) == len(ids) and weights.shape == (len(ids),)):
+            raise ValueError(f"thetas {thetas.shape} and weights {weights.shape} "
+                             f"must be M x K and M, for M ids")
+        for bad, message in (((thetas < 0).any(axis=1), "theta must not be negative"),
+                             (abs(thetas.sum(axis=1) - 1.0) > 1e-9, "theta must sum to 1"),
+                             (weights < 0, "negative weight")):
+            if bad.any():
+                raise ValueError(f"document {ids[np.argmax(bad)]!r}: {message}")
+        check_unique_ids(ids)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "map_domains",
+                           read_only(thetas.argmax(axis=1) if len(ids) else [], np.int64))
+
+    def __len__(self) -> int:
+        return self.thetas.shape[0]
 
     @property
     def num_domains(self) -> int:
-        return self.theta.shape[0]
+        return self.thetas.shape[1]
 
 
-def assign(model: LdaModel, corpus: Bags) -> list[DomainAssignment]:
-    """Infer theta for every document and take the MAP domain.
-
-    np.argmax breaks exact ties toward the lowest index, matching the stated
-    tie rule. The weight is the document's token count.
-    """
+def assign(model: LdaModel, corpus: Bags) -> Assignments:
+    """Infer theta for every document and take the MAP domain. The weight is
+    the document's token count."""
     if not len(corpus):
         raise ValueError("corpus is empty")
-    thetas = infer_thetas(model, corpus)
-    return [
-        DomainAssignment(doc_id=doc_id, theta=theta, map_domain=int(np.argmax(theta)),
-                         weight=float(total))
-        for doc_id, theta, total in zip(corpus.ids, thetas, corpus.counts.sum(axis=1))
-    ]
+    return Assignments(ids=corpus.ids, thetas=infer_thetas(model, corpus),
+                       weights=corpus.counts.sum(axis=1))
 
 
-def average_domain_entropy(
-    assignments: Sequence[DomainAssignment], unit: str = "bits"
-) -> float:
+def average_domain_entropy(assignments: Assignments, unit: str = "bits") -> float:
     """Mean posterior entropy over documents, in bits (default) or nats."""
-    if not assignments:
+    if not len(assignments):
         raise ValueError("no assignments")
     if unit not in ("bits", "nats"):
         raise ValueError(f"unknown entropy unit {unit!r}")
     total = 0.0
-    for a in assignments:
-        theta = a.theta
+    for theta in assignments.thetas:
         nz = theta[theta > 0]
         total += float(-(nz * np.log(nz)).sum())
     mean_nats = total / len(assignments)
@@ -92,11 +92,8 @@ class FilterResult:
     total_weight: float
 
 
-def cross_agreement_filter(
-    assign_a: Sequence[DomainAssignment],
-    assign_b: Sequence[DomainAssignment],
-    target_weight: float,
-) -> FilterResult:
+def cross_agreement_filter(assign_a: Assignments, assign_b: Assignments,
+                           target_weight: float) -> FilterResult:
     """Histogram pruning over the Cartesian product of two domain mappings.
 
     Each document contributes its weight to the (model-A MAP domain, model-B
@@ -104,57 +101,49 @@ def cross_agreement_filter(
     index ascending) and documents are kept from the top tuples until the
     cumulative kept weight first reaches ``target_weight``.
     """
-    if not assign_a or not assign_b:
+    if not len(assign_a) or not len(assign_b):
         raise ValueError("no assignments to filter")
     if not target_weight > 0:
         raise ValueError("target_weight must be positive")
     if not target_weight < np.inf:
         raise ValueError("target_weight must be finite")
-    by_id_b = {a.doc_id: a for a in assign_b}
-    ids_a = [a.doc_id for a in assign_a]
-    if set(ids_a) != set(by_id_b) or len(ids_a) != len(assign_b):
+    row_b = {doc_id: i for i, doc_id in enumerate(assign_b.ids)}
+    if set(assign_a.ids) != set(row_b):
         raise ValueError("assignment lists cover different document sets")
 
-    k_b = assign_b[0].num_domains
-    pair_of = {}
-    weights = {}
-    total_weight = 0.0
-    for a in assign_a:
-        b = by_id_b[a.doc_id]
-        pair = (a.map_domain, b.map_domain)
-        pair_of[a.doc_id] = pair
-        weights[pair] = weights.get(pair, 0.0) + a.weight
-        total_weight += a.weight
+    # each document's flat tuple index, domain_a * K_b + domain_b, in a's order
+    k_b = assign_b.num_domains
+    pairs = (assign_a.map_domains * k_b
+             + assign_b.map_domains[[row_b[doc_id] for doc_id in assign_a.ids]])
+    # np.bincount adds the weights one at a time, in input order
+    weights = np.bincount(pairs, assign_a.weights).tolist()
+    total_weight = float(np.bincount(np.zeros_like(pairs), assign_a.weights)[0])
     if target_weight > total_weight + 1e-12:
         raise ValueError("target_weight exceeds the total corpus weight")
 
+    seen = np.unique(pairs).tolist()
     # rank by weight descending, ties by flat tuple index ascending
-    ranked = sorted(weights, key=lambda p: (-weights[p], p[0] * k_b + p[1]))
+    ranked = sorted(seen, key=lambda p: (-weights[p], p))
     kept_tuples = set()
     kept_weight = 0.0
-    cutoff = None
     for pair in ranked:
         kept_tuples.add(pair)
         kept_weight += weights[pair]
-        cutoff = (pair, weights[pair] / total_weight)
         if kept_weight >= target_weight:
             break
 
-    kept_ids = [doc_id for doc_id in ids_a if pair_of[doc_id] in kept_tuples]
     return FilterResult(
-        kept_ids=kept_ids,
-        tuple_histogram=dict(weights),
-        cutoff=cutoff,
+        kept_ids=[doc_id for doc_id, p in zip(assign_a.ids, pairs.tolist())
+                  if p in kept_tuples],
+        tuple_histogram={divmod(p, k_b): weights[p] for p in seen},
+        cutoff=(divmod(pair, k_b), weights[pair] / total_weight),
         kept_weight=kept_weight,
         total_weight=total_weight,
     )
 
 
-def distribution_stats(
-    assignments: Sequence[DomainAssignment],
-    group_of: Mapping[str, str],
-    top_n: int,
-) -> list[tuple[str, str, float]]:
+def distribution_stats(assignments: Assignments, group_of: Mapping[str, str],
+                       top_n: int) -> list[tuple[str, str, float]]:
     """Per-group weight of the top-N domains, remaining domains as "other".
 
     Domains are ranked by total weight across all groups; rows come out
@@ -163,37 +152,31 @@ def distribution_stats(
     """
     if top_n < 0:
         raise ValueError("top_n must be >= 0")
-    totals: dict[int, float] = {}
-    table: dict[tuple[str, int], float] = {}
-    for a in assignments:
-        if a.doc_id not in group_of:
-            raise KeyError(f"document {a.doc_id!r} has no group mapping")
-        group = group_of[a.doc_id]
-        totals[a.map_domain] = totals.get(a.map_domain, 0.0) + a.weight
-        key = (group, a.map_domain)
-        table[key] = table.get(key, 0.0) + a.weight
-
-    ranked = sorted(totals, key=lambda d: (-totals[d], d))
-    top = ranked[:top_n]
-    rank_of = {d: i for i, d in enumerate(top)}
-    groups = sorted({g for g, _ in table})
+    for doc_id in assignments.ids:
+        if doc_id not in group_of:
+            raise KeyError(f"document {doc_id!r} has no group mapping")
+    groups = sorted({group_of[doc_id] for doc_id in assignments.ids})
+    k, row = assignments.num_domains, {group: i for i, group in enumerate(groups)}
+    # each document's flat (group, domain) cell, group * K + domain
+    cells = (np.array([row[group_of[doc_id]] for doc_id in assignments.ids], dtype=np.int64)
+             * k + assignments.map_domains)
+    # np.bincount adds the weights one at a time, in input order
+    totals = np.bincount(assignments.map_domains, assignments.weights, minlength=k)
+    table = np.bincount(cells, assignments.weights, minlength=len(groups) * k)
+    # ranked by total weight descending, ties by domain ascending
+    top = np.argsort(-totals, kind="stable")[:top_n].tolist()
+    # a group's "other" adds its cells outside the top in the order they first appear
+    seen, first = np.unique(cells, return_index=True)
+    others = seen[np.argsort(first)]
+    others = others[~np.isin(others % k, top)]
+    other = np.bincount(others // k, table[others], minlength=len(groups)).tolist()
+    table = table.tolist()
 
     rows: list[tuple[str, str, float]] = []
-    for group in groups:
-        top_weights = {d: 0.0 for d in top}
-        other = 0.0
-        for (g, d), w in table.items():
-            if g != group:
-                continue
-            if d in rank_of:
-                top_weights[d] += w
-            else:
-                other += w
-        for d in top:
-            if top_weights[d] > 0:
-                rows.append((group, str(d), top_weights[d]))
-        if other > 0:
-            rows.append((group, "other", other))
+    for i, group in enumerate(groups):
+        rows += [(group, str(d), table[i * k + d]) for d in top if table[i * k + d] > 0]
+        if other[i] > 0:
+            rows.append((group, "other", other[i]))
     return rows
 
 

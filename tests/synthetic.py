@@ -5,6 +5,7 @@ same symbol sequences on any platform."""
 import numpy as np
 
 from acoustic_lda.corpus import Bags, Frames, SymbolDocument
+from acoustic_lda.domains import Assignments
 
 
 def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
@@ -72,3 +73,13 @@ def bag_record(*counts, ids=None, groups=None):
     ids = [f"d{i}" for i in range(len(counts))] if ids is None else ids
     return Bags(ids=ids, groups=[None] * len(counts) if groups is None else groups,
                 counts=np.array(counts if counts else np.empty((0, 0)), dtype=np.int64))
+
+
+def assignments_record(*thetas, weights=None, ids=None, k=2):
+    """A ``domains.Assignments`` record of documents with these posteriors,
+    of weight 1 unless ``weights`` are given, named d0, d1, ... unless
+    ``ids`` are given; with no posteriors, an empty record of K = ``k``."""
+    ids = [f"d{i}" for i in range(len(thetas))] if ids is None else ids
+    return Assignments(ids=ids, thetas=np.array(thetas, dtype=float) if thetas
+                       else np.empty((0, k)),
+                       weights=np.ones(len(thetas)) if weights is None else weights)

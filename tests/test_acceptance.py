@@ -17,7 +17,8 @@ from oracles import (
     greedy_row_match,
     prefix_filter_oracle,
 )
-from synthetic import feature_record, generate_synthetic_lda_corpus, labelled_frames
+from synthetic import (assignments_record, feature_record, generate_synthetic_lda_corpus,
+                       labelled_frames)
 
 
 def report(number, name, ok=True):
@@ -42,8 +43,8 @@ def test_01_lda_recovery():
     fitted_to_true = {fitted: true for true, fitted in enumerate(perm)}
     assignments = domains.assign(model, bags)
     agree = np.mean([
-        fitted_to_true[a.map_domain] == generating[i]
-        for i, a in enumerate(assignments)
+        fitted_to_true[domain] == generating[i]
+        for i, domain in enumerate(assignments.map_domains.tolist())
     ])
     elapsed = time.time() - start
     assert agree >= 0.90, f"MAP agreement {agree:.3f}"
@@ -258,24 +259,21 @@ def test_09_cross_agreement_filter():
         k_a = int(rng.integers(2, 6))
         k_b = int(rng.integers(2, 7))
         n = int(rng.integers(10, 60))
-        assign_a, assign_b = [], []
+        weights, thetas_a, thetas_b = [], [], []
         for i in range(n):
-            w = float(rng.uniform(0.5, 4.0))
-            ta = rng.dirichlet(np.ones(k_a))
-            tb = rng.dirichlet(np.ones(k_b))
-            assign_a.append(domains.DomainAssignment(
-                doc_id=f"d{i}", theta=ta, map_domain=int(np.argmax(ta)), weight=w))
-            assign_b.append(domains.DomainAssignment(
-                doc_id=f"d{i}", theta=tb, map_domain=int(np.argmax(tb)), weight=w))
-        total = sum(a.weight for a in assign_a)
+            weights.append(float(rng.uniform(0.5, 4.0)))
+            thetas_a.append(rng.dirichlet(np.ones(k_a)))
+            thetas_b.append(rng.dirichlet(np.ones(k_b)))
+        assign_a = assignments_record(*thetas_a, weights=weights)
+        assign_b = assignments_record(*thetas_b, weights=weights)
+        total = sum(assign_a.weights.tolist())
         target = float(rng.uniform(0.3, 0.95)) * total
         result = domains.cross_agreement_filter(assign_a, assign_b, target)
 
-        pairs = [((a.map_domain, b.map_domain), a.weight)
-                 for a, b in zip(assign_a, assign_b)]
-        oracle_tuples = prefix_filter_oracle(pairs, k_b, target)
-        oracle_ids = {a.doc_id for a, b in zip(assign_a, assign_b)
-                      if (a.map_domain, b.map_domain) in oracle_tuples}
+        pairs = list(zip(assign_a.map_domains.tolist(), assign_b.map_domains.tolist()))
+        oracle_tuples = prefix_filter_oracle(list(zip(pairs, weights)), k_b, target)
+        oracle_ids = {doc_id for doc_id, pair in zip(assign_a.ids, pairs)
+                      if pair in oracle_tuples}
         assert set(result.kept_ids) == oracle_ids
         assert result.kept_weight >= target
         cutoff_weight = result.tuple_histogram[result.cutoff[0]]
@@ -284,15 +282,12 @@ def test_09_cross_agreement_filter():
     # tuple space is the Cartesian product of the two domain inventories
     assert 64 * 128 == 8192
     rng = np.random.default_rng(99)
-    assign_a, assign_b = [], []
+    thetas_a, thetas_b = [], []
     for i in range(2000):
-        ta = rng.dirichlet(np.ones(4))
-        tb = rng.dirichlet(np.ones(8))
-        assign_a.append(domains.DomainAssignment(
-            doc_id=f"d{i}", theta=ta, map_domain=int(np.argmax(ta))))
-        assign_b.append(domains.DomainAssignment(
-            doc_id=f"d{i}", theta=tb, map_domain=int(np.argmax(tb))))
-    result = domains.cross_agreement_filter(assign_a, assign_b, 2000.0)
+        thetas_a.append(rng.dirichlet(np.ones(4)))
+        thetas_b.append(rng.dirichlet(np.ones(8)))
+    result = domains.cross_agreement_filter(assignments_record(*thetas_a),
+                                            assignments_record(*thetas_b), 2000.0)
     assert len(result.tuple_histogram) == 4 * 8
     report(9, "cross-agreement filter matches prefix oracle on 50 pairs; "
               "4x8 tuple space fully populated")

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from acoustic_lda import cli, corpus, gmm, network
 from acoustic_lda.cli import _doc_domains, main
-from acoustic_lda.domains import DomainAssignment
 from acoustic_lda.network import NetworkConfig, init_network, save_network
-from synthetic import bag_record, feature_record
+from synthetic import assignments_record, bag_record, feature_record
 
 
 @pytest.fixture
@@ -206,11 +205,8 @@ class TestFrameDataset:
         record = corpus.load_labeled_frames(data)
         assert record.ids == ("empty", "b", "c")
         assert record.frames[record.offsets[0]:record.offsets[1]].shape == (0, 2)
-        assignments = [
-            DomainAssignment(doc_id="c", theta=[0.6, 0.3, 0.1], map_domain=0),
-            DomainAssignment(doc_id="b", theta=[0.1, 0.2, 0.7], map_domain=2),
-            DomainAssignment(doc_id="empty", theta=[0.2, 0.7, 0.1], map_domain=1),
-        ]
+        assignments = assignments_record([0.6, 0.3, 0.1], [0.1, 0.2, 0.7], [0.2, 0.7, 0.1],
+                                         ids=["c", "b", "empty"])
         doc_domains = _doc_domains(record, assignments)
         assert _doc_domains(record, None) is None
         np.testing.assert_array_equal(doc_domains, [1, 2, 0])
@@ -274,33 +270,70 @@ def two_document_frames(path):
                     + json.dumps({"id": "d1", "frames": [[1.0, 0.0]], "labels": [1]}) + "\n")
 
 
+def argv_reading_assignments(tmp_path, command, assign):
+    """Argv for ``command`` reading the assignments file ``assign`` for two
+    documents d0 and d1 of K=2, with its other inputs written to
+    ``tmp_path`` and its output to ``tmp_path``/out*."""
+    other, data = tmp_path / "other.jsonl", tmp_path / "data.jsonl"
+    bags, net = tmp_path / "bags.jsonl", tmp_path / "net.json"
+    other.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+    two_document_frames(data)
+    bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n"
+                    + json.dumps({"id": "d1", "group": "b", "counts": [2, 1]}) + "\n")
+    save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2, domain_dim=2)))
+    return [command, *{
+        "augment-train": ["--data", data, "--assignments", assign,
+                          "--out", tmp_path / "out.json"],
+        "eval": ["--net", net, "--data", data, "--assignments", assign],
+        "filter": ["--assign-a", assign, "--assign-b", other, "--target-frac", 0.5,
+                   "--out", tmp_path / "out.jsonl"],
+        "stats": ["--assignments", assign, "--bags", bags, "--out", tmp_path / "out.csv"],
+    }[command]]
+
+
 class TestAssignmentsK:
     @pytest.mark.parametrize("command", ["augment-train", "eval", "filter", "stats"])
     def test_two_k_file_exit_1(self, tmp_path, capsys, command):
         """A theta whose length differs from earlier lines is a fault of its
         line, whichever subcommand reads the file."""
-        assign, other = tmp_path / "assign.jsonl", tmp_path / "other.jsonl"
+        assign = tmp_path / "assign.jsonl"
         assign.write_text(assignments_text([0.25, 0.75], [0.6, 0.3, 0.1]))
-        other.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
-        data, bags, net = tmp_path / "data.jsonl", tmp_path / "bags.jsonl", tmp_path / "net.json"
-        two_document_frames(data)
-        bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n"
-                        + json.dumps({"id": "d1", "group": "b", "counts": [2, 1]}) + "\n")
-        save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2,
-                                                     domain_dim=2)))
-        argv = {
-            "augment-train": ["--data", data, "--assignments", assign,
-                              "--out", tmp_path / "out.json"],
-            "eval": ["--net", net, "--data", data, "--assignments", assign],
-            "filter": ["--assign-a", assign, "--assign-b", other, "--target-frac", 0.5,
-                       "--out", tmp_path / "out.jsonl"],
-            "stats": ["--assignments", assign, "--bags", bags, "--out", tmp_path / "out.csv"],
-        }[command]
-        assert run(command, *argv) == 1
+        assert run(*argv_reading_assignments(tmp_path, command, assign)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
         assert f"{assign}:2: 'theta' has 3 domains, earlier lines 2" in err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["augment-train", "eval", "filter", "stats"])
+    def test_repeated_id_exit_1(self, tmp_path, capsys, command):
+        """An id that an earlier line holds is a fault of its line: the
+        document would otherwise count twice, or take the last line's
+        domain."""
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text(assignments_text([0.25, 0.75], [0.75, 0.25])
+                          + json.dumps({"id": "d0", "theta": [0.75, 0.25],
+                                        "map_domain": 0}) + "\n")
+        assert run(*argv_reading_assignments(tmp_path, command, assign)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert f"{assign}:3: duplicate document id 'd0'" in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["augment-train", "eval", "stats"])
+    def test_empty_file(self, tmp_path, capsys, command):
+        """An assignments file with no documents leaves every document of
+        the labelled frames without a domain; ``stats`` has no rows to
+        write."""
+        assign = tmp_path / "assign.jsonl"
+        assign.write_text('{"_meta": {"seed": 0}}\n')
+        code = run(*argv_reading_assignments(tmp_path, command, assign))
+        if command == "stats":
+            assert code == 0
+            assert (tmp_path / "out.csv").read_bytes() == b"group,domain,weight\r\n"
+        else:
+            assert code == 1
+            assert "no domain assignment for document 'd0'" in capsys.readouterr().err
+            assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("k_file, k_net, code", [(2, 3, 1), (3, 2, 1), (3, 3, 0)])
     def test_eval_k_must_be_the_network_domain_dim(self, tmp_path, capsys,
@@ -650,6 +683,8 @@ class TestContracts:
         # orjson reads this integer as a float; the verdict is the same
         pytest.param('{"id": "d0", "theta": [1.0], "map_domain": 18446744073709551616}',
                      "map_domain", id="map-beyond-64-bits"),
+        pytest.param('{"id": "d1", "theta": [0.25, 0.75], "map_domain": 1}',
+                     "duplicate document id 'd1'", id="repeated-id"),
     ])
     def test_bad_assignment_record_exit_1(self, tmp_path, capsys, line, message):
         good = json.dumps({"id": "d1", "theta": [0.25, 0.75], "map_domain": 1})
@@ -889,6 +924,21 @@ class TestContracts:
                    "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-lda", "augment-train"])
+    def test_impossible_size_exit_1(self, tmp_path, capsys, command):
+        """A size no machine can allocate is a data error: numpy refuses the
+        first array of that size before allocating any of it."""
+        bags, data, out = tmp_path / "bags.jsonl", tmp_path / "data.jsonl", tmp_path / "out"
+        corpus.save_bags(bags, bag_record([1, 2], [2, 1]))
+        two_document_frames(data)
+        huge = 10**17
+        argv = {"train-lda": ["--bags", bags, "--k", huge, "--out", out],
+                "augment-train": ["--data", data, "--hidden", huge, "--out", out]}[command]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "\n" not in err.strip()
         assert not out.exists()
 
     def test_overflowing_filter_weights_exit_1_and_leave_no_file(self, tmp_path, capsys):

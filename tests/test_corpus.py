@@ -15,7 +15,7 @@ from acoustic_lda.corpus import (
     save_features,
     to_bag,
 )
-from acoustic_lda.domains import DomainAssignment
+from acoustic_lda.domains import Assignments
 from acoustic_lda.lda import LdaModel
 from synthetic import bag_record, feature_record, generate_synthetic_lda_corpus
 
@@ -195,8 +195,8 @@ class TestIntegerFields:
                  [[3, 0, 1]], -5, id="Bags"),
     pytest.param(lambda a: LdaModel(alpha=a, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]])),
                  "alpha", [0.5, 0.5], -3.0, id="LdaModel"),
-    pytest.param(lambda a: DomainAssignment(doc_id="d", theta=a, map_domain=0), "theta",
-                 [0.7, 0.3], 0.0, id="DomainAssignment"),
+    pytest.param(lambda a: Assignments(ids=["d"], thetas=a, weights=[1.0]), "thetas",
+                 [[0.7, 0.3]], 0.0, id="Assignments"),
     pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 2],
                                   frames=np.zeros((2, 1)), labels=a),
                  "labels", [0, 1], -1, id="Frames-labels"),

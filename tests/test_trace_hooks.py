@@ -44,7 +44,8 @@ def write_inputs(d):
 def test_trace_counts_match_the_inputs(tmp_path, tracing):
     features, data = write_inputs(tmp_path)
     p = {name: tmp_path / name for name in
-         ("gmm.json", "symbols.jsonl", "bags.jsonl", "lda.json", "assign.jsonl", "net.json")}
+         ("gmm.json", "symbols.jsonl", "bags.jsonl", "lda.json", "assign.jsonl",
+          "filter.jsonl", "stats.csv", "net.json")}
     originals = {(m, f): getattr(getattr(acoustic_lda, m), f)
                  for m, names in tracing.TRACED.items() for f in names}
     tracer = tracing.Tracer()
@@ -59,6 +60,10 @@ def test_trace_counts_match_the_inputs(tmp_path, tracing):
                  "--max-em-iters", 4, "--out", p["lda.json"]],
                 ["assign", "--model", p["lda.json"], "--bags", p["bags.jsonl"],
                  "--out", p["assign.jsonl"]],
+                ["filter", "--assign-a", p["assign.jsonl"], "--assign-b", p["assign.jsonl"],
+                 "--target-frac", 0.5, "--out", p["filter.jsonl"]],
+                ["stats", "--assignments", p["assign.jsonl"], "--bags", p["bags.jsonl"],
+                 "--out", p["stats.csv"]],
                 ["augment-train", "--data", data, "--assignments", p["assign.jsonl"],
                  "--hidden", 4, "--epochs", EPOCHS, "--out", p["net.json"]],
                 ["eval", "--net", p["net.json"], "--data", data,
@@ -78,8 +83,9 @@ def test_trace_counts_match_the_inputs(tmp_path, tracing):
     assert [s["em_iters"] for s in spans("lda.fit")] == [4]
     assert [s["bytes"] for s in spans("corpus.load_features")] == [features.stat().st_size]
     bags_bytes = p["bags.jsonl"].stat().st_size
-    # train-lda and assign each load the bags
-    assert [s["bytes"] for s in spans("corpus.load_bags")] == [bags_bytes] * 2
+    # train-lda, assign and stats each load the bags
+    assert [s["bytes"] for s in spans("corpus.load_bags")] == [bags_bytes] * 3
     for name in ("corpus.to_bag", "corpus.save_bags", "corpus.save_symbols",
+                 "domains.cross_agreement_filter", "domains.distribution_stats",
                  "network.evaluate_accuracy"):
         assert len(spans(name)) == 1, name
