@@ -45,9 +45,9 @@ __all__ = ["main"]
 
 def _load_assignments(path) -> domains.Assignments:
     """An assignments file as one ``domains.Assignments`` record. Each line
-    is checked as a one-document record, and for its ``map_domain``, an id
-    no earlier line holds and the earlier lines' K (length of theta); its
-    faults are raised naming its ``file:line``."""
+    is checked as a one-document record, and for its ``map_domain`` and the
+    earlier lines' K (length of theta); its faults, and an id an earlier
+    line holds, are raised naming its ``file:line``."""
     docs, k = {}, 0   # id -> the line's one-document record, in file order
 
     def build(obj):
@@ -65,14 +65,12 @@ def _load_assignments(path) -> domains.Assignments:
                                   weights=[float(weight)])
         if map_domain != int(doc.map_domains[0]):
             raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
-        if obj["id"] in docs:
-            raise ValueError(f"duplicate document id {obj['id']!r}")
         if k and theta.size != k:
             raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
         docs[obj["id"]] = doc
         k = theta.size
 
-    formats.read_jsonl(path, build)
+    formats.read_jsonl(path, build, unique=True)
     return domains.Assignments(
         ids=list(docs), weights=[doc.weights[0] for doc in docs.values()],
         thetas=np.reshape([doc.thetas[0] for doc in docs.values()], (len(docs), k)))

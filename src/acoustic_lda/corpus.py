@@ -292,8 +292,7 @@ def read_features(path, each) -> list:
                 each_fault = exc
         return doc_id, group, len(frames)
 
-    docs = formats.read_jsonl(path, build)
-    check_unique_ids([doc_id for doc_id, _, _ in docs])
+    docs = formats.read_jsonl(path, build, unique=True)
     for fault in (doc_fault, each_fault):
         if fault is not None:
             raise fault
@@ -356,8 +355,7 @@ def save_features(path, record: Frames) -> None:
 def load_symbols(path) -> list[SymbolDocument]:
     docs = formats.read_jsonl(path, lambda obj: SymbolDocument(
         id=obj["id"], group=obj.get("group"),
-        symbols=formats.json_ints(obj.get("symbols"), "symbols")))
-    check_unique_ids([doc.id for doc in docs])
+        symbols=formats.json_ints(obj.get("symbols"), "symbols")), unique=True)
     return docs
 
 
@@ -384,8 +382,7 @@ def load_bags(path) -> Bags:
         rows.append(bag.counts)
         return bag.ids[0], bag.groups[0]
 
-    docs = formats.read_jsonl(path, build)
-    check_unique_ids([doc_id for doc_id, _ in docs])
+    docs = formats.read_jsonl(path, build, unique=True)
     return Bags(ids=[doc_id for doc_id, _ in docs], groups=[group for _, group in docs],
                 counts=rows.frozen())
 

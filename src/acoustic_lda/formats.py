@@ -10,6 +10,8 @@ Shared rules, which each format's loader adds its own fields to:
   also reads ``NaN``, ``Infinity``, ``1e400`` and lone surrogate escapes,
   types an integer beyond 64 bits as an integer and words the error for
   bad json.
+  Where a format's ids are unique, a line repeating an earlier line's id
+  is a fault of that line, raised once every line has been read.
 - json: one json object holding the format's required keys.
 - csv is written only, for the stats and metrics tables; no loader reads it.
 - json nested deeper than the stdlib decoder's recursion limit is bad json.
@@ -66,15 +68,17 @@ def _loads(line):
     return obj if isinstance(obj, dict) else json.loads(line)
 
 
-def read_jsonl(path, build) -> list:
+def read_jsonl(path, build, unique=False) -> list:
     """``build(record)`` for each record line of the jsonl file ``path``.
 
     Blank and ``_meta`` lines are skipped. Bad json, a line that is not a
     json object, an ``id`` that is not a string, a ``group`` that is not a
     string or null, and a ValueError from ``build`` raise FormatError naming
+    ``path:line``. With ``unique``, once every line has been read, the first
+    line whose id an earlier line holds raises FormatError naming its
     ``path:line``.
     """
-    out = []
+    out, seen, repeat = [], set(), None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -89,12 +93,19 @@ def read_jsonl(path, build) -> list:
                                   f"got {type(obj).__name__}")
             if "_meta" in obj:
                 continue
-            if not isinstance(obj.get("id"), str):
+            doc_id = obj.get("id")
+            if not isinstance(doc_id, str):
                 raise FormatError(f"{where}: 'id' must be a string")
             group = obj.get("group")
             if group is not None and not isinstance(group, str):
                 raise FormatError(f"{where}: 'group' must be a string or null")
+            if unique and repeat is None:
+                if doc_id in seen:
+                    repeat = FormatError(f"{where}: duplicate document id {doc_id!r}")
+                seen.add(doc_id)
             out.append(_build(where, build, obj))
+    if repeat is not None:
+        raise repeat
     return out
 
 
@@ -220,11 +231,11 @@ def write_jsonl(path, records, meta=None) -> None:
 
 
 def write_json(path, obj) -> None:
-    """``obj`` as one line of json, streamed: a model's json text is never
-    held whole in memory."""
+    """``obj`` as one line of json. The text is formed whole by
+    ``json.dumps``, which takes the stdlib's C encoder (``json.dump`` takes
+    the pure-Python one), then written."""
     def write(fh):
-        json.dump(obj, fh, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(obj, allow_nan=False) + "\n")
     _replace(path, write)
 
 

@@ -10,11 +10,16 @@ with W_d = 0 is therefore functionally identical to that baseline.
 
 Training and evaluation take a labelled ``corpus.Frames`` record as loaded,
 frames (N, D) and labels (N,), and for a domain-aware network one domain
-index per document (M,). ``train`` and ``evaluate_accuracy`` check them once
-against the network in ``_inputs``, which gives each frame its document's
-domain and forms the input matrix [frames | one-hot] once (a baseline takes
-the record's frames uncopied), and take minibatches and the held-out slice
-as row indexes into it. The first layer multiplies the whole row:
+index per document (M,). ``_frame_columns`` checks them once against the
+network and gives each frame the input column of its document's one-hot
+domain; ``_input_rows`` builds the rows [frames | one-hot] of any set of
+frames, and ``_inputs`` is those rows for every frame. ``train`` walks each
+epoch's shuffled order in blocks of ``_BLOCK_ROWS`` rows, rounded down to a
+whole number of batches, gathers a block's input rows and labels once and
+gives each step a contiguous slice of them, so a step sees the same
+C-contiguous values a gather of its batch alone would give; the held-out
+rows are gathered once per call. Training thus holds O(block) input rows,
+never the (N, D + K) input matrix. The first layer multiplies the whole row:
 ``x @ W_v.T + W_d[:, d]`` is the same sum in another order, and on short
 batches the BLAS rounds it differently.
 
@@ -35,7 +40,14 @@ of the per-array, per-batch form kept in ``tests/oracles.py``, so the trained
 weights and the metrics are bitwise the same.
 
 Inference (``evaluate_accuracy`` and the per-epoch held-out pass) computes
-one layer at a time in place and keeps only the current layer.
+one layer at a time in place over all its rows at once, keeping the rows it
+reads and the layer it writes. It is not blocked: OpenBLAS can round a
+product over a few rows differently from the same rows inside a product
+over many (at the paper's sizes, with OpenBLAS 0.3.31 on one thread, up to
+about 20 rows in the 43 -> 64 first layer and up to a few hundred in the
+64 -> 8 output layer), so a short last block could change the accuracies
+reported. Evaluation thus holds the input matrix and both hidden layers at
+once, about four times the input matrix at those sizes.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ from scipy.special import expit
 
 from . import formats
 from .corpus import Frames
+
+_BLOCK_ROWS = 1024   # training input rows gathered at a time, in whole batches
 
 __all__ = ["NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
@@ -235,10 +249,11 @@ def init_augmented_from_baseline(baseline: LdatNetwork, num_domains: int) -> Lda
                        baseline.input_dim, num_domains, baseline.activation)
 
 
-def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
-    """The input matrix [frames | one-hot domain] of the labelled frames
-    ``dataset``, each frame with ``domains[i]``, the domain of its document
-    i, checked against ``net``'s input, domain and output sizes."""
+def _frame_columns(net: LdatNetwork, dataset: Frames, domains) -> Optional[np.ndarray]:
+    """The column of each frame's one-hot domain in the input matrix, (N,),
+    each frame taking ``domains[i]``, the domain of its document i, or None
+    for a baseline network. Checks the labelled frames ``dataset`` and
+    ``domains`` against ``net``'s input, domain and output sizes."""
     if not isinstance(dataset, Frames) or dataset.labels is None:
         raise TypeError(f"dataset must be a labelled Frames record, "
                         f"got {type(dataset).__name__}")
@@ -250,7 +265,7 @@ def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
     if net.domain_dim == 0:
         if domains is not None:
             raise ValueError("baseline network got domains")
-        return dataset.frames
+        return None
     if domains is None:
         raise ValueError("domain-aware network needs a domain for every document")
     domains = np.asarray(domains)
@@ -265,10 +280,30 @@ def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
     if m and domains.max() >= net.domain_dim:
         raise ValueError(f"domain {domains.max()} out of range for "
                          f"network domain dim {net.domain_dim}")
-    inputs = np.zeros((n, d + net.domain_dim))
-    inputs[:, :d] = dataset.frames
-    inputs[np.arange(n), d + np.repeat(domains, np.diff(dataset.offsets))] = 1.0
+    return d + np.repeat(domains, np.diff(dataset.offsets))
+
+
+def _input_rows(net: LdatNetwork, dataset: Frames, columns, index=None) -> np.ndarray:
+    """The rows ``index`` (every row when None) of the input matrix
+    [frames | one-hot domain], given each frame's one-hot ``columns`` from
+    ``_frame_columns``. A baseline network's input matrix is the record's
+    frames, returned uncopied when whole."""
+    frames = dataset.frames if index is None else dataset.frames[index]
+    if columns is None:
+        return frames
+    if index is not None:
+        columns = columns[index]
+    inputs = np.zeros((len(frames), net.input_dim + net.domain_dim))
+    inputs[:, :net.input_dim] = frames
+    inputs[np.arange(len(frames)), columns] = 1.0
     return inputs
+
+
+def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
+    """The whole input matrix [frames | one-hot domain] of the labelled
+    frames ``dataset``, each frame with ``domains[i]``, the domain of its
+    document i, checked as ``_frame_columns`` checks them."""
+    return _input_rows(net, dataset, _frame_columns(net, dataset, domains))
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -284,7 +319,7 @@ def train(net: LdatNetwork, dataset: Frames,
     epoch, raises FloatingPointError.
     """
     config = config or TrainConfig()
-    inputs, labels = _inputs(net, dataset, domains), dataset.labels
+    columns, labels = _frame_columns(net, dataset, domains), dataset.labels
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
@@ -295,20 +330,27 @@ def train(net: LdatNetwork, dataset: Frames,
     cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
     if tr_idx.size == 0:
         raise ValueError("cv_fraction leaves no training data")
+    if n_cv:
+        cv_inputs, cv_labels = _input_rows(net, dataset, columns, cv_idx), labels[cv_idx]
 
+    size = config.batch_size
+    block = max(_BLOCK_ROWS // size, 1) * size
     grad = np.empty_like(net.params)
     steps = {}                       # one _Step per batch size: full and last
     picked = np.empty(tr_idx.size)   # each training frame's label probability
     metrics = []
     for epoch in range(config.epochs):
         order = tr_idx[rng.permutation(tr_idx.size)]
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            step = steps.get(batch.size) or steps.setdefault(
-                batch.size, _Step(net, batch.size, grad))
-            picked[start:start + batch.size] = step(inputs[batch], labels[batch])
-            grad *= config.learning_rate
-            net.params -= grad
+        for first in range(0, order.size, block):
+            rows = order[first:first + block]
+            x, y = _input_rows(net, dataset, columns, rows), labels[rows]
+            for start in range(0, rows.size, size):
+                m = min(size, rows.size - start)
+                step = steps.get(m) or steps.setdefault(m, _Step(net, m, grad))
+                at = first + start
+                picked[at:at + m] = step(x[start:start + m], y[start:start + m])
+                grad *= config.learning_rate
+                net.params -= grad
         picked += 1e-12
         np.log(picked, out=picked)
         epoch_loss = 0.0
@@ -321,9 +363,8 @@ def train(net: LdatNetwork, dataset: Frames,
 
         cv_accuracy = None
         if n_cv:
-            cy = labels[cv_idx]
-            probs = net._forward(inputs[cv_idx])
-            cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
+            probs = net._forward(cv_inputs)
+            cv_accuracy = float((probs.argmax(axis=1) == cv_labels).mean())
         metrics.append({"epoch": epoch, "train_loss": train_loss,
                         "cv_accuracy": cv_accuracy})
     return metrics

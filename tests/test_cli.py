@@ -648,6 +648,24 @@ class TestContracts:
         assert f"{bags}:2: 'counts' has 3 symbols, earlier lines 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-gmm", "stats"])
+    def test_repeated_corpus_id_names_its_line(self, tmp_path, capsys, command):
+        """A features or bags file that repeats ``d0`` on line 3 names that
+        line, so that with two input files the one at fault is known."""
+        corpus_file, assign, out = (tmp_path / name for name in
+                                    ("corpus.jsonl", "assign.jsonl", "out"))
+        line = {"train-gmm": '{{"id": "{}", "frames": [[0.0, 1.0], [1.0, 0.0]]}}',
+                "stats": '{{"id": "{}", "counts": [1, 2]}}'}[command]
+        corpus_file.write_text("".join(line.format(doc_id) + "\n"
+                                       for doc_id in ("d0", "d1", "d0")))
+        assign.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        argv = {"train-gmm": ["--features", corpus_file, "--components", 1],
+                "stats": ["--assignments", assign, "--bags", corpus_file]}[command]
+        assert run(command, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus_file}:3: duplicate document id 'd0'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("target", [("--target-weight", 1.0), ("--target-frac", 0.5)],
                              ids=["weight", "frac"])
     def test_filter_on_empty_assignments_exit_1(self, tmp_path, capsys, target):

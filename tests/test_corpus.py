@@ -136,7 +136,7 @@ class TestReadFeatures:
     def test_duplicate_id_beats_document_faults(self, tmp_path):
         path = tmp_path / "f.jsonl"
         write_jsonl(path, [{"id": "a", "frames": [[np.nan]]}, {"id": "a", "frames": [[1.0]]}])
-        with pytest.raises(CorpusError, match="duplicate document id 'a'"):
+        with pytest.raises(CorpusError, match=f"{path}:2: duplicate document id 'a'"):
             corpus.read_features(path, lambda doc: None)
 
 
@@ -184,6 +184,24 @@ class TestIntegerFields:
         with pytest.raises(CorpusError,
                            match=f"{path}:2: .*'{field}' must be a list of integers"):
             loader(path)
+
+
+@pytest.mark.parametrize("loader, fields", [
+    (corpus.load_features, {"frames": [[1.0, 2.0]]}),
+    (corpus.load_symbols, {"symbols": [0, 1]}),
+    (corpus.load_bags, {"counts": [0, 1]}),
+], ids=["features", "symbols", "bags"])
+def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields):
+    """The first line that repeats an id is named, once every line has been
+    read: a later line that does not parse is the fault raised first."""
+    path = tmp_path / "docs.jsonl"
+    write_jsonl(path, [{"id": doc_id, **fields} for doc_id in ("a", "b", "a", "b")])
+    with pytest.raises(CorpusError, match=f"^{path}:3: duplicate document id 'a'$"):
+        loader(path)
+    write_jsonl(path, [{"id": doc_id, **fields} for doc_id in ("a", "b", "a")]
+                + [{"id": "c"}])
+    with pytest.raises(CorpusError, match=f"^{path}:4: "):
+        loader(path)
 
 
 @pytest.mark.parametrize("build, field, given, bad", [
@@ -312,8 +330,11 @@ def write_frames(path, docs, frames, dim, labelled):
 
 class TestFrameMemory:
     """A corpus's frames are held once: the loaders fill one buffer, a
-    baseline network's input is the labelled record's matrix and train-gmm
-    takes the features record's matrix as it is."""
+    baseline network's whole input matrix (the one ``eval`` forms) is the
+    labelled record's matrix and train-gmm takes the features record's
+    matrix as it is. Training gathers its input rows a block at a time
+    (``tests/test_network.py`` bounds its peak), so it holds no second
+    copy of the frames either."""
 
     @pytest.mark.parametrize("labelled", [False, True], ids=["features", "labelled"])
     def test_loading_peaks_below_two_and_a_half_times_the_frames(self, tmp_path, labelled):

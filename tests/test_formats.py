@@ -233,3 +233,18 @@ def test_json_writers_refuse_non_finite_numbers(tmp_path, write, value):
     with pytest.raises(formats.FormatError, match=f"{path}: Out of range float"):
         write(path, value)
     assert os.listdir(tmp_path) == []
+
+
+def test_write_json_bytes_are_those_of_json_dump(tmp_path):
+    """``write_json`` forms its text with ``json.dumps`` (the C encoder);
+    the bytes are those ``json.dump`` (the pure-Python encoder) streams,
+    for extreme floats, big integers and non-ASCII strings alike."""
+    obj = {"floats": [5e-324, -0.0, 1e22, 1e-300, 0.1, -1.7976931348623157e308],
+           "ints": [2 ** 70, -2 ** 70, 0], "text": ["é", "日本", "\U0001f600", " "],
+           "nested": {"ü": [[1.5, None, True]]}}
+    path = tmp_path / "out.json"
+    formats.write_json(path, obj)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(obj, fh, allow_nan=False)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()

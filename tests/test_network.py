@@ -5,6 +5,7 @@ import pytest
 from oracles import gradient_check, network_train
 from synthetic import feature_record, labelled_frames
 
+from acoustic_lda import network
 from acoustic_lda.network import (
     LdatNetwork,
     NetworkConfig,
@@ -270,6 +271,17 @@ class TestTrain:
         config = TrainConfig(epochs=2, cv_fraction=0.0)
         assert peak_bytes(train, net, data, config) < data.frames.nbytes / 4
 
+    def test_domain_aware_training_builds_no_input_matrix(self):
+        """The input rows are gathered a block at a time: the whole
+        [frames | one-hot] matrix, N * (D + K) floats, is never formed."""
+        rng = np.random.default_rng(30)
+        n, dim, k = 20_000, 39, 4
+        data = labelled_frames(rng.normal(size=(n, dim)), rng.integers(0, 8, size=n))
+        net = init_network(NetworkConfig(input_dim=dim, output_dim=8, domain_dim=k, seed=0))
+        config = TrainConfig(epochs=1, cv_fraction=0.0)
+        peak = peak_bytes(train, net, data, config, rng.integers(0, k, size=n))
+        assert peak < 0.5 * n * (dim + k) * 8, peak / (n * (dim + k) * 8)
+
     @pytest.mark.parametrize("batch_size", [0, -4])
     def test_batch_size_must_be_positive(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
@@ -336,6 +348,27 @@ class TestTrainMatchesOracle:
         net.weights[0][:, 39:] = rng.normal(size=(64, 4))
         reference = copied(net)
         config = TrainConfig(epochs=3, batch_size=32, seed=4, cv_fraction=0.0)
+        assert (train(net, data, config, domains)
+                == network_train(reference, data, config, domains))
+        np.testing.assert_array_equal(net.params, reference.params)
+
+    @pytest.mark.parametrize("cv_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("domain_dim, batch_size", [(0, 7), (3, 7), (3, 50)],
+                             ids=["baseline", "domain-aware", "batch-beyond-block"])
+    def test_bitwise_equal_across_blocks(self, monkeypatch, domain_dim, batch_size,
+                                         cv_fraction):
+        """Blocks of 40 rows: 35 rows (five batches) at batch 7, so 83 or 66
+        training frames span three or two blocks, the last one short and
+        ending in a short batch; at batch 50 a block is one batch."""
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 40)
+        rng = np.random.default_rng(32)
+        n = 83
+        domains = rng.integers(0, domain_dim, size=n) if domain_dim else None
+        data = labelled_frames(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n))
+        net = small_net(rng, hidden=(6, 5), domain_dim=domain_dim)
+        reference = copied(net)
+        config = TrainConfig(epochs=4, learning_rate=0.8, batch_size=batch_size,
+                             seed=5, cv_fraction=cv_fraction)
         assert (train(net, data, config, domains)
                 == network_train(reference, data, config, domains))
         np.testing.assert_array_equal(net.params, reference.params)
