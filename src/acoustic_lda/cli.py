@@ -44,11 +44,12 @@ __all__ = ["main"]
 
 
 def _load_assignments(path) -> domains.Assignments:
-    """An assignments file as one ``domains.Assignments`` record. Each line
-    is checked as a one-document record, and for its ``map_domain`` and the
-    earlier lines' K (length of theta); its faults, and an id an earlier
-    line holds, are raised naming its ``file:line``."""
-    docs, k = {}, 0   # id -> the line's one-document record, in file order
+    """An assignments file as one ``domains.Assignments`` record, built from
+    the one-document records of its lines. Each line is checked as one, and
+    for its ``map_domain`` and the earlier lines' K (length of theta); as
+    ``formats.read_jsonl`` reads it, its faults, and an id an earlier line
+    holds, are raised naming its ``file:line``."""
+    k = 0
 
     def build(obj):
         nonlocal k
@@ -67,13 +68,13 @@ def _load_assignments(path) -> domains.Assignments:
             raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
         if k and theta.size != k:
             raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
-        docs[obj["id"]] = doc
         k = theta.size
+        return doc
 
-    formats.read_jsonl(path, build, unique=True)
+    docs = formats.read_jsonl(path, build, unique=True)
     return domains.Assignments(
-        ids=list(docs), weights=[doc.weights[0] for doc in docs.values()],
-        thetas=np.reshape([doc.thetas[0] for doc in docs.values()], (len(docs), k)))
+        ids=[doc.ids[0] for doc in docs], weights=[doc.weights[0] for doc in docs],
+        thetas=np.reshape([doc.thetas[0] for doc in docs], (len(docs), k)))
 
 
 def _doc_domains(record, assignments):

@@ -17,14 +17,17 @@ read-only is kept as given, and any other is copied, so a caller's array, or
 a view of it, cannot write into the record. The files that hold them follow
 the shared jsonl rules of :mod:`.formats`; this module adds their fields:
 
-  features        jsonl: {"id", "group", "frames"}, frames T x D numbers
+  features        jsonl: {"id", "group", "frames"}, frames T x D finite
+                  numbers, T >= 1
   labelled frames jsonl: {"id", "frames", "labels"}, frames T x D finite
                   numbers or [] (T = 0), labels T integers >= 0
   symbols         jsonl: {"id", "group", "symbols"}, a list of json integers
   bags            jsonl: {"id", "group", "counts"}, V json integers >= 0
 
 Ids are unique within a features, symbols or bags file. All frames of a file
-share one dimension D, and all counts of a bags file one length V.
+share one dimension D >= 1, and all counts of a bags file one length V. As
+every jsonl file's, a file's fault is that of its first faulty line, raised
+naming its ``file:line`` as the line is read.
 """
 
 from __future__ import annotations
@@ -254,49 +257,46 @@ def check_unique_ids(ids: Sequence[str]) -> None:
         seen.add(doc_id)
 
 
-def read_features(path, each) -> list:
-    """Stream the features jsonl file ``path``: call ``each(doc)`` with each
-    document, in file order, as a one-document ``Frames`` record, and return
-    the documents' (id, group, T). Only one document's frames are held at a
-    time.
+def _frame_rows(obj, width) -> np.ndarray:
+    """The frames of the jsonl line ``obj``, T x D json numbers with D >= 1,
+    D equal to ``width``, the earlier lines' D (0 before the first), and
+    every value finite; a non-finite value is named by document, frame and
+    dim."""
+    frames = formats.numbers(obj.get("frames"), "'frames'", (None, None), finite=False)
+    if not frames.shape[1]:
+        raise ValueError("'frames' must have width >= 1")
+    if width and frames.shape[1] != width:
+        raise ValueError(f"'frames' have width {frames.shape[1]}, earlier lines {width}")
+    finite = np.isfinite(frames)
+    if not finite.all():
+        t, d = np.argwhere(~finite)[0]
+        raise ValueError(f"document {obj['id']!r}: non-finite value at frame {t}, dim {d}")
+    return frames
 
-    All documents must share the frame dimension, ids must be unique and all
-    values finite. The faults are raised as a check of the whole file, then
-    of each document in turn, would raise them: a line that does not parse,
-    then a duplicate id, then the first document whose dimension differs
-    from the first document's or that holds a non-finite value, then the
-    first ValueError or FloatingPointError of ``each``. From the first fault
-    on, ``each`` is not called.
+
+def read_features(path, each) -> list:
+    """Stream the features jsonl file ``path``: check each line's frames
+    (``_frame_rows``) and call ``each(doc)`` with its document, as a
+    one-document ``Frames`` record, as the line is read; return the
+    documents' (id, group, T). Only one document's frames are held at a
+    time. Ids are unique.
+
+    The first faulty line is the fault: its own fault, or a ValueError of
+    ``each`` on its document, raises FormatError naming its ``file:line``,
+    and ``each`` has seen every earlier line and no later one. A
+    FloatingPointError of ``each`` propagates as it is.
     """
-    dim = doc_fault = each_fault = None
+    width = 0
 
     def build(obj):
-        nonlocal dim, doc_fault, each_fault
-        doc_id, group = obj["id"], obj.get("group")
-        frames = formats.numbers(obj.get("frames"), "'frames'", (None, None),
-                                 finite=False)
-        dim = frames.shape[1] if dim is None else dim
-        finite = np.isfinite(frames)
-        if doc_fault is None and frames.shape[1] != dim:
-            doc_fault = CorpusError(f"document {doc_id!r}: frame dimension "
-                                    f"{frames.shape[1]} != expected {dim}")
-        elif doc_fault is None and not finite.all():
-            t, d = np.argwhere(~finite)[0]
-            doc_fault = CorpusError(f"document {doc_id!r}: non-finite value at "
-                                    f"frame {t}, dim {d}")
-        if doc_fault is None and each_fault is None:
-            try:
-                each(Frames(ids=[doc_id], groups=[group], offsets=[0, len(frames)],
-                            frames=_frozen(frames)))
-            except (ValueError, FloatingPointError) as exc:
-                each_fault = exc
-        return doc_id, group, len(frames)
+        nonlocal width
+        frames = _frame_rows(obj, width)
+        width = frames.shape[1]
+        each(Frames(ids=[obj["id"]], groups=[obj.get("group")], offsets=[0, len(frames)],
+                    frames=_frozen(frames)))
+        return obj["id"], obj.get("group"), len(frames)
 
-    docs = formats.read_jsonl(path, build, unique=True)
-    for fault in (doc_fault, each_fault):
-        if fault is not None:
-            raise fault
-    return docs
+    return formats.read_jsonl(path, build, unique=True)
 
 
 def load_features(path) -> Frames:
@@ -311,23 +311,16 @@ def load_features(path) -> Frames:
 
 def load_labeled_frames(path) -> Frames:
     """Load a labelled frames jsonl file as one ``Frames`` record with
-    labels; a document whose frames are ``[]`` has no rows. Each line's
-    faults are raised naming its ``file:line``."""
+    labels. Frames are checked as in a features file (``_frame_rows``), but
+    a document whose frames are ``[]`` has no rows. Each line's faults are
+    raised naming its ``file:line``."""
     rows, labels = _Rows(2, float), _Rows(1, np.int64)
     width = 0
 
     def build(obj):
         nonlocal width
-        if obj.get("frames") == []:
-            frames = np.empty((0, 0))
-        else:
-            frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
-            if not frames.shape[1]:
-                raise ValueError("'frames' must have width >= 1")
-            if width and frames.shape[1] != width:
-                raise ValueError(f"frames have width {frames.shape[1]}, "
-                                 f"earlier lines {width}")
-            width = frames.shape[1]
+        frames = np.empty((0, width)) if obj.get("frames") == [] else _frame_rows(obj, width)
+        width = frames.shape[1]
         doc_labels = formats.json_ints(obj.get("labels"), "labels")
         if np.any(doc_labels < 0):
             raise ValueError("'labels' must be >= 0")

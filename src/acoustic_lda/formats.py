@@ -11,7 +11,7 @@ Shared rules, which each format's loader adds its own fields to:
   types an integer beyond 64 bits as an integer and words the error for
   bad json.
   Where a format's ids are unique, a line repeating an earlier line's id
-  is a fault of that line, raised once every line has been read.
+  is a fault of that line.
 - json: one json object holding the format's required keys.
 - csv is written only, for the stats and metrics tables; no loader reads it.
 - json nested deeper than the stdlib decoder's recursion limit is bad json.
@@ -22,7 +22,8 @@ Shared rules, which each format's loader adds its own fields to:
   entry takes what numpy cannot type as numbers, and words the error.
   Integer fields (symbols, counts, labels) take json integers only.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
-  and the file for json.
+  and the file for json. A jsonl file's fault is its first faulty line's,
+  raised as that line is read.
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
   umask, as a plain ``open`` would give it.
@@ -73,12 +74,11 @@ def read_jsonl(path, build, unique=False) -> list:
 
     Blank and ``_meta`` lines are skipped. Bad json, a line that is not a
     json object, an ``id`` that is not a string, a ``group`` that is not a
-    string or null, and a ValueError from ``build`` raise FormatError naming
-    ``path:line``. With ``unique``, once every line has been read, the first
-    line whose id an earlier line holds raises FormatError naming its
-    ``path:line``.
+    string or null, a ValueError from ``build`` and, with ``unique``, an id
+    that an earlier line holds raise FormatError naming ``path:line`` as the
+    line is read.
     """
-    out, seen, repeat = [], set(), None
+    out, seen = [], set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -99,13 +99,11 @@ def read_jsonl(path, build, unique=False) -> list:
             group = obj.get("group")
             if group is not None and not isinstance(group, str):
                 raise FormatError(f"{where}: 'group' must be a string or null")
-            if unique and repeat is None:
+            if unique:
                 if doc_id in seen:
-                    repeat = FormatError(f"{where}: duplicate document id {doc_id!r}")
+                    raise FormatError(f"{where}: duplicate document id {doc_id!r}")
                 seen.add(doc_id)
             out.append(_build(where, build, obj))
-    if repeat is not None:
-        raise repeat
     return out
 
 

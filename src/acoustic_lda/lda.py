@@ -249,11 +249,8 @@ def _em_terms(log_beta, alpha, c):
 
 def _posterior(model: LdaModel, counts, ids) -> np.ndarray:
     """gamma (M, K) of the documents ``ids`` with the counts ``counts``
-    (M, V) under a trained model, by the E-step. Rejects counts of another
-    vocabulary size and an empty document."""
-    if counts.shape[1] != model.vocab_size:
-        raise ValueError(f"document {ids[0]!r} has V={counts.shape[1]}, "
-                         f"expected V={model.vocab_size}")
+    (M, V), V the model's, under a trained model, by the E-step. Rejects an
+    empty document."""
     empty = ~counts.any(axis=1)
     if empty.any():
         raise ValueError(f"document {ids[empty.argmax()]!r} is empty")
@@ -331,9 +328,13 @@ def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
     """Normalized domain posterior of each document, (M, K): gamma over its
     sum.
 
-    An empty document yields the uniform vector with a warning; training-time
-    empty documents are rejected by :func:`fit` instead.
+    Bags of another vocabulary size than the model's are rejected, whether
+    or not a document is empty. An empty document yields the uniform vector
+    with a warning; training-time empty documents are rejected by
+    :func:`fit` instead.
     """
+    if docs.vocab_size != model.vocab_size:
+        raise ValueError(f"bags have V={docs.vocab_size}, expected V={model.vocab_size}")
     k = model.num_domains
     theta = np.full((len(docs), k), 1.0 / k)
     live = docs.counts.any(axis=1)

@@ -596,6 +596,14 @@ class TestContracts:
         # NaN sends the line to the stdlib decoder, which hits its recursion limit
         pytest.param('{"id": "d1", "x": NaN, "frames": ' + DEEP + "}", "bad json",
                      id="deeply-nested-stdlib-json"),
+        pytest.param('{"id": "d1", "frames": [[1.0, NaN]]}',
+                     "document 'd1': non-finite value at frame 0, dim 1", id="nan-frames"),
+        pytest.param('{"id": "d1", "frames": [[1.0, 2.0, 3.0]]}',
+                     "'frames' have width 3, earlier lines 2", id="width-mismatch"),
+        pytest.param('{"id": "d1", "frames": [[]]}', "'frames' must have width >= 1",
+                     id="zero-width-frames"),
+        pytest.param('{"id": "d1", "frames": []}', "'frames' must be a regular array",
+                     id="empty-frames"),
     ])
     def test_bad_features_record_exit_1(self, tmp_path, capsys, line, message):
         features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
@@ -611,6 +619,36 @@ class TestContracts:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "\n" not in err.strip()
             assert f"{features}:2:" in err and message in err
+
+    def test_quantize_against_a_model_of_another_dim_exit_1(self, tmp_path, capsys):
+        """A features file whose D is not the model's is a fault of its first
+        line, named as it is read."""
+        features, model = tmp_path / "features.jsonl", tmp_path / "gmm.json"
+        model.write_text(gmm_json())
+        features.write_text('{"id": "d0", "frames": [[0.0, 1.0], [1.0, 0.0]]}\n'
+                            '{"id": "d1", "frames": [[0.0, 1.0]]}\n')
+        out = tmp_path / "symbols.jsonl"
+        assert run("quantize", "--gmm", model, "--features", features, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: {features}:1: document 'd0' "
+                                           "has dim 2, model dim is 3\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["assign", "entropy"])
+    @pytest.mark.parametrize("counts", [[[1, 0, 2], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]],
+                             ids=["one-non-empty", "all-empty"])
+    def test_bags_of_another_vocabulary_size_exit_1(self, tmp_path, capsys, command,
+                                                    counts):
+        """Bags of V=3 against a V=2 model are a fault even where every
+        document is empty and would take the uniform theta."""
+        bags, model, out = tmp_path / "bags.jsonl", tmp_path / "lda.json", tmp_path / "out"
+        bags.write_text("".join(json.dumps({"id": f"d{i}", "counts": row}) + "\n"
+                                for i, row in enumerate(counts)))
+        model.write_text(lda_json(V=2, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]]).tolist()))
+        argv = ["--model", model, "--bags", bags] + (["--out", out] * (command == "assign"))
+        assert run(command, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bags have V=3, expected V=2\n" and not captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("group", [[1], 7, {"a": 1}, True],
                              ids=["list", "int", "object", "bool"])

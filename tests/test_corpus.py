@@ -61,7 +61,8 @@ class TestLoadFeatures:
             {"id": "a", "frames": [[1, 2]]},
             {"id": "b", "frames": [[1, 2, 3]]},
         ])
-        with pytest.raises(CorpusError, match="dimension"):
+        with pytest.raises(CorpusError,
+                           match=f"^{path}:2: 'frames' have width 3, earlier lines 2$"):
             load_features(path)
 
     def test_duplicate_id(self, tmp_path):
@@ -70,7 +71,7 @@ class TestLoadFeatures:
             {"id": "a", "frames": [[1.0]]},
             {"id": "a", "frames": [[2.0]]},
         ])
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(CorpusError, match=f"^{path}:2: duplicate document id 'a'$"):
             load_features(path)
 
     def test_one_hot_frames(self, tmp_path):
@@ -108,36 +109,45 @@ class TestReadFeatures:
             (("a",), ("g",), [0, 1]), (("b",), (None,), [0, 2])]
         np.testing.assert_array_equal(seen[1].frames, [[3, 4], [5, 6]])
 
-    @pytest.mark.parametrize("lines, message, called", [
-        pytest.param([[[1e9]], [[np.nan]], [[2.0]]], "'d1': non-finite value at frame 0",
-                     ["d0"], id="later-document-fault-beats-each-fault"),
-        pytest.param([[[np.nan]], [[1e9]], [[1.0, 2.0]]], "'d0': non-finite", [],
-                     id="first-document-fault"),
-        pytest.param([[[1.0]], [[1e9]], [[1e9]]], "each d1", ["d0", "d1"],
-                     id="first-each-fault"),
+    @pytest.mark.parametrize("lines, called, message, error", [
+        pytest.param([("d0", [[1.0]]), ("d1", [[np.nan]]), ("d2", [[1e9]])], ["d0"],
+                     "document 'd1': non-finite value at frame 0, dim 0", None,
+                     id="own-fault"),
+        pytest.param([("d0", [[1.0]]), ("d1", [[1.0, 2.0]]), ("d2", [[1e9]])], ["d0"],
+                     "'frames' have width 2, earlier lines 1", None, id="width"),
+        pytest.param([("d0", [[1.0]]), ("d0", [[1e9]]), ("d2", [[np.nan]])], ["d0"],
+                     "duplicate document id 'd0'", None, id="duplicate-id"),
+        pytest.param([("d0", [[1.0]]), ("d1", [[1e9]]), ("d2", [[np.nan]])], ["d0", "d1"],
+                     "each rejects 'd1'", ValueError, id="each-value-error"),
+        pytest.param([("d0", [[1.0]]), ("d1", [[1e9]]), ("d2", [[np.nan]])], ["d0", "d1"],
+                     "each rejects 'd1'", FloatingPointError,
+                     id="each-floating-point-error"),
     ])
-    def test_faults_in_the_order_of_a_whole_file_check(self, tmp_path, lines, message,
-                                                        called):
-        """A document's own fault beats any fault of ``each``, and ``each``
-        is not called from the first fault on."""
+    def test_first_faulty_line_is_the_fault(self, tmp_path, lines, called, message,
+                                            error):
+        """Line 2 is the first faulty line, by its own fault or by one that
+        ``each`` raises on its document: ``each`` sees every line before it
+        and none after it, and the fault names ``file:line``. A
+        FloatingPointError of ``each`` propagates as it was raised."""
         path = tmp_path / "f.jsonl"
-        write_jsonl(path, [{"id": f"d{i}", "frames": f} for i, f in enumerate(lines)])
-        seen = []
+        write_jsonl(path, [{"id": doc_id, "frames": frames} for doc_id, frames in lines]
+                    + [{"id": "d3", "frames": [[1.0]]}])
+        seen, raised = [], []
 
         def each(doc):
             seen.append(doc.ids[0])
             if doc.frames.max() > 1e8:
-                raise FloatingPointError(f"each {doc.ids[0]}")
+                raised.append(error(f"each rejects {doc.ids[0]!r}"))
+                raise raised[0]
 
-        with pytest.raises((CorpusError, FloatingPointError), match=message):
+        with pytest.raises((CorpusError, FloatingPointError)) as info:
             corpus.read_features(path, each)
+        if error is FloatingPointError:
+            assert info.value is raised[0]
+        else:
+            assert type(info.value) is CorpusError
+            assert str(info.value) == f"{path}:2: {message}"
         assert seen == called
-
-    def test_duplicate_id_beats_document_faults(self, tmp_path):
-        path = tmp_path / "f.jsonl"
-        write_jsonl(path, [{"id": "a", "frames": [[np.nan]]}, {"id": "a", "frames": [[1.0]]}])
-        with pytest.raises(CorpusError, match=f"{path}:2: duplicate document id 'a'"):
-            corpus.read_features(path, lambda doc: None)
 
 
 class TestRoundTrips:
@@ -190,17 +200,22 @@ class TestIntegerFields:
     (corpus.load_features, {"frames": [[1.0, 2.0]]}),
     (corpus.load_symbols, {"symbols": [0, 1]}),
     (corpus.load_bags, {"counts": [0, 1]}),
-], ids=["features", "symbols", "bags"])
+    (cli._load_assignments, {"theta": [0.25, 0.75], "map_domain": 1}),
+], ids=["features", "symbols", "bags", "assignments"])
 def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields):
-    """The first line that repeats an id is named, once every line has been
-    read: a later line that does not parse is the fault raised first."""
+    """The first line that repeats an id is the fault, raised as it is read:
+    a later line that does not parse is never reached, and an earlier one
+    is the fault instead."""
     path = tmp_path / "docs.jsonl"
     write_jsonl(path, [{"id": doc_id, **fields} for doc_id in ("a", "b", "a", "b")])
     with pytest.raises(CorpusError, match=f"^{path}:3: duplicate document id 'a'$"):
         loader(path)
     write_jsonl(path, [{"id": doc_id, **fields} for doc_id in ("a", "b", "a")]
                 + [{"id": "c"}])
-    with pytest.raises(CorpusError, match=f"^{path}:4: "):
+    with pytest.raises(CorpusError, match=f"^{path}:3: duplicate document id 'a'$"):
+        loader(path)
+    write_jsonl(path, [{"id": "a", **fields}, {"id": "c"}, {"id": "a", **fields}])
+    with pytest.raises(CorpusError, match=f"^{path}:2: "):
         loader(path)
 
 
