@@ -132,7 +132,8 @@ def _cmd_assign(args):
         in zip(assignments.ids, assignments.thetas.tolist(),
                assignments.map_domains.tolist(), assignments.weights.tolist())),
         meta={"seed": args.seed})
-    print(f"assigned {len(assignments)} documents", file=sys.stderr)
+    empty = int((~bags.counts.any(axis=1)).sum())   # each took the uniform theta
+    print(f"assigned {len(assignments)} documents, {empty} empty", file=sys.stderr)
 
 
 def _cmd_entropy(args):
@@ -140,6 +141,8 @@ def _cmd_entropy(args):
     bags = corpus.load_bags(args.bags)
     assignments = domains.assign(model, bags)
     value = domains.average_domain_entropy(assignments, unit=args.unit)
+    empty = int((~bags.counts.any(axis=1)).sum())   # each took the uniform theta
+    print(f"entropy over {len(assignments)} documents, {empty} empty", file=sys.stderr)
     print(f"{value:.6f}")
 
 
@@ -149,7 +152,7 @@ def _cmd_filter(args):
     if args.target_weight is not None:
         target = args.target_weight
     else:
-        target = args.target_frac * sum(assign_a.weights.tolist())
+        target = args.target_frac * assign_a.total_weight
     result = domains.cross_agreement_filter(assign_a, assign_b, target)
     meta = {
         "seed": args.seed,

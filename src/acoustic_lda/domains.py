@@ -59,6 +59,11 @@ class Assignments:
     def num_domains(self) -> int:
         return self.thetas.shape[1]
 
+    @property
+    def total_weight(self) -> float:
+        """The sum of the weights; np.bincount adds them one at a time, in order."""
+        return float(np.bincount(np.zeros(len(self), np.int64), self.weights, 1)[0])
+
 
 def assign(model: LdaModel, corpus: Bags) -> Assignments:
     """Infer theta for every document and take the MAP domain. The weight is
@@ -117,7 +122,7 @@ def cross_agreement_filter(assign_a: Assignments, assign_b: Assignments,
              + assign_b.map_domains[[row_b[doc_id] for doc_id in assign_a.ids]])
     # np.bincount adds the weights one at a time, in input order
     weights = np.bincount(pairs, assign_a.weights).tolist()
-    total_weight = float(np.bincount(np.zeros_like(pairs), assign_a.weights)[0])
+    total_weight = assign_a.total_weight
     if target_weight > total_weight + 1e-12:
         raise ValueError("target_weight exceeds the total corpus weight")
 

@@ -29,13 +29,14 @@ and norm are those of the document's last sweep. The M-step re-estimates
 the topic rows from the expected counts eb * (el.T @ (C / norm)) plus the
 pseudo-count ``_SMOOTHING`` in every cell. ``fit`` and ``infer_thetas`` run
 this one E-step, to the tolerance ``_GAMMA_TOL`` or ``_MAX_E_ITERS``
-sweeps. ``log_beta`` stores K rows of length V (log-probability of each
-symbol given the latent domain).
+sweeps. An empty document has nothing to update: ``fit`` rejects it, and
+``infer_thetas`` gives it the uniform theta 1/K with no warning. ``log_beta``
+stores K rows of length V (log-probability of each symbol given the latent
+domain).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -247,25 +248,6 @@ def _em_terms(log_beta, alpha, c):
     return bounds, stats
 
 
-def _posterior(model: LdaModel, counts, ids) -> np.ndarray:
-    """gamma (M, K) of the documents ``ids`` with the counts ``counts``
-    (M, V), V the model's, under a trained model, by the E-step. Rejects an
-    empty document."""
-    empty = ~counts.any(axis=1)
-    if empty.any():
-        raise ValueError(f"document {ids[empty.argmax()]!r} is empty")
-    dead = (counts[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
-    if dead.any():
-        raise FloatingPointError(f"document {ids[dead.argmax()]!r}: "
-                                 "observed symbol has zero mass in every topic")
-    eb, _ = _scaled_beta(model.log_beta)
-    gamma, _, _ = _e_step(model.log_beta, eb, model.alpha, counts.astype(float))
-    bad = ~np.isfinite(gamma).all(axis=1)
-    if bad.any():
-        raise FloatingPointError(f"document {ids[bad.argmax()]!r}: non-finite gamma")
-    return gamma
-
-
 def _init_log_beta(c, k, rng):
     """Empirical symbol distribution of the counts ``c`` (M, V) times seeded
     multiplicative noise."""
@@ -326,25 +308,30 @@ def fit(
 
 def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
     """Normalized domain posterior of each document, (M, K): gamma over its
-    sum.
+    sum, from the E-step.
 
     Bags of another vocabulary size than the model's are rejected, whether
-    or not a document is empty. An empty document yields the uniform vector
-    with a warning; training-time empty documents are rejected by
-    :func:`fit` instead.
+    or not a document is empty, and so is a document holding a symbol that
+    no topic emits. An empty document has nothing to update: it takes the
+    uniform vector 1/K, without a warning (the CLI counts such documents on
+    stderr); training-time empty documents are rejected by :func:`fit`.
     """
     if docs.vocab_size != model.vocab_size:
         raise ValueError(f"bags have V={docs.vocab_size}, expected V={model.vocab_size}")
-    k = model.num_domains
-    theta = np.full((len(docs), k), 1.0 / k)
+    dead = (docs.counts[:, np.isneginf(model.log_beta).all(axis=0)] > 0).any(axis=1)
+    if dead.any():
+        raise FloatingPointError(f"document {docs.ids[dead.argmax()]!r}: "
+                                 "observed symbol has zero mass in every topic")
+    gamma = np.ones((len(docs), model.num_domains))   # an empty row stays uniform
     live = docs.counts.any(axis=1)
-    for i in np.flatnonzero(~live):
-        warnings.warn(f"document {docs.ids[i]!r} is empty; returning uniform theta")
     if live.any():
-        gamma = _posterior(model, docs.counts[live],
-                           [doc_id for doc_id, alive in zip(docs.ids, live) if alive])
-        theta[live] = gamma / gamma.sum(axis=1, keepdims=True)
-    return theta
+        eb, _ = _scaled_beta(model.log_beta)
+        gamma[live], _, _ = _e_step(model.log_beta, eb, model.alpha,
+                                    docs.counts[live].astype(float))
+    bad = ~np.isfinite(gamma).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(f"document {docs.ids[bad.argmax()]!r}: non-finite gamma")
+    return gamma / gamma.sum(axis=1, keepdims=True)
 
 
 def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:

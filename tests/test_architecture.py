@@ -1,7 +1,11 @@
-"""Two rules on the package's source.
+"""Rules on the package's source.
 
 Every file the package reads or writes goes through ``acoustic_lda.formats``:
 no other module opens a file or touches json, orjson, csv or temp files.
+
+No module imports ``warnings``: a warning is not an exit code, and under
+``python -W error`` it escapes ``cli.main`` as a traceback. What the CLI has to
+tell goes to stderr as a line of its own.
 
 Every public top-level function and class is reached from the pipeline: from
 ``cli.main`` and module-level code, through the definitions that use it. A
@@ -66,6 +70,34 @@ def test_the_check_sees_temp_files():
     assert [what for _, what in file_access(tree)] == [
         "import tempfile", "from tempfile import", "tempfile.mkstemp",
         "os.fdopen", "io.open"]
+
+
+def warning_uses(tree):
+    """(line, what) for each import of ``warnings`` and each use of it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name == "warnings"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            found.append((node.lineno, "from warnings import"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "warnings":
+            found.append((node.lineno, f"warnings.{node.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_warns(path):
+    tree = ast.parse((PACKAGE / path).read_text(), filename=path)
+    assert warning_uses(tree) == []
+
+
+def test_the_check_sees_warnings():
+    tree = ast.parse("import warnings\nfrom warnings import warn\n"
+                     "warnings.warn('x')\nwarn('y')\n")
+    assert warning_uses(tree) == [(1, "import warnings"), (2, "from warnings import"),
+                                  (3, "warnings.warn")]
 
 
 # public names no pipeline stage reaches, kept on purpose

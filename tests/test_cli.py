@@ -139,6 +139,25 @@ class TestStages:
         assert run("entropy", "--model", model_path, "--bags", bags_path) == 0
         assert float(capsys.readouterr().out.strip()) < 0.005
 
+    @pytest.mark.parametrize("counts, empty", [
+        (([0, 0, 0], [2, 1, 1]), 1), (([0, 0, 0], [0, 0, 0]), 2)])
+    def test_empty_documents_take_uniform_theta_and_are_counted(self, tmp_path, capsys,
+                                                                 counts, empty):
+        """An empty document takes theta 1/K with no warning, which under
+        ``-W error`` would escape ``main`` as a traceback; ``assign`` and
+        ``entropy`` count such documents on stderr."""
+        model, bags, out = tmp_path / "lda.json", tmp_path / "bags.jsonl", tmp_path / "a.jsonl"
+        model.write_text(lda_json())
+        corpus.save_bags(bags, bag_record(*counts))
+        assert run("assign", "--model", model, "--bags", bags, "--out", out) == 0
+        assert capsys.readouterr().err == f"assigned 2 documents, {empty} empty\n"
+        thetas = [json.loads(line)["theta"] for line in out.read_text().splitlines()[1:]]
+        assert thetas[:empty] == [[0.5, 0.5]] * empty
+        assert run("entropy", "--model", model, "--bags", bags) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"entropy over 2 documents, {empty} empty\n"
+        assert captured.out.count("\n") == 1 and float(captured.out) <= 1.0
+
 
 class TestTrainEval:
     def test_augment_train_and_eval(self, tmp_path, capsys):
@@ -1009,6 +1028,18 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{out}: Out of range float" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
+
+    def test_target_frac_1_is_the_total_weight(self, tmp_path):
+        """The target of ``--target-frac`` is the same in-order sum as the
+        filter's total, not a compensated one (Python 3.12's ``sum``), which
+        for these weights is 1.0 where the in-order sum is 0.9999999999999999."""
+        a, out = tmp_path / "a.jsonl", tmp_path / "filter.jsonl"
+        a.write_text("".join(json.dumps({"id": f"d{i}", "theta": [1.0, 0.0], "map_domain": 0,
+                                         "weight": 0.1}) + "\n" for i in range(10)))
+        assert run("filter", "--assign-a", a, "--assign-b", a, "--target-frac", 1,
+                   "--out", out) == 0
+        meta = json.loads(out.read_text().splitlines()[0])["_meta"]
+        assert meta["target_weight"] == meta["total_weight"] == 0.9999999999999999
 
     def test_filter_without_a_target_exit_2(self, tmp_path, capsys):
         a, out, path = tmp_path / "a.jsonl", tmp_path / "filter.jsonl", tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ def joined(docs):
 
 
 def posterior(model, docs):
-    """``lda._posterior`` of the documents of the record ``docs``."""
-    return lda._posterior(model, docs.counts, docs.ids)
+    """gamma (M, K) of the E-step ``infer_thetas`` runs, on the documents of
+    the record ``docs``."""
+    eb, _ = lda._scaled_beta(model.log_beta)
+    return lda._e_step(model.log_beta, eb, model.alpha, docs.counts.astype(float))[0]
 
 
 def make_model(beta, alpha):
@@ -106,11 +109,6 @@ class TestEStep:
                 history.append(em_terms(model, doc)[0])
             diffs = np.diff(history)
             assert (diffs >= -1e-10).all()
-
-    def test_empty_document_rejected(self):
-        model = make_model([[0.5, 0.5]], 1.0)
-        with pytest.raises(ValueError, match="empty"):
-            posterior(model, bag([0, 0]))
 
     def test_zero_mass_symbol_signalled(self):
         # symbol 1 has exactly zero mass in every topic: non-finite signal
@@ -382,11 +380,20 @@ class TestInferTheta:
         theta = infer_thetas(model, bag(np.bincount(symbols, minlength=v)))[0]
         assert abs(theta.sum() - 1.0) < 1e-9
 
-    def test_empty_document_warns_uniform(self):
-        model = make_model([[0.5, 0.5], [0.5, 0.5]], 1.0)
-        with pytest.warns(UserWarning):
-            theta = infer_thetas(model, bag([0, 0]))[0]
-        np.testing.assert_allclose(theta, [0.5, 0.5])
+    def test_empty_document_uniform_without_warning(self):
+        # 1/K exactly, not the prior mean alpha / sum(alpha); the E-step runs
+        # on the other rows alone, and is skipped when every row is empty
+        model = make_model([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]],
+                           [0.2, 0.5, 1.5])
+        docs = bag_record([0, 0, 0], [2, 0, 1], [0, 0, 0], ids=["a", "b", "c"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            thetas = infer_thetas(model, docs)
+            all_empty = infer_thetas(model, bag_record([0, 0, 0], [0, 0, 0]))
+        np.testing.assert_array_equal(thetas[[0, 2]], np.full((2, 3), 1.0 / 3))
+        np.testing.assert_allclose(thetas[1], infer_thetas(model, bag([2, 0, 1]))[0],
+                                   atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(all_empty, np.full((2, 3), 1.0 / 3))
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(9)
