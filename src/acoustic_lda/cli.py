@@ -87,7 +87,7 @@ def _doc_domains(record, assignments):
     row_of = {doc_id: i for i, doc_id in enumerate(assignments.ids)}
     for doc_id in record.ids:
         if doc_id not in row_of:
-            raise KeyError(f"no domain assignment for document {doc_id!r}")
+            raise ValueError(f"no domain assignment for document {doc_id!r}")
     return assignments.map_domains[[row_of[doc_id] for doc_id in record.ids]]
 
 

@@ -108,6 +108,9 @@ def cross_agreement_filter(assign_a: Assignments, assign_b: Assignments,
     """
     if not len(assign_a) or not len(assign_b):
         raise ValueError("no assignments to filter")
+    total_weight = assign_a.total_weight
+    if not total_weight > 0:
+        raise ValueError("the total corpus weight is 0: no document has weight to keep")
     if not target_weight > 0:
         raise ValueError("target_weight must be positive")
     if not target_weight < np.inf:
@@ -122,7 +125,6 @@ def cross_agreement_filter(assign_a: Assignments, assign_b: Assignments,
              + assign_b.map_domains[[row_b[doc_id] for doc_id in assign_a.ids]])
     # np.bincount adds the weights one at a time, in input order
     weights = np.bincount(pairs, assign_a.weights).tolist()
-    total_weight = assign_a.total_weight
     if target_weight > total_weight + 1e-12:
         raise ValueError("target_weight exceeds the total corpus weight")
 
@@ -159,7 +161,7 @@ def distribution_stats(assignments: Assignments, group_of: Mapping[str, str],
         raise ValueError("top_n must be >= 0")
     for doc_id in assignments.ids:
         if doc_id not in group_of:
-            raise KeyError(f"document {doc_id!r} has no group mapping")
+            raise ValueError(f"document {doc_id!r} has no group mapping")
     groups = sorted({group_of[doc_id] for doc_id in assignments.ids})
     k, row = assignments.num_domains, {group: i for i, group in enumerate(groups)}
     # each document's flat (group, domain) cell, group * K + domain

@@ -13,15 +13,21 @@ frames (N, D) and labels (N,), and for a domain-aware network one domain
 index per document (M,). ``_frame_columns`` checks them once against the
 network and gives each frame the input column of its document's one-hot
 domain; ``_input_rows`` builds the rows [frames | one-hot] of any set of
-frames, and ``_inputs`` is those rows for every frame. ``train`` walks each
-epoch's shuffled order in blocks of ``_BLOCK_ROWS`` rows, rounded down to a
-whole number of batches, gathers a block's input rows and labels once and
-gives each step a contiguous slice of them, so a step sees the same
-C-contiguous values a gather of its batch alone would give; the held-out
-rows are gathered once per call. Training thus holds O(block) input rows,
-never the (N, D + K) input matrix. The first layer multiplies the whole row:
-``x @ W_v.T + W_d[:, d]`` is the same sum in another order, and on short
-batches the BLAS rounds it differently.
+frames. Every pass over frames walks its rows in ``_runs``: blocks of a
+fixed size, a short last block folded into the one before. ``train`` walks
+each epoch's shuffled order in blocks of ``_BLOCK_ROWS`` rows, rounded down
+to a whole number of batches, gathers a block's input rows and labels once
+and gives each step a contiguous slice of them, so a step sees the same
+C-contiguous values a gather of its batch alone would give. Inference
+(``evaluate_accuracy`` and the per-epoch held-out pass, both ``_accuracy``)
+takes the forward pass a block of ``_BLOCK_ROWS`` input rows at a time. No
+pass holds the (N, D + K) input matrix. The first layer multiplies the whole
+row: ``x @ W_v.T + W_d[:, d]`` is the same sum in another order, and on short
+batches the BLAS rounds it differently. OpenBLAS can also round a product
+over a few rows differently from the same rows inside a product over many
+(0.3.31: up to about 20 rows in the 43 -> 64 first layer, a few hundred in
+the 64 -> 8 output layer); with the last block folded, inference gave the
+bits of one pass over all rows at 1 and 2 threads.
 
 The parameters live in one contiguous float64 vector, ``LdatNetwork.params``:
 every layer's weights, then every layer's biases. ``weights[i]`` and
@@ -38,16 +44,6 @@ end of the epoch: each batch's mean cross-entropy, weighted by its size and
 added in batch order. Every floating-point operation and its order are those
 of the per-array, per-batch form kept in ``tests/oracles.py``, so the trained
 weights and the metrics are bitwise the same.
-
-Inference (``evaluate_accuracy`` and the per-epoch held-out pass) computes
-one layer at a time in place over all its rows at once, keeping the rows it
-reads and the layer it writes. It is not blocked: OpenBLAS can round a
-product over a few rows differently from the same rows inside a product
-over many (at the paper's sizes, with OpenBLAS 0.3.31 on one thread, up to
-about 20 rows in the 43 -> 64 first layer and up to a few hundred in the
-64 -> 8 output layer), so a short last block could change the accuracies
-reported. Evaluation thus holds the input matrix and both hidden layers at
-once, about four times the input matrix at those sizes.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from scipy.special import expit
 from . import formats
 from .corpus import Frames
 
-_BLOCK_ROWS = 1024   # training input rows gathered at a time, in whole batches
+_BLOCK_ROWS = 1024   # input rows per forward pass; training rounds it to whole batches
 
 __all__ = ["NetworkConfig", "TrainConfig", "LdatNetwork",
            "init_network", "init_augmented_from_baseline",
@@ -283,27 +279,34 @@ def _frame_columns(net: LdatNetwork, dataset: Frames, domains) -> Optional[np.nd
     return d + np.repeat(domains, np.diff(dataset.offsets))
 
 
-def _input_rows(net: LdatNetwork, dataset: Frames, columns, index=None) -> np.ndarray:
-    """The rows ``index`` (every row when None) of the input matrix
-    [frames | one-hot domain], given each frame's one-hot ``columns`` from
-    ``_frame_columns``. A baseline network's input matrix is the record's
-    frames, returned uncopied when whole."""
-    frames = dataset.frames if index is None else dataset.frames[index]
+def _input_rows(net: LdatNetwork, dataset: Frames, columns, index) -> np.ndarray:
+    """The rows ``index`` of the input matrix [frames | one-hot domain],
+    given each frame's one-hot ``columns`` from ``_frame_columns``."""
+    frames = dataset.frames[index]
     if columns is None:
         return frames
-    if index is not None:
-        columns = columns[index]
     inputs = np.zeros((len(frames), net.input_dim + net.domain_dim))
     inputs[:, :net.input_dim] = frames
-    inputs[np.arange(len(frames)), columns] = 1.0
+    inputs[np.arange(len(frames)), columns[index]] = 1.0
     return inputs
 
 
-def _inputs(net: LdatNetwork, dataset: Frames, domains) -> np.ndarray:
-    """The whole input matrix [frames | one-hot domain] of the labelled
-    frames ``dataset``, each frame with ``domains[i]``, the domain of its
-    document i, checked as ``_frame_columns`` checks them."""
-    return _input_rows(net, dataset, _frame_columns(net, dataset, domains))
+def _runs(n: int, block: int):
+    """(start, stop) runs of ``block`` rows over range(n), a short last run
+    folded into the one before."""
+    stops = [*range(block, n - block + 1, block), n]
+    return zip([0, *stops[:-1]], stops)
+
+
+def _accuracy(net: LdatNetwork, dataset: Frames, columns, index) -> float:
+    """The share of the frames ``index`` whose most probable class is their
+    label, from forward passes over runs of ``_BLOCK_ROWS`` input rows."""
+    hits = 0
+    for start, stop in _runs(index.size, _BLOCK_ROWS):
+        rows = index[start:stop]
+        probs = net._forward(_input_rows(net, dataset, columns, rows))
+        hits += int(np.count_nonzero(probs.argmax(axis=1) == dataset.labels[rows]))
+    return hits / index.size
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -330,8 +333,6 @@ def train(net: LdatNetwork, dataset: Frames,
     cv_idx, tr_idx = perm[:n_cv], perm[n_cv:]
     if tr_idx.size == 0:
         raise ValueError("cv_fraction leaves no training data")
-    if n_cv:
-        cv_inputs, cv_labels = _input_rows(net, dataset, columns, cv_idx), labels[cv_idx]
 
     size = config.batch_size
     block = max(_BLOCK_ROWS // size, 1) * size
@@ -341,8 +342,8 @@ def train(net: LdatNetwork, dataset: Frames,
     metrics = []
     for epoch in range(config.epochs):
         order = tr_idx[rng.permutation(tr_idx.size)]
-        for first in range(0, order.size, block):
-            rows = order[first:first + block]
+        for first, last in _runs(order.size, block):
+            rows = order[first:last]
             x, y = _input_rows(net, dataset, columns, rows), labels[rows]
             for start in range(0, rows.size, size):
                 m = min(size, rows.size - start)
@@ -361,10 +362,7 @@ def train(net: LdatNetwork, dataset: Frames,
             raise FloatingPointError("training loss became non-finite")
         train_loss = epoch_loss / order.size
 
-        cv_accuracy = None
-        if n_cv:
-            probs = net._forward(cv_inputs)
-            cv_accuracy = float((probs.argmax(axis=1) == cv_labels).mean())
+        cv_accuracy = _accuracy(net, dataset, columns, cv_idx) if n_cv else None
         metrics.append({"epoch": epoch, "train_loss": train_loss,
                         "cv_accuracy": cv_accuracy})
     return metrics
@@ -375,11 +373,10 @@ def evaluate_accuracy(net: LdatNetwork, dataset: Frames, domains=None) -> float:
     """Frame classification accuracy over the labelled frames ``dataset``,
     with one domain per document for a domain-aware network; overflow raises
     FloatingPointError."""
-    inputs = _inputs(net, dataset, domains)
+    columns = _frame_columns(net, dataset, domains)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    probs = net._forward(inputs)
-    return float((probs.argmax(axis=1) == dataset.labels).mean())
+    return _accuracy(net, dataset, columns, np.arange(len(dataset)))
 
 
 def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:

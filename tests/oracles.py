@@ -236,20 +236,32 @@ def network_backprop(net, inputs, labels):
     return loss, grads_w[::-1], grads_b[::-1]
 
 
+def network_inputs(net, dataset, domains=None):
+    """The whole input matrix of the labelled frames ``dataset``: a
+    document's domain enters as a row of ``np.eye(K)``, appended to each of
+    its frames."""
+    if domains is None:
+        return dataset.frames
+    frame_domains = np.repeat(domains, np.diff(dataset.offsets))
+    return np.concatenate([dataset.frames, np.eye(net.domain_dim)[frame_domains]], axis=1)
+
+
+def network_accuracy(net, inputs, labels):
+    """The share of the rows ``inputs`` whose most probable class under
+    ``net`` is their label, from one forward pass over all of them."""
+    probs, _ = network_forward(net, inputs)
+    return float((probs.argmax(axis=1) == labels).mean())
+
+
 @np.errstate(over="raise", invalid="raise")
 def network_train(net, dataset, config, domains=None):
     """Minibatch SGD on cross-entropy, one batch at a time: per-batch row
     gathers, ``network_backprop``, a per-array ``w -= lr * g`` on
     ``net.weights`` and ``net.biases``, and the per-batch mean loss added to
     the epoch's total. Same seeded draws and metric dicts as
-    ``network.train``. A document's domain enters as a row of ``np.eye(K)``,
-    appended to each of its frames."""
-    if domains is None:
-        inputs = dataset.frames
-    else:
-        frame_domains = np.repeat(domains, np.diff(dataset.offsets))
-        inputs = np.concatenate(
-            [dataset.frames, np.eye(net.domain_dim)[frame_domains]], axis=1)
+    ``network.train``; the held-out accuracy is ``network_accuracy`` on the
+    held-out rows of ``network_inputs``."""
+    inputs = network_inputs(net, dataset, domains)
     labels, n = dataset.labels, len(dataset)
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
@@ -270,9 +282,7 @@ def network_train(net, dataset, config, domains=None):
                 b -= lr * g
         cv_accuracy = None
         if n_cv:
-            cy = labels[cv_idx]
-            probs, _ = network_forward(net, inputs[cv_idx])
-            cv_accuracy = float((probs.argmax(axis=1) == cy).mean())
+            cv_accuracy = network_accuracy(net, inputs[cv_idx], labels[cv_idx])
         metrics.append({"epoch": epoch, "train_loss": epoch_loss / order.size,
                         "cv_accuracy": cv_accuracy})
     return metrics

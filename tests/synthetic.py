@@ -1,11 +1,13 @@
 """Synthetic corpora for the tests: symbol documents sampled from the LDA
 generative process with numpy's PCG64 generator, so a fixed seed gives the
-same symbol sequences on any platform."""
+same symbol sequences on any platform; small records built directly; and
+the network input rows of a labelled record."""
 
 import numpy as np
 
 from acoustic_lda.corpus import Bags, Frames, SymbolDocument
 from acoustic_lda.domains import Assignments
+from acoustic_lda.network import _frame_columns, _input_rows
 
 
 def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
@@ -83,3 +85,11 @@ def assignments_record(*thetas, weights=None, ids=None, k=2):
     return Assignments(ids=ids, thetas=np.array(thetas, dtype=float) if thetas
                        else np.empty((0, k)),
                        weights=np.ones(len(thetas)) if weights is None else weights)
+
+
+def input_matrix(net, record, domains=None):
+    """Every input row [frames | one-hot domain] of the labelled frames
+    ``record`` for ``net``, each document with its entry of ``domains``,
+    checked and built by ``network._frame_columns`` and ``_input_rows``."""
+    columns = _frame_columns(net, record, domains)
+    return _input_rows(net, record, columns, np.arange(len(record)))

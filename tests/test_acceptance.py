@@ -18,7 +18,7 @@ from oracles import (
     prefix_filter_oracle,
 )
 from synthetic import (assignments_record, feature_record, generate_synthetic_lda_corpus,
-                       labelled_frames)
+                       input_matrix, labelled_frames)
 
 
 def report(number, name, ok=True):
@@ -138,10 +138,10 @@ def test_04_quantizer_correctness():
 
 
 def _rows(net, x, domain=None):
-    """The network input ``network._inputs`` builds for the single frame
-    ``x`` with its domain, labelled 0."""
-    return network._inputs(net, labelled_frames(x[None, :], [0]),
-                           None if domain is None else [domain])
+    """The network input row for the single frame ``x`` with its domain,
+    labelled 0."""
+    return input_matrix(net, labelled_frames(x[None, :], [0]),
+                        None if domain is None else [domain])
 
 
 def test_05_domain_bias_algebra():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acoustic_lda import cli, corpus, gmm, network
+from acoustic_lda import cli, corpus, gmm
 from acoustic_lda.cli import _doc_domains, main
 from acoustic_lda.network import NetworkConfig, init_network, save_network
-from synthetic import assignments_record, bag_record, feature_record
+from synthetic import assignments_record, bag_record, feature_record, input_matrix
 
 
 @pytest.fixture
@@ -230,7 +230,7 @@ class TestFrameDataset:
         assert _doc_domains(record, None) is None
         np.testing.assert_array_equal(doc_domains, [1, 2, 0])
         net = init_network(NetworkConfig(input_dim=2, output_dim=3, domain_dim=3))
-        augmented = network._inputs(net, record, doc_domains)
+        augmented = input_matrix(net, record, doc_domains)
         features = [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
         assert len(record) == 5
         np.testing.assert_array_equal(record.frames, features)
@@ -274,7 +274,7 @@ class TestFrameDataset:
         assign.write_text(json.dumps({"id": "other", "theta": [1.0], "map_domain": 0}) + "\n")
         assert run("augment-train", "--data", data, "--assignments", assign,
                    "--out", tmp_path / "net.json") == 1
-        assert "no domain assignment for document 'd0'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no domain assignment for document 'd0'\n"
 
 
 def assignments_text(*thetas):
@@ -351,7 +351,8 @@ class TestAssignmentsK:
             assert (tmp_path / "out.csv").read_bytes() == b"group,domain,weight\r\n"
         else:
             assert code == 1
-            assert "no domain assignment for document 'd0'" in capsys.readouterr().err
+            assert (capsys.readouterr().err
+                    == "error: no domain assignment for document 'd0'\n")
             assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("k_file, k_net, code", [(2, 3, 1), (3, 2, 1), (3, 3, 0)])
@@ -732,6 +733,32 @@ class TestContracts:
         assert run("filter", "--assign-a", a, "--assign-b", b, *target, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no assignments to filter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", [("--target-weight", 1.0), ("--target-frac", 0.5)],
+                             ids=["weight", "frac"])
+    def test_filter_on_zero_total_weight_exit_1(self, tmp_path, capsys, target):
+        """``assign`` gives a document with no symbols weight 0; filtering a
+        corpus of only such documents names the zero weight, not a flag."""
+        model, bags, a, out = (tmp_path / name for name in
+                               ("lda.json", "bags.jsonl", "a.jsonl", "filter.jsonl"))
+        model.write_text(lda_json(K=1, alpha=[1.0], V=2, log_beta=[[np.log(0.5)] * 2]))
+        bags.write_text('{"id": "a", "counts": [0, 0]}\n')
+        assert run("assign", "--model", model, "--bags", bags, "--out", a) == 0
+        capsys.readouterr()
+        assert run("filter", "--assign-a", a, "--assign-b", a, *target, "--out", out) == 1
+        assert capsys.readouterr().err == ("error: the total corpus weight is 0: "
+                                           "no document has weight to keep\n")
+        assert not out.exists()
+
+    def test_stats_document_without_a_group_exit_1(self, tmp_path, capsys):
+        """An assigned document the bags lack has no group: the line names it
+        without quotes around the message."""
+        assign, bags, out = tmp_path / "a.jsonl", tmp_path / "bags.jsonl", tmp_path / "s.csv"
+        assign.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n")
+        assert run("stats", "--assignments", assign, "--bags", bags, "--out", out) == 1
+        assert capsys.readouterr().err == "error: document 'd1' has no group mapping\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

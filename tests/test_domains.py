@@ -11,10 +11,10 @@ from acoustic_lda.domains import (
     write_stats_csv,
 )
 from acoustic_lda.lda import LdaModel, fit, infer_thetas
-from acoustic_lda.network import NetworkConfig, _inputs, init_network
+from acoustic_lda.network import NetworkConfig, _frame_columns, init_network
 from oracles import prefix_filter_oracle
 from synthetic import (assignments_record, bag_record, generate_synthetic_lda_corpus,
-                       labelled_frames)
+                       input_matrix, labelled_frames)
 
 
 def da(doc_id, theta, weight=1.0):
@@ -114,12 +114,12 @@ class TestAssign:
 
 def ubic(assignment, input_dim=1):
     """The one-hot UBIC the network appends to a frame of the document of
-    the one-document record ``assignment``: the domain columns of the row
-    ``network._inputs`` builds for its MAP domain."""
+    the one-document record ``assignment``: the domain columns of the input
+    row the network is given for its MAP domain."""
     net = init_network(NetworkConfig(input_dim=input_dim, output_dim=1,
                                      domain_dim=assignment.num_domains))
-    row = _inputs(net, labelled_frames(np.zeros((1, input_dim)), [0]),
-                  assignment.map_domains)[0]
+    row = input_matrix(net, labelled_frames(np.zeros((1, input_dim)), [0]),
+                       assignment.map_domains)[0]
     return row[input_dim:]
 
 
@@ -144,9 +144,9 @@ class TestUbic:
     def test_rejects_malformed(self):
         net = init_network(NetworkConfig(input_dim=1, output_dim=1, domain_dim=2))
         with pytest.raises(ValueError, match="out of range"):
-            _inputs(net, labelled_frames(np.zeros((1, 1)), [0]), [2])
+            _frame_columns(net, labelled_frames(np.zeros((1, 1)), [0]), [2])
         with pytest.raises(ValueError, match=">= 0"):
-            _inputs(net, labelled_frames(np.zeros((1, 1)), [0]), [-1])
+            _frame_columns(net, labelled_frames(np.zeros((1, 1)), [0]), [-1])
 
 
 class TestEntropy:
@@ -269,7 +269,7 @@ class TestDistributionStats:
         assert g1 == g2
 
     def test_missing_group(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="document 'a' has no group mapping"):
             distribution_stats(da("a", [1.0]), {}, 2)
 
     def test_csv_output(self, tmp_path):

@@ -2,15 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import gradient_check, network_train
-from synthetic import feature_record, labelled_frames
+from oracles import gradient_check, network_accuracy, network_forward, network_inputs, network_train
+from synthetic import feature_record, input_matrix, labelled_frames
 
 from acoustic_lda import network
 from acoustic_lda.network import (
     LdatNetwork,
     NetworkConfig,
     TrainConfig,
-    _inputs,
+    _frame_columns,
     _Step,
     evaluate_accuracy,
     init_augmented_from_baseline,
@@ -58,11 +58,11 @@ def peak_bytes(fn, *args):
 
 
 def rows(net, x, domains=None):
-    """The input rows ``_inputs`` builds for the frames ``x`` (one frame or
-    several) and their domains, each labelled 0."""
+    """The input rows the network is given for the frames ``x`` (one frame
+    or several) and their domains, each labelled 0."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _inputs(net, labelled_frames(x, np.zeros(len(x), dtype=int)),
-                   None if domains is None else np.atleast_1d(domains))
+    return input_matrix(net, labelled_frames(x, np.zeros(len(x), dtype=int)),
+                        None if domains is None else np.atleast_1d(domains))
 
 
 def probs(net, x, domain=None):
@@ -373,6 +373,24 @@ class TestTrainMatchesOracle:
                 == network_train(reference, data, config, domains))
         np.testing.assert_array_equal(net.params, reference.params)
 
+    @pytest.mark.parametrize("domain_dim", [0, 3], ids=["baseline", "domain-aware"])
+    def test_held_out_across_blocks(self, monkeypatch, domain_dim):
+        """Blocks of 40 rows: 130 held-out frames run as 40, 40 and 50 rows,
+        the short last block folded into the one before."""
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 40)
+        rng = np.random.default_rng(33)
+        n = 200
+        domains = rng.integers(0, domain_dim, size=n) if domain_dim else None
+        data = labelled_frames(rng.normal(size=(n, 5)), rng.integers(0, 4, size=n))
+        net = small_net(rng, hidden=(6, 5), domain_dim=domain_dim)
+        reference = copied(net)
+        config = TrainConfig(epochs=3, learning_rate=0.8, batch_size=7, seed=6,
+                             cv_fraction=0.65)
+        metrics = train(net, data, config, domains)
+        assert metrics == network_train(reference, data, config, domains)
+        assert all(0 < m["cv_accuracy"] < 1 for m in metrics)
+        np.testing.assert_array_equal(net.params, reference.params)
+
     def test_single_short_batch(self):
         rng = np.random.default_rng(26)
         data = random_frames(rng, 5, 5, 4)
@@ -384,13 +402,47 @@ class TestTrainMatchesOracle:
 
 
 class TestEvaluate:
-    def test_memory_holds_at_most_two_hidden_layers(self):
+    @pytest.mark.parametrize("n", [1, 39, 40, 41, 80, 81, 121])
+    @pytest.mark.parametrize("domain_dim", [0, 4], ids=["baseline", "domain-aware"])
+    def test_matches_whole_pass_across_blocks(self, monkeypatch, domain_dim, n):
+        """Blocks of 40 rows, the short last block folded into the one
+        before: the accuracy is that of one pass over every row. Every third
+        frame is labelled with the class the whole pass ranks first, and the
+        others with another class, so a row lost or paired with another
+        frame's label changes the count."""
+        monkeypatch.setattr(network, "_BLOCK_ROWS", 40)
+        rng = np.random.default_rng(34)
+        domains = rng.integers(0, domain_dim, size=n) if domain_dim else None
+        x = rng.normal(size=(n, 5))
+        net = small_net(rng, hidden=(6, 5), domain_dim=domain_dim)
+        if domain_dim:
+            net.weights[0][:, 5:] = rng.normal(size=(6, domain_dim))
+        inputs = network_inputs(net, labelled_frames(x, np.zeros(n, dtype=int)), domains)
+        first = network_forward(net, inputs)[0].argmax(axis=1)
+        labels = np.where(np.arange(n) % 3 == 0, first, (first + 1) % 4)
+        accuracy = evaluate_accuracy(net, labelled_frames(x, labels), domains)
+        assert accuracy == network_accuracy(net, inputs, labels) == len(range(0, n, 3)) / n
+
+    @pytest.mark.parametrize("n, runs", [
+        (1, [(0, 1)]), (39, [(0, 39)]), (40, [(0, 40)]), (79, [(0, 79)]),
+        (80, [(0, 40), (40, 80)]), (121, [(0, 40), (40, 80), (80, 121)])])
+    def test_short_last_block_is_folded(self, n, runs):
+        """No product is taken over fewer rows than a block unless the rows
+        are fewer than a block."""
+        assert list(network._runs(n, 40)) == runs
+
+    def test_memory_does_not_grow_with_the_frames(self):
+        """Four times the frames raise the peak by at most 16 bytes a frame:
+        no array of (N, D + K) inputs or (N, width) activations is formed.
+        The frames themselves take 312 bytes each."""
         rng = np.random.default_rng(27)
-        n = 20_000
-        data = labelled_frames(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
         net = init_network(NetworkConfig(input_dim=39, output_dim=8,
                                          hidden_dims=(64, 64), seed=0))
-        assert peak_bytes(evaluate_accuracy, net, data) < 2.5 * n * 64 * 8
+        peaks = []
+        for n in (20_000, 80_000):
+            data = labelled_frames(rng.normal(size=(n, 39)), rng.integers(0, 8, size=n))
+            peaks.append(peak_bytes(evaluate_accuracy, net, data))
+        assert peaks[1] - peaks[0] <= 16 * 60_000, (peaks[1] - peaks[0]) / 60_000
 
 
 class TestFrameData:
@@ -399,7 +451,7 @@ class TestFrameData:
         assert len(data) == 3
         assert data.labels.dtype == np.int64
         net = small_net(np.random.default_rng(19), input_dim=2, domain_dim=2)
-        np.testing.assert_array_equal(_inputs(net, data, [1, 0, 1])[:, 2:],
+        np.testing.assert_array_equal(input_matrix(net, data, [1, 0, 1])[:, 2:],
                                       [[0, 1], [1, 0], [0, 1]])
 
     def test_rejects_code_row_not_one_hot(self):
@@ -408,18 +460,18 @@ class TestFrameData:
         net = small_net(np.random.default_rng(18), input_dim=2, domain_dim=3)
         data = labelled_frames(np.zeros((3, 2)), [0, 1, 2])
         with pytest.raises(ValueError, match="domains must be integers"):
-            _inputs(net, data, [0.0, 0.5, 1.0])
+            _frame_columns(net, data, [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="domains must be >= 0"):
-            _inputs(net, data, [0, -1, 1])
+            _frame_columns(net, data, [0, -1, 1])
         with pytest.raises(ValueError, match="domains must have shape"):
-            _inputs(net, data, np.eye(3, dtype=int))
+            _frame_columns(net, data, np.eye(3, dtype=int))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="labels must have shape"):
             labelled_frames(np.zeros((3, 2)), [0, 1])
         net = small_net(np.random.default_rng(18), input_dim=2, domain_dim=3)
         with pytest.raises(ValueError, match="domains must have shape"):
-            _inputs(net, labelled_frames(np.zeros((3, 2)), [0, 1, 2]), [0, 1])
+            _frame_columns(net, labelled_frames(np.zeros((3, 2)), [0, 1, 2]), [0, 1])
 
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError, match=">= 0"):
