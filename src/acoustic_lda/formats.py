@@ -23,7 +23,8 @@ Shared rules, which each format's loader adds its own fields to:
   Integer fields (symbols, counts, labels) take json integers only.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
   and the file for json. A jsonl file's fault is its first faulty line's,
-  raised as that line is read.
+  raised as that line is read. A byte that does not decode as text is a
+  fault naming the file.
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
   umask, as a plain ``open`` would give it.
@@ -69,6 +70,16 @@ def _loads(line):
     return obj if isinstance(obj, dict) else json.loads(line)
 
 
+def _lines(fh, path):
+    """The lines of the open text file ``fh``; a byte that does not decode
+    raises FormatError naming ``path`` (the codec's offset is in one chunk)."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not {exc.encoding} text: byte "
+                          f"{exc.object[exc.start]:#04x}: {exc.reason}") from exc
+
+
 def read_jsonl(path, build, unique=False) -> list:
     """``build(record)`` for each record line of the jsonl file ``path``.
 
@@ -80,7 +91,7 @@ def read_jsonl(path, build, unique=False) -> list:
     """
     out, seen = [], set()
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(_lines(fh, path), 1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
@@ -113,7 +124,7 @@ def read_json(path, keys, build):
     ValueError from ``build`` raise FormatError naming ``path``."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.loads("".join(_lines(fh, path)))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: bad json: {exc}") from exc
     if not isinstance(obj, dict):
@@ -201,11 +212,14 @@ def json_ints(value, name) -> np.ndarray:
 
 def _replace(path, write, newline=None) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
-    ``path``; on any failure the temp file is removed, and a ValueError is
-    raised as a FormatError naming ``path``."""
+    ``path``; on any failure the temp file is removed. A ValueError, and an
+    OSError in making the temp file, are raised naming ``path``."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:    # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with open(fd, "w", newline=newline) as fh:
             write(fh)

@@ -19,20 +19,20 @@ sweep is two matrix products:
 Each document stops updating as soon as its own relative gamma change falls
 below the tolerance. Working memory is O(M * V + M * K), the size of the
 counts. A document whose norm falls below ``_NORM_FLOOR`` at a symbol it
-contains (the mixture underflows) is re-run alone with the log-domain sweep,
-through its phi.
+contains (the mixture underflows) is re-run alone with the log-domain sweep.
 
 The evidence lower bound needs no phi either: it is the Dirichlet terms plus
 sum_k (gamma_k - alpha_k)(E_q[log theta_k] - digamma(gamma_prev)_k) plus
-sum_w C_w log(norm_w), with the two scalings added back, where gamma_prev
-and norm are those of the document's last sweep. The M-step re-estimates
-the topic rows from the expected counts eb * (el.T @ (C / norm)) plus the
-pseudo-count ``_SMOOTHING`` in every cell. ``fit`` and ``infer_thetas`` run
-this one E-step, to the tolerance ``_GAMMA_TOL`` or ``_MAX_E_ITERS``
-sweeps. An empty document has nothing to update: ``fit`` rejects it, and
-``infer_thetas`` gives it the uniform theta 1/K with no warning. ``log_beta``
-stores K rows of length V (log-probability of each symbol given the latent
-domain).
+sum_w C_w log(Z_w), with gamma_prev that of the document's last sweep and Z_w
+phi's normaliser: norm_w with the two scalings added back, or a logsumexp
+where the norm still underflows. The M-step re-estimates the topic rows from
+the expected counts eb * (el.T @ (C / norm)), or phi where the norm
+underflows, plus the pseudo-count ``_SMOOTHING`` in every cell. ``fit`` and
+``infer_thetas`` run this one E-step, to the tolerance ``_GAMMA_TOL`` or
+``_MAX_E_ITERS`` sweeps. An empty document has nothing to update: ``fit``
+rejects it, and ``infer_thetas`` gives it the uniform theta 1/K with no
+warning. ``log_beta`` stores K rows of length V (log-probability of each
+symbol given the latent domain).
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ class LdaConfig:
             raise ValueError("em_tol must be finite and >= 0")
         if self.max_em_iters < 1:
             raise ValueError("max_em_iters must be >= 1")
+        if self.alpha is not None and not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -143,11 +145,13 @@ def _log_domain_e_step(lb, counts, alpha):
 
     ``lb`` is (U, K): the model's log-probabilities at the document's
     distinct symbols; ``counts`` is (U,). Exact where the scaled norm
-    underflows. Returns gamma (K,) and the phi (U, K) of the last sweep.
+    underflows. Returns gamma (K,) and digamma(gamma) at the start of the
+    last sweep (K,).
     """
     gamma = alpha + counts.sum() / lb.shape[1]
     for _ in range(_MAX_E_ITERS):
-        log_phi = lb + psi(gamma)
+        dig = psi(gamma)
+        log_phi = lb + dig
         log_phi -= log_phi.max(axis=1, keepdims=True)
         phi = np.exp(log_phi)
         phi /= phi.sum(axis=1, keepdims=True)
@@ -156,7 +160,7 @@ def _log_domain_e_step(lb, counts, alpha):
         gamma = new_gamma
         if delta < _GAMMA_TOL:
             break
-    return gamma, phi
+    return gamma, dig
 
 
 def _e_step(log_beta, eb, alpha, c):
@@ -165,9 +169,9 @@ def _e_step(log_beta, eb, alpha, c):
     ``eb`` is the scaled beta of :func:`_scaled_beta`. A document is frozen
     once its max relative gamma change falls below ``_GAMMA_TOL``. A document
     whose norm falls below ``_NORM_FLOOR`` at a symbol it contains is re-run
-    from the start by :func:`_log_domain_e_step`. Returns gamma (M, K); for
-    each document, digamma(gamma) at the start of its last sweep (M, K); and
-    the phi of each re-run document, by row.
+    from the start by :func:`_log_domain_e_step`. Returns gamma (M, K) and,
+    for each document, digamma(gamma) at the start of its last sweep (M, K),
+    in whichever domain that sweep ran.
     """
     gamma = alpha + c.sum(axis=1, keepdims=True) / eb.shape[0]
     dig = np.empty_like(gamma)
@@ -185,66 +189,49 @@ def _e_step(log_beta, eb, alpha, c):
         live, c_live = live[keep], c_live[keep]
         if live.size == 0:
             break
-    fallback = {}
     for i in np.flatnonzero(under):
         ids = np.flatnonzero(c[i])
-        gamma[i], fallback[i] = _log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
-    return gamma, dig, fallback
+        gamma[i], dig[i] = _log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
+    return gamma, dig
 
 
-def _elog_theta(gamma):
-    """E_q[log theta_k] of each row of gamma."""
-    return psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+def _bound(alpha, gamma, dig_prev):
+    """Evidence lower bound of each document from its last sweep, less its
+    symbol term sum_w c_w log Z_w.
 
-
-def _dirichlet_terms(alpha, gamma, dig):
-    """E_q[log p(theta | alpha)] - E_q[log q(theta | gamma)] of each row of
-    gamma, where dig = E_q[log theta]."""
+    That is E_q[log p(theta | alpha)] - E_q[log q(theta | gamma)], with
+    dig = E_q[log theta], plus the phi terms, which for
+    phi_wk = exp(log_beta_kw + dig_prev_k) / Z_w reduce to
+    sum_k (gamma_k - alpha_k)(dig_k - dig_prev_k) plus the symbol term.
+    """
+    dig = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
     return (gammaln(alpha.sum()) - gammaln(alpha).sum() + dig @ (alpha - 1)
             - gammaln(gamma.sum(axis=1)) + gammaln(gamma).sum(axis=1)
-            - ((gamma - 1) * dig).sum(axis=1))
-
-
-def _phi_bound(alpha, lb, counts, gamma, phi):
-    """Evidence lower bound of one document from its phi (U, K), with ``lb``
-    (U, K) the model's log-probabilities at its distinct symbols."""
-    dig = _elog_theta(gamma[None])
-    # E_q[log p(z | theta) + log p(w | z, beta) - log q(z)], per symbol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_symbol = np.where(phi > 0, phi * (dig + lb - np.log(phi)), 0.0)
-    return float(_dirichlet_terms(alpha, gamma[None], dig)[0]
-                 + counts @ per_symbol.sum(axis=1))
-
-
-def _bound(alpha, top, c, gamma, dig_prev, norm):
-    """Evidence lower bound of each document from its last sweep, without phi.
-
-    With phi_wk = exp(log_beta_kw + dig_prev_k) / Z_w, the phi terms reduce
-    to sum_k (gamma_k - alpha_k)(E_q[log theta_k] - dig_prev_k) plus
-    sum_w c_w log Z_w, and log Z_w is log norm_w plus the row shift of
-    dig_prev and the column shift ``top`` of :func:`_scaled_beta`.
-    """
-    dig = _elog_theta(gamma)
-    return (_dirichlet_terms(alpha, gamma, dig)
-            + ((gamma - alpha) * (dig - dig_prev)).sum(axis=1)
-            + (c * np.log(norm)).sum(axis=1)
-            + c.sum(axis=1) * dig_prev.max(axis=1) + c @ top)
+            - ((gamma - 1) * dig).sum(axis=1)
+            + ((gamma - alpha) * (dig - dig_prev)).sum(axis=1))
 
 
 def _em_terms(log_beta, alpha, c):
     """The E-step of variational EM on the counts ``c`` (M, V): each
     document's evidence lower bound (M,) and the expected counts (K, V)
-    the M-step normalises, eb * (el.T @ (c / norm)) from the last sweeps."""
+    the M-step normalises, eb * (el.T @ (c / norm)) from the last sweeps.
+    log Z_w is log norm_w plus the row shift of dig and the column shift
+    ``top`` of :func:`_scaled_beta`, or, where the norm underflows at a
+    symbol the document contains, a logsumexp, one document at a time."""
     eb, top = _scaled_beta(log_beta)
-    gamma, dig, fallback = _e_step(log_beta, eb, alpha, c)
-    el, norm, _ = _scaled_norm(dig, eb, c)
-    bounds = _bound(alpha, top, c, gamma, dig, norm)
-    el[list(fallback)] = 0.0      # a re-run document's counts go through its phi
+    gamma, dig = _e_step(log_beta, eb, alpha, c)
+    el, norm, under = _scaled_norm(dig, eb, c)
+    theta_terms = _bound(alpha, gamma, dig)
+    bounds = (theta_terms + (c * np.log(norm)).sum(axis=1)
+              + c.sum(axis=1) * dig.max(axis=1) + c @ top)
+    el[under] = 0.0      # a log-domain document's counts are added from its phi
     stats = eb * (el.T @ (c / norm))
-    for i, phi in fallback.items():
+    for i in np.flatnonzero(under):
         ids = np.flatnonzero(c[i])
-        bounds[i] = _phi_bound(alpha, log_beta.T[ids], c[i, ids], gamma[i], phi)
-        stats[:, ids] += (c[i, ids, None] * phi).T
+        log_phi = log_beta.T[ids] + dig[i]
+        log_z = logsumexp(log_phi, axis=1)
+        bounds[i] = theta_terms[i] + c[i, ids] @ log_z
+        stats[:, ids] += (c[i, ids, None] * np.exp(log_phi - log_z[:, None])).T
     return bounds, stats
 
 
@@ -281,10 +268,8 @@ def fit(
     c = corpus.counts.astype(float)
 
     rng = np.random.default_rng(config.seed)
-    alpha_scale = config.alpha if config.alpha is not None else 1.0 / num_domains
-    if alpha_scale <= 0:
-        raise ValueError("alpha must be positive")
-    alpha = np.full(num_domains, alpha_scale)
+    alpha = np.full(num_domains,
+                    config.alpha if config.alpha is not None else 1.0 / num_domains)
     log_beta = _init_log_beta(c, num_domains, rng)
 
     history: list[float] = []
@@ -326,8 +311,8 @@ def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
     live = docs.counts.any(axis=1)
     if live.any():
         eb, _ = _scaled_beta(model.log_beta)
-        gamma[live], _, _ = _e_step(model.log_beta, eb, model.alpha,
-                                    docs.counts[live].astype(float))
+        gamma[live], _ = _e_step(model.log_beta, eb, model.alpha,
+                                 docs.counts[live].astype(float))
     bad = ~np.isfinite(gamma).all(axis=1)
     if bad.any():
         raise FloatingPointError(f"document {docs.ids[bad.argmax()]!r}: non-finite gamma")

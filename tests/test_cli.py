@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from acoustic_lda import cli, corpus, gmm
 from acoustic_lda.cli import _doc_domains, main
-from acoustic_lda.network import NetworkConfig, init_network, save_network
+from acoustic_lda.network import NetworkConfig, init_network, load_network, save_network
 from synthetic import assignments_record, bag_record, feature_record, input_matrix
 
 
@@ -208,9 +208,41 @@ class TestTrainEval:
         assert run("augment-train", "--data", data, "--assignments", assigns,
                    "--hidden", "6", "--epochs", 2, "--seed", 0,
                    "--out", net_path) == 0
-        from acoustic_lda.network import load_network
         net = load_network(net_path)
         assert net.domain_dim == 2
+
+    def test_baseline_net_is_widened_by_the_assignments_k(self, tmp_path):
+        """``--baseline-net`` keeps the baseline's widths and activation,
+        where ``--hidden`` and ``--activation`` default to others, and adds
+        K domain columns to its first layer."""
+        data, assign, base, out = (tmp_path / name for name in (
+            "data.jsonl", "assign.jsonl", "base.json", "aug.json"))
+        two_document_frames(data)
+        assign.write_text(assignments_text([0.2, 0.1, 0.7], [0.6, 0.3, 0.1]))
+        base.write_text(net_json(activation="relu"))
+        assert run("augment-train", "--data", data, "--assignments", assign,
+                   "--baseline-net", base, "--epochs", 1, "--out", out) == 0
+        net = load_network(out)
+        assert (net.input_dim, net.domain_dim, net.activation) == (2, 3, "relu")
+        assert [w.shape for w in net.weights] == [(2, 5), (3, 2)]
+
+    @pytest.mark.parametrize("domain_dim, assign_flag, message", [
+        (0, False, "--baseline-net requires --assignments for augmentation"),
+        (3, True, "baseline network is already domain-augmented"),
+    ])
+    def test_bad_baseline_net_exit_1(self, tmp_path, capsys, domain_dim, assign_flag,
+                                     message):
+        data, assign, base, out = (tmp_path / name for name in (
+            "data.jsonl", "assign.jsonl", "base.json", "aug.json"))
+        two_document_frames(data)
+        assign.write_text(assignments_text([0.2, 0.1, 0.7], [0.6, 0.3, 0.1]))
+        save_network(base, init_network(NetworkConfig(input_dim=2, output_dim=3,
+                                                      domain_dim=domain_dim)))
+        argv = ["--assignments", assign] if assign_flag else []
+        assert run("augment-train", "--data", data, *argv, "--baseline-net", base,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestFrameDataset:
@@ -388,6 +420,46 @@ class TestContracts:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
+
+    def test_train_gmm_on_no_documents_exit_1(self, tmp_path, capsys):
+        features, out = tmp_path / "features.jsonl", tmp_path / "gmm.json"
+        features.write_text('{"_meta": {"seed": 0}}\n\n')
+        assert run("train-gmm", "--features", features, "--components", 2,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: no feature documents to train on\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["jsonl", "json"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, reader):
+        """A byte that does not decode names the file, not a position counted
+        within one decode chunk; a jsonl file's is read past its first 1,500
+        lines, a json file's is its first byte."""
+        features, bags = tmp_path / "features.jsonl", tmp_path / "bags.jsonl"
+        model, assign = tmp_path / "gmm.json", tmp_path / "assign.jsonl"
+        features.write_text('{"id": "d0", "frames": [[0.0, 1.0, 2.0]]}\n')
+        model.write_text(gmm_json())
+        assign.write_text("")
+        lines = [json.dumps({"id": f"d{i}", "counts": [1, 2]}).encode() for i in range(1600)]
+        lines[1500] = lines[1500][:10] + b"\xff" + lines[1500][10:]
+        bags.write_bytes(b"\n".join(lines) + b"\n")
+        if reader == "json":
+            bad, argv = model, ["quantize", "--gmm", model, "--features", features,
+                                "--out", tmp_path / "symbols.jsonl"]
+            model.write_bytes(b"\xff" + model.read_bytes())
+        else:
+            bad, argv = bags, ["stats", "--assignments", assign, "--bags", bags,
+                               "--out", tmp_path / "stats.csv"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: not utf-8 text: byte 0xff: invalid start byte\n"
+
+    def test_write_into_a_missing_directory_names_the_target(self, tmp_path, capsys,
+                                                             pipeline_inputs):
+        out = tmp_path / "nodir" / "gmm.json"
+        assert run("train-gmm", "--features", pipeline_inputs, "--components", 2,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
 
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:

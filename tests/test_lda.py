@@ -142,11 +142,10 @@ class TestPhiFreeEStep:
 
     @staticmethod
     def e_step(log_beta, alpha, docs):
-        """gamma (M, K) of the batched E-step on ``docs``, and the phi of
-        each document it re-ran in the log domain, by row."""
+        """gamma (M, K) of the E-step on ``docs``, and digamma(gamma) at the
+        start of each document's last sweep."""
         c = docs.counts.astype(float)
-        gamma, _, fallback = lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c)
-        return gamma, fallback
+        return lda._e_step(log_beta, lda._scaled_beta(log_beta)[0], alpha, c)
 
     def test_gamma_matches_log_domain_oracle(self):
         rng = np.random.default_rng(30)
@@ -155,8 +154,7 @@ class TestPhiFreeEStep:
             model = make_model(rng.dirichlet(np.full(v, 0.5), size=k),
                                rng.uniform(0.05, 2.0, size=k))
             docs = self.mixed_corpus(rng, v, 25)
-            gamma, fallback = self.e_step(model.log_beta, model.alpha, docs)
-            assert not fallback
+            gamma, _ = self.e_step(model.log_beta, model.alpha, docs)
             for counts, g in zip(docs.counts, gamma):
                 want, _ = lda_e_step(model.alpha, model.log_beta, counts,
                                      lda._GAMMA_TOL, lda._MAX_E_ITERS)
@@ -182,14 +180,40 @@ class TestPhiFreeEStep:
             return rerun(lb, counts, *args)
 
         monkeypatch.setattr(lda, "_log_domain_e_step", counted)
-        gamma, fallback = self.e_step(log_beta, alpha, docs)
-        assert reruns == [[1.0]] and list(fallback) == [1]
+        gamma, _ = self.e_step(log_beta, alpha, docs)
+        assert reruns == [[1.0]]
         for counts, g in zip(docs.counts, gamma):
             want, _ = lda_e_step(alpha, log_beta, counts,
                                  lda._GAMMA_TOL, lda._MAX_E_ITERS)
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(fallback[1][0], np.eye(k)[1], atol=1e-12)
         np.testing.assert_array_equal(posterior(model, docs), gamma)
+
+    def test_norm_underflowing_at_the_last_sweep_takes_the_log_domain_terms(self):
+        # Topic 0 emits only symbol 0 and topics 1-1000 only symbol 1. In
+        # document 0, symbol 1's one token is spread over 1000 topics of
+        # gamma near 0.001, whose el underflows at every sweep, the last one
+        # too; its bound and expected counts come from logsumexp.
+        k = 1001
+        log_beta = np.full((k, 2), [-np.inf, 0.0])
+        log_beta[0] = [0.0, -np.inf]
+        alpha = np.full(k, 1e-6)
+        alpha[0] = 1.0
+        docs = bag_record([5, 1], [3, 0], ids=["a", "b"])
+        c = docs.counts.astype(float)
+        eb = lda._scaled_beta(log_beta)[0]
+        _, dig = lda._e_step(log_beta, eb, alpha, c)
+        np.testing.assert_array_equal(lda._scaled_norm(dig, eb, c)[2], [True, False])
+        bounds, stats = lda._em_terms(log_beta, alpha, c)
+        want_stats = np.zeros((k, 2))
+        for counts in docs.counts:
+            gamma, phi = lda_e_step(alpha, log_beta, counts,
+                                    lda._GAMMA_TOL, lda._MAX_E_ITERS)
+            ids = np.flatnonzero(counts)
+            want_stats[:, ids] += (counts[ids, None] * phi).T
+            if counts[1]:
+                want = lda_phi_elbo(alpha, log_beta, counts, gamma, phi)
+                assert abs(bounds[0] - want) <= 1e-10 * abs(want)
+        np.testing.assert_allclose(stats, want_stats, rtol=0, atol=1e-12)
 
     def test_every_document_rerun_gives_the_same_fit(self, monkeypatch):
         # an infinite floor sends every document through the log-domain
@@ -344,6 +368,11 @@ class TestFit:
         model = fit(to_bag(docs, 8), 4)
         np.testing.assert_allclose(np.exp(model.log_beta).sum(axis=1), 1.0,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_config_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            LdaConfig(alpha=alpha)
 
     def test_rejects_bad_corpus(self):
         with pytest.raises(ValueError):
