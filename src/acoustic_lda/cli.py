@@ -5,13 +5,10 @@ Each subcommand reads its inputs from files and writes its outputs through
 jsonl and json rules. A rerun with identical inputs and seed writes
 identical bytes. The artifact formats belong to the modules that build them
 (features, labelled frames, symbols and bags to ``corpus``, the GMM, LDA
-and network files to ``gmm``, ``lda`` and ``network``, the stats csv to
-``domains``); this module adds the fields of the files only the CLI reads
-or writes. Every input is json or jsonl; csv is only written:
+and network files to ``gmm``, ``lda`` and ``network``, the assignments and
+the stats csv to ``domains``); this module adds the fields of the files only
+the CLI reads or writes. Every input is json or jsonl; csv is only written:
 
-  assignments     jsonl, a ``_meta`` seed line, then {"id", "theta",
-                  "map_domain", "weight"}, one K (theta length) per file
-                  and unique ids; it loads as one ``domains.Assignments``
   filter output   jsonl, a ``_meta`` line with the filter's cutoff and
                   histogram, then {"id"} per kept document (``--keep-ids``)
   metrics         csv ``epoch,train_loss,cv_accuracy``
@@ -36,45 +33,9 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import corpus, domains, formats, gmm, lda, network
 
 __all__ = ["main"]
-
-
-def _load_assignments(path) -> domains.Assignments:
-    """An assignments file as one ``domains.Assignments`` record, built from
-    the one-document records of its lines. Each line is checked as one, and
-    for its ``map_domain`` and the earlier lines' K (length of theta); as
-    ``formats.read_jsonl`` reads it, its faults, and an id an earlier line
-    holds, are raised naming its ``file:line``."""
-    k = 0
-
-    def build(obj):
-        nonlocal k
-        theta = formats.numbers(obj.get("theta"), "'theta'", (None,))
-        map_domain, weight = obj.get("map_domain"), obj.get("weight", 1.0)
-        if not theta.size:
-            raise ValueError("'theta' must not be empty")
-        if type(map_domain) is not int:
-            raise ValueError("'map_domain' must be an integer")
-        # a finite number; the bound also keeps an integer within float range
-        if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
-            raise ValueError("'weight' must be a finite number")
-        doc = domains.Assignments(ids=[obj["id"]], thetas=theta[None],
-                                  weights=[float(weight)])
-        if map_domain != int(doc.map_domains[0]):
-            raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
-        if k and theta.size != k:
-            raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
-        k = theta.size
-        return doc
-
-    docs = formats.read_jsonl(path, build, unique=True)
-    return domains.Assignments(
-        ids=[doc.ids[0] for doc in docs], weights=[doc.weights[0] for doc in docs],
-        thetas=np.reshape([doc.thetas[0] for doc in docs], (len(docs), k)))
 
 
 def _doc_domains(record, assignments):
@@ -102,15 +63,12 @@ def _cmd_train_gmm(args):
 
 def _cmd_quantize(args):
     model = gmm.load_gmm(args.gmm)
-    symbol_docs = []
     # one document at a time: the corpus's frames are never held whole
-    corpus.read_features(args.features, lambda doc: symbol_docs.append(
-        corpus.SymbolDocument(id=doc.ids[0], symbols=gmm.quantize(model, doc),
-                              group=doc.groups[0])))
-    corpus.save_symbols(args.out, symbol_docs)
+    symbols = corpus.quantize_features(args.features, lambda doc: gmm.quantize(model, doc))
+    corpus.save_symbols(args.out, symbols)
     if args.bags_out:
-        corpus.save_bags(args.bags_out, corpus.to_bag(symbol_docs, model.num_components))
-    print(f"quantized {len(symbol_docs)} documents", file=sys.stderr)
+        corpus.save_bags(args.bags_out, corpus.to_bag(symbols, model.num_components))
+    print(f"quantized {len(symbols.ids)} documents", file=sys.stderr)
 
 
 def _cmd_train_lda(args):
@@ -126,12 +84,7 @@ def _cmd_assign(args):
     model = lda.load_lda(args.model)
     bags = corpus.load_bags(args.bags)
     assignments = domains.assign(model, bags)
-    formats.write_jsonl(args.out, (
-        {"id": doc_id, "theta": theta, "map_domain": map_domain, "weight": weight}
-        for doc_id, theta, map_domain, weight
-        in zip(assignments.ids, assignments.thetas.tolist(),
-               assignments.map_domains.tolist(), assignments.weights.tolist())),
-        meta={"seed": args.seed})
+    domains.save_assignments(args.out, assignments, seed=args.seed)
     empty = int((~bags.counts.any(axis=1)).sum())   # each took the uniform theta
     print(f"assigned {len(assignments)} documents, {empty} empty", file=sys.stderr)
 
@@ -147,8 +100,8 @@ def _cmd_entropy(args):
 
 
 def _cmd_filter(args):
-    assign_a = _load_assignments(args.assign_a)
-    assign_b = _load_assignments(args.assign_b)
+    assign_a = domains.load_assignments(args.assign_a)
+    assign_b = domains.load_assignments(args.assign_b)
     if args.target_weight is not None:
         target = args.target_weight
     else:
@@ -174,7 +127,7 @@ def _cmd_filter(args):
 
 def _cmd_augment_train(args):
     record = corpus.load_labeled_frames(args.data)
-    assignments = _load_assignments(args.assignments) if args.assignments else None
+    assignments = domains.load_assignments(args.assignments) if args.assignments else None
     if args.keep_ids:
         record = record.subset(set(formats.read_jsonl(args.keep_ids,
                                                       lambda obj: obj["id"])))
@@ -216,7 +169,7 @@ def _cmd_augment_train(args):
 def _cmd_eval(args):
     net = network.load_network(args.net)
     record = corpus.load_labeled_frames(args.data)
-    assignments = _load_assignments(args.assignments) if args.assignments else None
+    assignments = domains.load_assignments(args.assignments) if args.assignments else None
     doc_domains = _doc_domains(record, assignments)
     if assignments and net.domain_dim and assignments.num_domains != net.domain_dim:
         raise ValueError(f"assignments have K={assignments.num_domains} != "
@@ -226,7 +179,7 @@ def _cmd_eval(args):
 
 
 def _cmd_stats(args):
-    assignments = _load_assignments(args.assignments)
+    assignments = domains.load_assignments(args.assignments)
     bags = corpus.load_bags(args.bags)
     group_of = {doc_id: group or "unknown" for doc_id, group in zip(bags.ids, bags.groups)}
     rows = domains.distribution_stats(assignments, group_of, args.top_n)

@@ -4,12 +4,14 @@ A corpus's frames are one record, ``Frames``: the documents' ids and groups,
 and every frame in one (N, D) matrix, document i holding rows
 ``offsets[i]:offsets[i + 1]``, as Kaldi keeps an utterance's features in one
 matrix. Labelled frames (the classifier's data) add one class label per frame.
-A corpus's bags of sounds are one record too, ``Bags``, document i's counts
-in row i of one (M, V) matrix; the stages compute on both as loaded. The
-loaders copy each line's rows into one buffer that grows by a realloc, so a
-corpus's frames or counts are held once; ``read_features`` streams a
-features file one document at a time, for a stage that needs no more.
-Symbol sequences are one record per document.
+A corpus's symbol sequences are one record too, ``Symbols``, laid out as
+``Frames`` is with one symbol per frame in one (N,) array, and so are its
+bags of sounds, ``Bags``, document i's counts in row i of one (M, V) matrix;
+the stages compute on them as loaded. The loaders check each line with the
+record's own checks and copy its rows into one buffer that grows by a
+realloc, so a corpus's frames, symbols or counts are held once and its
+record is built once; ``read_features`` streams a features file one document
+at a time, for a stage that needs no more.
 
 Every record is immutable and checked when built. It keeps its arrays
 read-only (``read_only``): an array that owns its data and is already
@@ -21,7 +23,7 @@ the shared jsonl rules of :mod:`.formats`; this module adds their fields:
                   numbers, T >= 1
   labelled frames jsonl: {"id", "frames", "labels"}, frames T x D finite
                   numbers or [] (T = 0), labels T integers >= 0
-  symbols         jsonl: {"id", "group", "symbols"}, a list of json integers
+  symbols         jsonl: {"id", "group", "symbols"}, json integers >= 0
   bags            jsonl: {"id", "group", "counts"}, V json integers >= 0
 
 Ids are unique within a features, symbols or bags file. All frames of a file
@@ -33,7 +35,7 @@ naming its ``file:line`` as the line is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +44,12 @@ from . import formats
 __all__ = [
     "CorpusError",
     "read_only",
-    "check_unique_ids",
     "Frames",
-    "SymbolDocument",
+    "Symbols",
     "Bags",
     "read_features",
     "load_features",
+    "quantize_features",
     "load_labeled_frames",
     "save_features",
     "load_symbols",
@@ -86,9 +88,29 @@ def _naturals(values, name) -> np.ndarray:
     return read_only(arr, np.int64)
 
 
-def _offsets(lengths) -> np.ndarray:
-    """The (M + 1,) row offsets of documents of ``lengths`` rows."""
-    return np.cumsum([0, *lengths], dtype=np.int64)
+def _layout(docs) -> dict:
+    """The ids, groups and offsets of the documents ``docs``, each an (id,
+    group, row count)."""
+    return {"ids": [doc[0] for doc in docs], "groups": [doc[1] for doc in docs],
+            "offsets": np.cumsum([0, *(doc[2] for doc in docs)], dtype=np.int64)}
+
+
+def _set_layout(record, n) -> None:
+    """Check that ``record``'s ids, groups and offsets describe M documents
+    whose rows run in order from 0 to ``n``, and keep them read-only."""
+    offsets = read_only(record.offsets, np.int64)
+    if not (len(record.groups) == len(record.ids) and offsets.shape == (len(record.ids) + 1,)
+            and offsets[0] == 0 and offsets[-1] == n and (np.diff(offsets) >= 0).all()):
+        raise CorpusError("ids, groups and offsets must describe M documents "
+                          "whose rows run in order from 0 to N")
+    object.__setattr__(record, "ids", tuple(record.ids))
+    object.__setattr__(record, "groups", tuple(record.groups))
+    object.__setattr__(record, "offsets", offsets)
+
+
+def _first_doc(offsets, bad) -> int:
+    """The first document whose rows (``offsets``) hold a True of ``bad``."""
+    return int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
 
 
 @dataclass(frozen=True)
@@ -107,19 +129,11 @@ class Frames:
 
     def __post_init__(self):
         frames = read_only(self.frames, float)
-        offsets = read_only(self.offsets, np.int64)
         if frames.ndim != 2:
             raise CorpusError(f"frames must be 2-d (N x D), got shape {frames.shape}")
-        if not (len(self.groups) == len(self.ids) and offsets.shape == (len(self.ids) + 1,)
-                and offsets[0] == 0 and offsets[-1] == len(frames)
-                and (np.diff(offsets) >= 0).all()):
-            raise CorpusError("ids, groups and offsets must describe M documents "
-                              "whose rows run in order from 0 to N")
+        _set_layout(self, len(frames))
         if not np.isfinite(frames).all():
             raise CorpusError("frames must be finite")
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "frames", frames)
         if self.labels is not None:
             labels = _naturals(self.labels, "labels")
@@ -140,12 +154,10 @@ class Frames:
     def subset(self, keep) -> Frames:
         """The documents whose id is in ``keep``, in order; their frames and
         labels are taken with one row mask."""
-        kept = np.array([doc_id in keep for doc_id in self.ids], dtype=bool)
         lengths = np.diff(self.offsets)
-        rows = np.repeat(kept, lengths)
-        return Frames(ids=[i for i, k in zip(self.ids, kept) if k],
-                      groups=[g for g, k in zip(self.groups, kept) if k],
-                      offsets=_offsets(lengths[kept]), frames=_frozen(self.frames[rows]),
+        rows = np.repeat(np.array([doc_id in keep for doc_id in self.ids], bool), lengths)
+        docs = [doc for doc in zip(self.ids, self.groups, lengths) if doc[0] in keep]
+        return Frames(**_layout(docs), frames=_frozen(self.frames[rows]),
                       labels=None if self.labels is None else _frozen(self.labels[rows]))
 
 
@@ -189,23 +201,30 @@ class _Rows:
 
 
 @dataclass(frozen=True)
-class SymbolDocument:
-    """Quantized document: the per-frame maximum-posterior component indices."""
+class Symbols:
+    """A corpus's quantized documents, laid out as ``Frames``: document i's
+    symbols, each frame's maximum-posterior component index, are
+    ``symbols[offsets[i]:offsets[i + 1]]`` of the (N,) ``symbols``, >= 0."""
 
-    id: str
+    ids: tuple
+    groups: tuple
+    offsets: np.ndarray
     symbols: np.ndarray
-    group: Optional[str] = None
 
     def __post_init__(self):
         symbols = read_only(self.symbols, np.int64)
         if symbols.ndim != 1:
-            raise CorpusError(f"document {self.id!r}: symbols must be 1-d")
-        if symbols.size and symbols.min() < 0:
-            raise CorpusError(f"document {self.id!r}: negative symbol")
+            raise CorpusError(f"symbols must be 1-d, got shape {symbols.shape}")
+        _set_layout(self, len(symbols))
+        _check_symbols(self.ids, self.offsets, symbols)
         object.__setattr__(self, "symbols", symbols)
 
-    def __len__(self) -> int:
-        return self.symbols.shape[0]
+
+def _check_symbols(ids, offsets, symbols) -> None:
+    """Raise CorpusError naming the first document of a negative symbol."""
+    if symbols.size and symbols.min() < 0:
+        raise CorpusError(f"document {ids[_first_doc(offsets, symbols < 0)]!r}: "
+                          f"negative symbol")
 
 
 @dataclass(frozen=True)
@@ -235,26 +254,22 @@ class Bags:
         return self.counts.shape[1]
 
 
-def to_bag(docs: Sequence[SymbolDocument], vocab_size: int) -> Bags:
-    """The bags of sounds of the quantized documents ``docs``: each one's
-    symbol counts over the ``vocab_size`` symbols."""
-    counts = np.empty((len(docs), vocab_size), dtype=np.int64)
-    for row, doc in zip(counts, docs):
-        if doc.symbols.size and doc.symbols.max() >= vocab_size:
-            raise CorpusError(f"document {doc.id!r}: symbol {doc.symbols.max()} "
-                              f"out of range for V={vocab_size}")
-        row[:] = np.bincount(doc.symbols, minlength=vocab_size)
-    return Bags(ids=[doc.id for doc in docs], groups=[doc.group for doc in docs],
-                counts=_frozen(counts))
-
-
-def check_unique_ids(ids: Sequence[str]) -> None:
-    """Raise CorpusError naming the first id that an earlier one repeats."""
-    seen = set()
-    for doc_id in ids:
-        if doc_id in seen:
-            raise CorpusError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
+def to_bag(symbols: Symbols, vocab_size: int) -> Bags:
+    """Each document's counts of the ``vocab_size`` symbols, in one
+    ``np.bincount`` of the flat (document, symbol) cells. A symbol >=
+    ``vocab_size`` raises naming the first document that holds one and that
+    document's largest symbol."""
+    ids, offsets, values = symbols.ids, symbols.offsets, symbols.symbols
+    over = values >= vocab_size
+    if over.any():
+        doc = _first_doc(offsets, over)
+        raise CorpusError(f"document {ids[doc]!r}: symbol "
+                          f"{values[offsets[doc]:offsets[doc + 1]].max()} "
+                          f"out of range for V={vocab_size}")
+    cells = np.repeat(np.arange(len(ids)) * vocab_size, np.diff(offsets)) + values
+    counts = np.bincount(cells, minlength=len(ids) * vocab_size)
+    counts.resize((len(ids), vocab_size), refcheck=False)   # in place: the record keeps it
+    return Bags(ids=ids, groups=symbols.groups, counts=_frozen(counts))
 
 
 def _frame_rows(obj, width) -> np.ndarray:
@@ -304,9 +319,15 @@ def load_features(path) -> Frames:
     ``read_features``. An empty file yields a record with no documents."""
     rows = _Rows(2, float)
     docs = read_features(path, lambda doc: rows.append(doc.frames))
-    return Frames(ids=[doc_id for doc_id, _, _ in docs],
-                  groups=[group for _, group, _ in docs],
-                  offsets=_offsets([n for _, _, n in docs]), frames=rows.frozen())
+    return Frames(**_layout(docs), frames=rows.frozen())
+
+
+def quantize_features(path, quantize) -> Symbols:
+    """The ``Symbols`` record of each document's ``quantize(doc)``, as
+    ``read_features`` streams the features file ``path``, with its faults."""
+    rows = _Rows(1, np.int64)
+    docs = read_features(path, lambda doc: rows.append(quantize(doc)))
+    return Symbols(**_layout(docs), symbols=rows.frozen())
 
 
 def load_labeled_frames(path) -> Frames:
@@ -321,9 +342,7 @@ def load_labeled_frames(path) -> Frames:
         nonlocal width
         frames = np.empty((0, width)) if obj.get("frames") == [] else _frame_rows(obj, width)
         width = frames.shape[1]
-        doc_labels = formats.json_ints(obj.get("labels"), "labels")
-        if np.any(doc_labels < 0):
-            raise ValueError("'labels' must be >= 0")
+        doc_labels = _naturals(formats.json_ints(obj.get("labels"), "labels"), "'labels'")
         if frames.shape[0] != doc_labels.shape[0]:
             raise ValueError("frames/labels length mismatch")
         rows.append(frames)
@@ -331,49 +350,59 @@ def load_labeled_frames(path) -> Frames:
         return obj["id"], obj.get("group"), len(doc_labels)
 
     docs = formats.read_jsonl(path, build)
-    return Frames(ids=[doc_id for doc_id, _, _ in docs],
-                  groups=[group for _, group, _ in docs],
-                  offsets=_offsets([n for _, _, n in docs]),
-                  frames=rows.frozen(), labels=labels.frozen())
+    return Frames(**_layout(docs), frames=rows.frozen(), labels=labels.frozen())
+
+
+def _documents(record, values):
+    """Each document of ``record`` as (id, group, its rows of ``values``)."""
+    bounds = record.offsets.tolist()
+    return zip(record.ids, record.groups, (values[start:stop]
+                                           for start, stop in zip(bounds, bounds[1:])))
 
 
 def save_features(path, record: Frames) -> None:
-    bounds = record.offsets.tolist()
-    formats.write_jsonl(path, ({"id": doc_id, "group": group,
-                                "frames": record.frames[start:stop].tolist()}
-                               for doc_id, group, start, stop
-                               in zip(record.ids, record.groups, bounds, bounds[1:])))
+    formats.write_jsonl(path, ({"id": doc_id, "group": group, "frames": frames.tolist()}
+                               for doc_id, group, frames
+                               in _documents(record, record.frames)))
 
 
-def load_symbols(path) -> list[SymbolDocument]:
-    docs = formats.read_jsonl(path, lambda obj: SymbolDocument(
-        id=obj["id"], group=obj.get("group"),
-        symbols=formats.json_ints(obj.get("symbols"), "symbols")), unique=True)
-    return docs
+def load_symbols(path) -> Symbols:
+    """A symbols jsonl file as one ``Symbols`` record. Each line's symbols
+    are checked as the record checks them, and its faults are raised naming
+    its ``file:line``."""
+    rows = _Rows(1, np.int64)
+
+    def build(obj):
+        symbols = formats.json_ints(obj.get("symbols"), "symbols")
+        _check_symbols([obj["id"]], [0, len(symbols)], symbols)
+        rows.append(symbols)
+        return obj["id"], obj.get("group"), len(symbols)
+
+    docs = formats.read_jsonl(path, build, unique=True)
+    return Symbols(**_layout(docs), symbols=rows.frozen())
 
 
-def save_symbols(path, docs: Iterable[SymbolDocument]) -> None:
-    formats.write_jsonl(path, ({"id": doc.id, "group": doc.group,
-                                "symbols": doc.symbols.tolist()} for doc in docs))
+def save_symbols(path, symbols: Symbols) -> None:
+    formats.write_jsonl(path, ({"id": doc_id, "group": group, "symbols": values.tolist()}
+                               for doc_id, group, values
+                               in _documents(symbols, symbols.symbols)))
 
 
 def load_bags(path) -> Bags:
-    """A bags jsonl file as one ``Bags`` record. Each line is checked as a
-    one-document record, and its faults, or counts whose length differs from
-    the earlier lines', are raised naming its ``file:line``."""
+    """A bags jsonl file as one ``Bags`` record. Each line's counts are
+    checked as the record checks them, and for the earlier lines' length;
+    its faults are raised naming its ``file:line``."""
     rows = _Rows(2, np.int64)
     width = None
 
     def build(obj):
         nonlocal width
-        bag = Bags(ids=[obj["id"]], groups=[obj.get("group")],
-                   counts=formats.json_ints(obj.get("counts"), "counts")[None])
-        if width is not None and bag.vocab_size != width:
-            raise ValueError(f"'counts' has {bag.vocab_size} symbols, "
-                             f"earlier lines {width}")
-        width = bag.vocab_size
-        rows.append(bag.counts)
-        return bag.ids[0], bag.groups[0]
+        counts = _naturals(formats.json_ints(obj.get("counts"), "counts"), "counts")
+        if width is not None and len(counts) != width:
+            raise ValueError(f"'counts' has {len(counts)} symbols, earlier lines {width}")
+        width = len(counts)
+        rows.append(counts[None])
+        return obj["id"], obj.get("group")
 
     docs = formats.read_jsonl(path, build, unique=True)
     return Bags(ids=[doc_id for doc_id, _ in docs], groups=[group for _, group in docs],

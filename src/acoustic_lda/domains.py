@@ -2,21 +2,25 @@
 cross-agreement filter with histogram pruning, on one record per corpus,
 ``Assignments``, as bags are one ``corpus.Bags``. A document's MAP domain is
 the index its frames carry into the classifier, where the network turns it
-into the one-hot UBIC."""
+into the one-hot UBIC. An assignments file is jsonl under the rules of
+:mod:`.formats`: a ``_meta`` seed line, then {"id", "theta", "map_domain",
+"weight"} per document, with unique ids and one K (theta length) per file.
+"""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import formats
-from .corpus import Bags, check_unique_ids, read_only
+from .corpus import Bags, _Rows, read_only
 from .lda import LdaModel, infer_thetas
 
-__all__ = ["Assignments", "FilterResult", "assign",
-           "average_domain_entropy", "cross_agreement_filter",
+__all__ = ["Assignments", "load_assignments", "save_assignments", "FilterResult",
+           "assign", "average_domain_entropy", "cross_agreement_filter",
            "distribution_stats", "write_stats_csv"]
 
 
@@ -40,12 +44,8 @@ class Assignments:
         if not (thetas.ndim == 2 and len(thetas) == len(ids) and weights.shape == (len(ids),)):
             raise ValueError(f"thetas {thetas.shape} and weights {weights.shape} "
                              f"must be M x K and M, for M ids")
-        for bad, message in (((thetas < 0).any(axis=1), "theta must not be negative"),
-                             (abs(thetas.sum(axis=1) - 1.0) > 1e-9, "theta must sum to 1"),
-                             (weights < 0, "negative weight")):
-            if bad.any():
-                raise ValueError(f"document {ids[np.argmax(bad)]!r}: {message}")
-        check_unique_ids(ids)
+        _check_posteriors(ids, thetas, weights)
+        formats.check_unique_ids(ids, set())
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "weights", weights)
@@ -63,6 +63,59 @@ class Assignments:
     def total_weight(self) -> float:
         """The sum of the weights; np.bincount adds them one at a time, in order."""
         return float(np.bincount(np.zeros(len(self), np.int64), self.weights, 1)[0])
+
+
+def _check_posteriors(ids, thetas, weights) -> None:
+    """Raise ValueError naming the first document whose theta is negative or
+    does not sum to 1, or whose weight is negative."""
+    for bad, message in (((thetas < 0).any(axis=1), "theta must not be negative"),
+                         (abs(thetas.sum(axis=1) - 1.0) > 1e-9, "theta must sum to 1"),
+                         (weights < 0, "negative weight")):
+        if bad.any():
+            raise ValueError(f"document {ids[np.argmax(bad)]!r}: {message}")
+
+
+def load_assignments(path) -> Assignments:
+    """An assignments file as one ``Assignments`` record. Each line's theta
+    and weight are checked as the record checks them, and for its
+    ``map_domain`` and the earlier lines' K; its faults are raised naming its
+    ``file:line``."""
+    thetas, weights = _Rows(2, float), _Rows(1, float)
+    k = 0
+
+    def build(obj):
+        nonlocal k
+        theta = formats.numbers(obj.get("theta"), "'theta'", (None,))
+        map_domain, weight = obj.get("map_domain"), obj.get("weight", 1.0)
+        if not theta.size:
+            raise ValueError("'theta' must not be empty")
+        if type(map_domain) is not int:
+            raise ValueError("'map_domain' must be an integer")
+        # a finite number; the bound also keeps an integer within float range
+        if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
+            raise ValueError("'weight' must be a finite number")
+        weight = np.array([weight], dtype=float)
+        _check_posteriors([obj["id"]], theta[None], weight)
+        if map_domain != int(theta.argmax()):
+            raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
+        if k and theta.size != k:
+            raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
+        k = theta.size
+        thetas.append(theta[None])
+        weights.append(weight)
+        return obj["id"]
+
+    ids = formats.read_jsonl(path, build, unique=True)
+    return Assignments(ids=ids, thetas=thetas.frozen(), weights=weights.frozen())
+
+
+def save_assignments(path, assignments: Assignments, seed) -> None:
+    formats.write_jsonl(path, (
+        {"id": doc_id, "theta": theta, "map_domain": map_domain, "weight": weight}
+        for doc_id, theta, map_domain, weight
+        in zip(assignments.ids, assignments.thetas.tolist(),
+               assignments.map_domains.tolist(), assignments.weights.tolist())),
+        meta={"seed": seed})
 
 
 def assign(model: LdaModel, corpus: Bags) -> Assignments:

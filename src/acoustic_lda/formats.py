@@ -27,7 +27,8 @@ Shared rules, which each format's loader adds its own fields to:
   fault naming the file.
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
-  umask, as a plain ``open`` would give it.
+  umask, as a plain ``open`` would give it. A failed write names the
+  target, never the temp file, and leaves no temp file behind.
 - json is written strict: a NaN or an infinity, which json cannot hold,
   raises FormatError naming the file, and nothing is written.
 """
@@ -41,18 +42,18 @@ import os
 import numpy as np
 import orjson
 
-__all__ = ["FormatError", "read_jsonl", "read_json", "numbers", "json_ints",
-           "write_jsonl", "write_json", "write_csv"]
+__all__ = ["FormatError", "read_jsonl", "read_json", "check_unique_ids", "numbers",
+           "json_ints", "write_jsonl", "write_json", "write_csv"]
 
 
 class FormatError(ValueError):
     """A malformed file, record or field."""
 
 
-def _build(where, build, obj):
-    """``build(obj)``, with a ValueError it raises re-raised naming ``where``."""
+def _build(where, build, *args):
+    """``build(*args)``, with a ValueError it raises re-raised naming ``where``."""
     try:
-        return build(obj)
+        return build(*args)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -111,9 +112,7 @@ def read_jsonl(path, build, unique=False) -> list:
             if group is not None and not isinstance(group, str):
                 raise FormatError(f"{where}: 'group' must be a string or null")
             if unique:
-                if doc_id in seen:
-                    raise FormatError(f"{where}: duplicate document id {doc_id!r}")
-                seen.add(doc_id)
+                _build(where, check_unique_ids, (doc_id,), seen)
             out.append(_build(where, build, obj))
     return out
 
@@ -133,6 +132,15 @@ def read_json(path, keys, build):
     if missing:
         raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
     return _build(path, build, obj)
+
+
+def check_unique_ids(ids, seen) -> None:
+    """Raise FormatError naming the first of ``ids`` already in ``seen``,
+    which gains each id as it is passed."""
+    for doc_id in ids:
+        if doc_id in seen:
+            raise FormatError(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
 
 
 def numbers(value, name, shape, finite=True) -> np.ndarray:
@@ -213,22 +221,24 @@ def json_ints(value, name) -> np.ndarray:
 def _replace(path, write, newline=None) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
     ``path``; on any failure the temp file is removed. A ValueError, and an
-    OSError in making the temp file, are raised naming ``path``."""
+    OSError that names the temp file, are raised naming ``path`` alone."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:    # name the target, not the temp file
+        try:
+            with open(fd, "w", newline=newline) as fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
-        with open(fd, "w", newline=newline) as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        os.unlink(tmp)
-        if isinstance(exc, ValueError):
-            raise FormatError(f"{path}: {exc}") from exc
-        raise
 
 
 def write_jsonl(path, records, meta=None) -> None:

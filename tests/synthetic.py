@@ -1,18 +1,18 @@
-"""Synthetic corpora for the tests: symbol documents sampled from the LDA
+"""Synthetic corpora for the tests: a symbols record sampled from the LDA
 generative process with numpy's PCG64 generator, so a fixed seed gives the
 same symbol sequences on any platform; small records built directly; and
 the network input rows of a labelled record."""
 
 import numpy as np
 
-from acoustic_lda.corpus import Bags, Frames, SymbolDocument
+from acoustic_lda.corpus import Bags, Frames, Symbols
 from acoustic_lda.domains import Assignments
 from acoustic_lda.network import _frame_columns, _input_rows
 
 
 def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
                                   return_thetas=False):
-    """Sample symbol documents from the LDA generative process.
+    """Sample a ``corpus.Symbols`` record from the LDA generative process.
 
     For each document a K-vector theta is drawn from Dir(alpha), then each of
     the ``doc_len`` symbols draws a latent component from Mult(theta) and a
@@ -35,17 +35,18 @@ def generate_synthetic_lda_corpus(alpha, beta, num_docs, doc_len, seed,
     K, V = beta.shape
     rng = np.random.default_rng(seed)
     width = max(4, len(str(num_docs - 1)))
-    docs = []
+    symbols = np.empty((num_docs, doc_len), dtype=np.int64)
     thetas = np.empty((num_docs, K))
     for m in range(num_docs):
         theta = rng.dirichlet(np.full(K, alpha))
         z = rng.choice(K, size=doc_len, p=theta)
-        symbols = np.empty(doc_len, dtype=np.int64)
         for k in np.unique(z):
             mask = z == k
-            symbols[mask] = rng.choice(V, size=int(mask.sum()), p=beta[k])
+            symbols[m, mask] = rng.choice(V, size=int(mask.sum()), p=beta[k])
         thetas[m] = theta
-        docs.append(SymbolDocument(id=f"doc{m:0{width}d}", symbols=symbols))
+    docs = Symbols(ids=[f"doc{m:0{width}d}" for m in range(num_docs)],
+                   groups=[None] * num_docs, offsets=np.arange(num_docs + 1) * doc_len,
+                   symbols=symbols.ravel())
     if return_thetas:
         return docs, thetas
     return docs
@@ -67,6 +68,15 @@ def labelled_frames(frames, labels):
     frames = np.asarray(frames, dtype=float)
     return Frames(ids=[f"f{i}" for i in range(len(frames))], groups=[None] * len(frames),
                   offsets=np.arange(len(frames) + 1), frames=frames, labels=labels)
+
+
+def symbols_record(*docs, ids=None, groups=None):
+    """A ``corpus.Symbols`` record of documents with these symbol lists,
+    named d0, d1, ... unless ``ids`` are given."""
+    ids = [f"d{i}" for i in range(len(docs))] if ids is None else ids
+    return Symbols(ids=ids, groups=[None] * len(docs) if groups is None else groups,
+                   offsets=np.cumsum([0, *map(len, docs)]),
+                   symbols=[symbol for doc in docs for symbol in doc])
 
 
 def bag_record(*counts, ids=None, groups=None):

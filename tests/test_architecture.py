@@ -102,7 +102,7 @@ def test_the_check_sees_warnings():
 
 # public names no pipeline stage reaches, kept on purpose
 KEPT = {
-    ("corpus", "load_symbols"): "the reader of the symbols file quantize writes",
+    ("corpus", "load_symbols"): "reads the symbols file quantize writes as one Symbols record",
     ("corpus", "save_features"): "the writer of the features file train-gmm and quantize read",
 }
 ROOTS = {("cli", "main")}   # the console script

@@ -82,11 +82,11 @@ class TestStages:
         assert len(loaded) == 24 and loaded.groups[0] in ("speech", "music")
         # the CLI cuts the corpus's symbols into its documents at the offsets
         record = corpus.load_features(pipeline_inputs)
-        symbol_docs = corpus.load_symbols(symbols)
-        assert [d.id for d in symbol_docs] == list(record.ids)
-        assert [d.group for d in symbol_docs] == list(record.groups)
-        assert all(len(d) == 30 for d in symbol_docs)
-        np.testing.assert_array_equal(np.concatenate([d.symbols for d in symbol_docs]),
+        symbol_record = corpus.load_symbols(symbols)
+        assert symbol_record.ids == record.ids
+        assert symbol_record.groups == record.groups
+        np.testing.assert_array_equal(symbol_record.offsets, np.arange(25) * 30)
+        np.testing.assert_array_equal(symbol_record.symbols,
                                       gmm.quantize(gmm.load_gmm(gmm_path), record))
 
         lda2 = tmp_path / "lda2.json"
@@ -460,6 +460,17 @@ class TestContracts:
                    "--out", out) == 1
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_write_onto_a_directory_names_the_target(self, tmp_path, capsys,
+                                                     pipeline_inputs):
+        """The rename onto an existing directory fails: the error names the
+        target alone, and the temp file beside it is removed."""
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("train-gmm", "--features", pipeline_inputs, "--components", 2,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert list(tmp_path.glob("tmp*.tmp")) == [] and list(out.iterdir()) == []
 
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from acoustic_lda import cli, corpus, gmm
+from acoustic_lda import cli, corpus, domains, gmm
 from acoustic_lda.corpus import (
     Bags,
     CorpusError,
     Frames,
-    SymbolDocument,
+    Symbols,
     load_features,
     save_features,
     to_bag,
 )
 from acoustic_lda.domains import Assignments
 from acoustic_lda.lda import LdaModel
-from synthetic import bag_record, feature_record, generate_synthetic_lda_corpus
+from synthetic import (bag_record, feature_record, generate_synthetic_lda_corpus,
+                       symbols_record)
 
 
 def write_jsonl(path, records):
@@ -163,10 +164,18 @@ class TestRoundTrips:
         np.testing.assert_allclose(loaded.frames, record.frames, atol=1e-12)
 
     def test_symbols_and_bags(self, tmp_path):
-        sdocs = [SymbolDocument(id="x", symbols=np.array([0, 1, 1, 3]), group="g")]
-        corpus.save_symbols(tmp_path / "s.jsonl", sdocs)
+        symbols = symbols_record([0, 1, 1, 3], [], [2], ids=["x", "y", "z"],
+                                 groups=["g", None, "h"])
+        corpus.save_symbols(tmp_path / "s.jsonl", symbols)
+        assert (tmp_path / "s.jsonl").read_text() == (
+            '{"id": "x", "group": "g", "symbols": [0, 1, 1, 3]}\n'
+            '{"id": "y", "group": null, "symbols": []}\n'
+            '{"id": "z", "group": "h", "symbols": [2]}\n')
         back = corpus.load_symbols(tmp_path / "s.jsonl")
-        np.testing.assert_array_equal(back[0].symbols, sdocs[0].symbols)
+        assert back.ids == symbols.ids and back.groups == symbols.groups
+        np.testing.assert_array_equal(back.offsets, [0, 4, 4, 5])
+        np.testing.assert_array_equal(back.symbols, symbols.symbols)
+        assert back.symbols.flags.owndata and not back.symbols.flags.writeable
 
         bags = bag_record([2, 0, 1], ids=["x"], groups=["g"])
         corpus.save_bags(tmp_path / "b.jsonl", bags)
@@ -196,16 +205,40 @@ class TestIntegerFields:
             loader(path)
 
 
-@pytest.mark.parametrize("loader, fields", [
-    (corpus.load_features, {"frames": [[1.0, 2.0]]}),
-    (corpus.load_symbols, {"symbols": [0, 1]}),
-    (corpus.load_bags, {"counts": [0, 1]}),
-    (cli._load_assignments, {"theta": [0.25, 0.75], "map_domain": 1}),
-], ids=["features", "symbols", "bags", "assignments"])
-def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields):
+THETA = {"theta": [0.25, 0.75], "map_domain": 1}
+
+
+@pytest.mark.parametrize("loader, fields, line2, message", [
+    pytest.param(corpus.load_features, {"frames": [[1.0, 2.0]]},
+                 {"id": "a", "frames": [[1.0, 2.0]]}, "duplicate document id 'a'",
+                 id="features"),
+    pytest.param(corpus.load_symbols, {"symbols": [0, 1]}, {"id": "a", "symbols": [0, 1]},
+                 "duplicate document id 'a'", id="symbols"),
+    pytest.param(corpus.load_bags, {"counts": [0, 1]}, {"id": "a", "counts": [0, 1]},
+                 "duplicate document id 'a'", id="bags"),
+    pytest.param(domains.load_assignments, THETA, {"id": "a", **THETA},
+                 "duplicate document id 'a'", id="assignments"),
+    pytest.param(corpus.load_symbols, {"symbols": [0, 1]}, {"id": "b", "symbols": [0, -1]},
+                 "document 'b': negative symbol", id="symbols-negative-symbol"),
+    pytest.param(corpus.load_bags, {"counts": [0, 1]}, {"id": "b", "counts": [0, -1]},
+                 "counts must be >= 0", id="bags-negative-count"),
+    pytest.param(domains.load_assignments, THETA,
+                 {"id": "b", "theta": [-0.25, 1.25], "map_domain": 1},
+                 "document 'b': theta must not be negative",
+                 id="assignments-negative-theta"),
+    pytest.param(domains.load_assignments, THETA,
+                 {"id": "b", "theta": [0.5, 0.6], "map_domain": 1},
+                 "document 'b': theta must sum to 1", id="assignments-theta-sum"),
+    pytest.param(domains.load_assignments, THETA, {"id": "b", **THETA, "weight": -1.0},
+                 "document 'b': negative weight", id="assignments-negative-weight"),
+])
+def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields, line2,
+                                                     message):
     """The first line that repeats an id is the fault, raised as it is read:
     a later line that does not parse is never reached, and an earlier one
-    is the fault instead."""
+    is the fault instead. So is a line 2 whose one fault is a repeated id
+    or one that the record checks, which each line is checked for: bad json
+    on line 4 is never reached."""
     path = tmp_path / "docs.jsonl"
     write_jsonl(path, [{"id": doc_id, **fields} for doc_id in ("a", "b", "a", "b")])
     with pytest.raises(CorpusError, match=f"^{path}:3: duplicate document id 'a'$"):
@@ -217,13 +250,19 @@ def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields):
     write_jsonl(path, [{"id": "a", **fields}, {"id": "c"}, {"id": "a", **fields}])
     with pytest.raises(CorpusError, match=f"^{path}:2: "):
         loader(path)
+    write_jsonl(path, [{"id": "a", **fields}, line2, {"id": "c", **fields}])
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    with pytest.raises(CorpusError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 @pytest.mark.parametrize("build, field, given, bad", [
     pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 1], frames=a),
                  "frames", [[1.0, 2.0]], np.nan, id="Frames"),
-    pytest.param(lambda a: SymbolDocument(id="d", symbols=a), "symbols",
-                 [0, 1, 2], -5, id="SymbolDocument"),
+    pytest.param(lambda a: Symbols(ids=["d"], groups=[None], offsets=[0, 3], symbols=a),
+                 "symbols", [0, 1, 2], -5, id="Symbols"),
     pytest.param(lambda a: Bags(ids=["d"], groups=[None], counts=a), "counts",
                  [[3, 0, 1]], -5, id="Bags"),
     pytest.param(lambda a: LdaModel(alpha=a, log_beta=np.log([[0.5, 0.5], [0.2, 0.8]])),
@@ -409,39 +448,68 @@ class TestFrameMemory:
 
 class TestToBag:
     def test_basic_counts(self):
-        bag = to_bag([SymbolDocument(id="d", symbols=np.array([0, 0, 2]))], 3)
+        bag = to_bag(symbols_record([0, 0, 2]), 3)
         np.testing.assert_array_equal(bag.counts, [[2, 0, 1]])
         assert bag.counts.sum() == 3
 
     def test_single_symbol(self):
-        bag = to_bag([SymbolDocument(id="d", symbols=np.array([1]))], 4)
+        bag = to_bag(symbols_record([1]), 4)
         np.testing.assert_array_equal(bag.counts, [[0, 1, 0, 0]])
 
     def test_out_of_range(self):
         with pytest.raises(CorpusError, match="out of range"):
-            to_bag([SymbolDocument(id="d", symbols=np.array([5]))], 4)
+            to_bag(symbols_record([5]), 4)
 
     def test_documents_in_order(self):
-        docs = [SymbolDocument(id="x", symbols=np.array([2, 2]), group="g"),
-                SymbolDocument(id="y", symbols=np.array([], dtype=np.int64))]
-        bags = to_bag(docs, 3)
+        bags = to_bag(symbols_record([2, 2], [], ids=["x", "y"], groups=["g", None]), 3)
         assert bags.ids == ("x", "y") and bags.groups == ("g", None)
         np.testing.assert_array_equal(bags.counts, [[0, 0, 2], [0, 0, 0]])
+        assert bags.counts.flags.owndata and not bags.counts.flags.writeable
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=200))
     def test_mass_preserved(self, symbols):
-        doc = SymbolDocument(id="d", symbols=np.asarray(symbols, dtype=np.int64))
-        bag = to_bag([doc], 10)
+        bag = to_bag(symbols_record(symbols), 10)
         assert bag.counts.sum() == len(symbols)
+
+    @given(st.integers(1, 6).flatmap(lambda v: st.tuples(
+        st.just(v), st.lists(st.lists(st.integers(0, v - 1), max_size=8), max_size=8))))
+    def test_counts_are_each_documents_bincount(self, case):
+        """The one bincount over the record gives each document the counts of
+        its own np.bincount, empty documents and V=1 among them."""
+        v, docs = case
+        bags = to_bag(symbols_record(*docs), v)
+        assert bags.counts.shape == (len(docs), v)
+        for row, doc in zip(bags.counts, docs):
+            np.testing.assert_array_equal(row, np.bincount(np.array(doc, dtype=np.int64),
+                                                           minlength=v))
+
+    @given(st.lists(st.lists(st.integers(-2, 7), max_size=6), min_size=1, max_size=8),
+           st.integers(1, 5))
+    def test_a_bad_symbol_names_the_first_faulty_document(self, docs, v):
+        """A negative symbol fails the record, and a symbol >= V fails
+        ``to_bag``; each names the first document that holds one."""
+        negative = [i for i, doc in enumerate(docs) if min(doc, default=0) < 0]
+        over = [i for i, doc in enumerate(docs) if max(doc, default=0) >= v]
+        if negative:
+            with pytest.raises(CorpusError) as info:
+                symbols_record(*docs)
+            assert str(info.value) == f"document 'd{negative[0]}': negative symbol"
+        elif over:
+            with pytest.raises(CorpusError) as info:
+                to_bag(symbols_record(*docs), v)
+            assert str(info.value) == (f"document 'd{over[0]}': symbol "
+                                       f"{max(docs[over[0]])} out of range for V={v}")
+        else:
+            assert to_bag(symbols_record(*docs), v).counts.sum() == sum(map(len, docs))
 
 
 class TestSyntheticCorpus:
     def test_single_topic_matches_row(self):
         beta = np.array([[0.7, 0.2, 0.1]])
         docs = generate_synthetic_lda_corpus(1.0, beta, 200, 50, seed=0)
-        counts = np.zeros(3)
-        for d in docs:
-            counts += np.bincount(d.symbols, minlength=3)
+        assert len(docs.ids) == 200
+        np.testing.assert_array_equal(docs.offsets, np.arange(201) * 50)
+        counts = np.bincount(docs.symbols, minlength=3)
         freq = counts / counts.sum()
         np.testing.assert_allclose(freq, beta[0], atol=0.02)
 
@@ -452,8 +520,8 @@ class TestSyntheticCorpus:
         ])
         docs = generate_synthetic_lda_corpus(0.01, beta, 1000, 40, seed=1)
         dominated = 0
-        for d in docs:
-            frac0 = np.isin(d.symbols, [0, 1]).mean()
+        for symbols in docs.symbols.reshape(1000, 40):
+            frac0 = np.isin(symbols, [0, 1]).mean()
             if max(frac0, 1 - frac0) >= 0.9:
                 dominated += 1
         assert dominated >= 950
@@ -462,8 +530,8 @@ class TestSyntheticCorpus:
         beta = np.array([[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]])
         a = generate_synthetic_lda_corpus(0.3, beta, 20, 15, seed=9)
         b = generate_synthetic_lda_corpus(0.3, beta, 20, 15, seed=9)
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.symbols, db.symbols)
+        assert a.ids == b.ids
+        np.testing.assert_array_equal(a.symbols, b.symbols)
 
     def test_rejects_bad_inputs(self):
         good = np.array([[0.5, 0.5]])
