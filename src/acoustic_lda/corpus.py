@@ -132,8 +132,7 @@ class Frames:
         if frames.ndim != 2:
             raise CorpusError(f"frames must be 2-d (N x D), got shape {frames.shape}")
         _set_layout(self, len(frames))
-        if not np.isfinite(frames).all():
-            raise CorpusError("frames must be finite")
+        _check_frames(self.ids, self.offsets, frames)
         object.__setattr__(self, "frames", frames)
         if self.labels is not None:
             labels = _naturals(self.labels, "labels")
@@ -159,6 +158,16 @@ class Frames:
         docs = [doc for doc in zip(self.ids, self.groups, lengths) if doc[0] in keep]
         return Frames(**_layout(docs), frames=_frozen(self.frames[rows]),
                       labels=None if self.labels is None else _frozen(self.labels[rows]))
+
+
+def _check_frames(ids, offsets, frames) -> None:
+    """Raise CorpusError naming the document, frame and dim of the first
+    non-finite value of ``frames``."""
+    if not np.isfinite(frames).all():
+        row, dim = np.argwhere(~np.isfinite(frames))[0]
+        doc = _first_doc(offsets, ~np.isfinite(frames).all(axis=1))
+        raise CorpusError(f"document {ids[doc]!r}: non-finite value at frame "
+                          f"{row - offsets[doc]}, dim {dim}")
 
 
 def _frozen(arr):
@@ -273,52 +282,58 @@ def to_bag(symbols: Symbols, vocab_size: int) -> Bags:
 
 
 def _frame_rows(obj, width) -> np.ndarray:
-    """The frames of the jsonl line ``obj``, T x D json numbers with D >= 1,
-    D equal to ``width``, the earlier lines' D (0 before the first), and
-    every value finite; a non-finite value is named by document, frame and
-    dim."""
-    frames = formats.numbers(obj.get("frames"), "'frames'", (None, None), finite=False)
+    """The frames of the jsonl line ``obj``, T x D json numbers with D >= 1
+    and D equal to ``width``, the earlier lines' D (0 before the first)."""
+    frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
     if not frames.shape[1]:
         raise ValueError("'frames' must have width >= 1")
     if width and frames.shape[1] != width:
         raise ValueError(f"'frames' have width {frames.shape[1]}, earlier lines {width}")
-    finite = np.isfinite(frames)
-    if not finite.all():
-        t, d = np.argwhere(~finite)[0]
-        raise ValueError(f"document {obj['id']!r}: non-finite value at frame {t}, dim {d}")
     return frames
 
 
-def read_features(path, each) -> list:
-    """Stream the features jsonl file ``path``: check each line's frames
-    (``_frame_rows``) and call ``each(doc)`` with its document, as a
-    one-document ``Frames`` record, as the line is read; return the
-    documents' (id, group, T). Only one document's frames are held at a
-    time. Ids are unique.
-
-    The first faulty line is the fault: its own fault, or a ValueError of
-    ``each`` on its document, raises FormatError naming its ``file:line``,
-    and ``each`` has seen every earlier line and no later one. A
-    FloatingPointError of ``each`` propagates as it is.
-    """
+def _read_frames(path, each) -> list:
+    """``each(obj, frames)`` on each line of the features jsonl file ``path``
+    and its frames (``_frame_rows``), as ``read_features`` calls ``each``."""
     width = 0
 
     def build(obj):
         nonlocal width
         frames = _frame_rows(obj, width)
         width = frames.shape[1]
-        each(Frames(ids=[obj["id"]], groups=[obj.get("group")], offsets=[0, len(frames)],
-                    frames=_frozen(frames)))
+        each(obj, frames)
         return obj["id"], obj.get("group"), len(frames)
 
     return formats.read_jsonl(path, build, unique=True)
 
 
+def read_features(path, each) -> list:
+    """Stream the features jsonl file ``path``: call ``each(doc)`` with each
+    line's document, as a one-document ``Frames`` record (which checks its
+    frames), as the line is read; return the documents' (id, group, T).
+    Only one document's frames are held at a time. Ids are unique.
+
+    The first faulty line is the fault: its own fault, or a ValueError of
+    ``each`` on its document, raises FormatError naming its ``file:line``,
+    and ``each`` has seen every earlier line and no later one. A
+    FloatingPointError of ``each`` propagates as it is.
+    """
+    return _read_frames(path, lambda obj, frames: each(Frames(
+        ids=[obj["id"]], groups=[obj.get("group")], offsets=[0, len(frames)],
+        frames=_frozen(frames))))
+
+
 def load_features(path) -> Frames:
     """A features jsonl file as one ``Frames`` record, with the faults of
-    ``read_features``. An empty file yields a record with no documents."""
+    ``read_features``, each line's frames checked by the record's check. An
+    empty file yields a record with no documents."""
     rows = _Rows(2, float)
-    docs = read_features(path, lambda doc: rows.append(doc.frames))
+
+    def append(obj, frames):
+        _check_frames([obj["id"]], [0, len(frames)], frames)
+        rows.append(frames)
+
+    docs = _read_frames(path, append)
     return Frames(**_layout(docs), frames=rows.frozen())
 
 
@@ -332,15 +347,16 @@ def quantize_features(path, quantize) -> Symbols:
 
 def load_labeled_frames(path) -> Frames:
     """Load a labelled frames jsonl file as one ``Frames`` record with
-    labels. Frames are checked as in a features file (``_frame_rows``), but
-    a document whose frames are ``[]`` has no rows. Each line's faults are
-    raised naming its ``file:line``."""
+    labels. Frames are checked as in a features file, but a document whose
+    frames are ``[]`` has no rows. Each line's faults are raised naming its
+    ``file:line``."""
     rows, labels = _Rows(2, float), _Rows(1, np.int64)
     width = 0
 
     def build(obj):
         nonlocal width
         frames = np.empty((0, width)) if obj.get("frames") == [] else _frame_rows(obj, width)
+        _check_frames([obj["id"]], [0, len(frames)], frames)
         width = frames.shape[1]
         doc_labels = _naturals(formats.json_ints(obj.get("labels"), "labels"), "'labels'")
         if frames.shape[0] != doc_labels.shape[0]:

@@ -27,11 +27,11 @@ __all__ = ["Assignments", "load_assignments", "save_assignments", "FilterResult"
 @dataclass(frozen=True)
 class Assignments:
     """A corpus's domain assignments: document i is ``ids[i]``, unique, with
-    its posterior over K domains in row i of the (M, K) ``thetas``, >= 0 and
-    summing to 1, and the weight ``weights[i]`` >= 0 used for aggregation
-    (its token count, standing in for duration). ``map_domains`` (M,) is each
-    row's argmax, so an exact tie goes to the lowest index. The arrays are
-    read-only (``read_only``). ``len()`` is the document count M."""
+    its posterior over K domains in row i of the (M, K) ``thetas``, finite,
+    >= 0 and summing to 1, and the weight ``weights[i]``, finite and >= 0, used
+    for aggregation (its token count, standing in for duration). ``map_domains``
+    (M,) is each row's argmax, so an exact tie goes to the lowest index. The
+    arrays are read-only (``read_only``). ``len()`` is the document count M."""
 
     ids: tuple
     thetas: np.ndarray
@@ -66,10 +66,13 @@ class Assignments:
 
 
 def _check_posteriors(ids, thetas, weights) -> None:
-    """Raise ValueError naming the first document whose theta is negative or
-    does not sum to 1, or whose weight is negative."""
-    for bad, message in (((thetas < 0).any(axis=1), "theta must not be negative"),
+    """Raise ValueError naming the first document whose theta is not finite,
+    is negative or does not sum to 1, or whose weight is not finite or is
+    negative."""
+    for bad, message in ((~np.isfinite(thetas).all(axis=1), "theta must be finite"),
+                         ((thetas < 0).any(axis=1), "theta must not be negative"),
                          (abs(thetas.sum(axis=1) - 1.0) > 1e-9, "theta must sum to 1"),
+                         (~np.isfinite(weights), "weight must be finite"),
                          (weights < 0, "negative weight")):
         if bad.any():
             raise ValueError(f"document {ids[np.argmax(bad)]!r}: {message}")
@@ -91,9 +94,10 @@ def load_assignments(path) -> Assignments:
             raise ValueError("'theta' must not be empty")
         if type(map_domain) is not int:
             raise ValueError("'map_domain' must be an integer")
-        # a finite number; the bound also keeps an integer within float range
-        if not (type(weight) in (int, float) and abs(weight) <= sys.float_info.max):
-            raise ValueError("'weight' must be a finite number")
+        # a json number; an integer beyond the float range has no float value
+        if not (type(weight) is float
+                or type(weight) is int and abs(weight) <= sys.float_info.max):
+            raise ValueError("'weight' must be a number within the float range")
         weight = np.array([weight], dtype=float)
         _check_posteriors([obj["id"]], theta[None], weight)
         if map_domain != int(theta.argmax()):

@@ -20,7 +20,9 @@ Shared rules, which each format's loader adds its own fields to:
   the value first, and a value it types as integers or floats needs only
   its rows holding a 0 or a 1 scanned for booleans; an exact scan of every
   entry takes what numpy cannot type as numbers, and words the error.
-  Integer fields (symbols, counts, labels) take json integers only.
+  Integer fields (symbols, counts, labels) take json integers only. The
+  values (finite, >= 0, summing to 1) are checked by the record the loader
+  builds, whose check a jsonl loader also runs on each line.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
   and the file for json. A jsonl file's fault is its first faulty line's,
   raised as that line is read. A byte that does not decode as text is a
@@ -143,27 +145,23 @@ def check_unique_ids(ids, seen) -> None:
         seen.add(doc_id)
 
 
-def numbers(value, name, shape, finite=True) -> np.ndarray:
+def numbers(value, name, shape) -> np.ndarray:
     """The json field ``value`` as a float array of ``shape``, a tuple of one
-    or two axis lengths where None takes any length.
+    or two axis lengths where None takes any length. Its values, NaN and
+    infinities included, are the record's to check.
 
     ``value`` must be nested lists of json integers and floats; np.asarray
     with a float dtype would read ``"1.5"`` and ``true`` as numbers. numpy
     types the value first (``_typed``); what it cannot type as numbers goes
-    to the exact element scan (``_scanned``), which words the error.
-    ``finite`` is True, False (the caller checks) or ``"or -inf"`` (finite or
-    -inf: the log of a zero probability). Faults raise FormatError starting
-    with ``name`` as given, so a jsonl field passes its key quoted.
+    to the exact element scan (``_scanned``), which words the error. Faults
+    raise FormatError starting with ``name`` as given, so a jsonl field
+    passes its key quoted.
     """
     arr = _typed(value, len(shape))
     if arr is None:
         arr = _scanned(value, name, len(shape))
     if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
-    if finite is True and not np.isfinite(arr).all():
-        raise FormatError(f"{name} must be finite")
-    if finite == "or -inf" and (np.isnan(arr).any() or np.isposinf(arr).any()):
-        raise FormatError(f"{name} must be finite or -inf")
     return arr
 
 

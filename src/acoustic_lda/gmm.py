@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -355,22 +355,20 @@ def train_gmm(frames: np.ndarray, target_components: int) -> GmmModel:
     return GmmModel(weights=weights / weights.sum(), means=means, variances=variances)
 
 
-def save_gmm(path, model: GmmModel, seed: Optional[int] = None) -> None:
-    obj = {
+def save_gmm(path, model: GmmModel, seed: int) -> None:
+    formats.write_json(path, {
         "D": model.dim,
         "V": model.num_components,
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "variances": model.variances.tolist(),
-    }
-    if seed is not None:
-        obj["seed"] = seed
-    formats.write_json(path, obj)
+        "seed": seed,
+    })
 
 
 def load_gmm(path) -> GmmModel:
     """Read a model written by :func:`save_gmm`; a malformed file raises
-    ValueError naming the path."""
+    ValueError naming the path. ``GmmModel`` checks the values."""
     def build(obj):
         for key in ("D", "V"):
             if type(obj[key]) is not int or obj[key] < 1:

@@ -84,8 +84,8 @@ class LdaModel:
     """Topic-symbol matrix in the log domain plus the Dirichlet scale. It
     holds read-only copies of the arrays it is given."""
 
-    alpha: np.ndarray      # (K,) positive
-    log_beta: np.ndarray   # (K, V), each row normalized in probability space
+    alpha: np.ndarray      # (K,) finite and positive
+    log_beta: np.ndarray   # (K, V) finite or -inf, each row normalized in probability space
     elbo_history: Optional[list] = None   # per-EM-iteration corpus ELBO; not serialized
 
     def __post_init__(self):
@@ -96,6 +96,10 @@ class LdaModel:
                              f"got {log_beta.shape}")
         if alpha.shape != (log_beta.shape[0],):
             raise ValueError("alpha length must equal the number of rows of log_beta")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
+        if np.isnan(log_beta).any() or np.isposinf(log_beta).any():
+            raise ValueError("log_beta must be finite or -inf")
         if np.any(alpha <= 0):
             raise ValueError("alpha entries must be positive")
         row_mass = np.exp(logsumexp(log_beta, axis=1))
@@ -319,16 +323,14 @@ def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
     return gamma / gamma.sum(axis=1, keepdims=True)
 
 
-def save_lda(path, model: LdaModel, seed: Optional[int] = None) -> None:
-    obj = {
+def save_lda(path, model: LdaModel, seed: int) -> None:
+    formats.write_json(path, {
         "K": model.num_domains,
         "V": model.vocab_size,
         "alpha": model.alpha.tolist(),
         "log_beta": model.log_beta.tolist(),
-    }
-    if seed is not None:
-        obj["seed"] = seed
-    formats.write_json(path, obj)
+        "seed": seed,
+    })
 
 
 def load_lda(path) -> LdaModel:
@@ -342,6 +344,5 @@ def load_lda(path) -> LdaModel:
                 raise ValueError(f"{key} must be a positive integer, got {obj[key]!r}")
         k, v = obj["K"], obj["V"]
         return LdaModel(alpha=formats.numbers(obj["alpha"], "alpha", (k,)),
-                        log_beta=formats.numbers(obj["log_beta"], "log_beta", (k, v),
-                                                 finite="or -inf"))
+                        log_beta=formats.numbers(obj["log_beta"], "log_beta", (k, v)))
     return formats.read_json(path, ("K", "V", "alpha", "log_beta"), build)

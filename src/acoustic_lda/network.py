@@ -120,7 +120,7 @@ class LdatNetwork:
 
     ``params`` holds every layer's weights, then every layer's biases, in
     one float64 vector; ``weights`` and ``biases`` are tuples of views of
-    it. The constructor copies the arrays it is given."""
+    it. The constructor copies the arrays it is given, which must be finite."""
 
     def __init__(self, weights, biases, input_dim, domain_dim, activation):
         arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
@@ -132,6 +132,10 @@ class LdatNetwork:
         self.activation = activation
         if self.weights[0].shape[1] != input_dim + domain_dim:
             raise ValueError("first-layer width must be input_dim + domain_dim")
+        for i, layer in enumerate(zip(self.weights, self.biases)):
+            for name, arr in zip(("weights", "bias"), layer):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"layer {i}: {name} must be finite")
 
     @property
     def output_dim(self) -> int:
@@ -379,8 +383,8 @@ def evaluate_accuracy(net: LdatNetwork, dataset: Frames, domains=None) -> float:
     return _accuracy(net, dataset, columns, np.arange(len(dataset)))
 
 
-def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:
-    obj = {
+def save_network(path, net: LdatNetwork, seed: int) -> None:
+    formats.write_json(path, {
         "input_dim": net.input_dim,
         "domain_dim": net.domain_dim,
         "activation": net.activation,
@@ -389,10 +393,8 @@ def save_network(path, net: LdatNetwork, seed: Optional[int] = None) -> None:
              "weights": w.ravel().tolist(), "bias": b.tolist()}
             for w, b in zip(net.weights, net.biases)
         ],
-    }
-    if seed is not None:
-        obj["seed"] = seed
-    formats.write_json(path, obj)
+        "seed": seed,
+    })
 
 
 def load_network(path) -> LdatNetwork:

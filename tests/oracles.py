@@ -316,7 +316,7 @@ def gradient_check(net, inputs, label, epsilon=1e-5):
     return max_err
 
 
-def json_numbers(value, name, shape, finite=True):
+def json_numbers(value, name, shape):
     """``formats.numbers`` as an exact type scan of every entry: np.asarray
     with a float dtype, then the set of the entries' types, which must hold
     only int and float. Faults raise ``formats.FormatError`` with the same
@@ -332,8 +332,4 @@ def json_numbers(value, name, shape, finite=True):
                           f"nested lists of numbers, no strings or booleans")
     if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
         raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
-    if finite is True and not np.isfinite(arr).all():
-        raise FormatError(f"{name} must be finite")
-    if finite == "or -inf" and (np.isnan(arr).any() or np.isposinf(arr).any()):
-        raise FormatError(f"{name} must be finite or -inf")
     return arr

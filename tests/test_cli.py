@@ -131,7 +131,7 @@ class TestStages:
         from acoustic_lda.lda import LdaModel, save_lda
         model_path = tmp_path / "lda.json"
         save_lda(model_path, LdaModel(alpha=np.array([0.01, 0.01]),
-                                      log_beta=log_beta))
+                                      log_beta=log_beta), seed=0)
         bags_path = tmp_path / "bags.jsonl"
         corpus.save_bags(bags_path, bag_record([40, 40, 0, 0], [0, 0, 40, 40],
                                                ids=["a", "b"]))
@@ -237,7 +237,7 @@ class TestTrainEval:
         two_document_frames(data)
         assign.write_text(assignments_text([0.2, 0.1, 0.7], [0.6, 0.3, 0.1]))
         save_network(base, init_network(NetworkConfig(input_dim=2, output_dim=3,
-                                                      domain_dim=domain_dim)))
+                                                      domain_dim=domain_dim)), seed=0)
         argv = ["--assignments", assign] if assign_flag else []
         assert run("augment-train", "--data", data, *argv, "--baseline-net", base,
                    "--out", out) == 1
@@ -331,7 +331,8 @@ def argv_reading_assignments(tmp_path, command, assign):
     two_document_frames(data)
     bags.write_text(json.dumps({"id": "d0", "group": "a", "counts": [1, 2]}) + "\n"
                     + json.dumps({"id": "d1", "group": "b", "counts": [2, 1]}) + "\n")
-    save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2, domain_dim=2)))
+    save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2, domain_dim=2)),
+                 seed=0)
     return [command, *{
         "augment-train": ["--data", data, "--assignments", assign,
                           "--out", tmp_path / "out.json"],
@@ -397,7 +398,7 @@ class TestAssignmentsK:
         assign.write_text(assignments_text(theta, theta))
         two_document_frames(data)
         save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=2,
-                                                     domain_dim=k_net)))
+                                                     domain_dim=k_net)), seed=0)
         assert run("eval", "--net", net, "--data", data, "--assignments", assign) == code
         if code:
             assert f"K={k_file} != network domain dim {k_net}" in capsys.readouterr().err
@@ -701,6 +702,10 @@ class TestContracts:
                      id="deeply-nested-stdlib-json"),
         pytest.param('{"id": "d1", "frames": [[1.0, NaN]]}',
                      "document 'd1': non-finite value at frame 0, dim 1", id="nan-frames"),
+        # train-gmm checks the line, quantize the one-document record: one message
+        pytest.param('{"id": "d1", "frames": [[1.0, 2.0], [NaN, 0.0]]}',
+                     "document 'd1': non-finite value at frame 1, dim 0",
+                     id="nan-at-frame-1"),
         pytest.param('{"id": "d1", "frames": [[1.0, 2.0, 3.0]]}',
                      "'frames' have width 3, earlier lines 2", id="width-mismatch"),
         pytest.param('{"id": "d1", "frames": [[]]}', "'frames' must have width >= 1",
@@ -1278,7 +1283,7 @@ class TestFuzz:
         data.write_text("".join(json.dumps(v) + "\n" for v in data_lines))
         keep.write_text("".join(json.dumps(v) + "\n" for v in keep_lines))
         save_network(net, init_network(NetworkConfig(input_dim=2, output_dim=4,
-                                                     hidden_dims=(2,))))
+                                                     hidden_dims=(2,))), seed=0)
         common = ("--hidden", "2", "--epochs", "1", "--out", d / "out.json")
         assert run("augment-train", "--data", data, *common) in (0, 1)
         assert run("augment-train", "--data", data, "--keep-ids", keep, *common) in (0, 1)

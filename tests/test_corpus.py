@@ -258,6 +258,23 @@ def test_repeated_id_names_the_line_that_repeats_it(tmp_path, loader, fields, li
     assert str(info.value) == f"{path}:2: {message}"
 
 
+@pytest.mark.parametrize("loader, fields", [
+    pytest.param(corpus.load_features, {}, id="features"),
+    pytest.param(corpus.load_labeled_frames, {"labels": [0]}, id="labelled-frames"),
+])
+def test_loaders_build_one_frames_record(tmp_path, monkeypatch, loader, fields):
+    """A loader checks each line with the record's check and builds the
+    record once, not once per line."""
+    path = tmp_path / "f.jsonl"
+    write_jsonl(path, [{"id": doc_id, "frames": [[1.0, 2.0]], **fields}
+                       for doc_id in ("a", "b", "c")])
+    built, post_init = [], Frames.__post_init__
+    monkeypatch.setattr(Frames, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    record = loader(path)
+    assert len(built) == 1 and built[0] is record and record.ids == ("a", "b", "c")
+
+
 @pytest.mark.parametrize("build, field, given, bad", [
     pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 1], frames=a),
                  "frames", [[1.0, 2.0]], np.nan, id="Frames"),
@@ -315,6 +332,9 @@ def _frozen(arr):
     pytest.param({"labels": [0, 1]}, "labels", id="labels-length"),
     pytest.param({"frames": [[0.0, 1.0], [np.inf, 0.0], [0.0, 0.0]]}, "finite",
                  id="non-finite-frames"),
+    pytest.param({"frames": [[0.0, 1.0], [0.0, 0.0], [0.0, np.nan]]},
+                 "^document 'b': non-finite value at frame 1, dim 1$",
+                 id="nan-at-frame-1-of-the-second-document"),
     pytest.param({"labels": [0.0, 1.5, 2.0]}, "labels must be integers", id="float-labels"),
     pytest.param({"labels": [0, -1, 2]}, "labels must be >= 0", id="negative-label"),
 ])
@@ -411,7 +431,7 @@ class TestFrameMemory:
         path, model = tmp_path / "frames.jsonl", tmp_path / "gmm.json"
         write_frames(path, 60, 100, 39, labelled=False)
         gmm.save_gmm(model, gmm.GmmModel(weights=[0.5, 0.5], means=np.eye(2, 39),
-                                         variances=np.ones((2, 39))))
+                                         variances=np.ones((2, 39))), seed=0)
         argv = ["quantize", "--gmm", str(model), "--features", str(path),
                 "--out", str(tmp_path / "symbols.jsonl")]
         tracemalloc.start()

@@ -42,6 +42,12 @@ def random_assignment_pair(rng, k_a, k_b, n_docs):
                  "document 'b': theta must sum to 1", id="row-sum"),
     pytest.param({"weights": [1.0, -2.0]}, "document 'b': negative weight",
                  id="negative-weight"),
+    pytest.param({"thetas": [[0.5, 0.5], [np.nan, np.nan]]},
+                 "document 'b': theta must be finite", id="nan-theta"),
+    pytest.param({"weights": [1.0, np.nan]}, "document 'b': weight must be finite",
+                 id="nan-weight"),
+    pytest.param({"weights": [np.inf, 2.0]}, "document 'a': weight must be finite",
+                 id="inf-weight"),
     pytest.param({"ids": ["a", "a"]}, "duplicate document id 'a'", id="repeated-id"),
 ])
 def test_assignments_record_checks_its_layout(changes, message):

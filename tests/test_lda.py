@@ -435,6 +435,23 @@ class TestInferTheta:
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 
 
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"alpha": [np.nan, 0.5]}, "alpha must be finite", id="nan-alpha"),
+    pytest.param({"alpha": [np.inf, 0.5]}, "alpha must be finite", id="inf-alpha"),
+    pytest.param({"log_beta": [[np.nan, 0.0], np.log([0.2, 0.8])]},
+                 "log_beta must be finite or -inf", id="nan-log-beta"),
+    pytest.param({"log_beta": [[np.inf, -np.inf], np.log([0.2, 0.8])]},
+                 "log_beta must be finite or -inf", id="inf-log-beta"),
+])
+def test_model_checks_its_values(changes, message):
+    """alpha is finite; log_beta is finite or -inf (a symbol a topic never
+    emits)."""
+    fields = {"alpha": [0.5, 0.5], "log_beta": [[0.0, -np.inf], np.log([0.2, 0.8])]}
+    LdaModel(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LdaModel(**{**fields, **changes})
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -515,6 +515,20 @@ class TestFrameData:
             train(net, feature_record(rng.normal(size=(4, 5))), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("field, layer, value, message", [
+    pytest.param("weights", 1, np.nan, "layer 1: weights must be finite", id="nan-weight"),
+    pytest.param("biases", 0, np.inf, "layer 0: bias must be finite", id="inf-bias"),
+])
+def test_network_checks_its_parameters(field, layer, value, message):
+    net = small_net(np.random.default_rng(30))
+    arrays = {"weights": [w.copy() for w in net.weights],
+              "biases": [b.copy() for b in net.biases]}
+    arrays[field][layer].flat[1] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LdatNetwork(arrays["weights"], arrays["biases"], net.input_dim, net.domain_dim,
+                    net.activation)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)
