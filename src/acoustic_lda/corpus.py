@@ -10,8 +10,8 @@ bags of sounds, ``Bags``, document i's counts in row i of one (M, V) matrix;
 the stages compute on them as loaded. The loaders check each line with the
 record's own checks and copy its rows into one buffer that grows by a
 realloc, so a corpus's frames, symbols or counts are held once and its
-record is built once; ``read_features`` streams a features file one document
-at a time, for a stage that needs no more.
+record is built once; ``quantize_features`` streams a features file one
+document at a time, for a stage that needs no more.
 
 Every record is immutable and checked when built. It keeps its arrays
 read-only (``read_only``): an array that owns its data and is already
@@ -47,7 +47,6 @@ __all__ = [
     "Frames",
     "Symbols",
     "Bags",
-    "read_features",
     "load_features",
     "quantize_features",
     "load_labeled_frames",
@@ -179,7 +178,7 @@ def _frozen(arr):
 class _Rows:
     """Rows appended to one array that grows by ``ndarray.resize``, a
     realloc, so the pages past the rows written never become resident. The
-    first rows appended set the row shape.
+    first rows appended set the row shape, and ``width`` reports it.
 
     The array is private until ``frozen`` hands it out, and the only views
     of it are the slices an append writes through, which end with the
@@ -201,6 +200,11 @@ class _Rows:
                              refcheck=False)
         self._buf[self._n:end] = rows
         self._n = end
+
+    @property
+    def width(self):
+        """The length of the 2-d rows appended, or None before the first."""
+        return self._buf.shape[1] if self._n else None
 
     def frozen(self) -> np.ndarray:
         """The rows appended, as a read-only array trimmed to them."""
@@ -281,52 +285,36 @@ def to_bag(symbols: Symbols, vocab_size: int) -> Bags:
     return Bags(ids=ids, groups=symbols.groups, counts=_frozen(counts))
 
 
-def _frame_rows(obj, width) -> np.ndarray:
-    """The frames of the jsonl line ``obj``, T x D json numbers with D >= 1
-    and D equal to ``width``, the earlier lines' D (0 before the first)."""
-    frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
-    if not frames.shape[1]:
-        raise ValueError("'frames' must have width >= 1")
-    if width and frames.shape[1] != width:
-        raise ValueError(f"'frames' have width {frames.shape[1]}, earlier lines {width}")
-    return frames
-
-
-def _read_frames(path, each) -> list:
-    """``each(obj, frames)`` on each line of the features jsonl file ``path``
-    and its frames (``_frame_rows``), as ``read_features`` calls ``each``."""
+def _read_frames(path, each, labelled=False) -> list:
+    """``each(obj, frames)`` on each line of the frames jsonl file ``path``
+    and its frames, T x D json numbers with D >= 1 and D that of the earlier
+    lines, as the line is read; return the documents' (id, group, T). Ids are
+    unique, but in a ``labelled`` file, where ids may repeat and ``"frames":
+    []`` is a document with no rows, which sets no D."""
     width = 0
 
     def build(obj):
         nonlocal width
-        frames = _frame_rows(obj, width)
-        width = frames.shape[1]
+        if labelled and obj.get("frames") == []:
+            frames = np.empty((0, width))
+        else:
+            frames = formats.numbers(obj.get("frames"), "'frames'", (None, None))
+            if not frames.shape[1]:
+                raise ValueError("'frames' must have width >= 1")
+            if width and frames.shape[1] != width:
+                raise ValueError(f"'frames' have width {frames.shape[1]}, "
+                                 f"earlier lines {width}")
+            width = frames.shape[1]
         each(obj, frames)
         return obj["id"], obj.get("group"), len(frames)
 
-    return formats.read_jsonl(path, build, unique=True)
-
-
-def read_features(path, each) -> list:
-    """Stream the features jsonl file ``path``: call ``each(doc)`` with each
-    line's document, as a one-document ``Frames`` record (which checks its
-    frames), as the line is read; return the documents' (id, group, T).
-    Only one document's frames are held at a time. Ids are unique.
-
-    The first faulty line is the fault: its own fault, or a ValueError of
-    ``each`` on its document, raises FormatError naming its ``file:line``,
-    and ``each`` has seen every earlier line and no later one. A
-    FloatingPointError of ``each`` propagates as it is.
-    """
-    return _read_frames(path, lambda obj, frames: each(Frames(
-        ids=[obj["id"]], groups=[obj.get("group")], offsets=[0, len(frames)],
-        frames=_frozen(frames))))
+    return formats.read_jsonl(path, build, unique=not labelled)
 
 
 def load_features(path) -> Frames:
-    """A features jsonl file as one ``Frames`` record, with the faults of
-    ``read_features``, each line's frames checked by the record's check. An
-    empty file yields a record with no documents."""
+    """A features jsonl file as one ``Frames`` record, each line's frames
+    checked by the record's check and its faults raised naming its
+    ``file:line``. An empty file yields a record with no documents."""
     rows = _Rows(2, float)
 
     def append(obj, frames):
@@ -338,34 +326,40 @@ def load_features(path) -> Frames:
 
 
 def quantize_features(path, quantize) -> Symbols:
-    """The ``Symbols`` record of each document's ``quantize(doc)``, as
-    ``read_features`` streams the features file ``path``, with its faults."""
+    """The ``Symbols`` record of each document's ``quantize(doc)``, streaming
+    the features jsonl file ``path``: ``doc`` is each line's document, as a
+    one-document ``Frames`` record (which checks its frames), built as the
+    line is read. Only one document's frames are held at a time. Ids are
+    unique.
+
+    The first faulty line is the fault: its own fault, or a ValueError of
+    ``quantize`` on its document, raises FormatError naming its
+    ``file:line``, and ``quantize`` has seen every earlier line and no later
+    one. A FloatingPointError of ``quantize`` propagates as it is.
+    """
     rows = _Rows(1, np.int64)
-    docs = read_features(path, lambda doc: rows.append(quantize(doc)))
+    docs = _read_frames(path, lambda obj, frames: rows.append(quantize(Frames(
+        ids=[obj["id"]], groups=[obj.get("group")], offsets=[0, len(frames)],
+        frames=_frozen(frames)))))
     return Symbols(**_layout(docs), symbols=rows.frozen())
 
 
 def load_labeled_frames(path) -> Frames:
     """Load a labelled frames jsonl file as one ``Frames`` record with
-    labels. Frames are checked as in a features file, but a document whose
-    frames are ``[]`` has no rows. Each line's faults are raised naming its
-    ``file:line``."""
+    labels. Frames are checked as in a features file, but ids may repeat
+    and a document whose frames are ``[]`` has no rows. Each line's faults
+    are raised naming its ``file:line``."""
     rows, labels = _Rows(2, float), _Rows(1, np.int64)
-    width = 0
 
-    def build(obj):
-        nonlocal width
-        frames = np.empty((0, width)) if obj.get("frames") == [] else _frame_rows(obj, width)
+    def append(obj, frames):
         _check_frames([obj["id"]], [0, len(frames)], frames)
-        width = frames.shape[1]
         doc_labels = _naturals(formats.json_ints(obj.get("labels"), "labels"), "'labels'")
         if frames.shape[0] != doc_labels.shape[0]:
             raise ValueError("frames/labels length mismatch")
         rows.append(frames)
         labels.append(doc_labels)
-        return obj["id"], obj.get("group"), len(doc_labels)
 
-    docs = formats.read_jsonl(path, build)
+    docs = _read_frames(path, append, labelled=True)
     return Frames(**_layout(docs), frames=rows.frozen(), labels=labels.frozen())
 
 
@@ -409,14 +403,11 @@ def load_bags(path) -> Bags:
     checked as the record checks them, and for the earlier lines' length;
     its faults are raised naming its ``file:line``."""
     rows = _Rows(2, np.int64)
-    width = None
 
     def build(obj):
-        nonlocal width
         counts = _naturals(formats.json_ints(obj.get("counts"), "counts"), "counts")
-        if width is not None and len(counts) != width:
-            raise ValueError(f"'counts' has {len(counts)} symbols, earlier lines {width}")
-        width = len(counts)
+        if rows.width is not None and len(counts) != rows.width:
+            raise ValueError(f"'counts' has {len(counts)} symbols, earlier lines {rows.width}")
         rows.append(counts[None])
         return obj["id"], obj.get("group")
 

@@ -84,10 +84,8 @@ def load_assignments(path) -> Assignments:
     ``map_domain`` and the earlier lines' K; its faults are raised naming its
     ``file:line``."""
     thetas, weights = _Rows(2, float), _Rows(1, float)
-    k = 0
 
     def build(obj):
-        nonlocal k
         theta = formats.numbers(obj.get("theta"), "'theta'", (None,))
         map_domain, weight = obj.get("map_domain"), obj.get("weight", 1.0)
         if not theta.size:
@@ -102,9 +100,8 @@ def load_assignments(path) -> Assignments:
         _check_posteriors([obj["id"]], theta[None], weight)
         if map_domain != int(theta.argmax()):
             raise ValueError(f"document {obj['id']!r}: map_domain is not argmax(theta)")
-        if k and theta.size != k:
-            raise ValueError(f"'theta' has {theta.size} domains, earlier lines {k}")
-        k = theta.size
+        if thetas.width is not None and theta.size != thetas.width:
+            raise ValueError(f"'theta' has {theta.size} domains, earlier lines {thetas.width}")
         thetas.append(theta[None])
         weights.append(weight)
         return obj["id"]

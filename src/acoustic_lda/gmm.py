@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formats
-from .corpus import Frames
+from .corpus import Frames, read_only
 
 __all__ = ["GmmModel", "train_gmm", "quantize", "save_gmm", "load_gmm"]
 
@@ -62,9 +62,9 @@ _EMPTY_MASS = 1e-8     # posterior mass below which a component is re-seeded
 
 @dataclass(frozen=True)
 class GmmModel:
-    """Diagonal-covariance mixture; immutable and safe to share. It holds
-    read-only copies of the arrays it is given, so the quantizer terms it
-    keeps stay those of its parameters."""
+    """Diagonal-covariance mixture; immutable and safe to share. It keeps its
+    arrays read-only (``corpus.read_only``), so the quantizer terms it keeps
+    stay those of its parameters."""
 
     weights: np.ndarray   # (V,)
     means: np.ndarray     # (V, D)
@@ -73,10 +73,9 @@ class GmmModel:
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
             try:
-                arr = np.array(getattr(self, name), dtype=float)
+                arr = read_only(getattr(self, name), float)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be a regular array of numbers") from None
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.weights.ndim != 1 or self.weights.size == 0:
             raise ValueError(f"weights must have shape (V,), got {self.weights.shape}")

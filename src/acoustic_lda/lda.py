@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp, psi
 
 from . import formats
-from .corpus import Bags
+from .corpus import Bags, read_only
 
 __all__ = ["LdaConfig", "LdaModel", "fit", "infer_thetas", "save_lda", "load_lda"]
 
@@ -82,15 +82,15 @@ class LdaConfig:
 @dataclass(frozen=True)
 class LdaModel:
     """Topic-symbol matrix in the log domain plus the Dirichlet scale. It
-    holds read-only copies of the arrays it is given."""
+    keeps its arrays read-only (``corpus.read_only``)."""
 
     alpha: np.ndarray      # (K,) finite and positive
     log_beta: np.ndarray   # (K, V) finite or -inf, each row normalized in probability space
     elbo_history: Optional[list] = None   # per-EM-iteration corpus ELBO; not serialized
 
     def __post_init__(self):
-        alpha = np.atleast_1d(np.array(self.alpha, dtype=float))
-        log_beta = np.array(self.log_beta, dtype=float)
+        alpha = np.atleast_1d(read_only(self.alpha, float))
+        log_beta = read_only(self.log_beta, float)
         if log_beta.ndim != 2 or 0 in log_beta.shape:
             raise ValueError(f"log_beta must have shape (K, V) with K, V >= 1, "
                              f"got {log_beta.shape}")
@@ -105,8 +105,6 @@ class LdaModel:
         row_mass = np.exp(logsumexp(log_beta, axis=1))
         if not np.all(np.abs(row_mass - 1.0) < 1e-8):
             raise ValueError("each exp(log_beta) row must sum to 1")
-        alpha.setflags(write=False)
-        log_beta.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "log_beta", log_beta)
 

@@ -940,6 +940,23 @@ class TestContracts:
             assert err.startswith("error:") and "\n" not in err.strip()
             assert f"{data}:2:" in err and message in err
 
+    @pytest.mark.parametrize("lines, code, err", [
+        pytest.param(['{"id": "e", "frames": [], "labels": []}', GOOD_FRAMES,
+                      '{"id": "d1", "frames": [[1.0]], "labels": [0]}'],
+                     1, "error: {data}:3: 'frames' have width 1, earlier lines 2\n",
+                     id="empty-document-sets-no-width"),
+        pytest.param([GOOD_FRAMES, GOOD_FRAMES], 0, "epoch 0: loss", id="repeated-id"),
+    ])
+    def test_labelled_file_rules(self, tmp_path, capsys, lines, code, err):
+        """Unlike a features file's, a labelled file's ids may repeat; a
+        document with no frames sets no width for the lines after it."""
+        data, out = tmp_path / "data.jsonl", tmp_path / "net.json"
+        data.write_text("".join(line + "\n" for line in lines))
+        assert run("augment-train", "--data", data, "--hidden", 2, "--epochs", 1,
+                   "--out", out) == code
+        assert capsys.readouterr().err.startswith(err.format(data=data))
+        assert out.exists() == (code == 0)
+
     def test_overflowing_frames_exit_1(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         # finite frames whose first-layer sums exceed the float range

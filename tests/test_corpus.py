@@ -99,13 +99,18 @@ class TestLoadFeatures:
 
 
 class TestReadFeatures:
+    """``quantize_features``, the reader that streams a features file, hands
+    ``quantize`` each line's document as a one-document record."""
+
     def test_each_document_in_order(self, tmp_path):
         path = tmp_path / "f.jsonl"
         write_jsonl(path, [{"id": "a", "group": "g", "frames": [[1, 2]]},
                            {"id": "b", "frames": [[3, 4], [5, 6]]}])
         seen = []
-        docs = corpus.read_features(path, seen.append)
-        assert docs == [("a", "g", 1), ("b", None, 2)]
+        symbols = corpus.quantize_features(
+            path, lambda doc: seen.append(doc) or np.zeros(len(doc), np.int64))
+        assert (symbols.ids, symbols.groups, symbols.offsets.tolist()) == (
+            ("a", "b"), ("g", None), [0, 1, 3])
         assert [(d.ids, d.groups, d.offsets.tolist()) for d in seen] == [
             (("a",), ("g",), [0, 1]), (("b",), (None,), [0, 2])]
         np.testing.assert_array_equal(seen[1].frames, [[3, 4], [5, 6]])
@@ -119,30 +124,31 @@ class TestReadFeatures:
         pytest.param([("d0", [[1.0]]), ("d0", [[1e9]]), ("d2", [[np.nan]])], ["d0"],
                      "duplicate document id 'd0'", None, id="duplicate-id"),
         pytest.param([("d0", [[1.0]]), ("d1", [[1e9]]), ("d2", [[np.nan]])], ["d0", "d1"],
-                     "each rejects 'd1'", ValueError, id="each-value-error"),
+                     "quantize rejects 'd1'", ValueError, id="each-value-error"),
         pytest.param([("d0", [[1.0]]), ("d1", [[1e9]]), ("d2", [[np.nan]])], ["d0", "d1"],
-                     "each rejects 'd1'", FloatingPointError,
+                     "quantize rejects 'd1'", FloatingPointError,
                      id="each-floating-point-error"),
     ])
     def test_first_faulty_line_is_the_fault(self, tmp_path, lines, called, message,
                                             error):
         """Line 2 is the first faulty line, by its own fault or by one that
-        ``each`` raises on its document: ``each`` sees every line before it
-        and none after it, and the fault names ``file:line``. A
-        FloatingPointError of ``each`` propagates as it was raised."""
+        ``quantize`` raises on its document: ``quantize`` sees every line
+        before it and none after it, and the fault names ``file:line``. A
+        FloatingPointError of ``quantize`` propagates as it was raised."""
         path = tmp_path / "f.jsonl"
         write_jsonl(path, [{"id": doc_id, "frames": frames} for doc_id, frames in lines]
                     + [{"id": "d3", "frames": [[1.0]]}])
         seen, raised = [], []
 
-        def each(doc):
+        def quantize(doc):
             seen.append(doc.ids[0])
             if doc.frames.max() > 1e8:
-                raised.append(error(f"each rejects {doc.ids[0]!r}"))
+                raised.append(error(f"quantize rejects {doc.ids[0]!r}"))
                 raise raised[0]
+            return np.zeros(len(doc), np.int64)
 
         with pytest.raises((CorpusError, FloatingPointError)) as info:
-            corpus.read_features(path, each)
+            corpus.quantize_features(path, quantize)
         if error is FloatingPointError:
             assert info.value is raised[0]
         else:
