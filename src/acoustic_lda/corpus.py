@@ -14,9 +14,9 @@ record is built once; ``quantize_features`` streams a features file one
 document at a time, for a stage that needs no more.
 
 Every record is immutable and checked when built. It keeps its arrays
-read-only (``read_only``): an array that owns its data and is already
-read-only is kept as given, and any other is copied, so a caller's array, or
-a view of it, cannot write into the record. The files that hold them follow
+read-only (``read_only``): an array the package froze itself is kept as
+given, any other is copied, so a caller's array, or a view of it, cannot
+write into the record, even with writes turned back on. Their files follow
 the shared jsonl rules of :mod:`.formats`; this module adds their fields:
 
   features        jsonl: {"id", "group", "frames"}, frames T x D finite
@@ -34,6 +34,7 @@ naming its ``file:line`` as the line is read.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,13 +64,16 @@ __all__ = [
 # class of the file formats, under its corpus name
 CorpusError = formats.FormatError
 
+# the buffers ``_frozen`` made read-only, by id, which no caller holds writable
+_FROZEN = weakref.WeakValueDictionary()
+
 
 def read_only(values, dtype) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``. An array of that dtype
-    that owns its data and is read-only is returned as it is; anything else
-    is copied."""
+    that this package froze itself (``_frozen``) is returned as it is;
+    anything else is copied, since its owner could make it writable again."""
     if (isinstance(values, np.ndarray) and values.dtype == dtype
-            and values.flags.owndata and not values.flags.writeable):
+            and _FROZEN.get(id(values)) is values):
         return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -172,6 +176,7 @@ def _check_frames(ids, offsets, frames) -> None:
 def _frozen(arr):
     """``arr``, a fresh array, made read-only, so that a record keeps it."""
     arr.setflags(write=False)
+    _FROZEN[id(arr)] = arr
     return arr
 
 

@@ -16,8 +16,9 @@ sweep is two matrix products:
     norm   =  el @ eb                                  (M, V)
     gamma  =  alpha + el * ((C / norm) @ eb.T)
 
-Each document stops updating as soon as its own relative gamma change falls
-below the tolerance. Working memory is O(M * V + M * K), the size of the
+Each document stops updating once its own relative gamma change falls below
+``_GAMMA_TOL``, or after ``_MAX_E_ITERS`` sweeps, and a sweep touches only the
+documents still updating. Working memory is O(M * V + M * K), the size of the
 counts. A document whose norm falls below ``_NORM_FLOOR`` at a symbol it
 contains (the mixture underflows) is re-run alone with the log-domain sweep.
 
@@ -28,10 +29,9 @@ phi's normaliser: norm_w with the two scalings added back, or a logsumexp
 where the norm still underflows. The M-step re-estimates the topic rows from
 the expected counts eb * (el.T @ (C / norm)), or phi where the norm
 underflows, plus the pseudo-count ``_SMOOTHING`` in every cell. ``fit`` and
-``infer_thetas`` run this one E-step, to the tolerance ``_GAMMA_TOL`` or
-``_MAX_E_ITERS`` sweeps. An empty document has nothing to update: ``fit``
-rejects it, and ``infer_thetas`` gives it the uniform theta 1/K with no
-warning. ``log_beta`` stores K rows of length V (log-probability of each
+``infer_thetas`` run this one E-step. An empty document has nothing to update:
+``fit`` rejects it, and ``infer_thetas`` gives it the uniform theta 1/K with
+no warning. ``log_beta`` stores K rows of length V (log-probability of each
 symbol given the latent domain).
 """
 
@@ -126,20 +126,20 @@ def _scaled_beta(log_beta):
 
 
 def _scaled_norm(dig, eb, c):
-    """One sweep's el = exp(dig - row max) and norm = el @ eb, and which
-    documents have a norm below ``_NORM_FLOOR`` at a symbol they contain.
+    """One sweep's el = exp(dig - row max) and norm = el @ eb, and the rows of
+    the documents whose norm is below ``_NORM_FLOOR`` at a symbol they
+    contain. The row max runs along a transposed copy (faster on short rows).
 
     Entries below the floor where the count is 0 take no part in the updates
     and are set to 1, so that c / norm and log(norm) stay finite.
     """
-    el = np.exp(dig - dig.max(axis=1, keepdims=True))
+    el = np.exp(dig - np.maximum.reduce(dig.T.copy())[:, None])
     norm = el @ eb
-    under = np.zeros(c.shape[0], dtype=bool)
     if norm.min() < _NORM_FLOOR:
         small = norm < _NORM_FLOOR
-        under = (small & (c > 0)).any(axis=1)
         norm[small] = 1.0
-    return el, norm, under
+        return el, norm, np.flatnonzero((small & (c > 0)).any(axis=1))
+    return el, norm, np.empty(0, np.intp)
 
 
 def _log_domain_e_step(lb, counts, alpha):
@@ -168,32 +168,32 @@ def _log_domain_e_step(lb, counts, alpha):
 def _e_step(log_beta, eb, alpha, c):
     """Iterate the phi-free updates for the M documents of ``c`` (M, V) at once.
 
-    ``eb`` is the scaled beta of :func:`_scaled_beta`. A document is frozen
-    once its max relative gamma change falls below ``_GAMMA_TOL``. A document
-    whose norm falls below ``_NORM_FLOOR`` at a symbol it contains is re-run
-    from the start by :func:`_log_domain_e_step`. Returns gamma (M, K) and,
-    for each document, digamma(gamma) at the start of its last sweep (M, K),
-    in whichever domain that sweep ran.
+    ``eb`` is :func:`_scaled_beta`'s. A document stops once its max relative
+    gamma change is below ``_GAMMA_TOL``; sweeps run on compact rows of the
+    live documents, written back when one stops and at the cap. One whose
+    norm falls below ``_NORM_FLOOR`` at a symbol it contains is re-run by
+    :func:`_log_domain_e_step`. Returns gamma (M, K) and each document's
+    digamma(gamma) at the start of its last sweep (M, K), in either domain.
     """
     gamma = alpha + c.sum(axis=1, keepdims=True) / eb.shape[0]
     dig = np.empty_like(gamma)
-    under = np.zeros(c.shape[0], dtype=bool)
-    live, c_live = np.arange(c.shape[0]), c
+    live, c_live, g = np.arange(c.shape[0]), c, gamma
     for _ in range(_MAX_E_ITERS):
-        old = gamma[live]
-        d = psi(old)
+        d = psi(g)
         el, norm, low = _scaled_norm(d, eb, c_live)
-        new_gamma = alpha + el * ((c_live / norm) @ eb.T)
-        gamma[live] = new_gamma
-        dig[live] = d
-        under[live[low]] = True
-        keep = (np.max(np.abs(new_gamma - old) / old, axis=1) >= _GAMMA_TOL) & ~low
-        live, c_live = live[keep], c_live[keep]
-        if live.size == 0:
-            break
-    for i in np.flatnonzero(under):
-        ids = np.flatnonzero(c[i])
-        gamma[i], dig[i] = _log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
+        g, old = alpha + el * ((c_live / norm) @ eb.T), g
+        keep = np.maximum.reduce((np.abs(g - old) / old).T.copy()) >= _GAMMA_TOL
+        keep[low] = False
+        if not keep.all():
+            gamma[live], dig[live] = g, d
+            for i in live[low]:
+                ids = np.flatnonzero(c[i])
+                gamma[i], dig[i] = _log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
+            rows = np.flatnonzero(keep)
+            live, c_live, g, d = (a.take(rows, axis=0) for a in (live, c_live, g, d))
+            if not rows.size:
+                break
+    gamma[live], dig[live] = g, d
     return gamma, dig
 
 
@@ -228,7 +228,7 @@ def _em_terms(log_beta, alpha, c):
               + c.sum(axis=1) * dig.max(axis=1) + c @ top)
     el[under] = 0.0      # a log-domain document's counts are added from its phi
     stats = eb * (el.T @ (c / norm))
-    for i in np.flatnonzero(under):
+    for i in under:
         ids = np.flatnonzero(c[i])
         log_phi = log_beta.T[ids] + dig[i]
         log_z = logsumexp(log_phi, axis=1)

@@ -148,7 +148,7 @@ class LdatNetwork:
         z = np.matmul(h, self.weights[i].T, out=out)
         z += self.biases[i]
         if i == len(self.weights) - 1:
-            z -= np.maximum.reduce(z, axis=1, keepdims=True)
+            z -= np.maximum.reduce(z.T.copy())[:, None]
             np.exp(z, out=z)
             z /= np.add.reduce(z, axis=1, keepdims=True)
         elif self.activation == "sigmoid":

@@ -6,6 +6,8 @@ per-array loops that the library's in-place forms must match bit for bit.
 ``gradient_check`` is an exception: it holds the network's own step to
 central differences of its own loss. ``gmm_stages`` is another: it records
 the average log-likelihood of each of ``train_gmm``'s own EM passes.
+``lda_e_step_batch`` re-runs an underflowing document with the package's own
+log-domain E-step.
 """
 
 from itertools import product
@@ -13,7 +15,7 @@ from itertools import product
 import numpy as np
 from scipy.special import digamma, expit, gammaln, logsumexp
 
-from acoustic_lda import gmm
+from acoustic_lda import gmm, lda
 from acoustic_lda.formats import FormatError
 from acoustic_lda.network import _Step
 
@@ -117,6 +119,46 @@ def lda_e_step(alpha, log_beta, counts, gamma_tol, max_iters):
         if done:
             break
     return gamma, phi
+
+
+def lda_e_step_batch(log_beta, eb, alpha, c):
+    """gamma and digamma(gamma) of ``lda._e_step`` by the batch loop it
+    replaced, which at every sweep gathers the live documents' gamma from the
+    full (M, K) array, writes gamma and digamma back, and takes row maxima
+    with ``max(axis=1)``. The sweep cap, tolerance and floor are read from
+    ``lda`` at the call, and a document whose norm underflows is re-run by
+    ``lda._log_domain_e_step``, so this differs from ``_e_step`` only in the
+    form of its loop, and ``_e_step`` must match it bit for bit."""
+    def scaled_norm(dig, eb, c):
+        el = np.exp(dig - dig.max(axis=1, keepdims=True))
+        norm = el @ eb
+        under = np.zeros(c.shape[0], dtype=bool)
+        if norm.min() < lda._NORM_FLOOR:
+            small = norm < lda._NORM_FLOOR
+            under = (small & (c > 0)).any(axis=1)
+            norm[small] = 1.0
+        return el, norm, under
+
+    gamma = alpha + c.sum(axis=1, keepdims=True) / eb.shape[0]
+    dig = np.empty_like(gamma)
+    under = np.zeros(c.shape[0], dtype=bool)
+    live, c_live = np.arange(c.shape[0]), c
+    for _ in range(lda._MAX_E_ITERS):
+        old = gamma[live]
+        d = digamma(old)
+        el, norm, low = scaled_norm(d, eb, c_live)
+        new_gamma = alpha + el * ((c_live / norm) @ eb.T)
+        gamma[live] = new_gamma
+        dig[live] = d
+        under[live[low]] = True
+        keep = (np.max(np.abs(new_gamma - old) / old, axis=1) >= lda._GAMMA_TOL) & ~low
+        live, c_live = live[keep], c_live[keep]
+        if live.size == 0:
+            break
+    for i in np.flatnonzero(under):
+        ids = np.flatnonzero(c[i])
+        gamma[i], dig[i] = lda._log_domain_e_step(log_beta.T[ids], c[i, ids], alpha)
+    return gamma, dig
 
 
 def lda_phi_elbo(alpha, log_beta, counts, gamma, phi):

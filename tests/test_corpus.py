@@ -281,7 +281,7 @@ def test_loaders_build_one_frames_record(tmp_path, monkeypatch, loader, fields):
     assert len(built) == 1 and built[0] is record and record.ids == ("a", "b", "c")
 
 
-@pytest.mark.parametrize("build, field, given, bad", [
+RECORD_ARRAYS = [
     pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 1], frames=a),
                  "frames", [[1.0, 2.0]], np.nan, id="Frames"),
     pytest.param(lambda a: Symbols(ids=["d"], groups=[None], offsets=[0, 3], symbols=a),
@@ -295,7 +295,12 @@ def test_loaders_build_one_frames_record(tmp_path, monkeypatch, loader, fields):
     pytest.param(lambda a: Frames(ids=["d"], groups=[None], offsets=[0, 2],
                                   frames=np.zeros((2, 1)), labels=a),
                  "labels", [0, 1], -1, id="Frames-labels"),
-])
+    pytest.param(lambda a: gmm.GmmModel(weights=[1.0], means=a, variances=[[1.0, 1.0]]),
+                 "means", [[0.0, 1.0]], np.nan, id="GmmModel"),
+]
+
+
+@pytest.mark.parametrize("build, field, given, bad", RECORD_ARRAYS)
 def test_records_own_their_arrays(build, field, given, bad):
     """A record keeps a read-only copy: a view of the caller's array taken
     before cannot write into it, and the caller's array stays writable."""
@@ -308,17 +313,31 @@ def test_records_own_their_arrays(build, field, given, bad):
     assert not getattr(record, field).flags.writeable
 
 
+@pytest.mark.parametrize("build, field, given, bad", RECORD_ARRAYS)
+def test_records_copy_a_callers_read_only_array(build, field, given, bad):
+    """A caller's array that owns its data and is read-only is copied too:
+    its owner can turn writes back on, and a value written then, which the
+    record's checks would reject, must not reach the record."""
+    arr = np.array(given)
+    arr.setflags(write=False)
+    record = build(arr)
+    arr.setflags(write=True)
+    arr.flat[0] = bad
+    np.testing.assert_array_equal(getattr(record, field), given)
+    assert not getattr(record, field).flags.writeable
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda a: a, id="writable"),
     pytest.param(lambda a: _frozen(a[:]), id="read-only-view"),
 ])
 def test_frame_data_copies_an_array_it_does_not_own(make):
-    """Frames keeps an array uncopied only when the array owns its data and
-    is read-only: a writable array, or a read-only view of a writable base,
-    could still be written, so it is copied."""
+    """Frames keeps an array uncopied only when the package froze it itself,
+    as a loaded record's frames: a writable array, or a read-only view of a
+    writable base, could still be written, so it is copied."""
     def record(frames):
         return Frames(ids=["d"], groups=[None], offsets=[0, 2], frames=frames)
-    owned = _frozen(np.zeros((2, 1)))
+    owned = corpus._frozen(np.zeros((2, 1)))
     assert record(owned).frames is owned
     given = make(np.zeros((2, 1)))
     assert not np.shares_memory(record(given).frames, given)

@@ -12,6 +12,7 @@ from oracles import (
     greedy_row_match,
     grid_posterior_mean_theta0,
     lda_e_step,
+    lda_e_step_batch,
     lda_phi_elbo,
 )
 from synthetic import bag_record, generate_synthetic_lda_corpus
@@ -125,6 +126,21 @@ class TestEStep:
             infer_thetas(model, docs)
 
 
+def underflow_case():
+    """log_beta, alpha and bags where one document's norm underflows.
+
+    Symbol 1 has mass only in topic 1. With K=1000 and alpha_1 = 1e-6, a
+    one-token document starts from gamma_1 = 0.001001, whose el is
+    exp(digamma(0.001001) - digamma(1.001)) = exp(-999) = 0: its norm
+    underflows at symbol 1. Documents "a" and "c" hold only symbol 0."""
+    k = 1000
+    log_beta = np.full((k, 2), [0.0, -np.inf])
+    log_beta[1] = [-np.inf, 0.0]
+    alpha = np.full(k, 1e-6)
+    alpha[0] = 1.0
+    return log_beta, alpha, bag_record([2, 0], [0, 1], [1, 0], ids=["a", "b", "c"])
+
+
 class TestPhiFreeEStep:
     """The batched E-step works on the dense counts without phi; these check
     it against the log-domain oracle, one document at a time."""
@@ -161,17 +177,8 @@ class TestPhiFreeEStep:
                 np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
 
     def test_underflowing_norm_reruns_in_log_domain(self, monkeypatch):
-        # Symbol 1 has mass only in topic 1. With K=1000 and alpha_1 = 1e-6,
-        # a one-token document starts from gamma_1 = 0.001001, whose el is
-        # exp(digamma(0.001001) - digamma(1.001)) = exp(-999) = 0: its norm
-        # underflows at symbol 1.
-        k = 1000
-        log_beta = np.full((k, 2), [0.0, -np.inf])
-        log_beta[1] = [-np.inf, 0.0]
-        alpha = np.full(k, 1e-6)
-        alpha[0] = 1.0
+        log_beta, alpha, docs = underflow_case()
         model = LdaModel(alpha=alpha, log_beta=log_beta)
-        docs = bag_record([2, 0], [0, 1], [1, 0], ids=["a", "b", "c"])
         reruns = []
         rerun = lda._log_domain_e_step
 
@@ -202,7 +209,7 @@ class TestPhiFreeEStep:
         c = docs.counts.astype(float)
         eb = lda._scaled_beta(log_beta)[0]
         _, dig = lda._e_step(log_beta, eb, alpha, c)
-        np.testing.assert_array_equal(lda._scaled_norm(dig, eb, c)[2], [True, False])
+        np.testing.assert_array_equal(lda._scaled_norm(dig, eb, c)[2], [0])
         bounds, stats = lda._em_terms(log_beta, alpha, c)
         want_stats = np.zeros((k, 2))
         for counts in docs.counts:
@@ -276,6 +283,68 @@ class TestPhiFreeEStep:
                 tracemalloc.stop()
 
         assert peak(joined(narrow + [wide])) <= 2 * peak(joined(narrow))
+
+
+class TestEStepBitReference:
+    """``_e_step`` sweeps compact rows of the documents still updating, and
+    keeps the bits of ``oracles.lda_e_step_batch``, the loop that gathers and
+    scatters the full gamma at every sweep: each product runs over the same
+    rows in both."""
+
+    @staticmethod
+    def live_per_sweep(monkeypatch):
+        """A list to which every later sweep of ``_e_step`` appends the
+        number of documents it runs on."""
+        sizes, scaled_norm = [], lda._scaled_norm
+        monkeypatch.setattr(lda, "_scaled_norm",
+                            lambda dig, eb, c: sizes.append(len(c)) or scaled_norm(dig, eb, c))
+        return sizes
+
+    @staticmethod
+    def assert_bitwise(log_beta, alpha, docs):
+        c = docs.counts.astype(float)
+        eb = lda._scaled_beta(log_beta)[0]
+        gamma, dig = lda._e_step(log_beta, eb, alpha, c)
+        want_gamma, want_dig = lda_e_step_batch(log_beta, eb, alpha, c)
+        assert np.array_equal(gamma, want_gamma) and np.array_equal(dig, want_dig)
+
+    @staticmethod
+    def corpus(rng, k, v, m):
+        beta = rng.dirichlet(np.full(v, 0.3), size=k)
+        counts = [rng.multinomial(int(rng.integers(1, 400)), rng.dirichlet(np.full(v, 0.5)))
+                  for _ in range(m)]
+        return np.log(beta), rng.uniform(0.05, 1.0, size=k), bag_record(*counts)
+
+    def test_documents_stopping_at_different_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        sizes = self.live_per_sweep(monkeypatch)
+        for k, v, m in [(8, 32, 120), (16, 32, 120), (3, 7, 40)]:
+            sizes.clear()
+            self.assert_bitwise(*self.corpus(rng, k, v, m))
+            assert sizes[0] == m and len(set(sizes)) > 3, sizes
+            assert sizes == sorted(sizes, reverse=True)
+
+    def test_documents_at_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        monkeypatch.setattr(lda, "_MAX_E_ITERS", 4)
+        sizes = self.live_per_sweep(monkeypatch)
+        self.assert_bitwise(*self.corpus(rng, 8, 32, 50))
+        assert len(sizes) == 4 and sizes[-1] > 0
+
+    def test_a_document_in_the_log_domain(self, monkeypatch):
+        reruns, rerun = [], lda._log_domain_e_step
+        monkeypatch.setattr(lda, "_log_domain_e_step",
+                            lambda lb, counts, *args: reruns.append(1) or rerun(lb, counts, *args))
+        self.assert_bitwise(*underflow_case())
+        assert len(reruns) == 2    # document "b", once in each of the two loops
+
+    def test_one_document(self):
+        log_beta, alpha, docs = self.corpus(np.random.default_rng(42), 8, 32, 1)
+        self.assert_bitwise(log_beta, alpha, docs)
+
+    def test_one_topic(self):
+        log_beta, alpha, docs = self.corpus(np.random.default_rng(43), 1, 32, 30)
+        self.assert_bitwise(log_beta, alpha, docs)
 
 
 class TestElbo:
