@@ -16,10 +16,9 @@ Shared rules, which each format's loader adds its own fields to:
 - csv is written only, for the stats and metrics tables; no loader reads it.
 - json nested deeper than the stdlib decoder's recursion limit is bad json.
 - numbers: a numeric field is nested lists of json integers and floats, one
-  length per axis; strings and booleans are rejected, not cast. numpy types
-  the value first, and a value it types as integers or floats needs only
-  its rows holding a 0 or a 1 scanned for booleans; an exact scan of every
-  entry takes what numpy cannot type as numbers, and words the error.
+  length per axis; strings and booleans are rejected, not cast. One path
+  types every field: numpy's typing, a cast of integers beyond 64 bits and
+  a scan for booleans of the rows holding a 0 or a 1.
   Integer fields (symbols, counts, labels) take json integers only. The
   values (finite, >= 0, summing to 1) are checked by the record the loader
   builds, whose check a jsonl loader also runs on each line.
@@ -151,57 +150,34 @@ def numbers(value, name, shape) -> np.ndarray:
     infinities included, are the record's to check.
 
     ``value`` must be nested lists of json integers and floats; np.asarray
-    with a float dtype would read ``"1.5"`` and ``true`` as numbers. numpy
-    types the value first (``_typed``); what it cannot type as numbers goes
-    to the exact element scan (``_scanned``), which words the error. Faults
-    raise FormatError starting with ``name`` as given, so a jsonl field
-    passes its key quoted.
+    with a float dtype would read ``"1.5"`` and ``true`` as numbers. Without
+    one, np.asarray rejects ragged lists and gives a string, object or bool
+    array wherever a string, None, a dict, an integer beyond 64 bits or only
+    booleans appear; an object array of ints and floats alone is cast. A
+    boolean mixed with numbers is cast to 0 or 1, so the rows holding an
+    entry equal to 0 or 1 are scanned for one; where every row holds one, as
+    in one-hot frames, every entry is. Faults raise FormatError starting
+    with ``name`` as given, so a jsonl field passes its key quoted.
     """
-    arr = _typed(value, len(shape))
-    if arr is None:
-        arr = _scanned(value, name, len(shape))
-    if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
-        raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr
-
-
-def _typed(value, ndim):
-    """``value`` as a float array where numpy types it as an ``ndim``-d array
-    of ints, uints or floats with no boolean among its entries; else None.
-
-    Without a dtype, np.asarray rejects ragged lists and gives a string,
-    object or bool array wherever a string, None, a dict, an integer beyond
-    64 bits or only booleans appear. A boolean mixed with numbers is cast to
-    0 or 1, so only the rows holding an entry equal to 0 or 1 are scanned;
-    where every row holds one, as in one-hot frames, every entry is.
-    """
+    ndim = len(shape)
     try:
         arr = np.asarray(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.ndim != ndim or arr.dtype.kind not in "iuf":
-        return None
-    rows = [value] if ndim == 1 else value
-    suspect = ((arr == 0) | (arr == 1)).any(axis=-1, keepdims=ndim == 1)
-    if bool in {type(v) for i in np.flatnonzero(suspect).tolist() for v in rows[i]}:
-        return None
-    return arr.astype(float, copy=False)
-
-
-def _scanned(value, name, ndim):
-    """``value`` as a float array after an exact type scan of every entry;
-    anything but ``ndim``-d regular nested lists of json integers and floats
-    raises FormatError."""
-    try:
-        arr = np.asarray(value, dtype=float)
+        if arr.dtype == object and {type(v) for v in arr.flat} <= {int, float}:
+            arr = arr.astype(float)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.ndim != ndim or not (
-            {type(v) for v in value} if ndim == 1
-            else {type(v) for row in value for v in row}) <= {int, float}:
+    typed = arr is not None and arr.ndim == ndim and arr.dtype.kind in "iuf"
+    if typed:
+        rows = [value] if ndim == 1 else value
+        suspect = ((arr == 0) | (arr == 1)).any(axis=-1, keepdims=ndim == 1)
+        typed = bool not in {type(v) for i in np.flatnonzero(suspect).tolist()
+                             for v in rows[i]}
+    if not typed:
         raise FormatError(f"{name} must be a regular array of numbers: {ndim}-d "
                           f"nested lists of numbers, no strings or booleans")
-    return arr
+    if any(n is not None and n != m for n, m in zip(shape, arr.shape)):
+        raise FormatError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr.astype(float, copy=False)
 
 
 def json_ints(value, name) -> np.ndarray:

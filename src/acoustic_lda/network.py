@@ -92,8 +92,6 @@ class NetworkConfig:
             raise ValueError("hidden layer widths must be >= 1")
         if self.domain_dim < 0:
             raise ValueError("domain_dim must be >= 0")
-        if self.activation not in ("sigmoid", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -120,22 +118,39 @@ class LdatNetwork:
 
     ``params`` holds every layer's weights, then every layer's biases, in
     one float64 vector; ``weights`` and ``biases`` are tuples of views of
-    it. The constructor copies the arrays it is given, which must be finite."""
+    it. The constructor copies the arrays it is given and checks them, so a
+    network built by hand is held to the rules of a loaded one: the
+    activation is sigmoid or relu, and each layer has 2-d finite weights
+    whose cols equal the previous layer's rows (``input_dim + domain_dim``
+    for layer 0) and its own finite bias of one value per row. A fault in a
+    layer raises ValueError naming the layer."""
 
     def __init__(self, weights, biases, input_dim, domain_dim, activation):
+        if activation not in ("sigmoid", "relu"):
+            raise ValueError(f"unknown activation {activation!r}")
+        if len(biases) != len(weights):
+            raise ValueError(f"{len(weights)} layers need as many biases, got {len(biases)}")
         arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+        width = input_dim + domain_dim
+        for i, (w, b) in enumerate(zip(arrays[:len(weights)], arrays[len(weights):])):
+            if w.ndim != 2:
+                raise ValueError(f"layer {i}: weights must be 2-d, got shape {w.shape}")
+            if w.shape[1] != width:
+                raise ValueError(f"layer {i}: cols {w.shape[1]} != " + (
+                    f"input_dim + domain_dim = {width}" if i == 0
+                    else f"rows of layer {i - 1} = {width}"))
+            width = w.shape[0]
+            if b.shape != (width,):
+                raise ValueError(f"layer {i}: bias must be rows = {width} numbers")
+            for name, arr in (("weights", w), ("bias", b)):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"layer {i}: {name} must be finite")
         self.params = np.concatenate([a.ravel() for a in arrays])
         views = _views(self.params, [a.shape for a in arrays])
         self.weights, self.biases = tuple(views[:len(weights)]), tuple(views[len(weights):])
         self.input_dim = input_dim
         self.domain_dim = domain_dim
         self.activation = activation
-        if self.weights[0].shape[1] != input_dim + domain_dim:
-            raise ValueError("first-layer width must be input_dim + domain_dim")
-        for i, layer in enumerate(zip(self.weights, self.biases)):
-            for name, arr in zip(("weights", "bias"), layer):
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"layer {i}: {name} must be finite")
 
     @property
     def output_dim(self) -> int:
@@ -405,12 +420,9 @@ def load_network(path) -> LdatNetwork:
         if not (type(input_dim) is int and input_dim >= 1
                 and type(domain_dim) is int and domain_dim >= 0):
             raise ValueError("input_dim must be an integer >= 1 and domain_dim >= 0")
-        if obj["activation"] not in ("sigmoid", "relu"):
-            raise ValueError(f"unknown activation {obj['activation']!r}")
         if not (isinstance(layers, list) and layers):
             raise ValueError("layers must be a non-empty list")
         weights, biases = [], []
-        width = input_dim + domain_dim
         for i, layer in enumerate(layers):
             if not (isinstance(layer, dict)
                     and {"rows", "cols", "weights", "bias"} <= set(layer)):
@@ -419,20 +431,12 @@ def load_network(path) -> LdatNetwork:
             rows, cols = layer["rows"], layer["cols"]
             if not (type(rows) is int and rows >= 1 and type(cols) is int):
                 raise ValueError(f"layer {i}: rows and cols must be integers >= 1")
-            if cols != width:
-                raise ValueError(f"layer {i}: cols {cols} != " + (
-                    f"input_dim + domain_dim = {width}" if i == 0
-                    else f"rows of layer {i - 1} = {width}"))
             w = formats.numbers(layer["weights"], f"layer {i}: weights", (None,))
-            b = formats.numbers(layer["bias"], f"layer {i}: bias", (None,))
+            biases.append(formats.numbers(layer["bias"], f"layer {i}: bias", (None,)))
             if w.shape != (rows * cols,):
                 raise ValueError(
                     f"layer {i}: weights must be rows*cols = {rows * cols} numbers")
-            if b.shape != (rows,):
-                raise ValueError(f"layer {i}: bias must be rows = {rows} numbers")
             weights.append(w.reshape(rows, cols))
-            biases.append(b)
-            width = rows
         return LdatNetwork(weights, biases, input_dim, domain_dim, obj["activation"])
     return formats.read_json(path, ("input_dim", "domain_dim", "activation", "layers"),
                              build)

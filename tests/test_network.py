@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -518,15 +519,34 @@ class TestFrameData:
 @pytest.mark.parametrize("field, layer, value, message", [
     pytest.param("weights", 1, np.nan, "layer 1: weights must be finite", id="nan-weight"),
     pytest.param("biases", 0, np.inf, "layer 0: bias must be finite", id="inf-bias"),
+    pytest.param("activation", None, "tanh", "unknown activation 'tanh'", id="tanh"),
+    pytest.param("biases", None, [np.zeros(6)], "2 layers need as many biases, got 1",
+                 id="missing-bias"),
+    pytest.param("weights", 0, np.zeros((6, 4)),
+                 "layer 0: cols 4 != input_dim + domain_dim = 5", id="first-cols"),
+    pytest.param("weights", 1, np.zeros((4, 5)), "layer 1: cols 5 != rows of layer 0 = 6",
+                 id="layers-do-not-chain"),
+    pytest.param("biases", 1, np.zeros(3), "layer 1: bias must be rows = 4 numbers",
+                 id="bias-length"),
+    pytest.param("weights", 0, np.zeros(30), "layer 0: weights must be 2-d, got shape (30,)",
+                 id="1-d-weights"),
 ])
 def test_network_checks_its_parameters(field, layer, value, message):
+    """A network built by hand is checked like a loaded one, each fault
+    naming its layer: a scalar ``value`` goes into entry 1 of the layer's
+    array, an array replaces it."""
     net = small_net(np.random.default_rng(30))
     arrays = {"weights": [w.copy() for w in net.weights],
-              "biases": [b.copy() for b in net.biases]}
-    arrays[field][layer].flat[1] = value
-    with pytest.raises(ValueError, match=f"^{message}$"):
+              "biases": [b.copy() for b in net.biases], "activation": net.activation}
+    if layer is None:
+        arrays[field] = value
+    elif np.ndim(value):
+        arrays[field][layer] = value
+    else:
+        arrays[field][layer].flat[1] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LdatNetwork(arrays["weights"], arrays["biases"], net.input_dim, net.domain_dim,
-                    net.activation)
+                    arrays["activation"])
 
 
 class TestSerialization:
