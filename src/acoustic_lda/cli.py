@@ -18,8 +18,9 @@ document's ``map_domain``; the network turns it into the one-hot UBIC.
 ``eval`` requires the assignments' K to be the network's domain dim.
 
 Exit codes: 0 success, 1 data error (a size too large to allocate is one),
-2 bad flags or manifest. Logs go to stderr; data goes to files, or to stdout
-for the scalars of ``entropy`` and ``eval``.
+2 bad flags or manifest, or an output naming the file of another output or
+of an input, which is checked before any file is read. Logs go to stderr;
+data goes to files, or to stdout for the scalars of ``entropy`` and ``eval``.
 
 A manifest file (``--manifest``) may supply per-stage flag defaults and a
 global seed; explicit flags win over the manifest, which wins over the
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import corpus, domains, formats, gmm, lda, network
@@ -199,70 +201,71 @@ def _widths(text):
 @functools.cache
 def _build_parser():
     """The CLI's parser, built once per process: parsing does not change it,
-    so every ``main`` call shares it."""
+    so every ``main`` call shares it. A file flag's metavar marks it as an
+    input, ``IN``, or an output, ``OUT``."""
     parser = argparse.ArgumentParser(
         prog="acoustic-lda",
         description="Latent acoustic domain discovery and domain-aware training",
     )
-    parser.add_argument("--manifest", default=None,
+    parser.add_argument("--manifest", default=None, metavar="IN",
                         help="json file with per-stage flag defaults and a global seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-gmm", help="train the quantizer GMM on pooled frames")
-    p.add_argument("--features", required=True)
+    p.add_argument("--features", required=True, metavar="IN")
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_train_gmm, _required=[("components",)])
 
     p = sub.add_parser("quantize", help="map frames to max-posterior component indices")
-    p.add_argument("--gmm", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--bags-out", default=None,
+    p.add_argument("--gmm", required=True, metavar="IN")
+    p.add_argument("--features", required=True, metavar="IN")
+    p.add_argument("--out", required=True, metavar="OUT")
+    p.add_argument("--bags-out", default=None, metavar="OUT",
                    help="also write bag-of-sounds count vectors")
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("train-lda", help="variational-EM LDA over bags-of-sounds")
-    p.add_argument("--bags", required=True)
+    p.add_argument("--bags", required=True, metavar="IN")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--em-tol", type=float, default=lda.LdaConfig.em_tol)
     p.add_argument("--max-em-iters", type=int, default=lda.LdaConfig.max_em_iters)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_train_lda, _required=[("k",)])
 
     p = sub.add_parser("assign", help="MAP domain assignment per document")
-    p.add_argument("--model", required=True)
-    p.add_argument("--bags", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--model", required=True, metavar="IN")
+    p.add_argument("--bags", required=True, metavar="IN")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("entropy", help="average domain entropy over documents")
-    p.add_argument("--model", required=True)
-    p.add_argument("--bags", required=True)
+    p.add_argument("--model", required=True, metavar="IN")
+    p.add_argument("--bags", required=True, metavar="IN")
     p.add_argument("--unit", choices=["bits", "nats"], default="bits")
     p.set_defaults(func=_cmd_entropy)
 
     p = sub.add_parser("filter", help="two-model cross-agreement histogram pruning")
-    p.add_argument("--assign-a", required=True)
-    p.add_argument("--assign-b", required=True)
+    p.add_argument("--assign-a", required=True, metavar="IN")
+    p.add_argument("--assign-b", required=True, metavar="IN")
     p.add_argument("--target-frac", type=float, default=None)
     p.add_argument("--target-weight", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_filter, _required=[("target_frac", "target_weight")])
 
     p = sub.add_parser("augment-train",
                        help="train the frame classifier, optionally UBIC-augmented")
-    p.add_argument("--data", required=True,
+    p.add_argument("--data", required=True, metavar="IN",
                    help="jsonl rows {id, frames, labels} with per-frame labels")
-    p.add_argument("--assignments", default=None,
+    p.add_argument("--assignments", default=None, metavar="IN",
                    help="domain assignments for UBIC augmentation; omit for baseline")
-    p.add_argument("--keep-ids", default=None,
+    p.add_argument("--keep-ids", default=None, metavar="IN",
                    help="filter result file restricting the training documents")
-    p.add_argument("--baseline-net", default=None,
+    p.add_argument("--baseline-net", default=None, metavar="IN",
                    help="initialize feature weights from this baseline network")
     p.add_argument("--hidden", type=_widths, default="64,64")
     p.add_argument("--activation", choices=["sigmoid", "relu"], default="sigmoid")
@@ -271,28 +274,32 @@ def _build_parser():
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--cv-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--metrics", default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, metavar="OUT")
+    p.add_argument("--metrics", default=None, metavar="OUT")
     p.set_defaults(func=_cmd_augment_train)
 
     p = sub.add_parser("eval", help="frame accuracy of a saved network")
-    p.add_argument("--net", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--assignments", default=None)
+    p.add_argument("--net", required=True, metavar="IN")
+    p.add_argument("--data", required=True, metavar="IN")
+    p.add_argument("--assignments", default=None, metavar="IN")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("stats", help="per-group domain distribution CSV")
-    p.add_argument("--assignments", required=True)
-    p.add_argument("--bags", required=True,
+    p.add_argument("--assignments", required=True, metavar="IN")
+    p.add_argument("--bags", required=True, metavar="IN",
                    help="bags file supplying each document's group label")
     p.add_argument("--top-n", type=int, default=16)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_stats)
     # each subcommand's long flag names, which are a manifest entry's keys
     parser.set_defaults(_flags={
         name: {opt[2:] for opt in p._option_string_actions if opt.startswith("--")}
         - {"help"} for name, p in sub.choices.items()})
+    # each subcommand's file flags, --manifest included, as (flag, dest, IN or OUT)
+    parser.set_defaults(_files={
+        name: [(a.option_strings[0], a.dest, a.metavar) for a in parser._actions + p._actions
+               if a.metavar in ("IN", "OUT")] for name, p in sub.choices.items()})
     return parser
 
 
@@ -331,7 +338,7 @@ def _manifest_flags(parser, args):
 def _parse_args(parser, argv):
     """Parse ``argv``; the manifest's flags are inserted ahead of the explicit
     ones, so explicit flags win and manifest values meet the same types and
-    choices. A seed left unset is 0."""
+    choices."""
     args = parser.parse_args(argv)
     if args.manifest is not None:
         i = 0   # skip the top-level options: --manifest PATH or --manifest=PATH
@@ -339,8 +346,6 @@ def _parse_args(parser, argv):
             i += 1 if "=" in argv[i] else 2
         flags = _manifest_flags(parser, args)
         args = parser.parse_args(argv[: i + 1] + flags + argv[i + 1:])
-    if getattr(args, "seed", "absent") is None:
-        args.seed = 0
     return args
 
 
@@ -353,6 +358,14 @@ def main(argv=None) -> int:
         if all(getattr(args, name) is None for name in names):
             flags = " or ".join("--" + name.replace("_", "-") for name in names)
             print(f"error: missing required flag {flags}", file=sys.stderr)
+            return 2
+    # no output may name the file of another output or of an input
+    files = [(flag, io, getattr(args, dest)) for flag, dest, io in args._files[args.command]
+             if getattr(args, dest) is not None]
+    for (flag, io, path), (other, other_io, other_path) in itertools.combinations(files, 2):
+        if "OUT" in (io, other_io) and formats.same_file(path, other_path):
+            print(f"error: {flag} {path} and {other} {other_path} name the same file",
+                  file=sys.stderr)
             return 2
     try:
         args.func(args)

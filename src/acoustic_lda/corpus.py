@@ -337,10 +337,10 @@ def quantize_features(path, quantize) -> Symbols:
     line is read. Only one document's frames are held at a time. Ids are
     unique.
 
-    The first faulty line is the fault: its own fault, or a ValueError of
-    ``quantize`` on its document, raises FormatError naming its
-    ``file:line``, and ``quantize`` has seen every earlier line and no later
-    one. A FloatingPointError of ``quantize`` propagates as it is.
+    The first faulty line is the fault: its own fault, or a ValueError or
+    FloatingPointError of ``quantize`` on its document, raises FormatError
+    naming its ``file:line``, and ``quantize`` has seen every earlier line
+    and no later one.
     """
     rows = _Rows(1, np.int64)
     docs = _read_frames(path, lambda obj, frames: rows.append(quantize(Frames(

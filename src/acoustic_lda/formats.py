@@ -5,16 +5,17 @@ Shared rules, which each format's loader adds its own fields to:
 - jsonl: each non-blank line is one json object. A line holding ``_meta``
   (the writer's seed and settings) is skipped on read. Every other line has
   a json string ``id`` and a ``group`` that is absent, null or a string.
-  Lines are decoded with orjson, and a line that orjson rejects or that is
-  not a json object is decoded again with the stdlib json module, which
-  also reads ``NaN``, ``Infinity``, ``1e400`` and lone surrogate escapes,
-  types an integer beyond 64 bits as an integer and words the error for
-  bad json.
   Where a format's ids are unique, a line repeating an earlier line's id
   is a fault of that line.
 - json: one json object holding the format's required keys.
 - csv is written only, for the stats and metrics tables; no loader reads it.
-- json nested deeper than the stdlib decoder's recursion limit is bad json.
+- decoding: a json file and a jsonl line are decoded by one rule. orjson
+  decodes the text; where it rejects the text or the text is not a json
+  object, the stdlib json module decodes it again, which also reads
+  ``NaN``, ``Infinity``, ``1e400`` and lone surrogate escapes and words the
+  error for bad json. So an integer beyond 64 bits is a float wherever
+  orjson decodes it, and nesting deeper than the stdlib's recursion limit
+  is bad json only where the stdlib decodes it.
 - numbers: a numeric field is nested lists of json integers and floats, one
   length per axis; strings and booleans are rejected, not cast. One path
   types every field: numpy's typing, a cast of integers beyond 64 bits and
@@ -23,9 +24,10 @@ Shared rules, which each format's loader adds its own fields to:
   values (finite, >= 0, summing to 1) are checked by the record the loader
   builds, whose check a jsonl loader also runs on each line.
 - faults raise ``FormatError``, a ValueError, naming ``file:line`` for jsonl
-  and the file for json. A jsonl file's fault is its first faulty line's,
-  raised as that line is read. A byte that does not decode as text is a
-  fault naming the file.
+  and the file for json; a ValueError or a FloatingPointError from a line's
+  or a file's build is named the same way. A jsonl file's fault is its
+  first faulty line's, raised as that line is read. A byte that does not
+  decode as text is a fault naming the file.
 - writes are atomic: a temp file in the target's directory, then a rename,
   so a reader never sees half a file. The file gets mode 0666 less the
   umask, as a plain ``open`` would give it. A failed write names the
@@ -44,7 +46,7 @@ import numpy as np
 import orjson
 
 __all__ = ["FormatError", "read_jsonl", "read_json", "check_unique_ids", "numbers",
-           "json_ints", "write_jsonl", "write_json", "write_csv"]
+           "json_ints", "same_file", "write_jsonl", "write_csv"]
 
 
 class FormatError(ValueError):
@@ -52,24 +54,36 @@ class FormatError(ValueError):
 
 
 def _build(where, build, *args):
-    """``build(*args)``, with a ValueError it raises re-raised naming ``where``."""
+    """``build(*args)``, with a ValueError or FloatingPointError it raises
+    re-raised as FormatError naming ``where``."""
     try:
         return build(*args)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def _loads(line):
-    """The json value of one jsonl line: orjson's where it is a json object,
-    else the stdlib's. Where both reject the line, the stdlib's error is
-    raised; a line that is not an object, which the reader rejects, is typed
-    as the stdlib reads it (orjson reads an integer beyond 64 bits as a
-    float)."""
+def _loads(text):
+    """The json value of ``text``: orjson's where it is a json object, else
+    the stdlib's. Where both reject the text, the stdlib's error is raised;
+    a text that is not an object, which the readers reject, is typed as the
+    stdlib reads it (orjson reads an integer beyond 64 bits as a float)."""
     try:
-        obj = orjson.loads(line)
+        obj = orjson.loads(text)
     except orjson.JSONDecodeError:
-        return json.loads(line)
-    return obj if isinstance(obj, dict) else json.loads(line)
+        return json.loads(text)
+    return obj if isinstance(obj, dict) else json.loads(text)
+
+
+def _object(where, text):
+    """The json object ``text`` holds; bad json or another json value raises
+    FormatError naming ``where``."""
+    try:
+        obj = _loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{where}: bad json: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected a json object, got {type(obj).__name__}")
+    return obj
 
 
 def _lines(fh, path):
@@ -87,7 +101,8 @@ def read_jsonl(path, build, unique=False) -> list:
 
     Blank and ``_meta`` lines are skipped. Bad json, a line that is not a
     json object, an ``id`` that is not a string, a ``group`` that is not a
-    string or null, a ValueError from ``build`` and, with ``unique``, an id
+    string or null, a ValueError or FloatingPointError from ``build`` and,
+    with ``unique``, an id
     that an earlier line holds raise FormatError naming ``path:line`` as the
     line is read.
     """
@@ -97,13 +112,7 @@ def read_jsonl(path, build, unique=False) -> list:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                obj = _loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise FormatError(f"{where}: bad json: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{where}: expected a json object, "
-                                  f"got {type(obj).__name__}")
+            obj = _object(where, line)
             if "_meta" in obj:
                 continue
             doc_id = obj.get("id")
@@ -121,14 +130,10 @@ def read_jsonl(path, build, unique=False) -> list:
 def read_json(path, keys, build):
     """``build(obj)`` for the json object in ``path``, which must hold every
     key in ``keys``. Bad json, another json value, a missing key and a
-    ValueError from ``build`` raise FormatError naming ``path``."""
+    ValueError or FloatingPointError from ``build`` raise FormatError naming
+    ``path``."""
     with open(path) as fh:
-        try:
-            obj = json.loads("".join(_lines(fh, path)))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}: bad json: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: expected a json object, got {type(obj).__name__}")
+        obj = _object(path, "".join(_lines(fh, path)))
     missing = [k for k in keys if k not in obj]
     if missing:
         raise FormatError(f"{path}: missing key(s) {', '.join(missing)}")
@@ -192,6 +197,15 @@ def json_ints(value, name) -> np.ndarray:
         raise FormatError(f"{name!r} must be a list of integers") from None
 
 
+def same_file(a, b) -> bool:
+    """Whether the paths ``a`` and ``b`` name one file: they have one real
+    path, or both exist and are one file, as hard links are."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _replace(path, write, newline=None) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it to
     ``path``; on any failure the temp file is removed. A ValueError, and an
@@ -217,21 +231,14 @@ def _replace(path, write, newline=None) -> None:
 
 def write_jsonl(path, records, meta=None) -> None:
     """One json object per line, after a ``{"_meta": meta}`` line when
-    ``meta`` is given."""
+    ``meta`` is given; a json file is one record, ``(obj,)``. Each line is
+    formed whole by ``json.dumps``, which takes the stdlib's C encoder
+    (``json.dump`` takes the pure-Python one), then written."""
     def write(fh):
         if meta is not None:
             fh.write(json.dumps({"_meta": meta}, allow_nan=False) + "\n")
         for rec in records:
             fh.write(json.dumps(rec, allow_nan=False) + "\n")
-    _replace(path, write)
-
-
-def write_json(path, obj) -> None:
-    """``obj`` as one line of json. The text is formed whole by
-    ``json.dumps``, which takes the stdlib's C encoder (``json.dump`` takes
-    the pure-Python one), then written."""
-    def write(fh):
-        fh.write(json.dumps(obj, allow_nan=False) + "\n")
     _replace(path, write)
 
 

@@ -355,14 +355,14 @@ def train_gmm(frames: np.ndarray, target_components: int) -> GmmModel:
 
 
 def save_gmm(path, model: GmmModel, seed: int) -> None:
-    formats.write_json(path, {
+    formats.write_jsonl(path, ({
         "D": model.dim,
         "V": model.num_components,
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "variances": model.variances.tolist(),
         "seed": seed,
-    })
+    },))
 
 
 def load_gmm(path) -> GmmModel:

@@ -322,13 +322,13 @@ def infer_thetas(model: LdaModel, docs: Bags) -> np.ndarray:
 
 
 def save_lda(path, model: LdaModel, seed: int) -> None:
-    formats.write_json(path, {
+    formats.write_jsonl(path, ({
         "K": model.num_domains,
         "V": model.vocab_size,
         "alpha": model.alpha.tolist(),
         "log_beta": model.log_beta.tolist(),
         "seed": seed,
-    })
+    },))
 
 
 def load_lda(path) -> LdaModel:

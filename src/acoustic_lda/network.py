@@ -399,7 +399,7 @@ def evaluate_accuracy(net: LdatNetwork, dataset: Frames, domains=None) -> float:
 
 
 def save_network(path, net: LdatNetwork, seed: int) -> None:
-    formats.write_json(path, {
+    formats.write_jsonl(path, ({
         "input_dim": net.input_dim,
         "domain_dim": net.domain_dim,
         "activation": net.activation,
@@ -409,7 +409,7 @@ def save_network(path, net: LdatNetwork, seed: int) -> None:
             for w, b in zip(net.weights, net.biases)
         ],
         "seed": seed,
-    })
+    },))
 
 
 def load_network(path) -> LdatNetwork:

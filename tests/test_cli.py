@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -513,7 +514,7 @@ class TestContracts:
         pytest.param({"stages": [1]}, id="stages-not-an-object"),
         pytest.param({"seed": "x", "stages": {"train-lda": {"k": 2}}}, id="bad-seed"),
         pytest.param({"sed": 1}, id="unknown-top-level-key"),
-        pytest.param('{"stages": ' + DEEP + "}", id="deeply-nested"),
+        pytest.param('{"seed": NaN, "stages": ' + DEEP + "}", id="deeply-nested"),
         pytest.param({"stages": {"train-lda": {"em": 0.5}}}, id="prefix-of-em-tol"),
         pytest.param({"stages": {"train-lda": {"max": 3}}}, id="prefix-of-max-em-iters"),
         pytest.param({"stages": {"train-lda": {"out=evil.json": "1"}}}, id="key-holding-equals"),
@@ -566,8 +567,12 @@ class TestContracts:
                      "means must be a regular array", id="bool-mean"),
         pytest.param(gmm_json(variances=[[1.0] * 3, ["2", 2.0, 2.0]]),
                      "variances must be a regular array", id="string-variance"),
-        pytest.param('{"D": 3, "V": 2, "means": ' + DEEP + "}\n", "bad json",
+        # NaN sends the file to the stdlib decoder, which hits its recursion limit
+        pytest.param('{"D": 3, "V": 2, "x": NaN, "means": ' + DEEP + "}\n", "bad json",
                      id="deeply-nested"),
+        # orjson decodes the nesting, and the loader rejects the field
+        pytest.param(gmm_json(means="@").replace('"@"', DEEP),
+                     "means must be a regular array", id="deeply-nested-orjson"),
     ])
     def test_bad_gmm_artifact_exit_1(self, tmp_path, capsys, pipeline_inputs,
                                      text, message):
@@ -625,7 +630,10 @@ class TestContracts:
                      id="negative-alpha"),
         pytest.param(lda_json(log_beta=[[0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]]),
                      "must sum to 1", id="rows-not-normalized"),
-        pytest.param('{"K": 2, "alpha": ' + DEEP + "}\n", "bad json", id="deeply-nested"),
+        pytest.param('{"K": 2, "x": NaN, "alpha": ' + DEEP + "}\n", "bad json",
+                     id="deeply-nested"),
+        pytest.param('{"K": 2, "V": 3, "alpha": ' + DEEP + ', "log_beta": [[0.5]]}\n',
+                     "alpha must be a regular array", id="deeply-nested-orjson"),
     ])
     def test_bad_lda_artifact_exit_1(self, tmp_path, capsys, text, message):
         model, bags = tmp_path / "lda.json", tmp_path / "bags.jsonl"
@@ -981,6 +989,8 @@ class TestContracts:
             assert run(*argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "overflow" in err
+        # quantize reads the file line by line, and names the line
+        assert f"{features}:1:" in err
 
     @pytest.mark.parametrize("flags, message", [
         pytest.param(("--epochs", 0), "epochs must be >= 1", id="zero-epochs"),
@@ -1066,8 +1076,10 @@ class TestContracts:
                      "layer 0: weights must be a regular array", id="numeric-string-weight"),
         pytest.param(net_json(layer_changes=[(0, {"bias": [False, 0.1]})]),
                      "layer 0: bias must be a regular array", id="bool-bias"),
-        pytest.param('{"input_dim": 2, "layers": ' + DEEP + "}\n", "bad json",
+        pytest.param('{"input_dim": 2, "x": NaN, "layers": ' + DEEP + "}\n", "bad json",
                      id="deeply-nested"),
+        pytest.param(net_json(layers="@").replace('"@"', DEEP),
+                     "layer 0: expected an object", id="deeply-nested-orjson"),
     ])
     def test_bad_network_artifact_exit_1(self, tmp_path, capsys, text, message):
         data, net = tmp_path / "data.jsonl", tmp_path / "net.json"
@@ -1280,6 +1292,55 @@ def artifacts(obj):
     random json value, or of a random json value."""
     return st.builds(lambda v: json.dumps(v) + "\n", json_values | st.fixed_dictionaries(
         {key: st.just(value) | json_values for key, value in obj.items()}))
+
+
+QUANTIZE = ["quantize", "--gmm", "gmm.json", "--features", "f.jsonl"]
+
+
+class TestFileCollisions:
+    """No output of a stage may name the file of another output or of an
+    input: the run exits 2 with one line naming both flags, before any file
+    is read or written."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param(QUANTIZE + ["--out", "s.jsonl", "--bags-out", "s.jsonl"],
+                     "--out s.jsonl and --bags-out s.jsonl", id="out-is-bags-out"),
+        pytest.param(QUANTIZE + ["--out", "f.jsonl"], "--features f.jsonl and --out f.jsonl",
+                     id="out-is-features"),
+        pytest.param(["filter", "--assign-a", "a.jsonl", "--assign-b", "b.jsonl",
+                      "--target-frac", "0.5", "--out", "a.jsonl"],
+                     "--assign-a a.jsonl and --out a.jsonl", id="out-is-assign-a"),
+        pytest.param(["--manifest", "manifest.json"] + QUANTIZE + ["--out", "t.jsonl"],
+                     "--gmm gmm.json and --bags-out gmm.json", id="manifest-bags-out-is-gmm"),
+        pytest.param(QUANTIZE + ["--out", "link.jsonl"],
+                     "--features f.jsonl and --out link.jsonl", id="out-symlink-to-features"),
+        pytest.param(QUANTIZE + ["--out", "hard.jsonl"],
+                     "--features f.jsonl and --out hard.jsonl", id="out-hard-link-to-features"),
+    ])
+    def test_collision_exit_2_and_leave_every_file(self, tmp_path, monkeypatch, capsys,
+                                                   argv, flags):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {
+            "gmm.json": gmm_json(), "s.jsonl": "older symbols\n",
+            "f.jsonl": json.dumps({"id": "d0", "frames": [[0.0, 1.0, 2.0]]}) + "\n",
+            "a.jsonl": assignments_text([0.25, 0.75], [0.75, 0.25]),
+            "b.jsonl": assignments_text([0.5, 0.5], [0.75, 0.25]),
+            "manifest.json": json.dumps({"stages": {"quantize": {"bags-out": "gmm.json"}}}),
+        }.items():
+            (tmp_path / name).write_text(text)
+        os.symlink("f.jsonl", "link.jsonl")
+        os.link("f.jsonl", "hard.jsonl")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flags} name the same file\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_two_inputs_may_name_one_file(self, tmp_path):
+        assign, out = tmp_path / "a.jsonl", tmp_path / "kept.jsonl"
+        assign.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
+        assert run("filter", "--assign-a", assign, "--assign-b", assign,
+                   "--target-frac", 0.5, "--out", out) == 0
+        assert out.exists()
 
 
 GMM_D2 = {"D": 2, "V": 2, "weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],

@@ -1,6 +1,7 @@
-"""The shared file rules of ``acoustic_lda.formats``: the jsonl decoder agrees
-with the stdlib json module, the numbers rule agrees with an exact type scan
-of every entry, and written files get the umask's mode."""
+"""The shared file rules of ``acoustic_lda.formats``: the decoder of json
+files and jsonl lines agrees with the stdlib json module, the numbers rule
+agrees with an exact type scan of every entry, and written files get the
+umask's mode."""
 
 import json
 import os
@@ -33,21 +34,32 @@ def same(ref, got):
     return ref == got
 
 
-def outcome(path):
-    """("ok", records) or (error type, error text) of ``read_jsonl``."""
+def read_jsonl(path):
+    return formats.read_jsonl(path, lambda obj: obj)
+
+
+def read_json(path):
+    return formats.read_json(path, (), lambda obj: obj)
+
+
+def outcome(read, path):
+    """("ok", value) or (error type, error text) of ``read(path)``."""
     try:
-        return "ok", formats.read_jsonl(path, lambda obj: obj)
+        return "ok", read(path)
     except (formats.FormatError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def assert_decoders_agree(path):
-    got = outcome(path)
+def assert_decoders_agree(path, read=read_jsonl):
+    """``read`` gives the stdlib's values and faults, except that an integer
+    beyond 64 bits may be a float. Where the stdlib hits its recursion limit,
+    orjson may decode the text, so the outcomes are not compared."""
+    got = outcome(read, path)
     with mock.patch.object(formats, "_loads", json.loads):
-        ref = outcome(path)
+        ref = outcome(read, path)
     if ref[0] == "ok":
         assert got[0] == "ok" and same(ref[1], got[1]), (ref, got)
-    else:
+    elif "maximum recursion depth exceeded" not in ref[1]:
         assert got == ref
 
 
@@ -70,7 +82,9 @@ string_texts = st.one_of(
     st.sampled_from(['"\\ud800"', '"a\\udfff"', '"\\ud83d\\ude00"', '"\\u00e9\\n"']))
 nested_texts = st.recursive(number_texts, lambda inner: st.lists(inner, max_size=3).map(join),
                             max_leaves=12)
-value_texts = nested_texts | string_texts | st.sampled_from(["null", "true", "{}"])
+deep_texts = st.sampled_from([2, 50, 5000]).map(lambda n: "[" * n + "]" * n)
+value_texts = (nested_texts | string_texts | deep_texts
+               | st.sampled_from(["null", "true", "{}"]))
 frame_texts = st.lists(st.lists(number_texts, max_size=4).map(join), max_size=3).map(join)
 record_texts = st.builds(
     lambda doc_id, group, frames, extra: "{" + ", ".join(
@@ -99,6 +113,17 @@ def test_read_jsonl_agrees_with_stdlib_json(tmp_path_factory, text):
     assert_decoders_agree(path)
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.tuples(st.sampled_from(["", "\ufeff", " ", "\n"]), line_texts,
+                      st.sampled_from(["", "\n", " \n"])).map("".join))
+def test_read_json_agrees_with_stdlib_json(tmp_path_factory, text):
+    """A json file decodes by the jsonl lines' rule: records, ``_meta``
+    objects, other json values and cut texts alike."""
+    path = tmp_path_factory.mktemp("json") / "f.json"
+    path.write_bytes(text.encode())
+    assert_decoders_agree(path, read_json)
+
+
 @settings(max_examples=200, deadline=None)
 @given(numbers=st.lists(number_texts, min_size=1, max_size=40))
 def test_numbers_decode_bitwise_as_stdlib_json(tmp_path_factory, numbers):
@@ -120,6 +145,29 @@ def test_integers_beyond_64_bits_decode_as_floats(tmp_path):
     assert [type(v) for v in got] == [int, float, int, float, int]
     assert got == [INT64_MIN, float(INT64_MIN - 1), UINT64_END - 1, float(UINT64_END),
                    10 ** 400]
+
+
+def test_json_file_integers_beyond_64_bits_decode_as_floats(tmp_path):
+    """As in a jsonl line: orjson reads an integer outside [-2**63, 2**64) as
+    the nearest float, and a file orjson rejects, as for 10**400, is read
+    whole by the stdlib, whose integers stay integers."""
+    values = [INT64_MIN, INT64_MIN - 1, UINT64_END - 1, UINT64_END]
+    path = tmp_path / "f.json"
+    for extra, types in [([], [int, float, int, float]), ([10 ** 400], [int] * 5)]:
+        path.write_text(json.dumps({"x": values + extra}) + "\n")
+        got = formats.read_json(path, ("x",), lambda obj: obj["x"])
+        assert [type(v) for v in got] == types
+        assert got == [t(v) for t, v in zip(types, values + extra)]
+
+
+def test_deep_nesting_is_bad_json_only_where_the_stdlib_decodes(tmp_path):
+    path, deep = tmp_path / "f.json", "[" * 5000 + "]" * 5000
+    path.write_text('{"x": ' + deep + "}\n")
+    assert len(read_json(path)["x"]) == 1
+    for text in ('{"x": NaN, "y": ' + deep + "}\n", deep + "\n"):
+        path.write_text(text)
+        with pytest.raises(formats.FormatError, match="f.json: bad json: maximum recursion"):
+            read_json(path)
 
 
 def test_non_object_line_is_typed_as_the_stdlib_reads_it(tmp_path):
@@ -203,7 +251,7 @@ def test_booleans_among_zeros_and_ones_are_rejected(value, ok):
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                          ids=["umask-022", "umask-077", "umask-002"])
 @pytest.mark.parametrize("write", [
-    lambda path: formats.write_json(path, {"a": 1}),
+    lambda path: formats.write_jsonl(path, ({"a": 1},)),
     lambda path: formats.write_jsonl(path, [{"id": "a"}], meta={"seed": 0}),
     lambda path: formats.write_csv(path, ["a"], [[1]]),
 ], ids=["json", "jsonl", "csv"])
@@ -221,7 +269,7 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode, write):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("write", [
-    lambda path, v: formats.write_json(path, {"a": [1.0, v]}),
+    lambda path, v: formats.write_jsonl(path, ({"a": [1.0, v]},)),
     lambda path, v: formats.write_jsonl(path, [{"id": "a", "x": v}], meta={"seed": 0}),
     lambda path, v: formats.write_jsonl(path, [{"id": "a"}], meta={"target": v}),
 ], ids=["json", "jsonl-record", "jsonl-meta"])
@@ -235,14 +283,15 @@ def test_json_writers_refuse_non_finite_numbers(tmp_path, write, value):
 
 
 def test_write_json_bytes_are_those_of_json_dump(tmp_path):
-    """``write_json`` forms its text with ``json.dumps`` (the C encoder);
-    the bytes are those ``json.dump`` (the pure-Python encoder) streams,
-    for extreme floats, big integers and non-ASCII strings alike."""
+    """A json file is one record of ``write_jsonl``, which forms its text
+    with ``json.dumps`` (the C encoder); the bytes are those ``json.dump``
+    (the pure-Python encoder) streams, for extreme floats, big integers and
+    non-ASCII strings alike."""
     obj = {"floats": [5e-324, -0.0, 1e22, 1e-300, 0.1, -1.7976931348623157e308],
            "ints": [2 ** 70, -2 ** 70, 0], "text": ["é", "日本", "\U0001f600", " "],
            "nested": {"ü": [[1.5, None, True]]}}
     path = tmp_path / "out.json"
-    formats.write_json(path, obj)
+    formats.write_jsonl(path, (obj,))
     with open(tmp_path / "ref.json", "w") as fh:
         json.dump(obj, fh, allow_nan=False)
         fh.write("\n")
