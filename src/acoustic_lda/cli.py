@@ -22,10 +22,12 @@ Exit codes: 0 success, 1 data error (a size too large to allocate is one),
 of an input, which is checked before any file is read. Logs go to stderr;
 data goes to files, or to stdout for the scalars of ``entropy`` and ``eval``.
 
-A manifest file (``--manifest``) may supply per-stage flag defaults and a
-global seed; explicit flags win over the manifest, which wins over the
-built-in defaults. A stage entry's keys are that subcommand's flag names
-without the leading ``--``, spelled out in full.
+A manifest file (``--manifest``) may supply any flag of a stage, a required
+one included, and a global seed; explicit flags win over the manifest, which
+wins over the built-in defaults. A stage entry's keys are that subcommand's
+flag names without the leading ``--``, spelled out in full. The manifest is
+read as its subcommand is parsed, so its faults come before those of the
+subcommand's own flags and before the subcommand's ``-h`` prints help.
 """
 
 from __future__ import annotations
@@ -208,15 +210,15 @@ def _build_parser():
         description="Latent acoustic domain discovery and domain-aware training",
     )
     parser.add_argument("--manifest", default=None, metavar="IN",
-                        help="json file with per-stage flag defaults and a global seed")
-    sub = parser.add_subparsers(dest="command", required=True)
+                        help="json file with per-stage flags and a global seed")
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     p = sub.add_parser("train-gmm", help="train the quantizer GMM on pooled frames")
     p.add_argument("--features", required=True, metavar="IN")
-    p.add_argument("--components", type=int, default=None)
+    p.add_argument("--components", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="OUT")
-    p.set_defaults(func=_cmd_train_gmm, _required=[("components",)])
+    p.set_defaults(func=_cmd_train_gmm)
 
     p = sub.add_parser("quantize", help="map frames to max-posterior component indices")
     p.add_argument("--gmm", required=True, metavar="IN")
@@ -228,12 +230,12 @@ def _build_parser():
 
     p = sub.add_parser("train-lda", help="variational-EM LDA over bags-of-sounds")
     p.add_argument("--bags", required=True, metavar="IN")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--em-tol", type=float, default=lda.LdaConfig.em_tol)
     p.add_argument("--max-em-iters", type=int, default=lda.LdaConfig.max_em_iters)
     p.add_argument("--out", required=True, metavar="OUT")
-    p.set_defaults(func=_cmd_train_lda, _required=[("k",)])
+    p.set_defaults(func=_cmd_train_lda)
 
     p = sub.add_parser("assign", help="MAP domain assignment per document")
     p.add_argument("--model", required=True, metavar="IN")
@@ -292,10 +294,6 @@ def _build_parser():
     p.add_argument("--top-n", type=int, default=16)
     p.add_argument("--out", required=True, metavar="OUT")
     p.set_defaults(func=_cmd_stats)
-    # each subcommand's long flag names, which are a manifest entry's keys
-    parser.set_defaults(_flags={
-        name: {opt[2:] for opt in p._option_string_actions if opt.startswith("--")}
-        - {"help"} for name, p in sub.choices.items()})
     # each subcommand's file flags, --manifest included, as (flag, dest, IN or OUT)
     parser.set_defaults(_files={
         name: [(a.option_strings[0], a.dest, a.metavar) for a in parser._actions + p._actions
@@ -303,56 +301,56 @@ def _build_parser():
     return parser
 
 
-def _manifest_flags(parser, args):
-    """The manifest's global seed and its entries for ``args.command``, as
-    ``--key=value`` flag tokens. Each key must be one of the subcommand's
-    flag names, spelled out: argparse would take a prefix, or a key holding
+def _manifest_flags(parser, path, command, parsers):
+    """The global seed and the entry for ``command`` of the manifest at
+    ``path``, as ``--key=value`` flag tokens; ``parsers`` maps each
+    subcommand to its parser. Each key must be one of the subcommand's flag
+    names, spelled out: argparse would take a prefix, or a key holding
     ``=``, for some other flag."""
+    flags = {opt[2:] for opt in parsers[command]._option_string_actions
+             if opt.startswith("--")} - {"help"}
+
     def entries(manifest):
         if not set(manifest) <= {"seed", "stages"}:
             raise ValueError('expected an object with keys "seed" and "stages"')
         stages = manifest.get("stages", {})
-        if not (isinstance(stages, dict) and set(stages) <= set(args._flags)
+        if not (isinstance(stages, dict) and set(stages) <= set(parsers)
                 and all(isinstance(e, dict) for e in stages.values())):
             raise ValueError(
-                f'"stages" must map subcommands ({", ".join(args._flags)}) to objects')
-        found = dict(stages.get(args.command, {}))
-        unknown = sorted(set(found) - args._flags[args.command])
+                f'"stages" must map subcommands ({", ".join(parsers)}) to objects')
+        found = dict(stages.get(command, {}))
+        unknown = sorted(set(found) - flags)
         if unknown:
-            raise ValueError(f"{args.command}: unknown flag(s) "
-                             f"{', '.join(map(repr, unknown))}")
-        if "seed" in manifest and hasattr(args, "seed"):
+            raise ValueError(f"{command}: unknown flag(s) {', '.join(map(repr, unknown))}")
+        if "seed" in manifest and "seed" in flags:
             found = {"seed": manifest["seed"], **found}
         for key, value in found.items():
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValueError(f"{args.command}: {key!r} must be a string or a number")
+                raise ValueError(f"{command}: {key!r} must be a string or a number")
         return found
 
     try:
-        found = formats.read_json(args.manifest, (), entries)
+        found = formats.read_json(path, (), entries)
     except (OSError, ValueError) as exc:
         parser.error(f"manifest: {exc}")
     return [f"--{key}={value}" for key, value in found.items()]
 
 
-def _parse_args(parser, argv):
-    """Parse ``argv``; the manifest's flags are inserted ahead of the explicit
-    ones, so explicit flags win and manifest values meet the same types and
-    choices."""
-    args = parser.parse_args(argv)
-    if args.manifest is not None:
-        i = 0   # skip the top-level options: --manifest PATH or --manifest=PATH
-        while argv[i] != args.command:
-            i += 1 if "=" in argv[i] else 2
-        flags = _manifest_flags(parser, args)
-        args = parser.parse_args(argv[: i + 1] + flags + argv[i + 1:])
-    return args
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand action. ``--manifest``, which comes before the
+    subcommand, is parsed by now; its flags for the chosen subcommand go ahead
+    of the subcommand's own tokens, so explicit flags win and manifest values
+    meet the flags' types, choices and required-flag check."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.manifest is not None:
+            values = [values[0], *_manifest_flags(parser, namespace.manifest, values[0],
+                                                  self.choices), *values[1:]]
+        super().__call__(parser, namespace, values, option_string)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = _parse_args(parser, argv)
+    args = _build_parser().parse_args(argv)
     # each entry of _required holds flags of which at least one must be set
     for names in getattr(args, "_required", []):
         if all(getattr(args, name) is None for name in names):

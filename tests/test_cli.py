@@ -405,6 +405,20 @@ class TestAssignmentsK:
             assert f"K={k_file} != network domain dim {k_net}" in capsys.readouterr().err
 
 
+# each subcommand's required flags, which its usage line shows without brackets
+REQUIRED_BY_STAGE = {
+    "train-gmm": ["--features", "--components", "--out"],
+    "quantize": ["--gmm", "--features", "--out"],
+    "train-lda": ["--bags", "--k", "--out"],
+    "assign": ["--model", "--bags", "--out"],
+    "entropy": ["--model", "--bags"],
+    "filter": ["--assign-a", "--assign-b", "--out"],
+    "augment-train": ["--data", "--out"],
+    "eval": ["--net", "--data"],
+    "stats": ["--assignments", "--bags", "--out"],
+}
+
+
 class TestContracts:
     def test_rerun_byte_identical(self, tmp_path, pipeline_inputs):
         gmm_path = tmp_path / "gmm.json"
@@ -492,15 +506,66 @@ class TestContracts:
         assert obj["V"] == 2 and obj["seed"] == 11
 
     def test_flag_overrides_manifest(self, tmp_path, pipeline_inputs):
-        manifest = tmp_path / "manifest.json"
+        manifest, elsewhere = tmp_path / "manifest.json", tmp_path / "elsewhere.json"
         manifest.write_text(json.dumps({
-            "stages": {"train-gmm": {"components": 2}},
+            "stages": {"train-gmm": {"components": 2, "out": str(elsewhere)}},
         }))
         out = tmp_path / "gmm.json"
         assert run("--manifest", manifest, "train-gmm",
                    "--features", pipeline_inputs, "--components", 4,
                    "--out", out) == 0
         assert json.loads(out.read_text())["V"] == 4
+        assert not elsewhere.exists()
+
+    @pytest.mark.parametrize("command, flags, from_manifest", [
+        pytest.param("train-gmm", {"features": "f.jsonl", "components": "2", "out": "g.json"},
+                     ["out"], id="train-gmm-out"),
+        pytest.param("quantize", {"gmm": "gmm.json", "features": "f.jsonl", "out": "s.jsonl"},
+                     ["features", "out"], id="quantize-features-out"),
+    ])
+    def test_manifest_supplies_required_flags(self, tmp_path, monkeypatch, pipeline_inputs,
+                                              command, flags, from_manifest):
+        """A required flag may come from the manifest: the run writes the
+        bytes that the run with every flag explicit writes."""
+        written = {}
+        for how in ("explicit", "manifest"):
+            d = tmp_path / how
+            d.mkdir()
+            (d / "f.jsonl").write_bytes(pipeline_inputs.read_bytes())
+            (d / "gmm.json").write_text(gmm_json())
+            top, explicit = [], dict(flags)
+            if how == "manifest":
+                entry = {key: explicit.pop(key) for key in from_manifest}
+                (d / "m.json").write_text(json.dumps({"stages": {command: entry}}))
+                top = ["--manifest", "m.json"]
+            monkeypatch.chdir(d)
+            assert main([*top, command, *[token for key, value in explicit.items()
+                                          for token in (f"--{key}", value)]]) == 0
+            written[how] = {p.name: p.read_bytes() for p in d.iterdir() if p.name != "m.json"}
+        assert flags["out"] in written["explicit"]
+        assert written["manifest"] == written["explicit"]
+
+    def test_manifest_fault_comes_before_help(self, tmp_path, capsys):
+        """The manifest is read as its subcommand is parsed, so an unreadable
+        manifest exits 2 before the subcommand's ``-h`` prints help."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--manifest", str(tmp_path / "missing.json"), "train-gmm", "-h"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: manifest: [Errno 2] No such file" in err
+
+    def test_usage_shows_each_required_flag_unbracketed(self):
+        """Each subcommand's usage line shows its required flags bare and
+        every other flag in brackets."""
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+        assert sorted(sub.choices) == sorted(REQUIRED_BY_STAGE)
+        for name, p in sub.choices.items():
+            usage = " ".join(p.format_usage().split())
+            for action in p._actions[1:]:   # the first is -h
+                flag = action.option_strings[0]
+                shown = f" {flag} " if flag in REQUIRED_BY_STAGE[name] else f"[{flag} "
+                assert shown in usage, (name, usage)
 
     @pytest.mark.parametrize("manifest", [
         pytest.param(None, id="missing-file"),
@@ -1312,6 +1377,8 @@ class TestFileCollisions:
                      "--assign-a a.jsonl and --out a.jsonl", id="out-is-assign-a"),
         pytest.param(["--manifest", "manifest.json"] + QUANTIZE + ["--out", "t.jsonl"],
                      "--gmm gmm.json and --bags-out gmm.json", id="manifest-bags-out-is-gmm"),
+        pytest.param(["--manifest", "manifest-out.json"] + QUANTIZE,
+                     "--gmm gmm.json and --out gmm.json", id="manifest-out-is-gmm"),
         pytest.param(QUANTIZE + ["--out", "link.jsonl"],
                      "--features f.jsonl and --out link.jsonl", id="out-symlink-to-features"),
         pytest.param(QUANTIZE + ["--out", "hard.jsonl"],
@@ -1326,6 +1393,7 @@ class TestFileCollisions:
             "a.jsonl": assignments_text([0.25, 0.75], [0.75, 0.25]),
             "b.jsonl": assignments_text([0.5, 0.5], [0.75, 0.25]),
             "manifest.json": json.dumps({"stages": {"quantize": {"bags-out": "gmm.json"}}}),
+            "manifest-out.json": json.dumps({"stages": {"quantize": {"out": "gmm.json"}}}),
         }.items():
             (tmp_path / name).write_text(text)
         os.symlink("f.jsonl", "link.jsonl")
