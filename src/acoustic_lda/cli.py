@@ -257,7 +257,7 @@ def _build_parser():
     p.add_argument("--target-weight", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="OUT")
-    p.set_defaults(func=_cmd_filter, _required=[("target_frac", "target_weight")])
+    p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("augment-train",
                        help="train the frame classifier, optionally UBIC-augmented")
@@ -340,23 +340,23 @@ class _Subcommands(argparse._SubParsersAction):
     """The subcommand action. ``--manifest``, which comes before the
     subcommand, is parsed by now; its flags for the chosen subcommand go ahead
     of the subcommand's own tokens, so explicit flags win and manifest values
-    meet the flags' types, choices and required-flag check."""
+    meet the flags' types, choices and required-flag check. ``filter``'s
+    one-of target, which argparse cannot state while explicit flags win, is
+    checked here too, after the merge, and reported as a missing flag is."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if namespace.manifest is not None:
             values = [values[0], *_manifest_flags(parser, namespace.manifest, values[0],
                                                   self.choices), *values[1:]]
         super().__call__(parser, namespace, values, option_string)
+        if (values[0] == "filter"
+                and namespace.target_frac is None and namespace.target_weight is None):
+            self.choices["filter"].error(
+                "one of the arguments --target-frac --target-weight is required")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # each entry of _required holds flags of which at least one must be set
-    for names in getattr(args, "_required", []):
-        if all(getattr(args, name) is None for name in names):
-            flags = " or ".join("--" + name.replace("_", "-") for name in names)
-            print(f"error: missing required flag {flags}", file=sys.stderr)
-            return 2
     # no output may name the file of another output or of an input
     files = [(flag, io, getattr(args, dest)) for flag, dest, io in args._files[args.command]
              if getattr(args, dest) is not None]

@@ -81,14 +81,14 @@ def read_only(values, dtype) -> np.ndarray:
 
 
 def _naturals(values, name) -> np.ndarray:
-    """``values``, which must be integers >= 0, as a read-only int64 array
-    (``read_only``); a float is rejected, not cast."""
+    """``values`` as an array, checked to hold integers >= 0 without a copy;
+    a float is rejected, not cast. The records freeze it with ``read_only``."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise CorpusError(f"{name} must be integers")
     if arr.size and arr.min() < 0:
         raise CorpusError(f"{name} must be >= 0")
-    return read_only(arr, np.int64)
+    return arr
 
 
 def _layout(docs) -> dict:
@@ -138,7 +138,7 @@ class Frames:
         _check_frames(self.ids, self.offsets, frames)
         object.__setattr__(self, "frames", frames)
         if self.labels is not None:
-            labels = _naturals(self.labels, "labels")
+            labels = read_only(_naturals(self.labels, "labels"), np.int64)
             if labels.shape != (len(frames),):
                 raise CorpusError(f"labels must have shape ({len(frames)},), "
                                   f"got {labels.shape}")
@@ -257,7 +257,7 @@ class Bags:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _naturals(self.counts, "counts")
+        counts = read_only(_naturals(self.counts, "counts"), np.int64)
         if not (counts.ndim == 2 and len(counts) == len(self.ids) == len(self.groups)):
             raise CorpusError(f"counts {counts.shape} must be M x V, for M ids and groups")
         object.__setattr__(self, "ids", tuple(self.ids))

@@ -4,36 +4,34 @@ The quantizer maps each frame to the index of the Gaussian component with the
 highest posterior, turning an utterance into a sequence of discrete symbols.
 All density math is done in the log domain.
 
-The log joint of frame x and component i is computed as two matrix products,
-from the diagonal-covariance expansion
+EM and ``quantize`` compute the log joint of frame x and component i in one
+form, the diagonal-covariance expansion
 
     log w_i - 1/2 (D log 2pi + sum log var_i + sum m_i^2 / var_i)
             - 1/2 (x^2) . (1 / var_i) + x . (m_i / var_i),
 
-where x and m_i are the frame and the mean shifted by one common centre, so
-that a large common offset does not cancel.
+with x and m_i the frame and the mean shifted by one common centre, so that
+a large common offset does not cancel: one product W @ Z + const, (V, B), of
+W = [-prec / 2 | m * prec] and the design block Z = [x^2 | x]^T, (2D, B).
 
-``quantize`` centres on the mean of the component means and takes the
-frames in fixed-size blocks of ``_BLOCK_FRAMES``. The expansion rounds
-differently from the direct form sum (x - mu)^2 / var; ``quantize`` bounds
-that error per frame and re-scores, with the direct form, only the frames
-whose best and runner-up components lie within the bound.
-Its symbols are therefore those of the direct form, ties going to the lowest
-index. The model-only terms of the log joint and of that bound (the centre,
-the two matrix operands, the constant and the bound's per-dimension maxima)
-are built once per model, on first use, and kept on the immutable
-``GmmModel``; each block of frames is shifted by the centre once, for both.
+``quantize`` centres on the mean of the component means, scores the frames in
+blocks of ``_BLOCK_FRAMES`` and takes the argmax down each column. The
+expansion rounds differently from the direct form sum (x - mu)^2 / var, so it
+bounds that error per frame and re-scores, with the direct form, only the
+frames whose best and runner-up components lie within the bound: its symbols
+are those of the direct form, ties going to the lowest index. The model-only
+terms (the centre, W, the constant and the bound's per-dimension maxima) are
+built once per model, on first use, and kept on the immutable ``GmmModel``.
 
 EM centres on the mean g of the training frames, which is a safe centre
-because every EM mean is a weighted average of frames. ``train_gmm`` builds
-the design matrix Z = [x^2 | x]^T, (2D, N) with x = frames - g, once per fit.
-Each EM pass then takes Z in blocks of ``_BLOCK_FRAMES`` columns and does two
-matrix products per block: the (V, B) log joint W @ Z_b + const, with
-W = [-prec / 2 | (means - g) * prec], and, after normalising it along the
+because every EM mean is a weighted average of frames. ``train_gmm`` builds Z
+of all N frames once per fit, and each EM pass takes it in blocks of
+``_BLOCK_FRAMES`` columns: the log joint, then, normalised along the
 components into responsibilities r, the statistics (Z_b @ r^T)^T, which hold
 the centred sums [sum r x^2 | sum r x]. The M-step reads the variances off
-the centred second moment. Z costs 2 N D floats for the fit; every other
-temporary is O(block * V), and no (frames, components, dims) array is built.
+the centred second moment. Z costs 2 N D floats per fit; every other
+temporary of EM, and of ``quantize`` outside its near-tie re-score, is
+O(block * V), and no (frames, components, dims) array is built.
 """
 
 from __future__ import annotations
@@ -116,12 +114,33 @@ def _blocks(n):
         yield slice(start, min(start + _BLOCK_FRAMES, n))
 
 
-def _log_const(weights, variances, m, prec):
-    """The frame-free terms of the log joint, (V,), for means ``m`` shifted
-    by the centre and precisions ``prec``."""
-    return np.log(weights) - 0.5 * (
+def _design_block(frames, centre):
+    """The contiguous (2D, N) design block [x^2 | x]^T, x = frames - centre."""
+    n, d = frames.shape
+    z = np.empty((2 * d, n))
+    np.subtract(frames.T, centre[:, None], out=z[d:])
+    np.multiply(z[d:], z[d:], out=z[:d])
+    return z
+
+
+def _joint_terms(weights, means, variances, centre):
+    """The operands of ``_log_joint`` for frames shifted by ``centre``:
+    W = [-prec / 2 | (means - centre) * prec], (V, 2D), and the frame-free
+    terms of the log joint, (V, 1)."""
+    prec = 1.0 / variances
+    m = means - centre
+    const = np.log(weights) - 0.5 * (
         m.shape[1] * _LOG_2PI + np.log(variances).sum(axis=1)
         + (m * m * prec).sum(axis=1))
+    return np.hstack([-0.5 * prec, m * prec]), const[:, None]
+
+
+def _log_joint(w, const, z):
+    """log(w_i * N(x; mu_i, var_i)), (V, B), for the design block ``z`` of
+    B frames, as the one product W @ Z + const."""
+    lj = w @ z
+    lj += const
+    return lj
 
 
 class _Terms(NamedTuple):
@@ -129,10 +148,9 @@ class _Terms(NamedTuple):
     frames x shifted by ``centre``, the mean of the component means."""
 
     centre: np.ndarray         # (D,)
-    neg_half_prec: np.ndarray  # (D, V): -prec^T / 2
-    m_prec: np.ndarray         # (D, V): ((means - centre) * prec)^T
-    const: np.ndarray          # (V,): the frame-free terms of the log joint
-    reach: np.ndarray          # (D,): max |means - centre| over the components
+    w: np.ndarray              # (V, 2D): [-prec / 2 | (means - centre) * prec]
+    const: np.ndarray          # (V, 1): the frame-free terms of the log joint
+    reach: np.ndarray          # (D, 1): max |means - centre| over the components
     max_prec: np.ndarray       # (D,): max prec over the components
     margin_const: float        # the frame-free part of the margin's magnitude
 
@@ -141,25 +159,17 @@ def _model_terms(model):
     """The ``_Terms`` of ``model``, built once per model by ``GmmModel._terms``."""
     weights, means, variances = model.weights, model.means, model.variances
     centre = means.mean(axis=0)
-    m = means - centre
-    prec = 1.0 / variances
     return _Terms(
-        centre=centre, neg_half_prec=-0.5 * prec.T, m_prec=(m * prec).T,
-        const=_log_const(weights, variances, m, prec),
-        reach=np.abs(m).max(axis=0), max_prec=prec.max(axis=0),
+        centre, *_joint_terms(weights, means, variances, centre),
+        reach=np.abs(means - centre).max(axis=0)[:, None],
+        max_prec=(1.0 / variances).max(axis=0),
         margin_const=means.shape[1] * _LOG_2PI + np.max(
             np.abs(np.log(weights)) + np.abs(np.log(variances)).sum(axis=1)))
 
 
-def _log_joint(terms, x):
-    """log(w_i * N(x; mu_i, var_i)) for a block of frames ``x`` shifted by
-    ``terms.centre``, (N, V), as two matrix products."""
-    return terms.const + (x * x) @ terms.neg_half_prec + x @ terms.m_prec
-
-
 def _log_joint_direct(weights, means, variances, frames):
-    """The same log joint from sum (x - mu)^2 / var, through an (N, V, D)
-    temporary: the reference ``quantize`` re-scores near-tie frames with."""
+    """The same log joint, (N, V), from sum (x - mu)^2 / var through an
+    (N, V, D) temporary: the reference ``quantize`` re-scores near-tie frames with."""
     diff = frames[:, None, :] - means[None, :, :]        # (N, V, D)
     quad = np.sum(diff * diff / variances[None, :, :], axis=2)
     log_det = np.sum(np.log(variances), axis=1)          # (V,)
@@ -169,18 +179,22 @@ def _log_joint_direct(weights, means, variances, frames):
 
 
 def _tie_margin(terms, x):
-    """Per frame of ``x`` (frames shifted by ``terms.centre``), a gap between
-    the best and the runner-up log joint above which ``_log_joint`` and
-    ``_log_joint_direct`` pick the same component.
+    """Per column of ``x``, (D, B) frames shifted by ``terms.centre``, a gap
+    between the best and the runner-up log joint above which ``_log_joint``
+    and ``_log_joint_direct`` pick the same component.
 
-    Either form of one component's log joint is off by at most about
-    (D + 6) * eps/2 times the magnitudes it sums, which per-dimension maxima
-    over the components bound from above; the margin is four times the worst
-    case for two components under both forms.
+    A dot product of n terms, in any order, is off by at most
+    gamma_n = n u / (1 - n u), u = eps/2, times the sum of the terms'
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    3.1). ``_log_joint`` sums 2D terms of at most four roundings each and a
+    constant; the direct form sums D terms of three. Since x^2 prec / 2 +
+    |x m prec| + m^2 prec / 2 <= prec (|x| + |m|)^2 per dimension, ``size``
+    below bounds the magnitudes either form sums for any component, and each
+    is off by at most about (2D + 6) eps/2 size, one share; the margin is 16
+    shares, four times the worst case for two components under both forms.
     """
-    size = (np.abs(x) + terms.reach) ** 2 @ terms.max_prec
-    size += terms.margin_const
-    return 8.0 * (terms.centre.size + 6) * _EPS * size
+    size = terms.max_prec @ (np.abs(x) + terms.reach) ** 2 + terms.margin_const
+    return 8.0 * (2 * terms.centre.size + 6) * _EPS * size
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -205,13 +219,12 @@ def quantize(model: GmmModel, doc: Frames) -> np.ndarray:
     symbols = np.empty(doc.num_frames, dtype=np.int64)
     for rows in _blocks(doc.num_frames):
         frames = doc.frames[rows]
-        x = frames - terms.centre
-        lj = _log_joint(terms, x)
-        best = lj.argmax(axis=1)
-        at = np.arange(best.size)
-        top = lj[at, best]
-        lj[at, best] = -np.inf
-        near = top - lj.max(axis=1) <= _tie_margin(terms, x)
+        z = _design_block(frames, terms.centre)
+        lj = _log_joint(terms.w, terms.const, z)
+        top = lj.max(axis=0)
+        best = (lj == top).argmax(axis=0)   # the lowest top index, without lj.T's copy
+        lj[best, np.arange(best.size)] = -np.inf
+        near = top - lj.max(axis=0) <= _tie_margin(terms, z[model.dim:])
         if near.any():
             best[near] = _log_joint_direct(model.weights, model.means, model.variances,
                                            frames[near]).argmax(axis=1)
@@ -219,31 +232,16 @@ def quantize(model: GmmModel, doc: Frames) -> np.ndarray:
     return symbols
 
 
-def _design_matrix(frames):
-    """The frames' mean g and the contiguous (2D, N) design matrix
-    [x^2 | x]^T with x = frames - g, built once per fit."""
-    n, d = frames.shape
-    g = frames.mean(axis=0)
-    z = np.empty((2 * d, n))
-    np.subtract(frames.T, g[:, None], out=z[d:])
-    np.multiply(z[d:], z[d:], out=z[:d])
-    return g, z
-
-
 def _em_statistics(weights, means, variances, g, z):
-    """One E-step on the design matrix ``z`` of frames centred on ``g``,
+    """One E-step on the design block ``z`` of frames centred on ``g``,
     block by block: the total log-likelihood, each component's posterior
     mass and the centred sums [sum r*x^2 | sum r*x], (V, 2D)."""
     v, d = means.shape
-    prec = 1.0 / variances
-    m = means - g
-    w = np.hstack([-0.5 * prec, m * prec])                  # (V, 2D)
-    const = _log_const(weights, variances, m, prec)[:, None]
+    w, const = _joint_terms(weights, means, variances, g)
     ll, mass, acc = 0.0, np.zeros(v), np.zeros((v, 2 * d))
     for cols in _blocks(z.shape[1]):
         zb = z[:, cols]
-        lj = w @ zb
-        lj += const                                         # (V, B)
+        lj = _log_joint(w, const, zb)
         top = lj.max(axis=0)
         resp = np.exp(np.subtract(lj, top, out=lj), out=lj)
         norm = resp.sum(axis=0)
@@ -255,7 +253,7 @@ def _em_statistics(weights, means, variances, g, z):
 
 
 def _em_iterations(weights, means, variances, g, z, floor, n_iters, tol):
-    """Run EM at a fixed component count on the design matrix ``z`` of frames
+    """Run EM at a fixed component count on the design block ``z`` of frames
     centred on ``g``; returns updated parameters.
 
     Stops early when ``tol`` is set and the relative change of the average
@@ -334,7 +332,8 @@ def train_gmm(frames: np.ndarray, target_components: int) -> GmmModel:
 
     global_var = frames.var(axis=0)
     floor = np.maximum(_VARIANCE_FLOOR * global_var, 1e-12)
-    g, z = _design_matrix(frames)
+    g = frames.mean(axis=0)
+    z = _design_block(frames, g)
 
     weights = np.array([1.0])
     means = g[None, :]

@@ -127,7 +127,9 @@ def test_04_quantizer_correctness():
         )
         frame = rng.normal(size=d)
         # the posterior from the log joint quantize takes its argmax of
-        lj = gmm._log_joint(rm._terms, frame[None, :] - rm._terms.centre)[0]
+        terms = rm._terms
+        lj = gmm._log_joint(terms.w, terms.const,
+                            gmm._design_block(frame[None, :], terms.centre))[:, 0]
         got = np.exp(lj - lj.max())
         got /= got.sum()
         want = gaussian_responsibilities(rm.weights, rm.means, rm.variances, frame)

@@ -1254,9 +1254,13 @@ class TestContracts:
         a, out, path = tmp_path / "a.jsonl", tmp_path / "filter.jsonl", tmp_path / "m.json"
         a.write_text(assignments_text([0.25, 0.75], [0.75, 0.25]))
         argv = ("filter", "--assign-a", a, "--assign-b", a, "--out", out)
-        assert run(*argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--target-frac or --target-weight" in err
+        assert err.startswith("usage: acoustic-lda filter ") and err.endswith(
+            "acoustic-lda filter: error: one of the arguments --target-frac "
+            "--target-weight is required\n")
         assert not out.exists()
         path.write_text(json.dumps({"stages": {"filter": {"target-frac": 0.5}}}))
         assert run("--manifest", path, *argv) == 0

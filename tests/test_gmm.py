@@ -24,7 +24,9 @@ def random_model(rng, v, d):
 def responsibilities(model, frame):
     """Posterior over components of one frame, from the log joint whose
     argmax ``quantize`` takes."""
-    lj = gmm._log_joint(model._terms, frame[None, :] - model._terms.centre)[0]
+    terms = model._terms
+    lj = gmm._log_joint(terms.w, terms.const,
+                        gmm._design_block(frame[None, :], terms.centre))[:, 0]
     post = np.exp(lj - lj.max())
     return post / post.sum()
 
@@ -106,7 +108,7 @@ class TestQuantize:
 
 
 class TestDensityPath:
-    """The two-matrix-product log joint, its frame blocks and its near-tie
+    """The one-product log joint, its frame blocks and its near-tie
     re-score, against the direct log-domain oracle."""
 
     def test_near_tie_far_from_centre_matches_oracle(self):
@@ -162,6 +164,39 @@ class TestDensityPath:
                                     frames)
         np.testing.assert_array_equal(symbols, oracle.argmax(axis=1))
         assert sum(rescored) == 0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble is no wider than float64")
+    @pytest.mark.parametrize("v, d, offset", [
+        (128, 39, 1e7), (128, 39, -1e4), (97, 13, 0.0), (1, 1, 1e7), (5, 39, -1e7),
+        (128, 2, 1.0)])
+    def test_log_joint_within_its_share_of_the_margin(self, v, d, offset):
+        # the docstring's per-component share of the margin, one sixteenth,
+        # bounds each component's float64 log joint against the direct form
+        # evaluated in longdouble from the same float64 inputs
+        rng = np.random.default_rng([27, v, d])
+        means = offset + rng.normal(scale=3.0, size=(v, d))
+        variances = 10.0 ** rng.uniform(-6, 1, size=(v, d))
+        model = GmmModel(weights=rng.dirichlet(np.ones(v)), means=means,
+                         variances=variances)
+        picked = rng.integers(v, size=40)
+        frames = np.concatenate([   # near the means, then far from them
+            means[picked] + rng.normal(size=(40, d)) * np.sqrt(variances[picked]),
+            offset + rng.normal(scale=1e3, size=(40, d))])
+        terms = model._terms
+        z = gmm._design_block(frames, terms.centre)
+        got = gmm._log_joint(terms.w, terms.const, z)                 # (V, N)
+        share = gmm._tie_margin(terms, z[d:]) / 16
+
+        weights, means, variances, frames = (
+            a.astype(np.longdouble) for a in (model.weights, means, variances, frames))
+        diff = frames[None, :, :] - means[:, None, :]                 # (V, N, D)
+        quad = (diff * diff / variances[:, None, :]).sum(axis=2)
+        log_two_pi = np.log(8 * np.arctan(np.longdouble(1)))
+        exact = np.log(weights)[:, None] - 0.5 * (
+            d * log_two_pi + np.log(variances).sum(axis=1)[:, None] + quad)
+        ratio = np.abs(got - exact) / share
+        assert ratio.max() <= 1.0, f"error {ratio.max():.3g} shares"
 
     def test_small_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -235,7 +270,7 @@ class TestModelTerms:
 
 
 class TestEmPath:
-    """EM on the per-fit design matrix, against the direct log-domain
+    """EM on the per-fit design block, against the direct log-domain
     E-step of the oracle."""
 
     @pytest.mark.parametrize("block", [None, 7])
@@ -249,7 +284,8 @@ class TestEmPath:
         means = offset + 2.0 * model.means
         if block is not None:
             monkeypatch.setattr(gmm, "_BLOCK_FRAMES", block)
-        g, z = gmm._design_matrix(frames)
+        g = frames.mean(axis=0)
+        z = gmm._design_block(frames, g)
         ll, mass, acc = gmm._em_statistics(model.weights, means, model.variances,
                                            g, z)
         want_ll, want_mass, want_first, want_second = gmm_em_statistics(
